@@ -113,7 +113,10 @@ def _add_common(parser: argparse.ArgumentParser, *, dsl_required: bool):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(2, f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_dsl(path: str) -> RobotClassDsl:

@@ -14,11 +14,19 @@ equal and serialize identically regardless of how they were assembled.
 
 The graph queries at the bottom (successors, ancestors,
 potentially_parallel, topological_order, critical_path_length) are the
-shared vocabulary of the validator and the simulator.
+shared vocabulary of the validator and the simulator.  They all read one
+ProgramGraph per Program, built on first use and cached on it: a
+name-to-action dict, predecessor and successor adjacency, the
+topological order, a cycle witness, and, on the first reachability
+query, the ancestor closure as one int bitset per action (Purdom's
+algorithm).  Two actions on distinct resources are potentially parallel
+when neither bitset holds the other: they are incomparable in the
+precedence order, as in Lamport's happens-before.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Any, Mapping
 
@@ -157,11 +165,21 @@ class Program:
                     f"action {action.name!r} runs on undeclared resource {action.resource!r}"
                 )
 
+    @cached_property
+    def graph(self) -> "ProgramGraph":
+        """The precedence-graph index, built on first use.
+
+        Not a dataclass field: equality, hashing and repr ignore it.
+        """
+        return ProgramGraph(self)
+
     def action(self, name: str) -> ActionInstance:
-        for candidate in self.actions:
-            if candidate.name == name:
-                return candidate
-        raise UnknownActionError(f"program {self.name!r} has no action named {name!r}")
+        """The first action declared under `name`."""
+        try:
+            return self.graph.actions[name]
+        except KeyError:
+            raise UnknownActionError(
+                f"program {self.name!r} has no action named {name!r}") from None
 
     def action_names(self) -> list[str]:
         return [a.name for a in self.actions]
@@ -173,55 +191,147 @@ class Program:
         return None
 
 
-def _predecessor_map(program: Program) -> dict[str, set[str]]:
-    return {a.name: set(a.predecessors) for a in program.actions}
+def _find_cycle(preds: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
+    """Return one concrete cycle as an ordered node tuple, or None.
 
-
-def _successor_map(program: Program) -> dict[str, set[str]]:
-    forward: dict[str, set[str]] = {a.name: set() for a in program.actions}
-    for action in program.actions:
-        for pred in action.predecessors:
-            forward.setdefault(pred, set()).add(action.name)
-    return forward
-
-
-def _find_cycle(program: Program) -> tuple[str, ...] | None:
-    """Return one concrete cycle as an ordered node tuple, or None."""
-    preds = _predecessor_map(program)
-    color: dict[str, int] = {}  # 0 unseen, 1 on stack, 2 done
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = 1
-        stack.append(node)
-        for pred in sorted(preds.get(node, ())):
-            if pred not in preds:
-                continue  # dangling predecessor; reported elsewhere
-            state = color.get(pred, 0)
-            if state == 1:
-                cycle = stack[stack.index(pred):]
-                pivot = cycle.index(min(cycle))
-                return tuple(cycle[pivot:] + cycle[:pivot])
-            if state == 0:
-                found = visit(pred)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = 2
-        return None
-
-    for name in sorted(preds):
-        if color.get(name, 0) == 0:
-            found = visit(name)
-            if found:
-                return found
+    An iterative depth-first search over predecessor edges: roots and
+    predecessors are visited in name order, and the witness is rotated
+    to start at its smallest name.
+    """
+    color: dict[str, int] = {}  # 1 on the path, 2 done
+    for root in sorted(preds):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(sorted(preds[root]))]
+        while pending:
+            for pred in pending[-1]:
+                if pred not in preds:
+                    continue  # dangling predecessor; reported elsewhere
+                state = color.get(pred)
+                if state == 1:
+                    cycle = path[path.index(pred):]
+                    pivot = cycle.index(min(cycle))
+                    return tuple(cycle[pivot:] + cycle[:pivot])
+                if state is None:
+                    color[pred] = 1
+                    path.append(pred)
+                    pending.append(iter(sorted(preds[pred])))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
+
+
+def _kahn_order(preds: Mapping[str, frozenset[str]],
+                 succs: Mapping[str, set[str]]) -> list[str]:
+    """Kahn's algorithm with a name-ordered heap; stops short on a cycle."""
+    indegree = {name: sum(1 for p in incoming if p in preds)
+                for name, incoming in preds.items()}
+    ready = sorted(name for name, deg in indegree.items() if deg == 0)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in succs.get(node, ()):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    return order
+
+
+class ProgramGraph:
+    """Read-only index of one program's precedence graph.
+
+    Built once per Program (see `Program.graph`); every graph query
+    reads it instead of rescanning the actions.  With duplicate action
+    names, `actions` keeps the first declaration and `preds` the last,
+    matching the lookups the index replaces; `succs` unions all of them.
+    Dangling predecessor names are kept in the edge sets and ignored by
+    the traversals.
+
+    The topological order and the cycle witness are computed on first
+    use; the ancestor closure, one int bitset per action, only when a
+    reachability query needs it, so loading a program never pays for it.
+    """
+
+    def __init__(self, program: "Program"):
+        actions: dict[str, ActionInstance] = {}
+        preds: dict[str, frozenset[str]] = {}
+        succs: dict[str, set[str]] = {}
+        for action in program.actions:
+            name = action.name
+            if name not in actions:
+                actions[name] = action
+                succs.setdefault(name, set())
+            preds[name] = incoming = action.predecessors
+            for pred in incoming:
+                if pred in succs:
+                    succs[pred].add(name)
+                else:
+                    succs[pred] = {name}
+        self.actions = actions
+        self.preds = preds
+        self.succs = succs
+        self.duplicate_names = len(actions) != len(program.actions)
+
+    @cached_property
+    def order(self) -> list[str]:
+        """Kahn's order over `succs`; it falls short of `preds` on a cycle."""
+        return _kahn_order(self.preds, self.succs)
+
+    @cached_property
+    def cycle(self) -> tuple[str, ...] | None:
+        return _find_cycle(self.preds)
+
+    @cached_property
+    def ancestor_bits(self) -> dict[str, int]:
+        """Purdom's closure, built in topological order: bit `position[x]`
+        of an action's int is set when x is one of its ancestors.
+
+        Raises CyclicGraphError on a cyclic graph.
+        """
+        if self.cycle:
+            raise CyclicGraphError(self.cycle)
+        order = self.order
+        if self.duplicate_names:
+            # The union successor sets may disagree with the last-wins
+            # predecessor sets; order by the latter alone.
+            derived: dict[str, set[str]] = {}
+            for name, incoming in self.preds.items():
+                for pred in incoming:
+                    derived.setdefault(pred, set()).add(name)
+            order = _kahn_order(self.preds, derived)
+        position = self.position
+        closure: dict[str, int] = {}
+        for name in order:
+            bits = 0
+            for pred in self.preds[name]:
+                if pred in closure:
+                    bits |= closure[pred] | 1 << position[pred]
+            closure[name] = bits
+        return closure
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Action names by bit index in `ancestor_bits`."""
+        return list(self.preds)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
+    def precedes(self, first: str, second: str) -> bool:
+        """True iff a directed path leads from `first` to `second`."""
+        return bool(self.ancestor_bits[second] >> self.position[first] & 1)
 
 
 def successors(program: Program, action: str) -> frozenset[str]:
     """All actions that list `action` as a direct predecessor."""
     program.action(action)
-    return frozenset(_successor_map(program).get(action, ()))
+    return frozenset(program.graph.succs.get(action, ()))
 
 
 def ancestors(program: Program, action: str) -> frozenset[str]:
@@ -231,19 +341,14 @@ def ancestors(program: Program, action: str) -> frozenset[str]:
     CyclicGraphError because reachability is not meaningful on it.
     """
     program.action(action)
-    cycle = _find_cycle(program)
-    if cycle:
-        raise CyclicGraphError(cycle)
-    preds = _predecessor_map(program)
-    seen: set[str] = set()
-    frontier = [action]
-    while frontier:
-        node = frontier.pop()
-        for pred in preds.get(node, ()):
-            if pred not in seen and pred in preds:
-                seen.add(pred)
-                frontier.append(pred)
-    return frozenset(seen)
+    graph = program.graph
+    bits = graph.ancestor_bits[action]
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(graph.names[low.bit_length() - 1])
+        bits ^= low
+    return frozenset(found)
 
 
 def potentially_parallel(program: Program, a: str, b: str) -> bool:
@@ -259,30 +364,17 @@ def potentially_parallel(program: Program, a: str, b: str) -> bool:
     action_b = program.action(b)
     if action_a.resource == action_b.resource:
         return False
-    return a not in ancestors(program, b) and b not in ancestors(program, a)
+    graph = program.graph
+    return not graph.precedes(a, b) and not graph.precedes(b, a)
 
 
 def topological_order(program: Program) -> list[str]:
     """A precedence-compatible total order, ties broken by action name."""
-    preds = _predecessor_map(program)
-    indegree = {name: 0 for name in preds}
-    succs = _successor_map(program)
-    for name, incoming in preds.items():
-        indegree[name] = sum(1 for p in incoming if p in preds)
-    ready = [name for name, deg in sorted(indegree.items()) if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for succ in succs.get(node, ()):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) != len(preds):
-        cycle = _find_cycle(program)
-        raise CyclicGraphError(cycle or tuple(sorted(set(preds) - set(order))))
-    return order
+    graph = program.graph
+    if len(graph.order) != len(graph.preds):
+        leftover = tuple(sorted(set(graph.preds) - set(graph.order)))
+        raise CyclicGraphError(graph.cycle or leftover)
+    return list(graph.order)
 
 
 def _checked_duration(name: str, value: Any) -> int:

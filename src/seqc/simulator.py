@@ -24,7 +24,6 @@ from .dsl import RobotClassDsl
 from .errors import (
     DuplicateIdentifierError,
     InvalidProgramError,
-    NonPositiveDurationError,
     UnknownActionError,
 )
 from .model import Program
@@ -44,22 +43,12 @@ class DurationMap:
     default: int = 1
 
     def __post_init__(self):
-        _check_duration("default", self.default)
+        model._checked_duration("default", self.default)
         for name, value in self.per_action.items():
-            _check_duration(name, value)
+            model._checked_duration(name, value)
 
     def duration_of(self, name: str) -> int:
         return self.per_action.get(name, self.default)
-
-    def effective(self, program: Program) -> dict[str, int]:
-        return {name: self.duration_of(name) for name in program.action_names()}
-
-
-def _check_duration(name, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise NonPositiveDurationError(
-            f"duration of {name!r} must be a positive integer tick count, got {value!r}"
-        )
 
 
 @dataclass(frozen=True)

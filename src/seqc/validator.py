@@ -9,6 +9,7 @@ A program is acceptable ("ok") when no Error-severity finding exists;
 warnings flag suspicious but permitted constructions.
 """
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,11 +89,6 @@ def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def _has_duplicate_action_names(program: Program) -> bool:
-    names = program.action_names()
-    return len(names) != len(set(names))
-
-
 def _cycle_finding(program: Program) -> Finding | None:
     try:
         model.topological_order(program)
@@ -134,32 +130,44 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
 
     Two instances violate a declared exclusion exactly when their types
     are mutex partners and nothing prevents simultaneity: no precedence
-    path between them and distinct resource instances.  With duplicate
-    action names the graph is ambiguous, so analysis is skipped; validate
-    reports the duplicates themselves.
+    path between them and distinct resource instances.  Actions are
+    grouped by type, so only instances of mutex-partner types are tested
+    for parallelism.  With duplicate action names the graph is
+    ambiguous, so analysis is skipped; validate reports the duplicates
+    themselves.
     """
-    if _has_duplicate_action_names(program):
+    if program.graph.duplicate_names:
         return []
     cyclic = _cycle_finding(program)
     if cyclic:
         return [cyclic]
+    type_of = {action.name: action.action_type for action in program.actions}
+    by_type: dict[str, list[str]] = {}
+    for name, action_type in type_of.items():
+        by_type.setdefault(action_type, []).append(name)
+    types = sorted(by_type)
     findings = []
-    names = program.action_names()
-    types = {a: program.action(a).action_type for a in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if not dsl.is_mutex(types[a], types[b]):
+    for i, type_a in enumerate(types):
+        for type_b in types[i:]:
+            if not dsl.is_mutex(type_a, type_b):
                 continue
-            if model.potentially_parallel(program, a, b):
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        Code.MUTEX_VIOLATION,
-                        (a, b),
-                        f"{a!r} ({types[a]}) and {b!r} ({types[b]}) may run"
-                        " simultaneously but their action types are mutually exclusive",
+            if type_a == type_b:
+                pairs = itertools.combinations(by_type[type_a], 2)
+            else:
+                pairs = itertools.product(by_type[type_a], by_type[type_b])
+            for x, y in pairs:
+                if model.potentially_parallel(program, x, y):
+                    a, b = min(x, y), max(x, y)
+                    findings.append(
+                        Finding(
+                            Severity.ERROR,
+                            Code.MUTEX_VIOLATION,
+                            (a, b),
+                            f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
+                            " simultaneously but their action types are mutually exclusive",
+                        )
                     )
-                )
+    findings.sort(key=lambda f: f.subjects)
     return findings
 
 
@@ -274,8 +282,9 @@ def _unknown_variable(action_name: str, variable: str) -> Finding:
 
 
 def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
-    if _has_duplicate_action_names(program) or _cycle_finding(program) is not None:
+    if program.graph.duplicate_names or _cycle_finding(program) is not None:
         return []  # flow analysis needs an unambiguous acyclic graph
+    graph = program.graph
     writers: dict[str, set[str]] = {}
     for action in program.actions:
         if action.return_to is not None:
@@ -289,9 +298,7 @@ def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
             if declared_vars[variable].init is not None:
                 continue
             candidates = writers.get(variable, set()) - {action.name}
-            if not any(
-                action.name not in model.ancestors(program, writer) for writer in candidates
-            ):
+            if all(graph.precedes(action.name, writer) for writer in candidates):
                 findings.append(
                     Finding(
                         Severity.WARNING,
@@ -327,35 +334,38 @@ def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
 
     A conflict is write/write or read/write on one variable by two
     actions that may overlap in time.  Ordered or same-resource pairs
-    cannot race.
+    cannot race.  Actions are grouped by variable, so only pairs with a
+    conflict are tested for parallelism.
     """
-    if _has_duplicate_action_names(program) or _cycle_finding(program) is not None:
+    if program.graph.duplicate_names or _cycle_finding(program) is not None:
         return []
-    reads: dict[str, set[str]] = {}
-    writes: dict[str, set[str]] = {}
+    readers: dict[str, list[str]] = {}
+    writers: dict[str, list[str]] = {}
     for action in program.actions:
-        reads[action.name] = {a.variable for a in action.args if a.variable is not None}
-        writes[action.name] = {action.return_to} if action.return_to is not None else set()
+        for variable in {a.variable for a in action.args if a.variable is not None}:
+            readers.setdefault(variable, []).append(action.name)
+        if action.return_to is not None:
+            writers.setdefault(action.return_to, []).append(action.name)
+    conflicts: dict[tuple[str, str], set[str]] = {}
+    for variable, written_by in writers.items():
+        touching = written_by + readers.get(variable, [])
+        for writer in written_by:
+            for other in touching:
+                if other != writer:
+                    pair = (min(writer, other), max(writer, other))
+                    conflicts.setdefault(pair, set()).add(variable)
     findings = []
-    names = program.action_names()
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if not model.potentially_parallel(program, a, b):
-                continue
-            conflicts = (
-                (writes[a] & writes[b])
-                | (writes[a] & reads[b])
-                | (reads[a] & writes[b])
-            )
-            for variable in sorted(conflicts):
-                first, second = sorted((a, b))
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        Code.VARIABLE_RACE,
-                        (first, second, variable),
-                        f"{first!r} and {second!r} may run simultaneously and both"
-                        f" touch variable {variable!r}",
-                    )
+    for (first, second), variables in sorted(conflicts.items()):
+        if not model.potentially_parallel(program, first, second):
+            continue
+        for variable in sorted(variables):
+            findings.append(
+                Finding(
+                    Severity.WARNING,
+                    Code.VARIABLE_RACE,
+                    (first, second, variable),
+                    f"{first!r} and {second!r} may run simultaneously and both"
+                    f" touch variable {variable!r}",
                 )
+            )
     return findings

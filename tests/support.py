@@ -6,17 +6,27 @@ implementations are checked against independent math, not themselves.
 """
 
 import dataclasses
+import heapq
 import random
 from pathlib import Path
 
 from seqc import model
 from seqc.dsl import (
     ActionTypeDef,
+    ParameterDef,
     ResourceComponentTypeDef,
     RobotClassDsl,
     symmetrize_mutex,
 )
-from seqc.model import ActionInstance, ConstraintEdge, Program, ResourceInstance
+from seqc.errors import CyclicGraphError
+from seqc.model import (
+    ActionInstance,
+    ArgBinding,
+    ConstraintEdge,
+    Program,
+    ResourceInstance,
+    VariableDecl,
+)
 from seqc.validator import Code, validate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +135,65 @@ def ancestors_oracle(program: Program, target: str) -> set[str]:
     return found
 
 
+def cycle_oracle(program: Program) -> tuple[str, ...] | None:
+    """The cycle witness of a recursive depth-first search: roots and
+    predecessors in name order, rotated to start at the smallest name.
+    With duplicate names the last declaration's edges count."""
+    preds = {a.name: set(a.predecessors) for a in program.actions}
+    color: dict[str, int] = {}
+    stack: list[str] = []
+
+    def visit(node):
+        color[node] = 1
+        stack.append(node)
+        for pred in sorted(preds[node]):
+            if pred not in preds:
+                continue
+            if color.get(pred) == 1:
+                cycle = stack[stack.index(pred):]
+                pivot = cycle.index(min(cycle))
+                return tuple(cycle[pivot:] + cycle[:pivot])
+            if pred not in color:
+                found = visit(pred)
+                if found:
+                    return found
+        stack.pop()
+        color[node] = 2
+        return None
+
+    for name in sorted(preds):
+        if name not in color:
+            found = visit(name)
+            if found:
+                return found
+    return None
+
+
+def topological_order_oracle(program: Program) -> list[str]:
+    """Kahn's algorithm with a name-ordered heap, as `topological_order`
+    is specified: in-degrees from the last declaration of each name,
+    successor edges from every declaration; raises CyclicGraphError with
+    `cycle_oracle`'s witness, or the unordered names, when it stalls."""
+    preds = {a.name: set(a.predecessors) for a in program.actions}
+    succs: dict[str, set[str]] = {}
+    for action in program.actions:
+        for pred in action.predecessors:
+            succs.setdefault(pred, set()).add(action.name)
+    indegree = {name: len(incoming & preds.keys()) for name, incoming in preds.items()}
+    ready = sorted(name for name, degree in indegree.items() if degree == 0)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in succs.get(node, ()):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) != len(preds):
+        raise CyclicGraphError(cycle_oracle(program) or tuple(sorted(set(preds) - set(order))))
+    return order
+
+
 def critical_path_oracle(program: Program, durations=None) -> int:
     """Heaviest path weight, by explicit enumeration of every path."""
     durations = durations or {}
@@ -191,7 +260,7 @@ def may_overlap(program: Program, first: str, second: str) -> bool:
 
 def random_setup(rng: random.Random, *, max_actions=6, max_resources=3,
                  dedicated=False, mutex=True, edge_prob=0.35,
-                 mutex_prob=0.3) -> tuple[RobotClassDsl, Program]:
+                 mutex_prob=0.3, min_actions=2) -> tuple[RobotClassDsl, Program]:
     """Random DAG program over parameterless actions.
 
     Every instance gets its own action type, so mutex declarations on
@@ -199,7 +268,7 @@ def random_setup(rng: random.Random, *, max_actions=6, max_resources=3,
     from lower to higher index, keeping the graph acyclic; names a1..aN
     sort in index order.
     """
-    n = rng.randint(2, max_actions)
+    n = rng.randint(min_actions, max_actions)
     n_resources = n if dedicated else rng.randint(1, max_resources)
     resources = [f"r{i + 1}" for i in range(n_resources)]
     comp_of = {res: f"Unit{i + 1}" for i, res in enumerate(resources)}
@@ -228,6 +297,82 @@ def random_setup(rng: random.Random, *, max_actions=6, max_resources=3,
     actions = [(name, type_of[name], assigned[name]) for name in names]
     program = make_program(dsl, actions, edges, name=f"Rand{rng.randrange(10 ** 6)}")
     return dsl, program
+
+
+def with_data_flow(rng: random.Random, dsl: RobotClassDsl, program: Program,
+                   *, max_variables=3) -> tuple[RobotClassDsl, Program]:
+    """Give every action type an Int parameter "x" and an Int return, and
+    bind them at random to a small pool of Int variables (some without an
+    initializer, one sometimes undeclared) or to a literal."""
+    components = tuple(
+        dataclasses.replace(component, actions=tuple(
+            dataclasses.replace(action_type, return_type="Int",
+                                parameters=(ParameterDef("x", "Int"),))
+            for action_type in component.actions))
+        for component in dsl.components
+    )
+    pool = [f"v{i + 1}" for i in range(rng.randint(1, max_variables))]
+    declared = pool[:-1] if len(pool) > 1 and rng.random() < 0.2 else pool
+    variables = tuple(VariableDecl(name, "Int", rng.choice((None, 0))) for name in declared)
+    actions = []
+    for action in program.actions:
+        if rng.random() < 0.7:
+            arg = ArgBinding("x", variable=rng.choice(pool))
+        else:
+            arg = ArgBinding("x", value=rng.randint(0, 9))
+        return_to = rng.choice(pool) if rng.random() < 0.5 else None
+        actions.append(dataclasses.replace(action, args=(arg,), return_to=return_to))
+    return (dataclasses.replace(dsl, components=components),
+            dataclasses.replace(program, variables=variables, actions=tuple(actions)))
+
+
+def with_graph_defects(rng: random.Random, dsl: RobotClassDsl,
+                       program: Program) -> tuple[RobotClassDsl, Program]:
+    """Each with some probability: two actions of one self-exclusive
+    type, a dangling predecessor, one or two back edges (a cycle when a
+    forward path closes one), and a duplicated action name."""
+    actions = list(program.actions)
+    mutex = set(dsl.mutex_relation)
+    n = len(actions)
+    if rng.random() < 0.4:
+        i, j = rng.sample(range(n), 2)
+        shared = actions[i].action_type
+        actions[j] = dataclasses.replace(actions[j], action_type=shared)
+        if rng.random() < 0.7:
+            mutex.add(frozenset((shared,)))
+    if rng.random() < 0.2:
+        k = rng.randrange(n)
+        actions[k] = dataclasses.replace(
+            actions[k], constraints=(*actions[k].constraints, ConstraintEdge("missing")))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        i, j = sorted(rng.sample(range(n), 2))
+        actions[i] = dataclasses.replace(
+            actions[i],
+            constraints=(*actions[i].constraints, ConstraintEdge(actions[j].name)))
+    if rng.random() < 0.2:
+        k, m = rng.sample(range(n), 2)
+        if actions[m].name not in actions[k].predecessors:
+            actions[k] = dataclasses.replace(actions[k], name=actions[m].name)
+    return (dataclasses.replace(dsl, mutex_relation=frozenset(mutex)),
+            dataclasses.replace(program, actions=tuple(actions)))
+
+
+def random_flow_setup(rng: random.Random, **kwargs) -> tuple[RobotClassDsl, Program]:
+    """random_setup with data flow and the graph defects above."""
+    dsl, program = random_setup(rng, **kwargs)
+    dsl, program = with_data_flow(rng, dsl, program)
+    return with_graph_defects(rng, dsl, program)
+
+
+def reverse_chain_cycle(n: int) -> tuple[RobotClassDsl, Program]:
+    """n actions a0000.. on one resource, each preceded by the next one and
+    the last by the first: a depth-first search from the smallest name
+    runs n deep before it closes the cycle."""
+    dsl = make_dsl({"Station": ["Step"]})
+    names = [f"a{i:04d}" for i in range(n)]
+    edges = [(names[i + 1], names[i]) for i in range(n - 1)] + [(names[0], names[-1])]
+    return dsl, make_program(dsl, [(name, "Step", "r1") for name in names], edges,
+                             name="ReverseChain")
 
 
 def random_valid_setup(rng: random.Random, **kwargs):

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from seqc.cli import main
-from support import fixture_path
+from seqc.dsl import save_dsl
+from seqc.program_io import save_program
+from support import fixture_path, reverse_chain_cycle
 
 DEMO_DSL = str(fixture_path("demo/dsl.xml"))
 FIVE_STAGE = str(fixture_path("demo/five_stage.xml"))
@@ -356,6 +358,27 @@ def test_malformed_dsl_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--dsl", str(bad), FIVE_STAGE)
     assert code == 2
     assert str(bad) in err
+
+
+def test_deep_cycle_is_a_one_line_error(capsys, tmp_path):
+    dsl, program = reverse_chain_cycle(1500)
+    dsl_file, program_file = tmp_path / "dsl.xml", tmp_path / "chain.xml"
+    dsl_file.write_text(save_dsl(dsl), encoding="utf-8")
+    program_file.write_text(save_program(program), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"seqc: error: {program_file}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad_input", ["dsl", "program"])
+def test_non_utf8_input_is_a_one_line_error(capsys, tmp_path, bad_input):
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(b"\xff\xfe<Program/>")
+    dsl, program = (str(bad), FIVE_STAGE) if bad_input == "dsl" else (DEMO_DSL, str(bad))
+    code, _, err = run(capsys, "validate", "--dsl", dsl, program)
+    assert code == 2
+    assert err.startswith(f"seqc: error: {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

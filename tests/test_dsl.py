@@ -183,6 +183,25 @@ def test_recursive_composite_type_indirect():
         load_dsl(doc)
 
 
+def test_deep_composite_nesting_needs_no_recursion():
+    # Each type holds the next; deeper than Python's default recursion limit.
+    count = 1500
+
+    def chain(close_cycle):
+        types = [
+            f'<VariableType name="T{i:04d}"><Field name="f" type="T{i + 1:04d}"/></VariableType>'
+            for i in range(count - 1)
+        ]
+        last = '<Field name="f" type="T0000"/>' if close_cycle else '<Field name="f" type="Int"/>'
+        types.append(f'<VariableType name="T{count - 1:04d}">{last}</VariableType>')
+        return dsl_doc("<VariableTypes>" + "".join(types) + "</VariableTypes>")
+
+    assert len(load_dsl(chain(close_cycle=False)).variable_types) == count
+    with pytest.raises(RecursiveCompositeTypeError) as exc_info:
+        load_dsl(chain(close_cycle=True))
+    assert str(exc_info.value).startswith("composite type contains itself: T0000 -> T0001 ->")
+
+
 def test_nested_composites_without_cycles_are_fine():
     doc = dsl_doc(
         "<VariableTypes>"

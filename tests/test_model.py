@@ -20,13 +20,18 @@ from seqc.model import (
     Program,
     ResourceInstance,
 )
+from seqc.validator import Code, validate
 from support import (
     ancestors_oracle,
     critical_path_oracle,
+    cycle_oracle,
     five_stage,
     make_dsl,
     make_program,
+    random_flow_setup,
     random_setup,
+    reverse_chain_cycle,
+    topological_order_oracle,
     with_edge,
 )
 
@@ -233,3 +238,82 @@ def test_critical_path_of_empty_program_is_zero():
     program = Program("Empty", "TestBot")
     assert model.critical_path_length(program) == 0
     assert model.topological_order(program) == []
+
+
+def _outcome(query, *args):
+    """A query's value, or the type and cycle witness of what it raised."""
+    try:
+        return query(*args)
+    except CyclicGraphError as exc:
+        return CyclicGraphError, exc.cycle
+
+
+def test_graph_queries_match_oracles_on_random_programs():
+    # Duplicate names, cycles, dangling predecessors and same-type
+    # actions all occur among these programs.
+    rng = random.Random(2024)
+    for _ in range(400):
+        _, program = random_flow_setup(rng, max_actions=8)
+        names = sorted(set(program.action_names()))
+        cycle = cycle_oracle(program)
+        assert _outcome(model.topological_order, program) == _outcome(
+            topological_order_oracle, program)
+        first = {}
+        for action in program.actions:
+            first.setdefault(action.name, action)
+        for name in names:
+            assert program.action(name) is first[name]
+            assert model.successors(program, name) == {
+                a.name for a in program.actions if name in a.predecessors}
+            expected = ((CyclicGraphError, cycle) if cycle
+                        else ancestors_oracle(program, name) & set(names))
+            assert _outcome(model.ancestors, program, name) == expected
+        for a in names:
+            for b in names:
+                if a == b:
+                    continue
+                if first[a].resource == first[b].resource:
+                    expected = False
+                elif cycle:
+                    expected = (CyclicGraphError, cycle)
+                else:
+                    expected = (a not in ancestors_oracle(program, b)
+                                and b not in ancestors_oracle(program, a))
+                assert _outcome(model.potentially_parallel, program, a, b) == expected
+
+
+def test_duplicate_names_take_predecessors_from_the_last_declaration():
+    # Kahn's order, which counts edges of both declarations of "m", puts
+    # "m" before its last declaration's predecessor "z".
+    program = Program("Dup", "TestBot", (ResourceInstance("r1", "Unit"),), (), (
+        ActionInstance("a", "Step", "r1"),
+        ActionInstance("m", "Step", "r1", constraints=(ConstraintEdge("a"),)),
+        ActionInstance("m", "Step", "r1", constraints=(ConstraintEdge("z"),)),
+        ActionInstance("z", "Step", "r1"),
+    ))
+    assert model.topological_order(program) == topological_order_oracle(program) == ["a", "m", "z"]
+    assert model.ancestors(program, "m") == ancestors_oracle(program, "m") == {"z"}
+    assert program.action("m").predecessors == {"a"}
+
+
+def test_graph_index_is_cached_and_ignored_by_equality():
+    _, program = five_stage()
+    assert program.graph is program.graph
+    rebuilt = Program(program.name, program.robot_class, program.resources,
+                      program.variables, program.actions)
+    assert rebuilt == program and hash(rebuilt) == hash(program)
+    assert "graph" not in repr(program)
+
+
+def test_deep_cycle_is_reported_without_recursion():
+    # The chain runs deeper than Python's default recursion limit.
+    dsl, program = reverse_chain_cycle(1500)
+    names = tuple(program.action_names())
+    with pytest.raises(CyclicGraphError) as exc_info:
+        model.topological_order(program)
+    assert exc_info.value.cycle == names
+    with pytest.raises(CyclicGraphError):
+        model.ancestors(program, names[0])
+    report = validate(program, dsl)
+    assert [f.code for f in report.findings] == [Code.CYCLIC_GRAPH]
+    assert report.findings[0].subjects == names

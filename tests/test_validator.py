@@ -1,9 +1,12 @@
 """Static validation findings and report mechanics."""
 
+import functools
 import itertools
 import random
 
+from seqc import model
 from seqc.dsl import load_dsl
+from seqc.errors import CyclicGraphError
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -14,7 +17,17 @@ from seqc.model import (
 )
 from seqc.program_io import load_program
 from seqc.validator import Code, Finding, Severity, ValidationReport, validate
-from support import fixture_text, make_dsl, make_program, may_overlap, random_setup
+from support import (
+    ancestors_oracle,
+    fixture_text,
+    make_dsl,
+    make_program,
+    may_overlap,
+    random_flow_setup,
+    random_setup,
+    topological_order_oracle,
+    with_data_flow,
+)
 
 LINT_DSL = load_dsl(
     '<RobotClassDSL name="LintBot">'
@@ -364,3 +377,115 @@ def test_report_rendering():
             }
         ],
     }
+
+
+# --- candidate pairs against the all-pairs definitions ----------------------------
+
+FLOW_CODES = {Code.CYCLIC_GRAPH, Code.MUTEX_VIOLATION, Code.VARIABLE_RACE,
+              Code.UNINSTANTIATED_VARIABLE}
+
+
+def pairwise_flow_findings(program, dsl):
+    """The mutex, race and read-before-write checks as first written:
+    every action pair, reachability by path enumeration."""
+    names = program.action_names()
+    if len(names) != len(set(names)):
+        return []
+    try:
+        topological_order_oracle(program)
+    except CyclicGraphError as exc:
+        return [Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+                        "actions form a precedence cycle: "
+                        + " -> ".join(exc.cycle + exc.cycle[:1]))]
+    actions = {a.name: a for a in program.actions}
+    above = {name: ancestors_oracle(program, name) for name in names}
+    reads = {a.name: {arg.variable for arg in a.args if arg.variable is not None}
+             for a in program.actions}
+    writes = {a.name: {a.return_to} - {None} for a in program.actions}
+    findings = []
+    for a, b in itertools.combinations(names, 2):
+        if (actions[a].resource == actions[b].resource
+                or a in above[b] or b in above[a]):
+            continue
+        type_a, type_b = actions[a].action_type, actions[b].action_type
+        if dsl.is_mutex(type_a, type_b):
+            findings.append(Finding(
+                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
+                f"{a!r} ({type_a}) and {b!r} ({type_b}) may run"
+                " simultaneously but their action types are mutually exclusive"))
+        conflicts = (writes[a] & writes[b]) | (writes[a] & reads[b]) | (reads[a] & writes[b])
+        for variable in sorted(conflicts):
+            findings.append(Finding(
+                Severity.WARNING, Code.VARIABLE_RACE, (a, b, variable),
+                f"{a!r} and {b!r} may run simultaneously and both"
+                f" touch variable {variable!r}"))
+    declared = {v.name: v for v in program.variables}
+    for reader in names:
+        for variable in sorted(reads[reader]):
+            if variable not in declared or declared[variable].init is not None:
+                continue
+            writers = [w for w in names if w != reader and variable in writes[w]]
+            if all(reader in above[w] for w in writers):
+                findings.append(Finding(
+                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (reader, variable),
+                    f"action {reader!r} reads {variable!r}, which has no"
+                    " initializer and no writer that can run first"))
+    return findings
+
+
+def test_flow_findings_match_all_pairs_definitions():
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(400):
+        dsl, program = random_flow_setup(rng, max_actions=8)
+        report = validate(program, dsl)
+        found = tuple(f for f in report.findings if f.code in FLOW_CODES)
+        assert found == ValidationReport(tuple(pairwise_flow_findings(program, dsl))).findings
+        seen.update(f.code for f in report.findings)
+    assert FLOW_CODES | {Code.DUPLICATE_NAME} <= seen
+
+
+def _counting(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    @functools.wraps(original)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_validate_tests_only_candidate_pairs(monkeypatch):
+    rng = random.Random(99)
+    dsl, program = random_setup(rng, min_actions=200, max_actions=200, max_resources=12,
+                                edge_prob=0.01, mutex_prob=0.02)
+    dsl, program = with_data_flow(rng, dsl, program, max_variables=12)
+    names = program.action_names()
+    actions = {a.name: a for a in program.actions}
+    mutex_pairs = sum(dsl.is_mutex(actions[a].action_type, actions[b].action_type)
+                      for a, b in itertools.combinations(names, 2))
+    reads = {name: {arg.variable for arg in actions[name].args} - {None} for name in names}
+    writes = {name: {actions[name].return_to} - {None} for name in names}
+    shared_pairs = sum(bool(writes[a] & (writes[b] | reads[b]) or reads[a] & writes[b])
+                       for a, b in itertools.combinations(names, 2))
+    ancestors_calls = _counting(monkeypatch, model, "ancestors")
+    parallel_calls = _counting(monkeypatch, model, "potentially_parallel")
+    closure = model.ProgramGraph.ancestor_bits
+    builds = []
+
+    def build(graph):
+        builds.append(graph)
+        return closure.func(graph)
+    counted_closure = functools.cached_property(build)
+    counted_closure.__set_name__(model.ProgramGraph, "ancestor_bits")
+    monkeypatch.setattr(model.ProgramGraph, "ancestor_bits", counted_closure)
+
+    report = validate(program, dsl)
+
+    assert 0 < mutex_pairs and 0 < shared_pairs < len(names) * (len(names) - 1) // 2
+    assert len(ancestors_calls) == 0
+    assert len(parallel_calls) == mutex_pairs + shared_pairs
+    assert len(builds) == 1
+    assert {Code.MUTEX_VIOLATION, Code.VARIABLE_RACE} <= {f.code for f in report.findings}
