@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import codegen, program_io, simulator
+from . import codegen, jsonout, program_io, simulator
 from .dsl import RobotClassDsl, load_dsl
 from .errors import (
     InvalidProgramError,
@@ -134,7 +134,7 @@ def _load_program(path: str, dsl: RobotClassDsl) -> Program:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(jsonout.dumps(payload))
 
 
 def cmd_validate(args) -> int:
@@ -190,10 +190,11 @@ def cmd_simulate(args) -> int:
         print("seqc: error: program is invalid; use --force to simulate anyway",
               file=sys.stderr)
         return 1
+    trace_json = simulator.trace_to_json(trace) if args.trace or args.json else ""
     if args.trace:
-        Path(args.trace).write_text(simulator.trace_to_json(trace), encoding="utf-8")
+        Path(args.trace).write_text(trace_json, encoding="utf-8")
     if args.json:
-        sys.stdout.write(simulator.trace_to_json(trace))
+        sys.stdout.write(trace_json)
     else:
         sys.stdout.write(simulator.format_timeline(trace))
         print(f"makespan: {trace.makespan}")
@@ -243,26 +244,10 @@ def cmd_graph(args) -> int:
     except SeqcError as exc:
         raise _CliFailure(2, f"{args.program}: {exc}") from exc
     if args.json:
-        _print_json(_graph_payload(program))
+        _print_json(program_io.graph_payload(program))
     else:
         sys.stdout.write(program_io.export_dot(program))
     return 0
-
-
-def _graph_payload(program: Program) -> dict:
-    edges = []
-    for action in program.actions:
-        for predecessor in sorted(action.predecessors):
-            edges.append({"from": predecessor, "to": action.name})
-    edges.sort(key=lambda e: (e["from"], e["to"]))
-    return {
-        "name": program.name,
-        "nodes": [
-            {"name": a.name, "type": a.action_type, "resource": a.resource}
-            for a in program.actions
-        ],
-        "edges": edges,
-    }
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ but means "may never run simultaneously", so the loader symmetrizes the
 declarations into an unordered relation.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -60,11 +62,19 @@ class ActionTypeDef:
     parameters: tuple[ParameterDef, ...] = ()
     mutex_types: frozenset[str] = frozenset()
 
+    @cached_property
+    def parameters_by_name(self) -> dict[str, ParameterDef]:
+        """Name -> declaration, built on first use (not a dataclass field)."""
+        return {p.name: p for p in self.parameters}
+
 
 @dataclass(frozen=True)
 class ResourceComponentTypeDef:
     type_name: str
     actions: tuple[ActionTypeDef, ...] = ()
+
+
+_DslIndex = namedtuple("_DslIndex", "components variable_types actions")
 
 
 @dataclass(frozen=True)
@@ -74,21 +84,29 @@ class RobotClassDsl:
     components: tuple[ResourceComponentTypeDef, ...] = ()
     mutex_relation: frozenset[frozenset[str]] = frozenset()
 
+    @cached_property
+    def _index(self) -> _DslIndex:
+        """Name -> declaration maps, built on first use; the first
+        declaration of a name wins.  Not a dataclass field, so equality
+        and hashing ignore it."""
+        index = _DslIndex({}, {}, {})
+        for component in self.components:
+            index.components.setdefault(component.type_name, component)
+            for action in component.actions:
+                index.actions.setdefault(action.identifier, action)
+        for vtype in (*self.variable_types, *PRIMITIVES.values()):
+            index.variable_types.setdefault(vtype.name, vtype)
+        return index
+
     def action_types(self) -> dict[str, ActionTypeDef]:
-        return {a.identifier: a for c in self.components for a in c.actions}
+        return dict(self._index.actions)
 
     def component(self, type_name: str) -> ResourceComponentTypeDef | None:
-        for component in self.components:
-            if component.type_name == type_name:
-                return component
-        return None
+        return self._index.components.get(type_name)
 
     def variable_type(self, name: str) -> VariableTypeDef | None:
         """Resolve a type name against declared types and the primitives."""
-        for declared in self.variable_types:
-            if declared.name == name:
-                return declared
-        return PRIMITIVES.get(name)
+        return self._index.variable_types.get(name)
 
     def is_mutex(self, type_a: str, type_b: str) -> bool:
         return frozenset((type_a, type_b)) in self.mutex_relation
@@ -106,13 +124,12 @@ def symmetrize_mutex(declared: Iterable[tuple[str, str]]) -> frozenset[frozenset
 
 def lookup_action(dsl: RobotClassDsl, identifier: str) -> ActionTypeDef:
     """Find an action type by its globally unique identifier."""
-    for component in dsl.components:
-        for action in component.actions:
-            if action.identifier == identifier:
-                return action
-    raise UnknownActionTypeError(
-        f"robot class {dsl.name!r} defines no action type {identifier!r}"
-    )
+    action = dsl._index.actions.get(identifier)
+    if action is None:
+        raise UnknownActionTypeError(
+            f"robot class {dsl.name!r} defines no action type {identifier!r}"
+        )
+    return action
 
 
 def load_dsl(text: str) -> RobotClassDsl:

@@ -99,11 +99,11 @@ class ActionInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        edges = sorted(set(self.constraints), key=lambda e: e.predecessor)
-        for edge in edges:
-            if edge.predecessor == self.name:
-                raise CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
-        object.__setattr__(self, "constraints", tuple(edges))
+        # Precedes is the only operator, so an edge is its predecessor name.
+        edges = {edge.predecessor: edge for edge in self.constraints}
+        if self.name in edges:
+            raise CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
+        object.__setattr__(self, "constraints", tuple(map(edges.__getitem__, sorted(edges))))
 
     @property
     def predecessors(self) -> frozenset[str]:

@@ -6,12 +6,19 @@ constraint section of <After action="X" predecessor="Y"/> edges.
 Documents are saved in canonical form (fixed section order, entries
 sorted by name) so equal programs always produce identical bytes.
 
-Literal argument values and variable initializers are attribute text
-parsed under the direction of the declared type; composite values use
-nested <Field> elements.
+Both loaders share one structural walk over the document, which checks
+the section and entry tags and reads each entry's required attributes,
+so a structural error is reported before any reference is resolved.
+`load_program` follows it with a resolve pass against the DSL: literal
+argument values and variable initializers are attribute text parsed
+under the direction of the declared type, and composite values use
+nested <Field> elements.  `parse_program` builds the unresolved model
+from the same walk.
 """
 
+import math
 import re
+from operator import itemgetter
 
 from . import model
 from .dsl import RobotClassDsl, lookup_action
@@ -34,62 +41,27 @@ def load_program(text: str, dsl: RobotClassDsl) -> Program:
     must be acyclic.  Variable references in bindings are deliberately
     not resolved here; the validator reports them with context.
     """
-    root = parse_root(text, "Program")
-    name = require_attr(root, "name")
-    robot_class = require_attr(root, "robotClass")
-
-    resources: list[ResourceInstance] = []
-    variables: list[VariableDecl] = []
-    action_elems = []
-    constraint_elems = []
-    for section in root:
-        if section.tag == "Resources":
-            resources.extend(_parse_resource(elem, dsl) for elem in _expect(section, "Resource"))
-        elif section.tag == "Variables":
-            variables.extend(_parse_variable(elem, dsl) for elem in _expect(section, "Variable"))
-        elif section.tag == "Actions":
-            action_elems.extend(_expect(section, "ActionInstance"))
-        elif section.tag == "Constraints":
-            constraint_elems.extend(_expect(section, "After"))
-        else:
-            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
-
+    name, robot_class, elems, attrs = _read_document(text)
+    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
+    for resource in resources:
+        if dsl.component(resource.component_type) is None:
+            raise UnknownResourceTypeError(f"resource {resource.name!r} has unknown"
+                                           f" component type {resource.component_type!r}")
+    variables = [_parse_variable(elem, row, dsl)
+                 for elem, row in zip(elems["Variables"], attrs["Variables"])]
     _reject_duplicates((r.name for r in resources), "resource")
     _reject_duplicates((v.name for v in variables), "variable")
     resource_types = {r.name: r.component_type for r in resources}
-
-    parsed_actions = [_parse_action(elem, dsl, resource_types) for elem in action_elems]
-    _reject_duplicates((name for name, *_ in parsed_actions), "action")
-
-    incoming: dict[str, set[str]] = {name: set() for name, *_ in parsed_actions}
-    for elem in constraint_elems:
-        action = require_attr(elem, "action")
-        predecessor = require_attr(elem, "predecessor")
+    rows = [_parse_action(elem, row, dsl, resource_types)
+            for elem, row in zip(elems["Actions"], attrs["Actions"])]
+    _reject_duplicates((row[0] for row in rows), "action")
+    incoming: dict[str, set[str]] = {row[0]: set() for row in rows}
+    for action, predecessor in attrs["Constraints"]:
         for endpoint in (action, predecessor):
             if endpoint not in incoming:
-                raise UnresolvedReferenceError(
-                    f"constraint references unknown action {endpoint!r}"
-                )
+                raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
         incoming[action].add(predecessor)
-
-    actions = [
-        ActionInstance(
-            name=action_name,
-            action_type=type_name,
-            resource=resource,
-            args=args,
-            return_to=return_to,
-            constraints=tuple(ConstraintEdge(p) for p in sorted(incoming[action_name])),
-        )
-        for action_name, type_name, resource, args, return_to in parsed_actions
-    ]
-    program = Program(
-        name=name,
-        robot_class=robot_class,
-        resources=tuple(resources),
-        variables=tuple(variables),
-        actions=tuple(actions),
-    )
+    program = _assemble(name, robot_class, resources, variables, rows, incoming)
     model.topological_order(program)  # raises CyclicGraphError on cycles
     return program
 
@@ -100,58 +72,71 @@ def parse_program(text: str) -> Program:
     Types are not resolved, literals are kept as raw strings, and
     acyclicity is not enforced.  Use load_program for real loading.
     """
+    name, robot_class, _, attrs = _read_document(text)
+    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
+    variables = [VariableDecl(*row) for row in attrs["Variables"]]
+    rows = [(*row, (), None) for row in attrs["Actions"]]
+    incoming: dict[str, set[str]] = {}
+    for action, predecessor in attrs["Constraints"]:
+        incoming.setdefault(action, set()).add(predecessor)
+    return _assemble(name, robot_class, resources, variables, rows, incoming)
+
+
+_SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
+    "Resources": ("Resource", ("name", "type")),
+    "Variables": ("Variable", ("name", "type")),
+    "Actions": ("ActionInstance", ("name", "type", "resource")),
+    "Constraints": ("After", ("action", "predecessor")),
+}
+
+
+def _read_document(text: str):
+    """The one structural walk: checks the section and entry tags and the
+    entries' required attributes, in document order.  Returns the root's
+    name and robot class, then by section tag the entry elements and, in
+    the same order, the tuples of their required attribute values."""
     root = parse_root(text, "Program")
     name = require_attr(root, "name")
     robot_class = require_attr(root, "robotClass")
-    resources: list[ResourceInstance] = []
-    variables: list[VariableDecl] = []
-    raw_actions: list[tuple[str, str, str]] = []
-    incoming: dict[str, set[str]] = {}
+    elems: dict[str, list] = {tag: [] for tag in _SECTIONS}
+    attrs: dict[str, list[tuple[str, ...]]] = {tag: [] for tag in _SECTIONS}
     for section in root:
-        if section.tag == "Resources":
-            for elem in _expect(section, "Resource"):
-                resources.append(
-                    ResourceInstance(require_attr(elem, "name"), require_attr(elem, "type"))
-                )
-        elif section.tag == "Variables":
-            for elem in _expect(section, "Variable"):
-                variables.append(
-                    VariableDecl(require_attr(elem, "name"), require_attr(elem, "type"))
-                )
-        elif section.tag == "Actions":
-            for elem in _expect(section, "ActionInstance"):
-                raw_actions.append(
-                    (
-                        require_attr(elem, "name"),
-                        require_attr(elem, "type"),
-                        require_attr(elem, "resource"),
-                    )
-                )
-                incoming.setdefault(raw_actions[-1][0], set())
-        elif section.tag == "Constraints":
-            for elem in _expect(section, "After"):
-                incoming.setdefault(require_attr(elem, "action"), set()).add(
-                    require_attr(elem, "predecessor")
-                )
-        else:
+        if section.tag not in _SECTIONS:
             raise XmlSyntaxError(f"unexpected element <{section.tag}>")
+        entry_tag, required = _SECTIONS[section.tag]
+        entries = _expect(section, entry_tag)
+        elems[section.tag].extend(entries)
+        attrs[section.tag].extend(_required(entries, required))
+    return name, robot_class, elems, attrs
+
+
+def _assemble(name, robot_class, resources, variables, rows, incoming) -> Program:
+    """The Program from parts; `rows` are (name, type, resource, args, return_to)."""
+    edge = {p: ConstraintEdge(p) for p in set().union(*incoming.values())}
     actions = tuple(
-        ActionInstance(
-            name=action_name,
-            action_type=type_name,
-            resource=resource,
-            constraints=tuple(ConstraintEdge(p) for p in sorted(incoming.get(action_name, ()))),
-        )
-        for action_name, type_name, resource in raw_actions
+        ActionInstance(action_name, type_name, resource, args, return_to,
+                       tuple(map(edge.__getitem__, incoming.get(action_name, ()))))
+        for action_name, type_name, resource, args, return_to in rows
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
 
 
-def _expect(section, tag):
-    for child in section:
-        if child.tag != tag:
-            raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <{section.tag}>")
-        yield child
+def _required(elems: list, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Each element's values of the attributes `names`, which it must carry."""
+    values = itemgetter(*names)
+    try:
+        return [values(elem.attrib) for elem in elems]
+    except KeyError:  # report the first one missing
+        return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
+
+
+def _expect(section, tag) -> list:
+    """The children of `section`, which must all be <tag> elements."""
+    children = section.findall(tag)  # a plain tag is matched in C
+    if len(children) != len(section):
+        stray = next(child for child in section if child.tag != tag)
+        raise XmlSyntaxError(f"unexpected element <{stray.tag}> inside <{section.tag}>")
+    return children
 
 
 def _reject_duplicates(names, kind):
@@ -162,38 +147,20 @@ def _reject_duplicates(names, kind):
         seen.add(name)
 
 
-def _parse_resource(elem, dsl: RobotClassDsl) -> ResourceInstance:
-    name = require_attr(elem, "name")
-    component_type = require_attr(elem, "type")
-    if dsl.component(component_type) is None:
-        raise UnknownResourceTypeError(
-            f"resource {name!r} has unknown component type {component_type!r}"
-        )
-    return ResourceInstance(name, component_type)
-
-
-def _parse_variable(elem, dsl: RobotClassDsl) -> VariableDecl:
-    name = require_attr(elem, "name")
-    type_name = require_attr(elem, "type")
-    vtype = dsl.variable_type(type_name)
-    if vtype is None:
+def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
+    name, type_name = attrs
+    if dsl.variable_type(type_name) is None:
         raise UnknownVariableTypeError(f"variable {name!r} has unknown type {type_name!r}")
-    init = None
-    init_attr = elem.get("init")
-    fields = list(elem)
-    if init_attr is not None and fields:
-        raise XmlSyntaxError(f"variable {name!r} mixes init attribute and <Field> children")
-    if init_attr is not None:
-        init = _parse_scalar(init_attr, type_name, dsl, f"variable {name!r}")
-    elif fields:
-        init = _parse_composite(elem, type_name, dsl, f"variable {name!r}")
-    return VariableDecl(name, type_name, init)
+    init_attr, where = elem.get("init"), f"variable {name!r}"
+    if init_attr is not None and len(elem):
+        raise XmlSyntaxError(f"{where} mixes init attribute and <Field> children")
+    if init_attr is None and not len(elem):
+        return VariableDecl(name, type_name)
+    return VariableDecl(name, type_name, _parse_literal(elem, init_attr, type_name, dsl, where))
 
 
-def _parse_action(elem, dsl: RobotClassDsl, resource_types: dict[str, str]):
-    name = require_attr(elem, "name")
-    type_name = require_attr(elem, "type")
-    resource = require_attr(elem, "resource")
+def _parse_action(elem, attrs, dsl: RobotClassDsl, resource_types: dict[str, str]):
+    name, type_name, resource = attrs
     action_type = lookup_action(dsl, type_name)
     if resource not in resource_types:
         raise UnresolvedReferenceError(
@@ -205,7 +172,7 @@ def _parse_action(elem, dsl: RobotClassDsl, resource_types: dict[str, str]):
             f" {action_type.owner!r}, but resource {resource!r} is a"
             f" {resource_types[resource]!r}"
         )
-    declared = {p.name: p for p in action_type.parameters}
+    declared = action_type.parameters_by_name
     bindings: dict[str, ArgBinding] = {}
     return_to = None
     for child in elem:
@@ -226,16 +193,13 @@ def _parse_action(elem, dsl: RobotClassDsl, resource_types: dict[str, str]):
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    ordered = tuple(bindings[p.name] for p in action_type.parameters if p.name in bindings)
+    ordered = tuple([bindings[param] for param in declared if param in bindings])
     return name, type_name, resource, ordered, return_to
 
 
 def _parse_arg(elem, param, dsl: RobotClassDsl, action_name: str) -> ArgBinding:
-    variable = elem.get("variable")
-    value_attr = elem.get("value")
-    has_fields = len(elem) > 0
-    given = sum((variable is not None, value_attr is not None, has_fields))
-    if given != 1:
+    variable, value_attr = elem.get("variable"), elem.get("value")
+    if (variable is not None) + (value_attr is not None) + (len(elem) > 0) != 1:
         raise XmlSyntaxError(
             f"action {action_name!r}, parameter {param.name!r}: exactly one of"
             " variable=, value=, or nested <Field> elements is required"
@@ -243,9 +207,14 @@ def _parse_arg(elem, param, dsl: RobotClassDsl, action_name: str) -> ArgBinding:
     if variable is not None:
         return ArgBinding(param.name, variable=variable)
     where = f"action {action_name!r}, parameter {param.name!r}"
-    if value_attr is not None:
-        return ArgBinding(param.name, value=_parse_scalar(value_attr, param.type_name, dsl, where))
-    return ArgBinding(param.name, value=_parse_composite(elem, param.type_name, dsl, where))
+    return ArgBinding(param.name, value=_parse_literal(elem, value_attr, param.type_name, dsl, where))
+
+
+def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):
+    """A scalar from attribute `text`, or if it is None from `elem`'s <Field>s."""
+    if text is not None:
+        return _parse_scalar(text, type_name, dsl, where)
+    return _parse_composite(elem, type_name, dsl, where)
 
 
 def _parse_scalar(text: str, type_name: str, dsl: RobotClassDsl, where: str):
@@ -258,7 +227,10 @@ def _parse_scalar(text: str, type_name: str, dsl: RobotClassDsl, where: str):
         if type_name == "Int":
             return int(text, 10)
         if type_name == "Float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):  # NaN breaks equality; none is valid JSON
+                raise ValueError(text)
+            return value
         if type_name == "Bool":
             if text in ("true", "false"):
                 return text == "true"
@@ -280,16 +252,9 @@ def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> di
             raise XmlSyntaxError(f"{where}: type {type_name!r} has no field {field_name!r}")
         if field_name in value:
             raise XmlSyntaxError(f"{where}: field {field_name!r} given twice")
-        field_type = declared[field_name]
-        field_value_attr = field.get("value")
-        if field_value_attr is not None:
-            value[field_name] = _parse_scalar(
-                field_value_attr, field_type, dsl, f"{where}.{field_name}"
-            )
-        else:
-            value[field_name] = _parse_composite(
-                field, field_type, dsl, f"{where}.{field_name}"
-            )
+        value[field_name] = _parse_literal(
+            field, field.get("value"), declared[field_name], dsl, f"{where}.{field_name}"
+        )
     missing = sorted(set(declared) - set(value))
     if missing:
         raise XmlSyntaxError(f"{where}: missing field(s) {', '.join(missing)}")
@@ -304,101 +269,72 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _write_composite(lines, value: dict, indent: str) -> None:
+def _write_literal(lines, head: str, tag: str, attr: str, value, indent: str) -> None:
+    """Close the element opened by `head` (at `indent`): a scalar goes in
+    attribute `attr`, a composite into nested <Field> elements."""
+    if not isinstance(value, dict):
+        lines.append(f"{head} {attr}={attr_escape(_scalar_text(value))}/>")
+        return
+    lines.append(head + ">")
+    inner = indent + "  "
     for field_name, field_value in value.items():
-        if isinstance(field_value, dict):
-            lines.append(f"{indent}<Field name={attr_escape(field_name)}>")
-            _write_composite(lines, field_value, indent + "  ")
-            lines.append(f"{indent}</Field>")
-        else:
-            lines.append(
-                f"{indent}<Field name={attr_escape(field_name)}"
-                f" value={attr_escape(_scalar_text(field_value))}/>"
-            )
+        _write_literal(lines, f"{inner}<Field name={attr_escape(field_name)}", "Field",
+                       "value", field_value, inner)
+    lines.append(f"{indent}</{tag}>")
 
 
 def save_program(program: Program) -> str:
     """Serialize a program to its canonical XML document."""
+    resources = [
+        f"    <Resource name={attr_escape(resource.name)}"
+        f" type={attr_escape(resource.component_type)}/>"
+        for resource in program.resources
+    ]
+    variables: list[str] = []
+    for variable in program.variables:
+        head = (
+            f"    <Variable name={attr_escape(variable.name)}"
+            f" type={attr_escape(variable.type_name)}"
+        )
+        if variable.init is None:
+            variables.append(head + "/>")
+        else:
+            _write_literal(variables, head, "Variable", "init", variable.init, "    ")
+    actions: list[str] = []
+    for action in program.actions:
+        head = (
+            f"    <ActionInstance name={attr_escape(action.name)}"
+            f" type={attr_escape(action.action_type)}"
+            f" resource={attr_escape(action.resource)}"
+        )
+        if not action.args and action.return_to is None:
+            actions.append(head + "/>")
+            continue
+        actions.append(head + ">")
+        for arg in action.args:
+            arg_head = f"      <Arg param={attr_escape(arg.param)}"
+            if arg.variable is not None:
+                actions.append(f"{arg_head} variable={attr_escape(arg.variable)}/>")
+            else:
+                _write_literal(actions, arg_head, "Arg", "value", arg.value, "      ")
+        if action.return_to is not None:
+            actions.append(f"      <ReturnTo variable={attr_escape(action.return_to)}/>")
+        actions.append("    </ActionInstance>")
+    constraints = [
+        f"    <After action={attr_escape(action_name)} predecessor={attr_escape(predecessor)}/>"
+        for action_name, predecessor in sorted(
+            (action.name, edge.predecessor)
+            for action in program.actions
+            for edge in action.constraints
+        )
+    ]
     lines = [
         f"<Program name={attr_escape(program.name)}"
         f" robotClass={attr_escape(program.robot_class)}>"
     ]
-    if program.resources:
-        lines.append("  <Resources>")
-        for resource in program.resources:
-            lines.append(
-                f"    <Resource name={attr_escape(resource.name)}"
-                f" type={attr_escape(resource.component_type)}/>"
-            )
-        lines.append("  </Resources>")
-    else:
-        lines.append("  <Resources/>")
-    if program.variables:
-        lines.append("  <Variables>")
-        for variable in program.variables:
-            head = (
-                f"    <Variable name={attr_escape(variable.name)}"
-                f" type={attr_escape(variable.type_name)}"
-            )
-            if variable.init is None:
-                lines.append(head + "/>")
-            elif isinstance(variable.init, dict):
-                lines.append(head + ">")
-                _write_composite(lines, variable.init, "      ")
-                lines.append("    </Variable>")
-            else:
-                lines.append(head + f" init={attr_escape(_scalar_text(variable.init))}/>")
-        lines.append("  </Variables>")
-    else:
-        lines.append("  <Variables/>")
-    if program.actions:
-        lines.append("  <Actions>")
-        for action in program.actions:
-            head = (
-                f"    <ActionInstance name={attr_escape(action.name)}"
-                f" type={attr_escape(action.action_type)}"
-                f" resource={attr_escape(action.resource)}"
-            )
-            if not action.args and action.return_to is None:
-                lines.append(head + "/>")
-                continue
-            lines.append(head + ">")
-            for arg in action.args:
-                if arg.variable is not None:
-                    lines.append(
-                        f"      <Arg param={attr_escape(arg.param)}"
-                        f" variable={attr_escape(arg.variable)}/>"
-                    )
-                elif isinstance(arg.value, dict):
-                    lines.append(f"      <Arg param={attr_escape(arg.param)}>")
-                    _write_composite(lines, arg.value, "        ")
-                    lines.append("      </Arg>")
-                else:
-                    lines.append(
-                        f"      <Arg param={attr_escape(arg.param)}"
-                        f" value={attr_escape(_scalar_text(arg.value))}/>"
-                    )
-            if action.return_to is not None:
-                lines.append(f"      <ReturnTo variable={attr_escape(action.return_to)}/>")
-            lines.append("    </ActionInstance>")
-        lines.append("  </Actions>")
-    else:
-        lines.append("  <Actions/>")
-    edges = sorted(
-        (action.name, edge.predecessor)
-        for action in program.actions
-        for edge in action.constraints
-    )
-    if edges:
-        lines.append("  <Constraints>")
-        for action_name, predecessor in edges:
-            lines.append(
-                f"    <After action={attr_escape(action_name)}"
-                f" predecessor={attr_escape(predecessor)}/>"
-            )
-        lines.append("  </Constraints>")
-    else:
-        lines.append("  <Constraints/>")
+    for tag, entries in (("Resources", resources), ("Variables", variables),
+                         ("Actions", actions), ("Constraints", constraints)):
+        lines.extend([f"  <{tag}>", *entries, f"  </{tag}>"] if entries else [f"  <{tag}/>"])
     lines.append("</Program>")
     return "\n".join(lines) + "\n"
 
@@ -407,13 +343,28 @@ _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _dot_id(name: str) -> str:
-    if _DOT_ID.match(name):
-        return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return name if _DOT_ID.match(name) else _dot_quoted(name)
 
 
 def _dot_quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _edge_pairs(program: Program) -> list[tuple[str, str]]:
+    """Every (predecessor, action) precedence pair, sorted."""
+    return sorted(
+        (edge.predecessor, action.name)
+        for action in program.actions
+        for edge in action.constraints
+    )
+
+
+def graph_payload(program: Program) -> dict:
+    """The `graph --json` document: nodes in name order, edges sorted."""
+    nodes = [{"name": a.name, "type": a.action_type, "resource": a.resource}
+             for a in program.actions]
+    edges = [{"from": p, "to": a} for p, a in _edge_pairs(program)]
+    return {"name": program.name, "nodes": nodes, "edges": edges}
 
 
 def export_dot(program: Program) -> str:
@@ -426,12 +377,7 @@ def export_dot(program: Program) -> str:
     for action in program.actions:
         label = f"{action.name}: {action.action_type} @{action.resource}"
         lines.append(f"  {_dot_quoted(action.name)} [label={_dot_quoted(label)}];")
-    edges = sorted(
-        (edge.predecessor, action.name)
-        for action in program.actions
-        for edge in action.constraints
-    )
-    for predecessor, successor in edges:
+    for predecessor, successor in _edge_pairs(program):
         lines.append(f"  {_dot_quoted(predecessor)} -> {_dot_quoted(successor)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

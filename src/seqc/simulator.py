@@ -14,12 +14,11 @@ Variable values are never interpreted; data flow is the validator's
 concern.
 """
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from . import model
+from . import jsonout, model
 from .dsl import RobotClassDsl
 from .errors import (
     DuplicateIdentifierError,
@@ -236,7 +235,7 @@ def trace_to_json(trace: ExecutionTrace) -> str:
             for e in trace.events
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return jsonout.dumps(payload) + "\n"
 
 
 def format_timeline(trace: ExecutionTrace) -> str:

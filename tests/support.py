@@ -11,6 +11,7 @@ import random
 from pathlib import Path
 
 from seqc import model
+from seqc import program_io as pio
 from seqc.dsl import (
     ActionTypeDef,
     ParameterDef,
@@ -18,7 +19,12 @@ from seqc.dsl import (
     RobotClassDsl,
     symmetrize_mutex,
 )
-from seqc.errors import CyclicGraphError
+from seqc.errors import (
+    CyclicGraphError,
+    UnknownResourceTypeError,
+    UnresolvedReferenceError,
+    XmlSyntaxError,
+)
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -28,6 +34,7 @@ from seqc.model import (
     VariableDecl,
 )
 from seqc.validator import Code, validate
+from seqc.xmlio import parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -392,3 +399,104 @@ def random_valid_setup(rng: random.Random, **kwargs):
 
 def random_durations(rng: random.Random, program: Program, low=1, high=5):
     return {name: rng.randint(low, high) for name in program.action_names()}
+
+
+# The two program-document walkers as they were before the shared
+# structural walk, kept as oracles.  They check tags lazily and read each
+# entry's required attributes just before resolving it, as they did, and
+# reuse program_io's per-entry resolvers for the rest.
+
+def _expect_lazily(section, tag):
+    for child in section:
+        if child.tag != tag:
+            raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <{section.tag}>")
+        yield child
+
+
+def _attrs(elem, *names):
+    return tuple(require_attr(elem, name) for name in names)
+
+
+def _parse_resource(elem, dsl):
+    name, component_type = _attrs(elem, "name", "type")
+    if dsl.component(component_type) is None:
+        raise UnknownResourceTypeError(
+            f"resource {name!r} has unknown component type {component_type!r}")
+    return ResourceInstance(name, component_type)
+
+
+def load_program_oracle(text: str, dsl: RobotClassDsl) -> Program:
+    root = parse_root(text, "Program")
+    name = require_attr(root, "name")
+    robot_class = require_attr(root, "robotClass")
+    resources, variables, action_elems, constraint_elems = [], [], [], []
+    for section in root:
+        if section.tag == "Resources":
+            resources.extend(_parse_resource(e, dsl) for e in _expect_lazily(section, "Resource"))
+        elif section.tag == "Variables":
+            variables.extend(pio._parse_variable(e, _attrs(e, "name", "type"), dsl)
+                             for e in _expect_lazily(section, "Variable"))
+        elif section.tag == "Actions":
+            action_elems.extend(_expect_lazily(section, "ActionInstance"))
+        elif section.tag == "Constraints":
+            constraint_elems.extend(_expect_lazily(section, "After"))
+        else:
+            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
+    pio._reject_duplicates((r.name for r in resources), "resource")
+    pio._reject_duplicates((v.name for v in variables), "variable")
+    resource_types = {r.name: r.component_type for r in resources}
+    parsed_actions = [pio._parse_action(elem, _attrs(elem, "name", "type", "resource"), dsl,
+                                        resource_types) for elem in action_elems]
+    pio._reject_duplicates((name for name, *_ in parsed_actions), "action")
+    incoming: dict[str, set[str]] = {name: set() for name, *_ in parsed_actions}
+    for elem in constraint_elems:
+        action = require_attr(elem, "action")
+        predecessor = require_attr(elem, "predecessor")
+        for endpoint in (action, predecessor):
+            if endpoint not in incoming:
+                raise UnresolvedReferenceError(
+                    f"constraint references unknown action {endpoint!r}")
+        incoming[action].add(predecessor)
+    actions = [
+        ActionInstance(action_name, type_name, resource, args, return_to,
+                       tuple(ConstraintEdge(p) for p in sorted(incoming[action_name])))
+        for action_name, type_name, resource, args, return_to in parsed_actions
+    ]
+    program = Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
+    model.topological_order(program)
+    return program
+
+
+def parse_program_oracle(text: str) -> Program:
+    root = parse_root(text, "Program")
+    name = require_attr(root, "name")
+    robot_class = require_attr(root, "robotClass")
+    resources, variables, raw_actions = [], [], []
+    incoming: dict[str, set[str]] = {}
+    for section in root:
+        if section.tag == "Resources":
+            for elem in _expect_lazily(section, "Resource"):
+                resources.append(
+                    ResourceInstance(require_attr(elem, "name"), require_attr(elem, "type")))
+        elif section.tag == "Variables":
+            for elem in _expect_lazily(section, "Variable"):
+                variables.append(
+                    VariableDecl(require_attr(elem, "name"), require_attr(elem, "type")))
+        elif section.tag == "Actions":
+            for elem in _expect_lazily(section, "ActionInstance"):
+                raw_actions.append((require_attr(elem, "name"), require_attr(elem, "type"),
+                                    require_attr(elem, "resource")))
+                incoming.setdefault(raw_actions[-1][0], set())
+        elif section.tag == "Constraints":
+            for elem in _expect_lazily(section, "After"):
+                incoming.setdefault(require_attr(elem, "action"), set()).add(
+                    require_attr(elem, "predecessor"))
+        else:
+            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
+    actions = tuple(
+        ActionInstance(action_name, type_name, resource,
+                       constraints=tuple(ConstraintEdge(p)
+                                         for p in sorted(incoming.get(action_name, ()))))
+        for action_name, type_name, resource in raw_actions
+    )
+    return Program(name, robot_class, tuple(resources), tuple(variables), actions)

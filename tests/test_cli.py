@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from seqc import simulator
 from seqc.cli import main
 from seqc.dsl import save_dsl
 from seqc.program_io import save_program
@@ -175,6 +176,21 @@ def test_simulate_trace_output(capsys, tmp_path):
     payload = json.loads(trace_file.read_text(encoding="utf-8"))
     assert payload["makespan"] == 3
     assert {e["kind"] for e in payload["events"]} == {"start", "finish"}
+
+
+def test_simulate_trace_and_json_render_the_trace_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    render = simulator.trace_to_json
+    monkeypatch.setattr(simulator, "trace_to_json", lambda trace: calls.append(1) or render(trace))
+    trace_file = tmp_path / "trace.json"
+    code, out, _ = run(
+        capsys,
+        "simulate", "--trace", str(trace_file), "--json", "--dsl", DEMO_DSL, FIVE_STAGE,
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert trace_file.read_text(encoding="utf-8") == out
+    assert json.loads(out)["makespan"] == 3
 
 
 # --- generate -----------------------------------------------------------------

@@ -1,8 +1,22 @@
 """Robot-class DSL parsing, resolution checks, and the canonical writer."""
 
+import dataclasses
+import random
+
 import pytest
 
-from seqc.dsl import load_dsl, lookup_action, save_dsl, symmetrize_mutex
+from seqc.dsl import (
+    PRIMITIVES,
+    ActionTypeDef,
+    ParameterDef,
+    ResourceComponentTypeDef,
+    RobotClassDsl,
+    VariableTypeDef,
+    load_dsl,
+    lookup_action,
+    save_dsl,
+    symmetrize_mutex,
+)
 from seqc.errors import (
     DuplicateIdentifierError,
     RecursiveCompositeTypeError,
@@ -271,3 +285,95 @@ def test_second_variable_types_section_rejected():
     doc = dsl_doc("<VariableTypes/><VariableTypes/>")
     with pytest.raises(DuplicateIdentifierError):
         load_dsl(doc)
+
+
+# Linear scans, as the lookups were written before the DSL index.
+
+def _component_scan(dsl, type_name):
+    for component in dsl.components:
+        if component.type_name == type_name:
+            return component
+    return None
+
+
+def _variable_type_scan(dsl, name):
+    for declared in dsl.variable_types:
+        if declared.name == name:
+            return declared
+    return PRIMITIVES.get(name)
+
+
+def _action_scan(dsl, identifier):
+    for component in dsl.components:
+        for action in component.actions:
+            if action.identifier == identifier:
+                return action
+    return None
+
+
+def _action_types_first_wins(dsl):
+    found = {}
+    for component in dsl.components:
+        for action in component.actions:
+            found.setdefault(action.identifier, action)
+    return found
+
+
+def _random_dsl(rng: random.Random) -> RobotClassDsl:
+    """A directly built DSL whose names repeat: components, action
+    identifiers across and within components, and variable types,
+    including a declared type that shadows a primitive."""
+    pool = ["A", "B", "C", "D"]
+    components = tuple(
+        ResourceComponentTypeDef(
+            rng.choice(["Arm", "Base", "Hand"]),
+            tuple(ActionTypeDef(rng.choice(pool), owner=f"owner{i}.{j}",
+                                parameters=(ParameterDef(f"p{j}", "Int"),))
+                  for j in range(rng.randint(0, 3))),
+        )
+        for i in range(rng.randint(0, 4))
+    )
+    variable_types = tuple(
+        VariableTypeDef(rng.choice(["Pose", "Twist", "Int"]), ((f"f{i}", "Float"),))
+        for i in range(rng.randint(0, 3))
+    )
+    return RobotClassDsl("Dup", variable_types, components)
+
+
+def test_indexed_lookups_match_linear_scans():
+    rng = random.Random(5)
+    names = ["Arm", "Base", "Hand", "Pose", "Twist", "A", "B", "C", "D", "Nope",
+             *PRIMITIVES]
+    for _ in range(300):
+        dsl = _random_dsl(rng)
+        for name in names:
+            assert dsl.component(name) is _component_scan(dsl, name)
+            assert dsl.variable_type(name) is _variable_type_scan(dsl, name)
+            expected = _action_scan(dsl, name)
+            if expected is None:
+                with pytest.raises(UnknownActionTypeError, match=repr(name)):
+                    lookup_action(dsl, name)
+            else:
+                assert lookup_action(dsl, name) is expected
+        assert dsl.action_types() == _action_types_first_wins(dsl)
+        assert list(dsl.action_types()) == list(_action_types_first_wins(dsl))
+
+
+def test_index_is_not_part_of_equality_or_hash():
+    dsl = load_dsl(fixture_text("service_robot/dsl.xml"))
+    twin = load_dsl(fixture_text("service_robot/dsl.xml"))
+    lookup_action(dsl, "MoveTo")
+    dsl.action_types()["Injected"] = None  # a caller's copy, not the index
+    assert "Injected" not in dsl.action_types()
+    assert dsl == twin and hash(dsl) == hash(twin)
+    assert "_index" not in {f.name for f in dataclasses.fields(dsl)}
+    replaced = dataclasses.replace(dsl, components=dsl.components[:1])
+    assert replaced.component("DriveBase") is None
+
+
+def test_parameters_by_name_keeps_declaration_order():
+    dsl = load_dsl(fixture_text("service_robot/dsl.xml"))
+    action = lookup_action(dsl, "MoveManipulator")
+    assert list(action.parameters_by_name) == ["targetPose", "orientation"]
+    assert action.parameters_by_name is action.parameters_by_name
+    assert action == dataclasses.replace(action)

@@ -1,11 +1,16 @@
 """Program XML loading, canonical serialization, and DOT export."""
 
+import random
+import re
+
 import pytest
 
+import support
 from seqc.dsl import load_dsl
 from seqc.errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
+    SeqcError,
     UnknownActionTypeError,
     UnknownResourceTypeError,
     UnknownVariableTypeError,
@@ -13,7 +18,13 @@ from seqc.errors import (
     XmlSyntaxError,
 )
 from seqc.model import ActionInstance, Program, ResourceInstance, VariableDecl
-from seqc.program_io import export_dot, load_program, parse_program, save_program
+from seqc.program_io import (
+    export_dot,
+    graph_payload,
+    load_program,
+    parse_program,
+    save_program,
+)
 from support import fixture_text
 
 TYPED_DSL = load_dsl(
@@ -111,6 +122,28 @@ def test_scalar_literals():
 def test_bad_scalar_literals(binding):
     with pytest.raises(XmlSyntaxError):
         load_program(typed_doc(one_apply(binding)), TYPED_DSL)
+
+
+NON_FINITE = ["nan", "inf", "-inf", "Infinity"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize(
+    "where",
+    [
+        lambda t: typed_doc("", variables=f'<Variable name="v" type="Float" init="{t}"/>'),
+        lambda t: typed_doc(one_apply(f'<Arg param="rate" value="{t}"/>')),
+        lambda t: typed_doc(one_apply(
+            f'<Arg param="pose"><Field name="x" value="{t}"/><Field name="y" value="0.5"/></Arg>'
+        )),
+    ],
+    ids=["init", "value", "field"],
+)
+def test_non_finite_float_literals_rejected(where, text):
+    # NaN is unequal to itself, so a program holding it would not load
+    # back equal; neither NaN nor an infinity is valid JSON.
+    with pytest.raises(XmlSyntaxError, match=f"{re.escape(repr(text))} is not a valid Float"):
+        load_program(where(text), TYPED_DSL)
 
 
 def test_composite_argument():
@@ -261,6 +294,31 @@ def test_unexpected_sections_and_children():
         )
 
 
+@pytest.mark.parametrize(
+    "later,message",
+    [
+        ("<Actions><Bogus/></Actions>", "<Bogus> inside <Actions>"),
+        ('<Constraints><After action="a"/></Constraints>',
+         "<After> is missing required attribute 'predecessor'"),
+    ],
+    ids=["stray-entry", "missing-attribute"],
+)
+def test_structure_is_checked_before_references_resolve(later, message):
+    # One walk checks every section and entry tag and every entry's
+    # required attributes before any reference is resolved, so a defect
+    # of that kind in a later section wins over an unknown component
+    # type in an earlier one.
+    doc = (
+        '<Program name="P" robotClass="TypedBot">'
+        '<Resources><Resource name="r" type="Nope"/></Resources>'
+        f"{later}</Program>"
+    )
+    with pytest.raises(XmlSyntaxError, match=re.escape(message)):
+        load_program(doc, TYPED_DSL)
+    with pytest.raises(XmlSyntaxError, match=re.escape(message)):
+        parse_program(doc)
+
+
 PROGRAM_FIXTURES = [
     ("demo/dsl.xml", "demo/five_stage.xml"),
     ("demo/dsl.xml", "demo/five_stage_shared.xml"),
@@ -360,3 +418,121 @@ def test_export_dot_quotes_awkward_names():
     dot = export_dot(program)
     assert dot.startswith('digraph "two words" {\n')
     assert '"say \\"hi\\"" [label="say \\"hi\\": T @r"];' in dot
+
+
+@pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)
+def test_walkers_match_the_old_walkers_on_fixtures(dsl_name, program_name):
+    dsl = load_dsl(fixture_text(dsl_name))
+    text = fixture_text(program_name)
+    assert load_program(text, dsl) == support.load_program_oracle(text, dsl)
+    assert parse_program(text) == support.parse_program_oracle(text)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One random defect (or a harmless reordering) in a saved document."""
+    lines = text.splitlines()
+    entries = [i for i, line in enumerate(lines)
+               if re.match(r"\s*<(Resource|Variable|ActionInstance|After|Arg) ", line)]
+    kind = rng.choice(["drop_attr", "rename_section", "stray_entry", "unknown_type",
+                       "unknown_endpoint", "duplicate_entry", "extra_edge", "self_edge",
+                       "truncate", "reorder_sections", "unknown_resource_type",
+                       "unknown_param", "bad_literal", "none"])
+    if kind == "drop_attr" and entries:
+        i = rng.choice(entries)
+        attrs = re.findall(r' \w+="[^"]*"', lines[i])
+        lines[i] = lines[i].replace(rng.choice(attrs), "", 1)
+    elif kind == "rename_section":
+        section = rng.choice(["Resources", "Variables", "Actions", "Constraints"])
+        return re.sub(rf"<(/?){section}\b", rf"<\1{section}X", text)
+    elif kind == "stray_entry":
+        i = rng.randrange(1, len(lines) - 1)
+        lines.insert(i + 1 if lines[i].endswith("s>") else i, "<Bogus/>")
+    elif kind == "unknown_type":
+        return re.sub(r'(<ActionInstance [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
+    elif kind == "unknown_endpoint":
+        return re.sub(r'predecessor="[^"]*"', 'predecessor="ghost"', text, count=1)
+    elif kind == "duplicate_entry" and entries:
+        i = rng.choice(entries)
+        if lines[i].endswith("/>"):
+            lines.insert(i, lines[i])
+    elif kind in ("extra_edge", "self_edge"):
+        names = re.findall(r'<ActionInstance name="([^"]*)"', text)
+        a, b = rng.choice(names), rng.choice(names)
+        edge = f'<After action="{a}" predecessor="{a if kind == "self_edge" else b}"/>'
+        return text.replace("<Constraints/>", f"<Constraints>{edge}</Constraints>").replace(
+            "<Constraints>\n", f"<Constraints>\n{edge}\n")
+    elif kind == "truncate":
+        return text[:rng.randrange(len(text))]
+    elif kind == "reorder_sections":
+        head, body = text.split("\n", 1)
+        blocks = re.findall(r"(  <(\w+)(?:/>|>.*?</\2>)\n)", body, flags=re.S)
+        assert len(blocks) == 4
+        rng.shuffle(blocks)
+        return head + "\n" + "".join(block for block, _ in blocks) + "</Program>\n"
+    elif kind == "unknown_resource_type":
+        return re.sub(r'(<Resource [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
+    elif kind == "unknown_param":
+        return text.replace('param="x"', 'param="y"', 1)
+    elif kind == "bad_literal":
+        return re.sub(r'value="[^"]*"', 'value="nan"', text, count=1)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except SeqcError as exc:
+        return type(exc)
+
+
+def test_walkers_match_the_old_walkers_on_random_documents():
+    """The one-walk loaders against copies of the two walkers they
+    replaced, on saved random programs (data flow, duplicate names,
+    cycles, dangling predecessors) with one mutation each.
+
+    The old load_program interleaved structural checks with resolution
+    in document order; the new one reports a structural error, which
+    is whatever the old parse_program rejected as XML, before resolving
+    anything.  So load outcomes are compared on structurally sound
+    documents, and on the others load must fail as parse does."""
+    rng = random.Random(20240)
+    loaded = failed = unsound = 0
+    for _ in range(300):
+        dsl, program = support.random_flow_setup(rng, max_actions=8)
+        text = save_program(program)
+        for doc in (text, _mutate(rng, text)):
+            structure = _outcome(support.parse_program_oracle, doc)
+            assert _outcome(parse_program, doc) == structure, doc
+            new = _outcome(load_program, doc, dsl)
+            if structure is XmlSyntaxError:
+                assert new is XmlSyntaxError, doc
+                unsound += 1
+            else:
+                assert new == _outcome(support.load_program_oracle, doc, dsl), doc
+            loaded += isinstance(new, Program)
+            failed += not isinstance(new, Program)
+    # Both outcomes, and both kinds of failure, well exercised.
+    assert loaded > 150 and failed - unsound > 100 and unsound > 50
+
+
+def _graph_payload_oracle(program: Program) -> dict:
+    """`graph --json` as the CLI built it before: per-action sorted
+    predecessors, then one sort of all edges."""
+    edges = []
+    for action in program.actions:
+        for predecessor in sorted(action.predecessors):
+            edges.append({"from": predecessor, "to": action.name})
+    edges.sort(key=lambda e: (e["from"], e["to"]))
+    return {
+        "name": program.name,
+        "nodes": [{"name": a.name, "type": a.action_type, "resource": a.resource}
+                  for a in program.actions],
+        "edges": edges,
+    }
+
+
+def test_graph_payload_matches_the_old_cli_payload():
+    rng = random.Random(77)
+    for _ in range(200):
+        _, program = support.random_flow_setup(rng, max_actions=8)
+        assert graph_payload(program) == _graph_payload_oracle(program)
