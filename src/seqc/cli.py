@@ -8,9 +8,18 @@
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 validation or render errors, 2 usage, I/O, or parse failures.
 Every command accepts --json for machine-readable output.
+
+`main` turns the cyclic garbage collector off for the whole command and
+restores the caller's setting when it returns.  Everything a command
+builds (element trees, programs, graph indexes, findings, traces) is
+acyclic and freed by reference counting, so collections during a
+command only walk live objects; on 1000-5000-action programs they took
+7-16% of `graph`'s time.  The library functions leave the collector
+alone: its state belongs to the program that embeds them.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -36,6 +45,21 @@ class _CliFailure(Exception):
 
 
 def main(argv=None) -> int:
+    # Collections during a command would free nothing: what it builds is
+    # acyclic (tests pin this), yet they took 2.6 of 36.7 ms of
+    # `graph --json` at 1000 actions and 30 of 207 ms at 5000.  A call
+    # leaves only argparse's few hundred cyclic objects, whatever the
+    # program's size.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -35,8 +35,11 @@ def _write(value, newline: str, append) -> None:
         inner = newline + "  "
         opener, separator = "[" + inner, "," + inner
         for item in value:
-            append(opener)
-            _write(item, inner, append)
+            if type(item) is str:
+                append(opener + _quote(item))
+            else:
+                append(opener)
+                _write(item, inner, append)
             opener = separator
         append(newline + "]" if value else "[]")
     elif isinstance(value, str):

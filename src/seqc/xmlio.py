@@ -1,7 +1,6 @@
 """Small helpers shared by the XML loaders and writers."""
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import quoteattr
 
 from .errors import XmlSyntaxError
 
@@ -25,5 +24,15 @@ def require_attr(elem: ET.Element, name: str) -> str:
 
 
 def attr_escape(value: str) -> str:
-    """Quote an attribute value, double quotes preferred."""
-    return quoteattr(str(value))
+    """Quote an attribute value, double quotes preferred.
+
+    The rules of `xml.sax.saxutils.quoteattr`, whose module imports
+    `urllib.request` and with it `http.client`, `email` and `ssl`.
+    """
+    text = (str(value).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'

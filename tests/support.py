@@ -13,10 +13,12 @@ from pathlib import Path
 from seqc import model
 from seqc import program_io as pio
 from seqc.dsl import (
+    PRIMITIVE_TYPES,
     ActionTypeDef,
     ParameterDef,
     ResourceComponentTypeDef,
     RobotClassDsl,
+    VariableTypeDef,
     symmetrize_mutex,
 )
 from seqc.errors import (
@@ -380,6 +382,92 @@ def reverse_chain_cycle(n: int) -> tuple[RobotClassDsl, Program]:
     edges = [(names[i + 1], names[i]) for i in range(n - 1)] + [(names[0], names[-1])]
     return dsl, make_program(dsl, [(name, "Step", "r1") for name in names], edges,
                              name="ReverseChain")
+
+
+# Characters an XML attribute value must escape or quote, whitespace the
+# parser would normalise if written raw, and non-ASCII up to the astral
+# planes.  XML 1.0 has no other control characters, even as references.
+AWKWARD_CHARS = "ab_ &<>\"'\n\r\t\u00e9\u2603\U0001d11e"
+
+
+def awkward_text(rng: random.Random, low=1, high=6) -> str:
+    return "".join(rng.choice(AWKWARD_CHARS) for _ in range(rng.randint(low, high)))
+
+
+def awkward_names(rng: random.Random, count: int) -> list[str]:
+    """Distinct names that need XML escaping, none equal to a primitive type."""
+    return [f"{awkward_text(rng)}{i}" for i in range(count)]
+
+
+def random_literal(rng: random.Random, type_name: str, dsl: RobotClassDsl):
+    if type_name == "Int":
+        return rng.randint(-10 ** 12, 10 ** 12)
+    if type_name == "Float":
+        return rng.choice((rng.uniform(-1e3, 1e3), rng.uniform(-1, 1) * 10 ** rng.randint(-300, 300),
+                           0.0, -0.0))
+    if type_name == "Bool":
+        return rng.random() < 0.5
+    if type_name == "String":
+        return awkward_text(rng, low=0)
+    return {name: random_literal(rng, field_type, dsl)
+            for name, field_type in dsl.variable_type(type_name).fields}
+
+
+def random_literal_setup(rng: random.Random, *, max_actions=8) -> tuple[RobotClassDsl, Program]:
+    """A DSL with nested composite types and a program that loads against
+    it: every name needs escaping, parameters and variables get scalar or
+    composite literals, variable bindings, return targets and forward
+    precedence edges."""
+    flat, nested = awkward_names(rng, 2)
+    flat_fields = tuple((name, rng.choice(PRIMITIVE_TYPES))
+                        for name in awkward_names(rng, rng.randint(1, 3)))
+    nested_fields = tuple((name, rng.choice((*PRIMITIVE_TYPES, flat)))
+                          for name in awkward_names(rng, rng.randint(1, 3)))
+    variable_types = (VariableTypeDef(flat, flat_fields), VariableTypeDef(nested, nested_fields))
+    all_types = (*PRIMITIVE_TYPES, flat, nested)
+    identifiers = iter(awkward_names(rng, 9))
+    components = tuple(
+        ResourceComponentTypeDef(component, tuple(
+            ActionTypeDef(
+                next(identifiers), component,
+                return_type=rng.choice((None, *all_types)),
+                parameters=tuple(ParameterDef(param, rng.choice(all_types))
+                                 for param in awkward_names(rng, rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 3))))
+        for component in awkward_names(rng, rng.randint(1, 3)))
+    dsl = RobotClassDsl(awkward_text(rng), variable_types, components)
+
+    resources = [ResourceInstance(name, rng.choice(components).type_name)
+                 for name in awkward_names(rng, rng.randint(1, 4))]
+    variables = []
+    for name in awkward_names(rng, rng.randint(0, 4)):
+        type_name = rng.choice(all_types)
+        init = random_literal(rng, type_name, dsl) if rng.random() < 0.6 else None
+        variables.append(VariableDecl(name, type_name, init))
+    variable_names = [v.name for v in variables] or awkward_names(rng, 1)  # may dangle
+    placed = [(component, resource.name) for resource in resources
+              for component in components if component.type_name == resource.component_type]
+    names = awkward_names(rng, rng.randint(1, max_actions))
+    actions = []
+    for i, name in enumerate(names):
+        component, resource = rng.choice(placed)
+        action_type = rng.choice(component.actions)
+        args = []
+        for param in action_type.parameters:
+            roll = rng.random()
+            if roll < 0.3:
+                args.append(ArgBinding(param.name, variable=rng.choice(variable_names)))
+            elif roll < 0.85:
+                args.append(ArgBinding(param.name,
+                                       value=random_literal(rng, param.type_name, dsl)))
+        predecessors = [p for p in names[:i] if rng.random() < 0.3]
+        actions.append(ActionInstance(
+            name, action_type.identifier, resource, tuple(args),
+            rng.choice(variable_names) if rng.random() < 0.4 else None,
+            tuple(ConstraintEdge(p) for p in predecessors)))
+    program = Program(awkward_text(rng), dsl.name, tuple(resources), tuple(variables),
+                      tuple(actions))
+    return dsl, program
 
 
 def random_valid_setup(rng: random.Random, **kwargs):

@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import gc
 import json
+import random
 
 import pytest
 
-from seqc import simulator
+import support
+from seqc import codegen, jsonout, program_io, simulator
 from seqc.cli import main
-from seqc.dsl import save_dsl
+from seqc.dsl import load_dsl, save_dsl
+from seqc.errors import SeqcError
 from seqc.program_io import save_program
-from support import fixture_path, reverse_chain_cycle
+from seqc.validator import validate
+from support import fixture_path, fixture_text, reverse_chain_cycle
 
 DEMO_DSL = str(fixture_path("demo/dsl.xml"))
 FIVE_STAGE = str(fixture_path("demo/five_stage.xml"))
@@ -410,3 +415,164 @@ def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == 2
+
+
+# --- the collector pause ----------------------------------------------------------
+
+@pytest.fixture
+def collector_on():
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["validate", "--dsl", DEMO_DSL, FIVE_STAGE], 0),
+        (["validate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL], 1),
+        (["validate", "--dsl", DEMO_DSL, "{bad_utf8}"], 2),  # _CliFailure
+        (["validate", "--dsl", DEMO_DSL, "{missing}"], 2),  # OSError
+        (["simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", "{bad_json}"], 2),
+        (["validate", FIVE_STAGE], SystemExit),  # argparse: --dsl is required
+    ],
+)
+def test_main_leaves_the_collector_on(capsys, tmp_path, collector_on, argv, expected):
+    (tmp_path / "bad.xml").write_bytes(b"\xff<Program/>")
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    argv = [arg.format(bad_utf8=tmp_path / "bad.xml", missing=tmp_path / "nope.xml",
+                       bad_json=tmp_path / "bad.json") for arg in argv]
+    if expected is SystemExit:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == expected
+    assert gc.isenabled()
+
+
+def test_main_leaves_the_collector_on_after_a_seqc_error(capsys, tmp_path, collector_on):
+    argv = ["generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+            "--templates", NXT_GENERATOR, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv) == 2  # OutputExistsError, a SeqcError
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_disabled_collector_off(capsys, collector_on):
+    gc.disable()
+    assert main(["validate", "--dsl", DEMO_DSL, FIVE_STAGE]) == 0
+    assert not gc.isenabled()
+    with pytest.raises(SystemExit):
+        main([])
+    assert not gc.isenabled()
+
+
+def test_main_pauses_the_collector_during_the_command(capsys, monkeypatch, collector_on):
+    seen = []
+
+    def spy(program, dsl):
+        seen.append(gc.isenabled())
+        return validate(program, dsl)
+    monkeypatch.setattr("seqc.cli.validate", spy)
+    assert main(["validate", "--dsl", DEMO_DSL, FIVE_STAGE]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+CLI_FIXTURES = [
+    ("demo", "five_stage.xml", None),
+    ("demo", "five_stage_shared.xml", None),
+    ("vacuum", "clean_parallel.xml", None),
+    ("vacuum", "clean_ordered.xml", None),
+    ("service_robot", "grasp_demo.xml", "generator.xml"),
+    ("nxt", "obstacle_avoid.xml", "generator.xml"),
+]
+
+
+def _run_every_stage(dsl, text, config, out_dir, done):
+    """What the commands do with one program; nothing is kept."""
+    program = program_io.parse_program(text)
+    jsonout.dumps(program_io.graph_payload(program))
+    program_io.export_dot(program)
+    validate(program, dsl)
+    try:
+        program = program_io.load_program(text, dsl)
+    except SeqcError:
+        return
+    done["load"] += 1
+    report = validate(program, dsl)
+    jsonout.dumps(report.to_dict())
+    report.render_text()
+    trace = simulator.simulate(program, dsl, force=True)
+    simulator.trace_to_json(trace)
+    simulator.format_timeline(trace)
+    try:
+        result = codegen.generate(program, dsl, config, strict=False)
+        codegen.write_outputs(result, out_dir, force=True)
+        done["generate"] += 1
+    except SeqcError:
+        pass
+
+
+def _garbage_of(run):
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_commands_build_no_reference_cycles(tmp_path, collector_on):
+    # The collector pause in main rests on this: whatever load, validate,
+    # simulate, graph output and generate build, success or SeqcError, is
+    # freed by reference counting alone.
+    (tmp_path / "main.vt").write_text(
+        "#foreach($Action in $Program.getActions())"
+        "$Action.getName() $Action.getType() $Action.getBogus()\n#end",
+        encoding="utf-8")
+    generic = codegen.load_generator_config(
+        '<Generator><Main file="main.vt" output="${Program.getName()}.txt"/></Generator>',
+        base_dir=tmp_path)
+    cases = []
+    for robot, program_name, generator in CLI_FIXTURES:
+        config = (codegen.load_generator_file(fixture_path(robot, generator))
+                  if generator else generic)
+        cases.append((load_dsl(fixture_text(robot, "dsl.xml")),
+                      fixture_text(robot, program_name), config))
+    rng = random.Random(2024)
+    for _ in range(100):
+        dsl, program = support.random_flow_setup(rng, max_actions=12)
+        cases.append((dsl, save_program(program), generic))
+    done = dict.fromkeys(("load", "generate"), 0)
+
+    def run_all():
+        for dsl, text, config in cases:
+            _run_every_stage(dsl, text, config, tmp_path / "out", done)
+    assert _garbage_of(run_all) == 0
+    assert min(done.values()) >= 20, done  # each stage succeeded often enough to count
+
+
+def _graph_files(tmp_path, n):
+    rng = random.Random(n)
+    dsl, program = support.random_setup(rng, min_actions=n, max_actions=n,
+                                        max_resources=8, edge_prob=4 / n, mutex=False)
+    dsl_file, program_file = tmp_path / f"dsl{n}.xml", tmp_path / f"prog{n}.xml"
+    dsl_file.write_text(save_dsl(dsl), encoding="utf-8")
+    program_file.write_text(save_program(program), encoding="utf-8")
+    return str(dsl_file), str(program_file)
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_cli_garbage_does_not_grow_with_the_program(capsys, tmp_path, collector_on, mode):
+    # What a command leaves for the collector is argparse's parser, not the
+    # program: the pause cannot let memory grow with program size.
+    garbage = {}
+    for n in (10, 500):
+        dsl_file, program_file = _graph_files(tmp_path, n)
+        argv = ["graph", *mode, "--dsl", dsl_file, program_file]
+        main(argv)  # warm caches such as re's and argparse's
+        garbage[n] = _garbage_of(lambda: main(argv))
+        assert capsys.readouterr().out
+    assert garbage[10] == garbage[500] > 0

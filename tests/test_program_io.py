@@ -339,6 +339,21 @@ def test_save_load_round_trip(dsl_name, program_name):
     assert save_program(again) == text
 
 
+def test_save_load_round_trip_on_random_programs():
+    # Names, String literals and composite fields full of characters that
+    # need escaping; the second save must repeat the first byte for byte.
+    rng = random.Random(31)
+    composites = 0
+    for _ in range(250):
+        dsl, program = support.random_literal_setup(rng)
+        text = save_program(program)
+        again = load_program(text, dsl)
+        assert again == program
+        assert save_program(again) == text
+        composites += "<Field " in text
+    assert composites > 100
+
+
 def test_canonical_form_uses_self_closing_empty_sections():
     text = save_program(Program("Empty", "TypedBot"))
     assert "<Resources/>" in text
