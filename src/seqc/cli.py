@@ -165,10 +165,7 @@ def cmd_validate(args) -> int:
     dsl = _load_dsl(args.dsl)
     program = _load_program(args.program, dsl)
     report = validate(program, dsl)
-    if args.json:
-        _print_json(report.to_dict())
-    else:
-        print(report.render_text())
+    print(report.to_json() if args.json else report.render_text())
     if not report.ok:
         return 1
     if args.strict_warnings and report.findings:

@@ -360,12 +360,15 @@ def potentially_parallel(program: Program, a: str, b: str) -> bool:
     """
     if a == b:
         raise SameActionError(f"potential parallelism is defined for distinct actions, got {a!r} twice")
-    action_a = program.action(a)
-    action_b = program.action(b)
+    # The validator asks this once per candidate pair, so it reads the
+    # index directly; `Program.action` runs only to raise for an unknown name.
+    graph = program.graph
+    action_a = graph.actions.get(a) or program.action(a)
+    action_b = graph.actions.get(b) or program.action(b)
     if action_a.resource == action_b.resource:
         return False
-    graph = program.graph
-    return not graph.precedes(a, b) and not graph.precedes(b, a)
+    bits, position = graph.ancestor_bits, graph.position
+    return not (bits[b] >> position[a] & 1 or bits[a] >> position[b] & 1)
 
 
 def topological_order(program: Program) -> list[str]:

@@ -24,6 +24,7 @@ from .errors import (
     DuplicateIdentifierError,
     InvalidProgramError,
     UnknownActionError,
+    UnresolvedReferenceError,
 )
 from .model import Program
 from .validator import validate
@@ -99,11 +100,10 @@ def simulate(
     duration = {name: durations.duration_of(name) for name in names}
     resource_of = {name: program.action(name).resource for name in names}
     type_of = {name: program.action(name).action_type for name in names}
-    waiting = {name: set(program.action(name).predecessors) for name in names}
-    dependents: dict[str, list[str]] = {name: [] for name in names}
-    for name, preds in waiting.items():
-        for pred in preds:
-            dependents[pred].append(name)
+    waiting = {name: set(program.graph.preds[name]) for name in names}
+    dangling = sorted((name, pred) for name in names for pred in waiting[name].difference(waiting))
+    if dangling:
+        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling[0])
 
     ready = sorted(name for name, preds in waiting.items() if not preds)
     running: dict[str, int] = {}  # action -> finish time
@@ -122,7 +122,7 @@ def simulate(
             del busy[resource_of[name]]
             finished.add(name)
             events.append(TraceEvent(now, EventKind.FINISH, name, resource_of[name]))
-            for dependent in dependents[name]:
+            for dependent in program.graph.succs[name]:
                 waiting[dependent].discard(name)
                 if not waiting[dependent] and dependent not in schedule:
                     ready.append(dependent)

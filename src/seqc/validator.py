@@ -12,6 +12,8 @@ warnings flag suspicious but permitted constructions.
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from . import model
 from .dsl import RobotClassDsl
@@ -59,7 +61,11 @@ class ValidationReport:
     findings: tuple[Finding, ...]
 
     def __post_init__(self):
-        ordered = sorted(set(self.findings), key=lambda f: (f.code.value, f.subjects))
+        # Findings are ordered by code, then subjects, then check order:
+        # dict.fromkeys dedupes without a hash-seeded reordering, which
+        # also keeps the sorted runs the checks emit for the stable sort.
+        # Code is a str enum, so members compare as their values.
+        ordered = sorted(dict.fromkeys(self.findings), key=attrgetter("code", "subjects"))
         object.__setattr__(self, "findings", tuple(ordered))
 
     @property
@@ -69,6 +75,23 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {"ok": self.ok, "findings": [f.to_dict() for f in self.findings]}
 
+    def to_json(self) -> str:
+        """Exactly `json.dumps(self.to_dict(), indent=2)`, written one
+        chunk per finding instead of through the nested dicts."""
+        head = f'{{\n  "ok": {"true" if self.ok else "false"},\n  "findings": '
+        if not self.findings:
+            return head + "[]\n}"
+        # Severity and Code values are plain identifiers, so they need no
+        # escaping; `_value_` skips the `value` property's descriptor call.
+        chunks = [
+            f'    {{\n      "severity": "{f.severity._value_}",\n'
+            f'      "code": "{f.code._value_}",\n'
+            f'      "subjects": {_json_strings(f.subjects)},\n'
+            f'      "message": {_quote(f.message)}\n    }}'
+            for f in self.findings
+        ]
+        return head + "[\n" + ",\n".join(chunks) + "\n  ]\n}"
+
     def render_text(self) -> str:
         lines = [
             f"{f.severity.value} {f.code.value} ({', '.join(f.subjects)}): {f.message}"
@@ -77,6 +100,13 @@ class ValidationReport:
         status = "OK" if self.ok else "FAILED"
         lines.append(f"{status}, {len(self.findings)} finding{'s' if len(self.findings) != 1 else ''}")
         return "\n".join(lines)
+
+
+def _json_strings(items: tuple[str, ...]) -> str:
+    """A finding's subject list as indent-2 JSON at its nesting depth."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_quote, items)) + "\n      ]"
 
 
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:

@@ -89,6 +89,29 @@ def test_potentially_parallel_same_action():
         model.potentially_parallel(program, "A", "A")
 
 
+def test_potentially_parallel_error_precedence():
+    # a and b form a cycle on r1; c runs on r2.  Equal names fail first,
+    # then unknown names (a before b), then same-resource pairs answer
+    # False, and only then does the cycle raise.
+    dsl = make_dsl({"Station": ["Step"]})
+    looped = make_program(dsl, [("a", "Step", "r1"), ("b", "Step", "r1"), ("c", "Step", "r2")],
+                          edges=[("a", "b"), ("b", "a")])
+    for same in ("ghost", "a"):
+        with pytest.raises(SameActionError):
+            model.potentially_parallel(looped, same, same)
+    for a, b, missing in (("ghost", "phantom", "ghost"), ("phantom", "ghost", "phantom"),
+                          ("a", "ghost", "ghost"), ("ghost", "c", "ghost")):
+        with pytest.raises(UnknownActionError) as exc_info:
+            model.potentially_parallel(looped, a, b)
+        assert str(exc_info.value) == f"program 'Prog' has no action named {missing!r}"
+    assert model.potentially_parallel(looped, "a", "b") is False
+    assert model.potentially_parallel(looped, "b", "a") is False
+    for a, b in (("a", "c"), ("c", "b")):
+        with pytest.raises(CyclicGraphError) as exc_info:
+            model.potentially_parallel(looped, a, b)
+        assert exc_info.value.cycle == ("a", "b")
+
+
 def test_topological_order_breaks_ties_lexicographically():
     dsl = make_dsl({"Station": ["Step"]})
     program = make_program(

@@ -12,6 +12,7 @@ from seqc.errors import (
     InvalidProgramError,
     NonPositiveDurationError,
     UnknownActionError,
+    UnresolvedReferenceError,
 )
 from seqc.model import ActionInstance, Program, ResourceInstance
 from seqc.program_io import load_program
@@ -128,6 +129,18 @@ def test_duplicate_names_cannot_be_forced():
     )
     with pytest.raises(DuplicateIdentifierError):
         simulate(program, dsl, force=True)
+
+
+def test_dangling_predecessor_is_refused_before_scheduling():
+    # Validation does not look at constraint endpoints, so the program
+    # passes the gate with or without force.
+    dsl = make_dsl({"Station": ["Step"]})
+    program = make_program(dsl, [("a", "Step", "r1"), ("b", "Step", "r1")],
+                           edges=[("a", "b"), ("ghost", "b")])
+    for force in (False, True):
+        with pytest.raises(UnresolvedReferenceError,
+                           match="action 'b' names unknown predecessor 'ghost'"):
+            simulate(program, dsl, force=force)
 
 
 def tampered(trace, **intervals):

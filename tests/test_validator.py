@@ -2,9 +2,14 @@
 
 import functools
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from seqc import model
+from seqc import jsonout, model
 from seqc.dsl import load_dsl
 from seqc.errors import CyclicGraphError
 from seqc.model import (
@@ -377,6 +382,90 @@ def test_report_rendering():
             }
         ],
     }
+
+
+FIXTURE_PROGRAMS = (
+    ("demo/dsl.xml", "demo/five_stage.xml"),
+    ("demo/dsl.xml", "demo/five_stage_shared.xml"),
+    ("service_robot/dsl.xml", "service_robot/grasp_demo.xml"),
+    ("nxt/dsl.xml", "nxt/obstacle_avoid.xml"),
+    ("vacuum/dsl.xml", "vacuum/clean_ordered.xml"),
+    ("vacuum/dsl.xml", "vacuum/clean_parallel.xml"),
+)
+
+
+def test_report_json_matches_json_dumps():
+    reports = [ValidationReport(())]
+    for dsl_name, program_name in FIXTURE_PROGRAMS:
+        dsl = load_dsl(fixture_text(dsl_name))
+        reports.append(validate(load_program(fixture_text(program_name), dsl), dsl))
+    rng = random.Random(606)
+    for _ in range(300):
+        dsl, program = random_flow_setup(rng, max_actions=8)
+        reports.append(validate(program, dsl))
+    assert {report.ok for report in reports} == {True, False}
+    assert any(report.ok and report.findings for report in reports)
+    for report in reports:
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral text,
+# and lone surrogates: everything the ASCII string encoder escapes.
+AWKWARD_JSON_TEXT = ('"', "\\", '\\"', "\x00\x08\x1f\x7f", "\t\n\r", "\u00e9\u2603",
+                     "\U0001d11e", "\ud800", "\udfff!", "</b>", "", "plain")
+
+
+def test_report_json_escapes_like_json_dumps():
+    rng = random.Random(607)
+    findings = tuple(
+        Finding(rng.choice(list(Severity)), rng.choice(list(Code)),
+                tuple(rng.choice(AWKWARD_JSON_TEXT) + str(k) for k in range(rng.randint(0, 3))),
+                "".join(rng.choices(AWKWARD_JSON_TEXT, k=rng.randint(0, 4))))
+        for _ in range(200)
+    )
+    for size in (1, 2, 7, 200):
+        report = ValidationReport(findings[:size])
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+# An action and a variable both named x, each declared twice: two
+# DuplicateName findings that tie on code and subjects.
+_TIED_FINDINGS_SCRIPT = """
+from seqc import jsonout
+from seqc.dsl import load_dsl
+from seqc.model import ActionInstance, Program, ResourceInstance, VariableDecl
+from seqc.validator import validate
+dsl = load_dsl('<RobotClassDSL name="B"><ResourceComponent type="Motor">'
+               '<Action actionIdentifier="Beep"/></ResourceComponent></RobotClassDSL>')
+program = Program("P", "B", (ResourceInstance("m", "Motor"),),
+                  (VariableDecl("x", "Int"), VariableDecl("x", "Int")),
+                  (ActionInstance("x", "Beep", "m"), ActionInstance("x", "Beep", "m")))
+report = validate(program, dsl)
+assert report.to_json() == jsonout.dumps(report.to_dict())
+print(report.render_text())
+print(report.to_json())
+"""
+
+
+def test_tied_findings_keep_check_order_under_every_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run([sys.executable, "-c", _TIED_FINDINGS_SCRIPT], env=env,
+                                capture_output=True, text=True, check=True)
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert lines[:2] == [
+        "error DuplicateName (x): action name 'x' is declared more than once",
+        "error DuplicateName (x): variable name 'x' is declared more than once",
+    ]
+    payload = json.loads("\n".join(lines[lines.index("{"):]))
+    assert [f["message"] for f in payload["findings"][:2]] == [
+        "action name 'x' is declared more than once",
+        "variable name 'x' is declared more than once",
+    ]
 
 
 # --- candidate pairs against the all-pairs definitions ----------------------------
