@@ -69,6 +69,9 @@ def _run(argv) -> int:
     except (SeqcError, OSError, json.JSONDecodeError) as exc:
         print(f"seqc: error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # composite literals, template blocks, JSON
+        print("seqc: error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,7 @@ from .errors import (
     UnresolvedMutexReferenceError,
     XmlSyntaxError,
 )
+from .model import _first_cycle
 from .xmlio import attr_escape, parse_root, require_attr
 
 PRIMITIVE_TYPES = ("Int", "Float", "Bool", "String")
@@ -248,32 +249,13 @@ def _check_variable_types(declared: list[VariableTypeDef]) -> None:
                 raise UnknownTypeReferenceError(
                     f"field {vtype.name}.{field_name} has unknown type {field_type!r}"
                 )
-    # Composite containment must be a DAG; walk each type's field types
-    # depth-first with an explicit stack, in declaration order.
-    state: dict[str, int] = {}  # 1 on the trail, 2 done
-    for vtype in declared:
-        if vtype.name in state:
-            continue
-        state[vtype.name] = 1
-        trail = [vtype.name]
-        pending = [iter(vtype.fields or ())]
-        while pending:
-            for _, field_type in pending[-1]:
-                if field_type not in by_name:
-                    continue
-                if state.get(field_type) == 1:
-                    cycle = trail[trail.index(field_type):]
-                    raise RecursiveCompositeTypeError(
-                        "composite type contains itself: " + " -> ".join(cycle + [field_type])
-                    )
-                if field_type not in state:
-                    state[field_type] = 1
-                    trail.append(field_type)
-                    pending.append(iter(by_name[field_type].fields or ()))
-                    break
-            else:
-                state[trail.pop()] = 2
-                pending.pop()
+    # Composite containment must be a DAG; search it depth-first, types
+    # and fields in declaration order.
+    cycle = _first_cycle(by_name, lambda name: [
+        field_type for _, field_type in by_name[name].fields or () if field_type in by_name])
+    if cycle:
+        raise RecursiveCompositeTypeError(
+            "composite type contains itself: " + " -> ".join(cycle + cycle[:1]))
 
 
 def _check_components(components: list[ResourceComponentTypeDef]) -> None:

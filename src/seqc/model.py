@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     CyclicGraphError,
@@ -191,38 +191,44 @@ class Program:
         return None
 
 
-def _find_cycle(preds: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
-    """Return one concrete cycle as an ordered node tuple, or None.
-
-    An iterative depth-first search over predecessor edges: roots and
-    predecessors are visited in name order, and the witness is rotated
-    to start at its smallest name.
-    """
-    color: dict[str, int] = {}  # 1 on the path, 2 done
-    for root in sorted(preds):
-        if root in color:
+def _first_cycle(roots: Iterable[str],
+                 children: Callable[[str], Iterable[str]]) -> list[str] | None:
+    """The first cycle an iterative depth-first search meets, as the path
+    from the node it re-enters, or None.  Roots and each node's children
+    are visited in the order given."""
+    state: dict[str, int] = {}  # 1 on the path, 2 done
+    for root in roots:
+        if root in state:
             continue
-        color[root] = 1
+        state[root] = 1
         path = [root]
-        pending = [iter(sorted(preds[root]))]
+        pending = [iter(children(root))]
         while pending:
-            for pred in pending[-1]:
-                if pred not in preds:
-                    continue  # dangling predecessor; reported elsewhere
-                state = color.get(pred)
-                if state == 1:
-                    cycle = path[path.index(pred):]
-                    pivot = cycle.index(min(cycle))
-                    return tuple(cycle[pivot:] + cycle[:pivot])
-                if state is None:
-                    color[pred] = 1
-                    path.append(pred)
-                    pending.append(iter(sorted(preds[pred])))
+            for child in pending[-1]:
+                seen = state.get(child)
+                if seen == 1:
+                    return path[path.index(child):]
+                if seen is None:
+                    state[child] = 1
+                    path.append(child)
+                    pending.append(iter(children(child)))
                     break
             else:
-                color[path.pop()] = 2
+                state[path.pop()] = 2
                 pending.pop()
     return None
+
+
+def _find_cycle(preds: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
+    """One concrete cycle, rotated to start at its smallest name, or None.
+    The search visits roots and predecessors in name order; dangling
+    names are reported elsewhere."""
+    cycle = _first_cycle(sorted(preds), lambda name: sorted(
+        pred for pred in preds[name] if pred in preds))
+    if cycle is None:
+        return None
+    pivot = cycle.index(min(cycle))
+    return tuple(cycle[pivot:] + cycle[:pivot])
 
 
 def _kahn_order(preds: Mapping[str, frozenset[str]],
@@ -291,10 +297,9 @@ class ProgramGraph:
         """Purdom's closure, built in topological order: bit `position[x]`
         of an action's int is set when x is one of its ancestors.
 
-        Raises CyclicGraphError on a cyclic graph.
+        Raises CyclicGraphError on a cyclic graph: Kahn's order falls
+        short, and only then does the search for a witness run.
         """
-        if self.cycle:
-            raise CyclicGraphError(self.cycle)
         order = self.order
         if self.duplicate_names:
             # The union successor sets may disagree with the last-wins
@@ -304,6 +309,8 @@ class ProgramGraph:
                 for pred in incoming:
                     derived.setdefault(pred, set()).add(name)
             order = _kahn_order(self.preds, derived)
+        if len(order) < len(self.preds):
+            raise CyclicGraphError(self.cycle)
         position = self.position
         closure: dict[str, int] = {}
         for name in order:

@@ -14,6 +14,7 @@ Variable values are never interpreted; data flow is the validator's
 concern.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -92,60 +93,56 @@ def simulate(
     report = validate(program, dsl)
     if not report.ok and not force:
         raise InvalidProgramError(report)
-    names = program.action_names()
-    if len(names) != len(set(names)):
+    graph = program.graph
+    if graph.duplicate_names:
         raise DuplicateIdentifierError("cannot simulate a program with duplicate action names")
     model.topological_order(program)
-
-    duration = {name: durations.duration_of(name) for name in names}
-    resource_of = {name: program.action(name).resource for name in names}
-    type_of = {name: program.action(name).action_type for name in names}
-    waiting = {name: set(program.graph.preds[name]) for name in names}
-    dangling = sorted((name, pred) for name in names for pred in waiting[name].difference(waiting))
+    preds, actions = graph.preds, graph.actions
+    dangling = min(((name, pred) for name, incoming in preds.items()
+                    for pred in incoming if pred not in preds), default=None)
     if dangling:
-        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling[0])
+        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling)
 
-    ready = sorted(name for name, preds in waiting.items() if not preds)
-    running: dict[str, int] = {}  # action -> finish time
-    busy: dict[str, str] = {}  # resource -> action
-    finished: set[str] = set()
+    # Kahn's loop with a clock.  Both heaps pop in name order, so events
+    # come out in trace order: an instant's finishes, then its starts.
+    unmet = {name: len(incoming) for name, incoming in preds.items()}
+    ready = [name for name, count in unmet.items() if not count]  # sorted: a heap
+    finishing: list[tuple[int, str]] = []  # (finish time, action) heap
+    busy: dict[str, str] = {}  # resource -> running action
     events: list[TraceEvent] = []
     schedule: dict[str, tuple[int, int]] = {}
     now = 0
-
-    def mutex_blocked(name: str) -> bool:
-        return any(dsl.is_mutex(type_of[name], type_of[other]) for other in running)
-
-    while len(finished) < len(names):
-        for name in sorted(n for n, t in running.items() if t == now):
-            del running[name]
-            del busy[resource_of[name]]
-            finished.add(name)
-            events.append(TraceEvent(now, EventKind.FINISH, name, resource_of[name]))
-            for dependent in program.graph.succs[name]:
-                waiting[dependent].discard(name)
-                if not waiting[dependent] and dependent not in schedule:
-                    ready.append(dependent)
-        ready.sort()
-        still_waiting = []
-        for name in ready:
-            if resource_of[name] in busy or (force and mutex_blocked(name)):
-                still_waiting.append(name)
+    while True:
+        blocked = []  # popped in name order, so still a heap
+        while ready:
+            name = heapq.heappop(ready)
+            action = actions[name]
+            if action.resource in busy or (force and any(
+                    dsl.is_mutex(action.action_type, actions[other].action_type)
+                    for other in busy.values())):
+                blocked.append(name)
                 continue
-            running[name] = now + duration[name]
-            busy[resource_of[name]] = name
-            schedule[name] = (now, now + duration[name])
-            events.append(TraceEvent(now, EventKind.START, name, resource_of[name]))
-        ready = still_waiting
-        if len(finished) == len(names):
+            finish = now + durations.duration_of(name)
+            busy[action.resource] = name
+            schedule[name] = (now, finish)
+            heapq.heappush(finishing, (finish, name))
+            events.append(TraceEvent(now, EventKind.START, name, action.resource))
+        ready = blocked
+        if not finishing:
             break
-        if not running:
-            raise AssertionError("scheduler stalled with work remaining")
-        now = min(running.values())
-
-    total = max((finish for _, finish in schedule.values()), default=0)
-    events.sort(key=lambda e: (e.time, e.kind is EventKind.START, e.action))
-    return ExecutionTrace(tuple(events), total, schedule)
+        now = finishing[0][0]
+        while finishing and finishing[0][0] == now:
+            name = heapq.heappop(finishing)[1]
+            resource = actions[name].resource
+            del busy[resource]
+            events.append(TraceEvent(now, EventKind.FINISH, name, resource))
+            for succ in graph.succs[name]:
+                unmet[succ] -= 1
+                if not unmet[succ]:
+                    heapq.heappush(ready, succ)
+    if len(schedule) < len(preds):
+        raise AssertionError("scheduler stalled with work remaining")
+    return ExecutionTrace(tuple(events), now, schedule)
 
 
 def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) -> list[TraceViolation]:
@@ -219,11 +216,6 @@ def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) ->
 
 def _overlap(first: tuple[int, int], second: tuple[int, int]) -> bool:
     return first[0] < second[1] and second[0] < first[1]
-
-
-def makespan(trace: ExecutionTrace) -> int:
-    """Total schedule length: the latest finish time, 0 when nothing ran."""
-    return max((finish for _, finish in trace.schedule.values()), default=0)
 
 
 def trace_to_json(trace: ExecutionTrace) -> str:

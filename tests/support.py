@@ -23,6 +23,8 @@ from seqc.dsl import (
 )
 from seqc.errors import (
     CyclicGraphError,
+    DuplicateIdentifierError,
+    InvalidProgramError,
     UnknownResourceTypeError,
     UnresolvedReferenceError,
     XmlSyntaxError,
@@ -35,6 +37,7 @@ from seqc.model import (
     ResourceInstance,
     VariableDecl,
 )
+from seqc.simulator import DurationMap, EventKind, ExecutionTrace, TraceEvent
 from seqc.validator import Code, validate
 from seqc.xmlio import parse_root, require_attr
 
@@ -175,6 +178,36 @@ def cycle_oracle(program: Program) -> tuple[str, ...] | None:
             found = visit(name)
             if found:
                 return found
+    return None
+
+
+def composite_cycle_oracle(declared) -> str | None:
+    """The message of the composite-containment search as `load_dsl` ran
+    it before the graph search was shared: an explicit-stack depth-first
+    walk over each type's fields, types and fields in declaration order."""
+    by_name = {v.name: v for v in declared}
+    state: dict[str, int] = {}  # 1 on the trail, 2 done
+    for vtype in declared:
+        if vtype.name in state:
+            continue
+        state[vtype.name] = 1
+        trail = [vtype.name]
+        pending = [iter(vtype.fields or ())]
+        while pending:
+            for _, field_type in pending[-1]:
+                if field_type not in by_name:
+                    continue
+                if state.get(field_type) == 1:
+                    cycle = trail[trail.index(field_type):]
+                    return "composite type contains itself: " + " -> ".join(cycle + [field_type])
+                if field_type not in state:
+                    state[field_type] = 1
+                    trail.append(field_type)
+                    pending.append(iter(by_name[field_type].fields or ()))
+                    break
+            else:
+                state[trail.pop()] = 2
+                pending.pop()
     return None
 
 
@@ -588,3 +621,73 @@ def parse_program_oracle(text: str) -> Program:
         for action_name, type_name, resource in raw_actions
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
+
+
+# The scheduling loop as it was before it ran on the shared graph index,
+# kept as an oracle: per-action `waiting` sets, a re-sort of the ready
+# list at every instant, and one sort of all events at the end.
+
+def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
+                    force: bool = False) -> ExecutionTrace:
+    durations = durations or DurationMap()
+    report = validate(program, dsl)
+    if not report.ok and not force:
+        raise InvalidProgramError(report)
+    names = program.action_names()
+    if len(names) != len(set(names)):
+        raise DuplicateIdentifierError("cannot simulate a program with duplicate action names")
+    model.topological_order(program)
+
+    duration = {name: durations.duration_of(name) for name in names}
+    resource_of = {name: program.action(name).resource for name in names}
+    type_of = {name: program.action(name).action_type for name in names}
+    waiting = {name: set(program.action(name).predecessors) for name in names}
+    dangling = sorted((name, pred) for name in names for pred in waiting[name].difference(waiting))
+    if dangling:
+        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling[0])
+    dependents: dict[str, set[str]] = {name: set() for name in names}
+    for name in names:
+        for pred in waiting[name]:
+            dependents[pred].add(name)
+
+    ready = sorted(name for name, preds in waiting.items() if not preds)
+    running: dict[str, int] = {}  # action -> finish time
+    busy: dict[str, str] = {}  # resource -> action
+    finished: set[str] = set()
+    events: list[TraceEvent] = []
+    schedule: dict[str, tuple[int, int]] = {}
+    now = 0
+
+    def mutex_blocked(name: str) -> bool:
+        return any(dsl.is_mutex(type_of[name], type_of[other]) for other in running)
+
+    while len(finished) < len(names):
+        for name in sorted(n for n, t in running.items() if t == now):
+            del running[name]
+            del busy[resource_of[name]]
+            finished.add(name)
+            events.append(TraceEvent(now, EventKind.FINISH, name, resource_of[name]))
+            for dependent in dependents[name]:
+                waiting[dependent].discard(name)
+                if not waiting[dependent] and dependent not in schedule:
+                    ready.append(dependent)
+        ready.sort()
+        still_waiting = []
+        for name in ready:
+            if resource_of[name] in busy or (force and mutex_blocked(name)):
+                still_waiting.append(name)
+                continue
+            running[name] = now + duration[name]
+            busy[resource_of[name]] = name
+            schedule[name] = (now, now + duration[name])
+            events.append(TraceEvent(now, EventKind.START, name, resource_of[name]))
+        ready = still_waiting
+        if len(finished) == len(names):
+            break
+        if not running:
+            raise AssertionError("scheduler stalled with work remaining")
+        now = min(running.values())
+
+    total = max((finish for _, finish in schedule.values()), default=0)
+    events.sort(key=lambda e: (e.time, e.kind is EventKind.START, e.action))
+    return ExecutionTrace(tuple(events), total, schedule)

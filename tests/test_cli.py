@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import sys
 
 import pytest
 
@@ -390,6 +391,54 @@ def test_deep_cycle_is_a_one_line_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"seqc: error: {program_file}: ") and err.count("\n") == 1
+
+
+def _assert_nested_too_deeply(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err == "seqc: error: input is nested too deeply\n"  # one line, no traceback
+    assert gc.isenabled()
+
+
+def test_deep_composite_literal_is_a_one_line_error(capsys, tmp_path, collector_on):
+    # One nesting level per frame at least, so this depth always overflows.
+    depth = sys.getrecursionlimit()
+    types = "".join(
+        f'<VariableType name="T{i}"><Field name="f" type="{f"T{i + 1}" if i + 1 < depth else "Int"}"/>'
+        '</VariableType>' for i in range(depth))
+    dsl_file, program_file = tmp_path / "dsl.xml", tmp_path / "program.xml"
+    dsl_file.write_text(
+        f'<RobotClassDSL name="Deep"><VariableTypes>{types}</VariableTypes>'
+        '<ResourceComponent type="Unit"><Action actionIdentifier="Step"/>'
+        '</ResourceComponent></RobotClassDSL>', encoding="utf-8")
+    literal = ('<Field name="f">' * (depth - 1) + '<Field name="f" value="1"/>'
+               + '</Field>' * (depth - 1))
+    program_file.write_text(
+        '<Program name="P" robotClass="Deep"><Resources><Resource name="r" type="Unit"/>'
+        f'</Resources><Variables><Variable name="v" type="T0">{literal}</Variable>'
+        '</Variables><Actions><ActionInstance name="a" type="Step" resource="r"/>'
+        '</Actions></Program>', encoding="utf-8")
+    _assert_nested_too_deeply(
+        *run(capsys, "validate", "--dsl", str(dsl_file), str(program_file)))
+
+
+def test_deep_durations_json_is_a_one_line_error(capsys, tmp_path, collector_on):
+    durations = tmp_path / "durations.json"
+    durations.write_text("[" * 200_000, encoding="utf-8")
+    _assert_nested_too_deeply(*run(
+        capsys, "simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", str(durations)))
+
+
+def test_deep_template_blocks_are_a_one_line_error(capsys, tmp_path, collector_on):
+    depth = sys.getrecursionlimit()
+    (tmp_path / "main.vt").write_text(
+        "#if($x)\n" * depth + "x\n" + "#end\n" * depth, encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text('<Generator><Main file="main.vt" output="out.txt"/></Generator>',
+                         encoding="utf-8")
+    _assert_nested_too_deeply(*run(
+        capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+        "--templates", str(generator), "--out", str(tmp_path / "out")))
 
 
 @pytest.mark.parametrize("bad_input", ["dsl", "program"])

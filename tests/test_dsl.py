@@ -25,7 +25,7 @@ from seqc.errors import (
     UnresolvedMutexReferenceError,
     XmlSyntaxError,
 )
-from support import fixture_text
+from support import composite_cycle_oracle, fixture_text
 
 
 def dsl_doc(body: str, name: str = "TestBot") -> str:
@@ -214,6 +214,30 @@ def test_deep_composite_nesting_needs_no_recursion():
     with pytest.raises(RecursiveCompositeTypeError) as exc_info:
         load_dsl(chain(close_cycle=True))
     assert str(exc_info.value).startswith("composite type contains itself: T0000 -> T0001 ->")
+
+
+def test_recursive_composite_witness_matches_the_old_search():
+    rng = random.Random(17)
+    cyclic = 0
+    for _ in range(400):
+        names = [f"T{i}" for i in range(rng.randint(1, 8))]
+        rng.shuffle(names)  # declaration order is not name order
+        declared = [
+            VariableTypeDef(name, tuple(
+                (f"f{j}", rng.choice((*PRIMITIVES, *names, *names)))
+                for j in range(rng.randint(0, 3))))
+            for name in names
+        ]
+        expected = composite_cycle_oracle(declared)
+        doc = save_dsl(RobotClassDsl("Types", tuple(declared), ()))
+        if expected is None:
+            assert load_dsl(doc).variable_types == tuple(declared)
+            continue
+        cyclic += 1
+        with pytest.raises(RecursiveCompositeTypeError) as exc_info:
+            load_dsl(doc)
+        assert str(exc_info.value) == expected
+    assert 100 < cyclic < 300
 
 
 def test_nested_composites_without_cycles_are_fine():

@@ -11,6 +11,7 @@ from seqc.errors import (
     DuplicateIdentifierError,
     InvalidProgramError,
     NonPositiveDurationError,
+    SeqcError,
     UnknownActionError,
     UnresolvedReferenceError,
 )
@@ -22,7 +23,6 @@ from seqc.simulator import (
     ExecutionTrace,
     TraceEvent,
     format_timeline,
-    makespan,
     simulate,
     trace_to_json,
     verify_trace,
@@ -34,7 +34,9 @@ from support import (
     make_dsl,
     make_program,
     random_durations,
+    random_flow_setup,
     random_valid_setup,
+    simulate_oracle,
     with_edge,
 )
 
@@ -218,13 +220,42 @@ def test_dedicated_resources_reach_the_critical_path():
         assert trace.makespan == model.critical_path_length(program, durations)
 
 
+def _outcome(run, program, dsl, durations, force):
+    try:
+        trace = run(program, dsl, durations, force=force)
+    except SeqcError as exc:
+        return type(exc), str(exc)
+    return trace_to_json(trace), list(trace.schedule.items())
+
+
+@pytest.mark.parametrize("shape", ["valid", "forced"])
+def test_scheduler_matches_the_waiting_set_oracle(shape):
+    # Valid programs run unforced; defective ones (duplicate names, cycles,
+    # dangling predecessors, mutex partners, data-flow findings) run forced,
+    # so runtime mutex serialisation and every guard are compared too.
+    rng = random.Random(47 if shape == "valid" else 53)
+    outcomes = set()
+    for _ in range(300):
+        if shape == "valid":
+            dsl, program = random_valid_setup(rng, max_actions=10)
+        else:
+            dsl, program = random_flow_setup(rng, max_actions=10, mutex_prob=0.5)
+        durations = DurationMap(random_durations(rng, program), default=rng.randint(1, 3))
+        force = shape == "forced"
+        expected = _outcome(simulate_oracle, program, dsl, durations, force)
+        assert _outcome(simulate, program, dsl, durations, force) == expected
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "trace")
+    if shape == "forced":
+        assert outcomes == {"trace", CyclicGraphError, DuplicateIdentifierError,
+                            UnresolvedReferenceError}
+
+
 def test_empty_program():
     dsl = make_dsl({"Station": ["Step"]})
     program = Program("Empty", "TestBot")
     trace = simulate(program, dsl)
     assert trace.events == ()
     assert trace.makespan == 0
-    assert makespan(trace) == 0
     assert format_timeline(trace) == "(empty trace)\n"
 
 
@@ -281,7 +312,7 @@ def test_format_timeline_golden():
 def test_makespan_matches_trace_field():
     dsl, program = five_stage()
     trace = simulate(program, dsl, DurationMap({"B": 7}))
-    assert makespan(trace) == trace.makespan == 9
+    assert trace.makespan == 9
 
 
 def test_events_come_in_start_finish_pairs():

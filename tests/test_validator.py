@@ -24,6 +24,7 @@ from seqc.program_io import load_program
 from seqc.validator import Code, Finding, Severity, ValidationReport, validate
 from support import (
     ancestors_oracle,
+    cycle_oracle,
     fixture_text,
     make_dsl,
     make_program,
@@ -578,3 +579,28 @@ def test_validate_tests_only_candidate_pairs(monkeypatch):
     assert len(parallel_calls) == mutex_pairs + shared_pairs
     assert len(builds) == 1
     assert {Code.MUTEX_VIOLATION, Code.VARIABLE_RACE} <= {f.code for f in report.findings}
+
+
+def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
+    # Kahn's order decides acyclicity; the depth-first search runs once,
+    # and only to name the witness of a cycle.
+    rng = random.Random(61)
+    searches = _counting(monkeypatch, model, "_find_cycle")
+    closures = cyclic = 0
+    for _ in range(300):
+        dsl, program = random_flow_setup(rng, max_actions=10, mutex_prob=0.5)
+        if program.graph.duplicate_names:
+            continue
+        searches.clear()
+        report = validate(program, dsl)
+        witness = cycle_oracle(program)
+        if witness is None:
+            assert searches == []
+            closures += "ancestor_bits" in vars(program.graph)
+            continue
+        cyclic += 1
+        assert len(searches) == 1
+        [finding] = [f for f in report.findings if f.code is Code.CYCLIC_GRAPH]
+        assert finding.message == ("actions form a precedence cycle: "
+                                   + " -> ".join(witness + witness[:1]))
+    assert closures > 100 and cyclic > 20
