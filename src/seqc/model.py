@@ -185,10 +185,27 @@ class Program:
         return [a.name for a in self.actions]
 
     def variable(self, name: str) -> VariableDecl | None:
-        for candidate in self.variables:
-            if candidate.name == name:
-                return candidate
-        return None
+        """The first variable declared under `name`, or None."""
+        return self._variables_by_name.get(name)
+
+    @cached_property
+    def _variables_by_name(self) -> dict[str, VariableDecl]:
+        # Built in reverse so the first declaration of a name wins.
+        return {variable.name: variable for variable in reversed(self.variables)}
+
+    @cached_property
+    def _variable_uses(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """Each variable's readers and writers, in action order: the one
+        index the validator's data-flow checks share.  An action reads a
+        variable once however many of its arguments bind it."""
+        readers: dict[str, list[str]] = {}
+        writers: dict[str, list[str]] = {}
+        for action in self.actions:
+            for variable in dict.fromkeys([a.variable for a in action.args if a.variable is not None]):
+                readers.setdefault(variable, []).append(action.name)
+            if action.return_to is not None:
+                writers.setdefault(action.return_to, []).append(action.name)
+        return readers, writers
 
 
 def _first_cycle(roots: Iterable[str],

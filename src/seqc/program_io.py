@@ -21,7 +21,7 @@ import re
 from operator import itemgetter
 
 from . import model
-from .dsl import RobotClassDsl, lookup_action
+from .dsl import RobotClassDsl, _duplicates, lookup_action
 from .errors import (
     DuplicateIdentifierError,
     UnknownResourceTypeError,
@@ -36,12 +36,16 @@ from .xmlio import attr_escape, parse_root, require_attr
 def load_program(text: str, dsl: RobotClassDsl) -> Program:
     """Parse a program document and resolve every reference against the DSL.
 
-    Structural references (action types, resource instances, parameter
-    names, constraint endpoints) must resolve and the precedence graph
-    must be acyclic.  Variable references in bindings are deliberately
+    The program's robot class must be the DSL's name.  Structural
+    references (action types, resource instances, parameter names,
+    constraint endpoints) must resolve and the precedence graph must be
+    acyclic.  Variable references in bindings are deliberately
     not resolved here; the validator reports them with context.
     """
     name, robot_class, elems, attrs = _read_document(text)
+    if robot_class != dsl.name:
+        raise UnresolvedReferenceError(f"program is written for robot class {robot_class!r},"
+                                       f" but the DSL is {dsl.name!r}")
     resources = [ResourceInstance(*row) for row in attrs["Resources"]]
     for resource in resources:
         if dsl.component(resource.component_type) is None:
@@ -140,11 +144,8 @@ def _expect(section, tag) -> list:
 
 
 def _reject_duplicates(names, kind):
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateIdentifierError(f"{kind} {name!r} declared twice")
-        seen.add(name)
+    for name in _duplicates(names):
+        raise DuplicateIdentifierError(f"{kind} {name!r} declared twice")
 
 
 def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from . import model
-from .dsl import RobotClassDsl
+from .dsl import RobotClassDsl, _duplicates
 from .errors import CyclicGraphError
 from .model import Program
 
@@ -38,6 +38,10 @@ class Code(str, Enum):
     MUTEX_VIOLATION = "MutexViolation"
     UNUSED_VARIABLE = "UnusedVariable"
     VARIABLE_RACE = "VariableRace"
+
+
+# A code's severity is fixed: README's code table is the rule.
+_WARNINGS = frozenset({Code.UNINSTANTIATED_VARIABLE, Code.UNUSED_VARIABLE, Code.VARIABLE_RACE})
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,11 @@ def _json_strings(items: tuple[str, ...]) -> str:
     return "[\n        " + ",\n        ".join(map(_quote, items)) + "\n      ]"
 
 
+def _finding(code: Code, subjects: tuple[str, ...], message: str) -> Finding:
+    severity = Severity.WARNING if code in _WARNINGS else Severity.ERROR
+    return Finding(severity, code, subjects, message)
+
+
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     """Run every check and aggregate the findings; never aborts early."""
     findings = _check_unique_names(program)
@@ -125,34 +134,28 @@ def _cycle_finding(program: Program) -> Finding | None:
         return None
     except CyclicGraphError as exc:
         members = tuple(sorted(set(exc.cycle)))
-        return Finding(
-            Severity.ERROR,
+        return _finding(
             Code.CYCLIC_GRAPH,
             members,
             "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]),
         )
 
 
+def _flow_ambiguous(program: Program) -> bool:
+    """Flow analysis needs an unambiguous acyclic graph."""
+    return program.graph.duplicate_names or _cycle_finding(program) is not None
+
+
 def _check_unique_names(program: Program) -> list[Finding]:
-    findings = []
-    for kind, names in (
-        ("action", [a.name for a in program.actions]),
-        ("resource", [r.name for r in program.resources]),
-        ("variable", [v.name for v in program.variables]),
-    ):
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        Code.DUPLICATE_NAME,
-                        (name,),
-                        f"{kind} name {name!r} is declared more than once",
-                    )
-                )
-            seen.add(name)
-    return findings
+    return [
+        _finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once")
+        for kind, entries in (
+            ("action", program.actions),
+            ("resource", program.resources),
+            ("variable", program.variables),
+        )
+        for name in _duplicates(entry.name for entry in entries)
+    ]
 
 
 def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Finding]:
@@ -189,8 +192,7 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
                 if model.potentially_parallel(program, x, y):
                     a, b = min(x, y), max(x, y)
                     findings.append(
-                        Finding(
-                            Severity.ERROR,
+                        _finding(
                             Code.MUTEX_VIOLATION,
                             (a, b),
                             f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
@@ -239,102 +241,83 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
         if atype is None:
             continue  # unloadable type; only reachable on hand-built programs
         bound = {arg.param: arg for arg in action.args}
+        # (variable, binding slot, expected type, what the slot expects)
+        references = []
         for param in atype.parameters:
             arg = bound.get(param.name)
             if arg is None:
                 findings.append(
-                    Finding(
-                        Severity.ERROR,
+                    _finding(
                         Code.UNBOUND_PARAMETER,
                         (action.name, param.name),
                         f"action {action.name!r} leaves parameter {param.name!r} unset",
                     )
                 )
             elif arg.variable is not None:
-                decl = declared_vars.get(arg.variable)
-                if decl is None:
-                    findings.append(_unknown_variable(action.name, arg.variable))
-                elif decl.type_name != param.type_name:
-                    findings.append(
-                        Finding(
-                            Severity.ERROR,
-                            Code.TYPE_MISMATCH,
-                            (action.name, param.name),
-                            f"parameter {param.name!r} expects {param.type_name},"
-                            f" variable {arg.variable!r} is {decl.type_name}",
-                        )
-                    )
+                references.append((arg.variable, param.name, param.type_name,
+                                   f"parameter {param.name!r} expects {param.type_name}"))
             elif not _literal_matches(arg.value, param.type_name, dsl):
                 findings.append(
-                    Finding(
-                        Severity.ERROR,
+                    _finding(
                         Code.TYPE_MISMATCH,
                         (action.name, param.name),
                         f"literal value for parameter {param.name!r} does not"
                         f" type-check as {param.type_name}",
                     )
                 )
-        if action.return_to is not None:
-            decl = declared_vars.get(action.return_to)
-            if atype.return_type is None:
+        if action.return_to is not None and atype.return_type is not None:
+            references.append((action.return_to, "return", atype.return_type,
+                               f"return value is {atype.return_type}"))
+        for variable, slot, type_name, expects in references:
+            decl = declared_vars.get(variable)
+            if decl is None:
                 findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        Code.TYPE_MISMATCH,
-                        (action.name, "return"),
-                        f"action type {atype.identifier!r} returns no value but"
-                        f" {action.name!r} binds a return variable",
+                    _finding(
+                        Code.UNKNOWN_VARIABLE,
+                        (action.name, variable),
+                        f"action {action.name!r} references undeclared variable {variable!r}",
                     )
                 )
-            elif decl is None:
-                findings.append(_unknown_variable(action.name, action.return_to))
-            elif decl.type_name != atype.return_type:
+            elif decl.type_name != type_name:
                 findings.append(
-                    Finding(
-                        Severity.ERROR,
+                    _finding(
                         Code.TYPE_MISMATCH,
-                        (action.name, "return"),
-                        f"return value is {atype.return_type}, variable"
-                        f" {action.return_to!r} is {decl.type_name}",
+                        (action.name, slot),
+                        f"{expects}, variable {variable!r} is {decl.type_name}",
                     )
                 )
+        # Last, so a parameter named "return" still reports before the binding.
+        if action.return_to is not None and atype.return_type is None:
+            findings.append(
+                _finding(
+                    Code.TYPE_MISMATCH,
+                    (action.name, "return"),
+                    f"action type {atype.identifier!r} returns no value but"
+                    f" {action.name!r} binds a return variable",
+                )
+            )
     findings += _lint_uninstantiated(program, declared_vars)
     return findings
 
 
-def _unknown_variable(action_name: str, variable: str) -> Finding:
-    return Finding(
-        Severity.ERROR,
-        Code.UNKNOWN_VARIABLE,
-        (action_name, variable),
-        f"action {action_name!r} references undeclared variable {variable!r}",
-    )
-
-
 def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
-    if program.graph.duplicate_names or _cycle_finding(program) is not None:
-        return []  # flow analysis needs an unambiguous acyclic graph
-    graph = program.graph
-    writers: dict[str, set[str]] = {}
-    for action in program.actions:
-        if action.return_to is not None:
-            writers.setdefault(action.return_to, set()).add(action.name)
+    if _flow_ambiguous(program):
+        return []
+    readers, writers = program._variable_uses
+    precedes = program.graph.precedes
     findings = []
-    for action in program.actions:
-        for arg in action.args:
-            variable = arg.variable
-            if variable is None or variable not in declared_vars:
-                continue
-            if declared_vars[variable].init is not None:
-                continue
-            candidates = writers.get(variable, set()) - {action.name}
-            if all(graph.precedes(action.name, writer) for writer in candidates):
+    for variable, read_by in readers.items():
+        decl = declared_vars.get(variable)
+        if decl is None or decl.init is not None:
+            continue
+        written_by = writers.get(variable, ())
+        for reader in read_by:
+            if all(writer == reader or precedes(reader, writer) for writer in written_by):
                 findings.append(
-                    Finding(
-                        Severity.WARNING,
+                    _finding(
                         Code.UNINSTANTIATED_VARIABLE,
-                        (action.name, variable),
-                        f"action {action.name!r} reads {variable!r}, which has no"
+                        (reader, variable),
+                        f"action {reader!r} reads {variable!r}, which has no"
                         " initializer and no writer that can run first",
                     )
                 )
@@ -342,20 +325,15 @@ def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
 
 
 def _lint_unused_variables(program: Program) -> list[Finding]:
-    used: set[str] = set()
-    for action in program.actions:
-        used.update(arg.variable for arg in action.args if arg.variable is not None)
-        if action.return_to is not None:
-            used.add(action.return_to)
+    readers, writers = program._variable_uses
     return [
-        Finding(
-            Severity.WARNING,
+        _finding(
             Code.UNUSED_VARIABLE,
             (variable.name,),
             f"variable {variable.name!r} is never read or written by any action",
         )
         for variable in program.variables
-        if variable.name not in used
+        if variable.name not in readers and variable.name not in writers
     ]
 
 
@@ -367,15 +345,9 @@ def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     cannot race.  Actions are grouped by variable, so only pairs with a
     conflict are tested for parallelism.
     """
-    if program.graph.duplicate_names or _cycle_finding(program) is not None:
+    if _flow_ambiguous(program):
         return []
-    readers: dict[str, list[str]] = {}
-    writers: dict[str, list[str]] = {}
-    for action in program.actions:
-        for variable in {a.variable for a in action.args if a.variable is not None}:
-            readers.setdefault(variable, []).append(action.name)
-        if action.return_to is not None:
-            writers.setdefault(action.return_to, []).append(action.name)
+    readers, writers = program._variable_uses
     conflicts: dict[tuple[str, str], set[str]] = {}
     for variable, written_by in writers.items():
         touching = written_by + readers.get(variable, [])
@@ -390,8 +362,7 @@ def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             continue
         for variable in sorted(variables):
             findings.append(
-                Finding(
-                    Severity.WARNING,
+                _finding(
                     Code.VARIABLE_RACE,
                     (first, second, variable),
                     f"{first!r} and {second!r} may run simultaneously and both"

@@ -7,6 +7,7 @@ implementations are checked against independent math, not themselves.
 
 import dataclasses
 import heapq
+import itertools
 import random
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from seqc.model import (
     VariableDecl,
 )
 from seqc.simulator import DurationMap, EventKind, ExecutionTrace, TraceEvent
-from seqc.validator import Code, validate
+from seqc.validator import Code, Finding, Severity, ValidationReport, _literal_matches, validate
 from seqc.xmlio import parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -406,6 +407,33 @@ def random_flow_setup(rng: random.Random, **kwargs) -> tuple[RobotClassDsl, Prog
     return with_graph_defects(rng, dsl, program)
 
 
+
+def renamed(rng: random.Random, program: Program) -> tuple[Program, dict[str, str]]:
+    """The program with every action, resource and variable name, dangling
+    predecessors and undeclared variable references included, replaced
+    consistently by a fresh random name; also returns the renaming.  The
+    new names sort in a different order, and none is a parameter name or
+    "return"."""
+    mapping: dict[str, str] = {}
+
+    def new(name: str) -> str:
+        if name not in mapping:
+            mapping[name] = "".join(rng.choice("ABCDEFGHIJ") for _ in range(3)) + str(len(mapping))
+        return mapping[name]
+
+    resources = tuple(ResourceInstance(new(r.name), r.component_type) for r in program.resources)
+    variables = tuple(VariableDecl(new(v.name), v.type_name, v.init) for v in program.variables)
+    actions = tuple(
+        ActionInstance(
+            new(action.name), action.action_type, new(action.resource),
+            tuple(dataclasses.replace(arg, variable=new(arg.variable))
+                  if arg.variable is not None else arg for arg in action.args),
+            None if action.return_to is None else new(action.return_to),
+            tuple(ConstraintEdge(new(edge.predecessor)) for edge in action.constraints))
+        for action in program.actions
+    )
+    return Program(program.name, program.robot_class, resources, variables, actions), mapping
+
 def reverse_chain_cycle(n: int) -> tuple[RobotClassDsl, Program]:
     """n actions a0000.. on one resource, each preceded by the next one and
     the last by the first: a depth-first search from the smallest name
@@ -691,3 +719,161 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
     total = max((finish for _, finish in schedule.values()), default=0)
     events.sort(key=lambda e: (e.time, e.kind is EventKind.START, e.action))
     return ExecutionTrace(tuple(events), total, schedule)
+
+
+# The validator's checks as they were before severities came from the code
+# table and the data-flow lints shared one variable-use index, kept as an
+# oracle: every finding names its severity, and each lint walks the
+# arguments and return bindings itself.  The mutex and race checks test
+# all pairs instead of grouping candidates by type or by variable.
+
+def validate_oracle(program: Program, dsl: RobotClassDsl) -> ValidationReport:
+    findings = _unique_names_oracle(program)
+    findings += _bindings_oracle(program, dsl)
+    findings += _unused_variables_oracle(program)
+    findings += _mutex_oracle(program, dsl)
+    findings += _races_oracle(program)
+    return ValidationReport(tuple(findings))
+
+
+def _cycle_finding_oracle(program: Program) -> Finding | None:
+    try:
+        model.topological_order(program)
+        return None
+    except CyclicGraphError as exc:
+        return Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+                       "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]))
+
+
+def _unique_names_oracle(program: Program) -> list[Finding]:
+    findings = []
+    for kind, names in (("action", [a.name for a in program.actions]),
+                        ("resource", [r.name for r in program.resources]),
+                        ("variable", [v.name for v in program.variables])):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                findings.append(Finding(Severity.ERROR, Code.DUPLICATE_NAME, (name,),
+                                        f"{kind} name {name!r} is declared more than once"))
+            seen.add(name)
+    return findings
+
+
+def _mutex_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+    if program.graph.duplicate_names:
+        return []
+    cyclic = _cycle_finding_oracle(program)
+    if cyclic:
+        return [cyclic]
+    type_of = {action.name: action.action_type for action in program.actions}
+    findings = []
+    for a, b in itertools.combinations(sorted(type_of), 2):
+        if dsl.is_mutex(type_of[a], type_of[b]) and model.potentially_parallel(program, a, b):
+            findings.append(Finding(
+                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
+                f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
+                " simultaneously but their action types are mutually exclusive"))
+    return findings
+
+
+def _unknown_variable_oracle(action_name: str, variable: str) -> Finding:
+    return Finding(Severity.ERROR, Code.UNKNOWN_VARIABLE, (action_name, variable),
+                   f"action {action_name!r} references undeclared variable {variable!r}")
+
+
+def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+    findings = []
+    declared_vars = {v.name: v for v in program.variables}
+    action_types = dsl.action_types()
+    for action in program.actions:
+        atype = action_types.get(action.action_type)
+        if atype is None:
+            continue
+        bound = {arg.param: arg for arg in action.args}
+        for param in atype.parameters:
+            arg = bound.get(param.name)
+            if arg is None:
+                findings.append(Finding(
+                    Severity.ERROR, Code.UNBOUND_PARAMETER, (action.name, param.name),
+                    f"action {action.name!r} leaves parameter {param.name!r} unset"))
+            elif arg.variable is not None:
+                decl = declared_vars.get(arg.variable)
+                if decl is None:
+                    findings.append(_unknown_variable_oracle(action.name, arg.variable))
+                elif decl.type_name != param.type_name:
+                    findings.append(Finding(
+                        Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
+                        f"parameter {param.name!r} expects {param.type_name},"
+                        f" variable {arg.variable!r} is {decl.type_name}"))
+            elif not _literal_matches(arg.value, param.type_name, dsl):
+                findings.append(Finding(
+                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
+                    f"literal value for parameter {param.name!r} does not"
+                    f" type-check as {param.type_name}"))
+        if action.return_to is not None:
+            decl = declared_vars.get(action.return_to)
+            if atype.return_type is None:
+                findings.append(Finding(
+                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
+                    f"action type {atype.identifier!r} returns no value but"
+                    f" {action.name!r} binds a return variable"))
+            elif decl is None:
+                findings.append(_unknown_variable_oracle(action.name, action.return_to))
+            elif decl.type_name != atype.return_type:
+                findings.append(Finding(
+                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
+                    f"return value is {atype.return_type}, variable"
+                    f" {action.return_to!r} is {decl.type_name}"))
+    if program.graph.duplicate_names or _cycle_finding_oracle(program) is not None:
+        return findings
+    writers: dict[str, set[str]] = {}
+    for action in program.actions:
+        if action.return_to is not None:
+            writers.setdefault(action.return_to, set()).add(action.name)
+    for action in program.actions:
+        for arg in action.args:
+            decl = declared_vars.get(arg.variable)
+            if decl is None or decl.init is not None:
+                continue
+            candidates = writers.get(arg.variable, set()) - {action.name}
+            if all(program.graph.precedes(action.name, writer) for writer in candidates):
+                findings.append(Finding(
+                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (action.name, arg.variable),
+                    f"action {action.name!r} reads {arg.variable!r}, which has no"
+                    " initializer and no writer that can run first"))
+    return findings
+
+
+def _unused_variables_oracle(program: Program) -> list[Finding]:
+    used: set[str] = set()
+    for action in program.actions:
+        used.update(arg.variable for arg in action.args if arg.variable is not None)
+        if action.return_to is not None:
+            used.add(action.return_to)
+    return [Finding(Severity.WARNING, Code.UNUSED_VARIABLE, (variable.name,),
+                    f"variable {variable.name!r} is never read or written by any action")
+            for variable in program.variables if variable.name not in used]
+
+
+def _races_oracle(program: Program) -> list[Finding]:
+    if program.graph.duplicate_names or _cycle_finding_oracle(program) is not None:
+        return []
+    readers: dict[str, set[str]] = {}
+    writers: dict[str, set[str]] = {}
+    for action in program.actions:
+        for arg in action.args:
+            if arg.variable is not None:
+                readers.setdefault(arg.variable, set()).add(action.name)
+        if action.return_to is not None:
+            writers.setdefault(action.return_to, set()).add(action.name)
+    findings = []
+    for variable, written_by in writers.items():
+        for writer in written_by:
+            for other in written_by | readers.get(variable, set()):
+                first, second = sorted((writer, other))
+                if writer != other and model.potentially_parallel(program, first, second):
+                    findings.append(Finding(
+                        Severity.WARNING, Code.VARIABLE_RACE, (first, second, variable),
+                        f"{first!r} and {second!r} may run simultaneously and both"
+                        f" touch variable {variable!r}"))
+    return findings

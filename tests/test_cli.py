@@ -393,6 +393,24 @@ def test_deep_cycle_is_a_one_line_error(capsys, tmp_path):
     assert err.startswith(f"seqc: error: {program_file}: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "generate", "graph"])
+def test_robot_class_mismatch_is_a_one_line_error(capsys, tmp_path, command):
+    foreign = tmp_path / "foreign.xml"
+    foreign.write_text(fixture_text("nxt/obstacle_avoid.xml").replace(
+        'robotClass="LegoNxt"', 'robotClass="SomethingElse"'), encoding="utf-8")
+    extra = ["--templates", NXT_GENERATOR, "--out", str(tmp_path / "out")] \
+        if command == "generate" else []
+    code, out, err = run(capsys, command, "--dsl", NXT_DSL, str(foreign), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"seqc: error: {foreign}: ") and err.count("\n") == 1
+    assert "'SomethingElse'" in err and "'LegoNxt'" in err
+    assert not (tmp_path / "out").exists()
+    if command == "graph":  # without --dsl nothing is resolved
+        code, out, _ = run(capsys, "graph", str(foreign))
+        assert code == 0 and out.startswith("digraph ObstacleAvoid {")
+
 def _assert_nested_too_deeply(code, out, err):
     assert code == 2
     assert out == ""

@@ -19,6 +19,7 @@ from seqc.model import (
     ConstraintOperator,
     Program,
     ResourceInstance,
+    VariableDecl,
 )
 from seqc.validator import Code, validate
 from support import (
@@ -340,3 +341,20 @@ def test_deep_cycle_is_reported_without_recursion():
     report = validate(program, dsl)
     assert [f.code for f in report.findings] == [Code.CYCLIC_GRAPH]
     assert report.findings[0].subjects == names
+
+
+def test_variable_lookup_returns_the_first_declaration():
+    first, second = VariableDecl("v", "Int", 1), VariableDecl("v", "Int", 2)
+    program = Program("P", "B", variables=(first, VariableDecl("w", "Bool"), second))
+    assert program.variable("v") is first
+    assert program.variable("w") == VariableDecl("w", "Bool")
+    assert program.variable("nope") is None
+
+
+def test_variable_index_is_ignored_by_equality():
+    program = Program("P", "B", variables=(VariableDecl("v", "Int"),))
+    fresh = Program("P", "B", variables=(VariableDecl("v", "Int"),))
+    text = repr(program)
+    assert program.variable("v") is program.variables[0]
+    assert program == fresh and hash(program) == hash(fresh)
+    assert repr(program) == text

@@ -551,3 +551,23 @@ def test_graph_payload_matches_the_old_cli_payload():
     for _ in range(200):
         _, program = support.random_flow_setup(rng, max_actions=8)
         assert graph_payload(program) == _graph_payload_oracle(program)
+
+
+def test_robot_class_must_match_the_dsl():
+    text = fixture_text("demo/five_stage.xml").replace('robotClass="DemoRig"',
+                                                       'robotClass="SomethingElse"')
+    dsl = load_dsl(fixture_text("demo/dsl.xml"))
+    with pytest.raises(UnresolvedReferenceError, match="'SomethingElse'.*'DemoRig'"):
+        load_program(text, dsl)
+    # Without a DSL there is nothing to match against.
+    assert parse_program(text).robot_class == "SomethingElse"
+
+
+def test_robot_class_is_the_first_resolution_error():
+    # Checked after the structural walk and before any resource resolves.
+    doc = ('<Program name="P" robotClass="Other">'
+           '<Resources><Resource name="r" type="Nope"/></Resources></Program>')
+    with pytest.raises(UnresolvedReferenceError, match="robot class 'Other'"):
+        load_program(doc, TYPED_DSL)
+    with pytest.raises(XmlSyntaxError):
+        load_program(doc.replace("</Program>", "<Bogus/></Program>"), TYPED_DSL)

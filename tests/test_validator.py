@@ -5,10 +5,13 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import support
 from seqc import jsonout, model
 from seqc.dsl import load_dsl
 from seqc.errors import CyclicGraphError
@@ -30,9 +33,11 @@ from support import (
     make_program,
     may_overlap,
     random_flow_setup,
+    random_literal_setup,
     random_setup,
     topological_order_oracle,
     with_data_flow,
+    with_edge,
 )
 
 LINT_DSL = load_dsl(
@@ -604,3 +609,122 @@ def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
         assert finding.message == ("actions form a precedence cycle: "
                                    + " -> ".join(witness + witness[:1]))
     assert closures > 100 and cyclic > 20
+
+
+# --- the severity rule and the single-rule validator against its oracle ------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+VALIDATE_FIXTURES = [
+    ("demo/dsl.xml", "demo/five_stage.xml"),
+    ("demo/dsl.xml", "demo/five_stage_shared.xml"),
+    ("vacuum/dsl.xml", "vacuum/clean_parallel.xml"),
+    ("vacuum/dsl.xml", "vacuum/clean_ordered.xml"),
+    ("service_robot/dsl.xml", "service_robot/grasp_demo.xml"),
+    ("nxt/dsl.xml", "nxt/obstacle_avoid.xml"),
+]
+
+
+def readme_code_rows() -> list[tuple[str, str]]:
+    """README's finding-code table as (code, severity) rows."""
+    return re.findall(r"^\| (\w+) \| (error|warning) \|", README.read_text(encoding="utf-8"),
+                      flags=re.M)
+
+
+def differential_corpus():
+    rng = random.Random(808)
+    for _ in range(300):
+        yield random_flow_setup(rng, max_actions=10)
+    for _ in range(200):
+        yield random_literal_setup(rng)
+    for dsl_name, program_name in VALIDATE_FIXTURES:
+        dsl = load_dsl(fixture_text(dsl_name))
+        yield dsl, load_program(fixture_text(program_name), dsl)
+
+
+def test_readme_table_lists_every_code_once():
+    assert sorted(code for code, _ in readme_code_rows()) == sorted(c.value for c in Code)
+
+
+def test_validate_matches_the_oracle_and_the_severity_table():
+    table = dict(readme_code_rows())
+    seen = set()
+    for dsl, program in differential_corpus():
+        report = validate(program, dsl)
+        expected = support.validate_oracle(program, dsl)
+        assert report.render_text() == expected.render_text()
+        assert report.to_json() == expected.to_json()
+        for finding in report.findings:
+            assert finding.severity.value == table[finding.code.value], finding
+            seen.add(finding.code)
+    assert seen == set(Code)
+
+
+# --- metamorphic properties ------------------------------------------------------
+
+def _finding_multiset(findings, mapping=None, skip=()):
+    mapping = mapping or {}
+    return Counter(
+        (f.code, f.severity, frozenset(mapping.get(s, s) for s in f.subjects))
+        for f in findings if f.code not in skip
+    )
+
+
+def test_findings_are_invariant_under_consistent_renaming():
+    rng = random.Random(404)
+    cyclic = 0
+    for _ in range(250):
+        dsl, program = random_flow_setup(rng, max_actions=10)
+        renamed_program, mapping = support.renamed(rng, program)
+        before, after = validate(program, dsl), validate(renamed_program, dsl)
+        # Which cycle is reported depends on name order; that one exists does not.
+        skip = {Code.CYCLIC_GRAPH} if cycle_oracle(program) is not None else set()
+        cyclic += bool(skip)
+        assert _finding_multiset(after.findings, skip=skip) == _finding_multiset(
+            before.findings, mapping, skip), (program, mapping)
+        if skip and not program.graph.duplicate_names:
+            assert Code.CYCLIC_GRAPH in codes(after)
+    assert cyclic > 20
+
+
+def test_an_implied_edge_changes_no_finding():
+    rng = random.Random(505)
+    cases = 0
+    while cases < 200:
+        dsl, program = random_flow_setup(rng, max_actions=10)
+        if program.graph.duplicate_names or cycle_oracle(program) is not None:
+            continue
+        implied = [
+            (ancestor, action.name)
+            for action in program.actions
+            for ancestor in sorted(ancestors_oracle(program, action.name))
+            if ancestor not in action.predecessors
+        ]
+        if not implied:
+            continue
+        predecessor, successor = rng.choice(implied)
+        extended = with_edge(program, predecessor, successor)
+        assert validate(extended, dsl).render_text() == validate(program, dsl).render_text()
+        cases += 1
+
+
+def test_a_parameter_named_return_reports_before_the_return_binding():
+    # Both findings are TypeMismatch (action, "return"); ties keep check order.
+    dsl = load_dsl(
+        '<RobotClassDSL name="B"><ResourceComponent type="M">'
+        '<Action actionIdentifier="Go">'
+        '<ParameterList><Parameter name="return" type="Int"/></ParameterList></Action>'
+        '<Action actionIdentifier="Get" returnType="Bool">'
+        '<ParameterList><Parameter name="return" type="Int"/></ParameterList></Action>'
+        "</ResourceComponent></RobotClassDSL>")
+    program = Program("P", "B", (ResourceInstance("m", "M"),), (VariableDecl("s", "String"),), (
+        ActionInstance("a", "Go", "m", (ArgBinding("return", variable="s"),), "s"),
+        ActionInstance("b", "Get", "m", (ArgBinding("return", value="x"),), "s")))
+    assert validate(program, dsl).render_text().splitlines()[:4] == [
+        "error TypeMismatch (a, return): parameter 'return' expects Int, variable 's' is String",
+        "error TypeMismatch (a, return): action type 'Go' returns no value but 'a' binds a"
+        " return variable",
+        "error TypeMismatch (b, return): literal value for parameter 'return' does not"
+        " type-check as Int",
+        "error TypeMismatch (b, return): return value is Bool, variable 's' is String",
+    ]
