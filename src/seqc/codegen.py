@@ -267,11 +267,11 @@ def write_outputs(result: GenerationResult, out_dir: str | Path, *,
     runs for all outputs before anything is written, so a clash never
     leaves a half-written set behind.
     """
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir).resolve()
     planned: list[tuple[Path, str]] = []
     for file_name, text in result.files.items():
         path = (out_dir / file_name).resolve()
-        if out_dir.resolve() not in path.parents and path != out_dir.resolve():
+        if out_dir not in path.parents:
             raise SeqcError(f"output file {file_name!r} escapes the output directory")
         planned.append((path, text))
     if not force:

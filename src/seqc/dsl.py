@@ -27,7 +27,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import _first_cycle
-from .xmlio import attr_escape, parse_root, require_attr
+from .xmlio import _children, _write_element, parse_root, require_attr
 
 PRIMITIVE_TYPES = ("Int", "Float", "Bool", "String")
 
@@ -169,13 +169,6 @@ def load_dsl(text: str) -> RobotClassDsl:
     return dsl
 
 
-def _children(elem, expected_tag):
-    for child in elem:
-        if child.tag != expected_tag:
-            raise_unexpected(child)
-        yield child
-
-
 def raise_unexpected(elem):
     raise XmlSyntaxError(f"unexpected element <{elem.tag}>")
 
@@ -295,44 +288,29 @@ def save_dsl(dsl: RobotClassDsl) -> str:
     Writes sections in stored order with mutex partners sorted, so
     loading the result yields a DSL equal to the input.
     """
-    lines = [f'<RobotClassDSL name={attr_escape(dsl.name)}>']
-    if dsl.variable_types:
-        lines.append("  <VariableTypes>")
-        for vtype in dsl.variable_types:
-            lines.append(f"    <VariableType name={attr_escape(vtype.name)}>")
-            for field_name, field_type in vtype.fields or ():
-                lines.append(
-                    f"      <Field name={attr_escape(field_name)} type={attr_escape(field_type)}/>"
-                )
-            lines.append("    </VariableType>")
-        lines.append("  </VariableTypes>")
-    for component in dsl.components:
-        lines.append(f"  <ResourceComponent type={attr_escape(component.type_name)}>")
-        for action in component.actions:
-            returns = (
-                f" returnType={attr_escape(action.return_type)}" if action.return_type else ""
-            )
-            head = f"    <Action{returns} actionIdentifier={attr_escape(action.identifier)}"
-            if not action.parameters and not action.mutex_types:
-                lines.append(head + "/>")
-                continue
-            lines.append(head + ">")
-            if action.parameters:
-                lines.append("      <ParameterList>")
-                for param in action.parameters:
-                    lines.append(
-                        f"        <Parameter type={attr_escape(param.type_name)}"
-                        f" name={attr_escape(param.name)}/>"
-                    )
-                lines.append("      </ParameterList>")
-            if action.mutex_types:
-                lines.append("      <NotAllowedSimultaneousActionTypes>")
-                for partner in sorted(action.mutex_types):
-                    lines.append(
-                        f"        <NotAllowedSimultaneousAction type={attr_escape(partner)}/>"
-                    )
-                lines.append("      </NotAllowedSimultaneousActionTypes>")
-            lines.append("    </Action>")
-        lines.append("  </ResourceComponent>")
-    lines.append("</RobotClassDSL>")
+    types = [("VariableType", [("name", vtype.name)],
+              [("Field", [("name", field_name), ("type", field_type)], ())
+               for field_name, field_type in vtype.fields or ()])
+             for vtype in dsl.variable_types]
+    sections = [("VariableTypes", (), types)] if types else []
+    sections += [("ResourceComponent", [("type", component.type_name)],
+                  [_action_element(action) for action in component.actions])
+                 for component in dsl.components]
+    lines: list[str] = []
+    _write_element(lines, "", "RobotClassDSL", [("name", dsl.name)], sections)
     return "\n".join(lines) + "\n"
+
+
+def _action_element(action: ActionTypeDef):
+    """The <Action> element of one action type, as a `_write_element` child."""
+    attrs = [("returnType", action.return_type)] if action.return_type else []
+    lists = []
+    if action.parameters:
+        lists.append(("ParameterList", (), [
+            ("Parameter", [("type", param.type_name), ("name", param.name)], ())
+            for param in action.parameters]))
+    if action.mutex_types:
+        lists.append(("NotAllowedSimultaneousActionTypes", (), [
+            ("NotAllowedSimultaneousAction", [("type", partner)], ())
+            for partner in sorted(action.mutex_types)]))
+    return "Action", [*attrs, ("actionIdentifier", action.identifier)], lists

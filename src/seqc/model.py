@@ -399,8 +399,7 @@ def topological_order(program: Program) -> list[str]:
     """A precedence-compatible total order, ties broken by action name."""
     graph = program.graph
     if len(graph.order) != len(graph.preds):
-        leftover = tuple(sorted(set(graph.preds) - set(graph.order)))
-        raise CyclicGraphError(graph.cycle or leftover)
+        raise CyclicGraphError(graph.cycle)
     return list(graph.order)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import ActionInstance, ArgBinding, ConstraintEdge, Program, ResourceInstance, VariableDecl
-from .xmlio import attr_escape, parse_root, require_attr
+from .xmlio import _children, _write_element, parse_root, require_attr
 
 
 def load_program(text: str, dsl: RobotClassDsl) -> Program:
@@ -108,7 +108,7 @@ def _read_document(text: str):
         if section.tag not in _SECTIONS:
             raise XmlSyntaxError(f"unexpected element <{section.tag}>")
         entry_tag, required = _SECTIONS[section.tag]
-        entries = _expect(section, entry_tag)
+        entries = _children(section, entry_tag)
         elems[section.tag].extend(entries)
         attrs[section.tag].extend(_required(entries, required))
     return name, robot_class, elems, attrs
@@ -132,15 +132,6 @@ def _required(elems: list, names: tuple[str, ...]) -> list[tuple[str, ...]]:
         return [values(elem.attrib) for elem in elems]
     except KeyError:  # report the first one missing
         return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
-
-
-def _expect(section, tag) -> list:
-    """The children of `section`, which must all be <tag> elements."""
-    children = section.findall(tag)  # a plain tag is matched in C
-    if len(children) != len(section):
-        stray = next(child for child in section if child.tag != tag)
-        raise XmlSyntaxError(f"unexpected element <{stray.tag}> inside <{section.tag}>")
-    return children
 
 
 def _reject_duplicates(names, kind):
@@ -247,7 +238,7 @@ def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> di
         raise XmlSyntaxError(f"{where}: type {type_name!r} does not take <Field> values")
     declared = dict(vtype.fields or ())
     value: dict[str, object] = {}
-    for field in _expect(elem, "Field"):
+    for field in _children(elem, "Field"):
         field_name = require_attr(field, "name")
         if field_name not in declared:
             raise XmlSyntaxError(f"{where}: type {type_name!r} has no field {field_name!r}")
@@ -270,73 +261,44 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _write_literal(lines, head: str, tag: str, attr: str, value, indent: str) -> None:
-    """Close the element opened by `head` (at `indent`): a scalar goes in
-    attribute `attr`, a composite into nested <Field> elements."""
-    if not isinstance(value, dict):
-        lines.append(f"{head} {attr}={attr_escape(_scalar_text(value))}/>")
-        return
-    lines.append(head + ">")
-    inner = indent + "  "
-    for field_name, field_value in value.items():
-        _write_literal(lines, f"{inner}<Field name={attr_escape(field_name)}", "Field",
-                       "value", field_value, inner)
-    lines.append(f"{indent}</{tag}>")
+def _literal_element(tag: str, attrs: list, attr: str, value):
+    """<tag> carrying a literal: a scalar in attribute `attr`, a composite
+    as nested <Field> elements."""
+    if isinstance(value, dict):
+        return tag, attrs, [_literal_element("Field", [("name", field_name)], "value", field_value)
+                            for field_name, field_value in value.items()]
+    return tag, [*attrs, (attr, _scalar_text(value))], ()
 
 
 def save_program(program: Program) -> str:
     """Serialize a program to its canonical XML document."""
-    resources = [
-        f"    <Resource name={attr_escape(resource.name)}"
-        f" type={attr_escape(resource.component_type)}/>"
-        for resource in program.resources
-    ]
-    variables: list[str] = []
+    variables = []
     for variable in program.variables:
-        head = (
-            f"    <Variable name={attr_escape(variable.name)}"
-            f" type={attr_escape(variable.type_name)}"
-        )
-        if variable.init is None:
-            variables.append(head + "/>")
-        else:
-            _write_literal(variables, head, "Variable", "init", variable.init, "    ")
-    actions: list[str] = []
+        attrs = [("name", variable.name), ("type", variable.type_name)]
+        variables.append(("Variable", attrs, ()) if variable.init is None
+                         else _literal_element("Variable", attrs, "init", variable.init))
+    actions = []
     for action in program.actions:
-        head = (
-            f"    <ActionInstance name={attr_escape(action.name)}"
-            f" type={attr_escape(action.action_type)}"
-            f" resource={attr_escape(action.resource)}"
-        )
-        if not action.args and action.return_to is None:
-            actions.append(head + "/>")
-            continue
-        actions.append(head + ">")
-        for arg in action.args:
-            arg_head = f"      <Arg param={attr_escape(arg.param)}"
-            if arg.variable is not None:
-                actions.append(f"{arg_head} variable={attr_escape(arg.variable)}/>")
-            else:
-                _write_literal(actions, arg_head, "Arg", "value", arg.value, "      ")
+        children = [("Arg", [("param", arg.param), ("variable", arg.variable)], ())
+                    if arg.variable is not None
+                    else _literal_element("Arg", [("param", arg.param)], "value", arg.value)
+                    for arg in action.args]
         if action.return_to is not None:
-            actions.append(f"      <ReturnTo variable={attr_escape(action.return_to)}/>")
-        actions.append("    </ActionInstance>")
-    constraints = [
-        f"    <After action={attr_escape(action_name)} predecessor={attr_escape(predecessor)}/>"
-        for action_name, predecessor in sorted(
-            (action.name, edge.predecessor)
-            for action in program.actions
-            for edge in action.constraints
-        )
+            children.append(("ReturnTo", [("variable", action.return_to)], ()))
+        actions.append(("ActionInstance", [("name", action.name), ("type", action.action_type),
+                                           ("resource", action.resource)], children))
+    edges = sorted((action.name, edge.predecessor)
+                   for action in program.actions for edge in action.constraints)
+    sections = [
+        ("Resources", (), [("Resource", [("name", r.name), ("type", r.component_type)], ())
+                           for r in program.resources]),
+        ("Variables", (), variables),
+        ("Actions", (), actions),
+        ("Constraints", (), [("After", [("action", a), ("predecessor", p)], ()) for a, p in edges]),
     ]
-    lines = [
-        f"<Program name={attr_escape(program.name)}"
-        f" robotClass={attr_escape(program.robot_class)}>"
-    ]
-    for tag, entries in (("Resources", resources), ("Variables", variables),
-                         ("Actions", actions), ("Constraints", constraints)):
-        lines.extend([f"  <{tag}>", *entries, f"  </{tag}>"] if entries else [f"  <{tag}/>"])
-    lines.append("</Program>")
+    lines: list[str] = []
+    _write_element(lines, "", "Program",
+                   [("name", program.name), ("robotClass", program.robot_class)], sections)
     return "\n".join(lines) + "\n"
 
 

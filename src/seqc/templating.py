@@ -46,6 +46,7 @@ from .errors import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_WORD = re.compile(r"[a-z]+")
 _DIRECTIVES = ("foreach", "if", "else", "end", "set", "insert")
 _MAX_INSERT_DEPTH = 32
 
@@ -188,7 +189,7 @@ class _Parser:
         return nxt == "{" or (nxt != "" and (nxt.isalpha() or nxt == "_"))
 
     def _peek_word(self) -> str:
-        match = re.match(r"[a-z]+", self.source[self.pos + 1:])
+        match = _WORD.match(self.source, self.pos + 1)
         return match.group(0) if match else ""
 
     def _consume_directive_name(self, word: str):

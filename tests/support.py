@@ -11,6 +11,7 @@ import itertools
 import random
 from pathlib import Path
 
+from seqc import dsl as dslmod
 from seqc import model
 from seqc import program_io as pio
 from seqc.dsl import (
@@ -40,7 +41,7 @@ from seqc.model import (
 )
 from seqc.simulator import DurationMap, EventKind, ExecutionTrace, TraceEvent
 from seqc.validator import Code, Finding, Severity, ValidationReport, _literal_matches, validate
-from seqc.xmlio import parse_root, require_attr
+from seqc.xmlio import attr_escape, parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -877,3 +878,187 @@ def _races_oracle(program: Program) -> list[Finding]:
                         f"{first!r} and {second!r} may run simultaneously and both"
                         f" touch variable {variable!r}"))
     return findings
+
+
+# The XML writers and the DSL loader as they were before `xmlio` stated the
+# element rules once, kept as oracles: each writer spells out its indents,
+# quoting and closing tags, and the DSL loader checks a list's tags lazily,
+# one child at a time, with a message that does not name the parent.
+
+def _write_literal_oracle(lines, head: str, tag: str, attr: str, value, indent: str) -> None:
+    if not isinstance(value, dict):
+        lines.append(f"{head} {attr}={attr_escape(pio._scalar_text(value))}/>")
+        return
+    lines.append(head + ">")
+    inner = indent + "  "
+    for field_name, field_value in value.items():
+        _write_literal_oracle(lines, f"{inner}<Field name={attr_escape(field_name)}", "Field",
+                              "value", field_value, inner)
+    lines.append(f"{indent}</{tag}>")
+
+
+def save_program_oracle(program: Program) -> str:
+    resources = [
+        f"    <Resource name={attr_escape(resource.name)}"
+        f" type={attr_escape(resource.component_type)}/>"
+        for resource in program.resources
+    ]
+    variables: list[str] = []
+    for variable in program.variables:
+        head = (
+            f"    <Variable name={attr_escape(variable.name)}"
+            f" type={attr_escape(variable.type_name)}"
+        )
+        if variable.init is None:
+            variables.append(head + "/>")
+        else:
+            _write_literal_oracle(variables, head, "Variable", "init", variable.init, "    ")
+    actions: list[str] = []
+    for action in program.actions:
+        head = (
+            f"    <ActionInstance name={attr_escape(action.name)}"
+            f" type={attr_escape(action.action_type)}"
+            f" resource={attr_escape(action.resource)}"
+        )
+        if not action.args and action.return_to is None:
+            actions.append(head + "/>")
+            continue
+        actions.append(head + ">")
+        for arg in action.args:
+            arg_head = f"      <Arg param={attr_escape(arg.param)}"
+            if arg.variable is not None:
+                actions.append(f"{arg_head} variable={attr_escape(arg.variable)}/>")
+            else:
+                _write_literal_oracle(actions, arg_head, "Arg", "value", arg.value, "      ")
+        if action.return_to is not None:
+            actions.append(f"      <ReturnTo variable={attr_escape(action.return_to)}/>")
+        actions.append("    </ActionInstance>")
+    constraints = [
+        f"    <After action={attr_escape(action_name)} predecessor={attr_escape(predecessor)}/>"
+        for action_name, predecessor in sorted(
+            (action.name, edge.predecessor)
+            for action in program.actions
+            for edge in action.constraints
+        )
+    ]
+    lines = [
+        f"<Program name={attr_escape(program.name)}"
+        f" robotClass={attr_escape(program.robot_class)}>"
+    ]
+    for tag, entries in (("Resources", resources), ("Variables", variables),
+                         ("Actions", actions), ("Constraints", constraints)):
+        lines.extend([f"  <{tag}>", *entries, f"  </{tag}>"] if entries else [f"  <{tag}/>"])
+    lines.append("</Program>")
+    return "\n".join(lines) + "\n"
+
+
+def save_dsl_oracle(dsl: RobotClassDsl) -> str:
+    lines = [f'<RobotClassDSL name={attr_escape(dsl.name)}>']
+    if dsl.variable_types:
+        lines.append("  <VariableTypes>")
+        for vtype in dsl.variable_types:
+            lines.append(f"    <VariableType name={attr_escape(vtype.name)}>")
+            for field_name, field_type in vtype.fields or ():
+                lines.append(
+                    f"      <Field name={attr_escape(field_name)} type={attr_escape(field_type)}/>"
+                )
+            lines.append("    </VariableType>")
+        lines.append("  </VariableTypes>")
+    for component in dsl.components:
+        lines.append(f"  <ResourceComponent type={attr_escape(component.type_name)}>")
+        for action in component.actions:
+            returns = (
+                f" returnType={attr_escape(action.return_type)}" if action.return_type else ""
+            )
+            head = f"    <Action{returns} actionIdentifier={attr_escape(action.identifier)}"
+            if not action.parameters and not action.mutex_types:
+                lines.append(head + "/>")
+                continue
+            lines.append(head + ">")
+            if action.parameters:
+                lines.append("      <ParameterList>")
+                for param in action.parameters:
+                    lines.append(
+                        f"        <Parameter type={attr_escape(param.type_name)}"
+                        f" name={attr_escape(param.name)}/>"
+                    )
+                lines.append("      </ParameterList>")
+            if action.mutex_types:
+                lines.append("      <NotAllowedSimultaneousActionTypes>")
+                for partner in sorted(action.mutex_types):
+                    lines.append(
+                        f"        <NotAllowedSimultaneousAction type={attr_escape(partner)}/>"
+                    )
+                lines.append("      </NotAllowedSimultaneousActionTypes>")
+            lines.append("    </Action>")
+        lines.append("  </ResourceComponent>")
+    lines.append("</RobotClassDSL>")
+    return "\n".join(lines) + "\n"
+
+
+def _children_lazily(elem, expected_tag):
+    for child in elem:
+        if child.tag != expected_tag:
+            raise XmlSyntaxError(f"unexpected element <{child.tag}>")
+        yield child
+
+
+def load_dsl_oracle(text: str) -> RobotClassDsl:
+    root = parse_root(text, "RobotClassDSL")
+    name = require_attr(root, "name")
+    variable_types: list[VariableTypeDef] = []
+    components: list[ResourceComponentTypeDef] = []
+    seen_type_sections = 0
+    for child in root:
+        if child.tag == "VariableTypes":
+            seen_type_sections += 1
+            if seen_type_sections > 1:
+                raise DuplicateIdentifierError("more than one <VariableTypes> section")
+            variable_types.extend(_variable_type_oracle(elem)
+                                  for elem in _children_lazily(child, "VariableType"))
+        elif child.tag == "ResourceComponent":
+            type_name = require_attr(child, "type")
+            components.append(ResourceComponentTypeDef(type_name, tuple(
+                _action_type_oracle(elem, type_name) for elem in _children_lazily(child, "Action"))))
+        else:
+            raise XmlSyntaxError(f"unexpected element <{child.tag}>")
+    dslmod._check_variable_types(variable_types)
+    dslmod._check_components(components)
+    dsl = RobotClassDsl(name, tuple(variable_types), tuple(components), symmetrize_mutex(
+        (action.identifier, partner)
+        for component in components
+        for action in component.actions
+        for partner in action.mutex_types))
+    dslmod._check_type_references(dsl)
+    return dsl
+
+
+def _variable_type_oracle(elem) -> VariableTypeDef:
+    name = require_attr(elem, "name")
+    fields = tuple((require_attr(f, "name"), require_attr(f, "type"))
+                   for f in _children_lazily(elem, "Field"))
+    return VariableTypeDef(name=name, fields=fields)
+
+
+def _action_type_oracle(elem, owner: str) -> ActionTypeDef:
+    identifier = require_attr(elem, "actionIdentifier")
+    return_type = elem.get("returnType")
+    if return_type == "Void":
+        return_type = None
+    parameters: list[ParameterDef] = []
+    mutex_types: set[str] = set()
+    for child in elem:
+        if child.tag == "ParameterList":
+            for param in _children_lazily(child, "Parameter"):
+                parameters.append(
+                    ParameterDef(require_attr(param, "name"), require_attr(param, "type")))
+        elif child.tag == "NotAllowedSimultaneousActionTypes":
+            for entry in _children_lazily(child, "NotAllowedSimultaneousAction"):
+                mutex_types.add(require_attr(entry, "type"))
+        else:
+            raise XmlSyntaxError(f"unexpected element <{child.tag}>")
+    for dup in dslmod._duplicates([p.name for p in parameters]):
+        raise DuplicateIdentifierError(
+            f"action type {identifier!r} declares parameter {dup!r} twice")
+    return ActionTypeDef(identifier, owner, return_type, tuple(parameters),
+                         frozenset(mutex_types))

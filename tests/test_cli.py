@@ -275,6 +275,29 @@ def test_generate_render_error_and_lenient(capsys, tmp_path):
     assert (out_dir / "out.txt").read_text(encoding="utf-8") == "end\n"
 
 
+def test_generate_refuses_an_output_named_for_the_directory(capsys, tmp_path):
+    (tmp_path / "main.vt").write_text("text\n", encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text(
+        '<Generator><Main file="main.vt" output="a.txt"/>'
+        '<Main file="main.vt" output="."/></Generator>',
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = (
+        "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+        "--templates", str(generator), "--out", str(out_dir),
+    )
+    for extra in ((), ("--force",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert "escapes the output directory" in err
+        assert err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
+
 def test_generate_missing_config(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -1,10 +1,19 @@
 """Generator configuration, render views, and output writing."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from seqc.codegen import (
+    ActionView,
     GenerationResult,
     GeneratorConfig,
+    ParameterView,
+    ProgramView,
+    ResourceComponentView,
+    VariableView,
     action_view,
     generate,
     load_generator_config,
@@ -332,8 +341,33 @@ def test_write_outputs_blocks_directory_escape(tmp_path):
     assert not (tmp_path / "evil.txt").exists()
 
 
+@pytest.mark.parametrize("name", [".", "sub/..", "./"])
+@pytest.mark.parametrize("force", [False, True])
+def test_write_outputs_rejects_the_output_directory_itself(tmp_path, name, force):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = GenerationResult({"a.txt": "A\n", name: "B\n"})
+    with pytest.raises(SeqcError, match="escapes the output directory") as info:
+        write_outputs(result, out, force=force)
+    assert type(info.value) is SeqcError
+    assert list(out.iterdir()) == []
+
+
 def test_written_files_use_lf_newlines(tmp_path):
     write_outputs(GenerationResult({"a.txt": "one\ntwo\n"}), tmp_path)
     raw = (tmp_path / "a.txt").read_bytes()
     assert b"\r" not in raw
     assert raw == b"one\ntwo\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_template_roots_match_the_views():
+    """README's table of template roots against each view's root name and
+    dataclass fields, in order."""
+    section = README.read_text(encoding="utf-8").split("## Template language", 1)[1]
+    rows = re.findall(r"^\| `\$(\w+)` \| ([\w, ]+) \|", section, flags=re.M)
+    views = (ProgramView, ActionView, ParameterView, VariableView, ResourceComponentView)
+    assert rows == [(view._root, ", ".join(f.name for f in dataclasses.fields(view)))
+                    for view in views]

@@ -1,10 +1,14 @@
 """Robot-class DSL parsing, resolution checks, and the canonical writer."""
 
+import copy
 import dataclasses
 import random
+import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
+import support
 from seqc.dsl import (
     PRIMITIVES,
     ActionTypeDef,
@@ -19,6 +23,7 @@ from seqc.dsl import (
 )
 from seqc.errors import (
     DuplicateIdentifierError,
+    SeqcError,
     RecursiveCompositeTypeError,
     UnknownActionTypeError,
     UnknownTypeReferenceError,
@@ -401,3 +406,117 @@ def test_parameters_by_name_keeps_declaration_order():
     assert list(action.parameters_by_name) == ["targetPose", "orientation"]
     assert action.parameters_by_name is action.parameters_by_name
     assert action == dataclasses.replace(action)
+
+
+@pytest.mark.parametrize("name", ["demo/dsl.xml", "vacuum/dsl.xml", "service_robot/dsl.xml",
+                                  "nxt/dsl.xml"])
+def test_fixtures_are_canonical(name):
+    text = fixture_text(name)
+    dsl = load_dsl(text)
+    assert save_dsl(dsl) == text == support.save_dsl_oracle(dsl)
+
+
+# The loader against a copy of the one that checked a list's tags lazily.
+
+DSL_TAGS = ("VariableTypes", "VariableType", "Field", "ResourceComponent", "Action",
+            "ParameterList", "Parameter", "NotAllowedSimultaneousActionTypes",
+            "NotAllowedSimultaneousAction", "Bogus")
+
+
+def _mutate_dsl(rng: random.Random, text: str) -> str:
+    """One to three random defects in a saved DSL: a dropped attribute, a
+    renamed, stray, dropped or duplicated element, a dangling reference."""
+    root = ET.fromstring(text)
+    for _ in range(rng.randint(1, 3)):
+        parent_of = {child: parent for parent in root.iter() for child in parent}
+        elems = list(root.iter())
+        target = rng.choice(elems)
+        kind = rng.choice(["drop_attr", "rename", "stray", "drop", "duplicate", "dangle"])
+        if kind == "drop_attr" and target.attrib:
+            del target.attrib[rng.choice(sorted(target.attrib))]
+        elif kind == "rename" and target is not root:
+            target.tag = rng.choice(DSL_TAGS)
+        elif kind == "stray":
+            target.insert(rng.randint(0, len(target)), ET.Element(rng.choice(DSL_TAGS)))
+        elif kind == "drop" and target is not root:
+            parent_of[target].remove(target)
+        elif kind == "duplicate" and target is not root:
+            parent = parent_of[target]
+            parent.insert(list(parent).index(target), copy.deepcopy(target))
+        elif kind == "dangle" and target.attrib:
+            attr = rng.choice(sorted(target.attrib))
+            target.set(attr, rng.choice(["Nope", "Int", "Void", *(e.get(attr) or "" for e in elems)]))
+    return ET.tostring(root, encoding="unicode")
+
+
+def _load_outcome(load, text):
+    try:
+        return load(text)
+    except SeqcError as exc:
+        return type(exc), str(exc)
+
+
+STRAY_IN_LIST = re.compile(r"unexpected element <[^>]+> inside <[^>]+>\Z")
+
+
+def test_loader_matches_the_old_loader_on_mutated_documents():
+    """Same DSL or the same error, except that a stray element in a list
+    of one tag now names its parent and is reported before anything in
+    that list is read: an earlier sibling's missing attribute, or, in a
+    component's action list, an earlier action's duplicate parameter."""
+    rng = random.Random(4242)
+    bases = [fixture_text(name) for name in
+             ("demo/dsl.xml", "vacuum/dsl.xml", "service_robot/dsl.xml", "nxt/dsl.xml")]
+    loaded = same_error = stray_first = dup_param_first = 0
+    for i in range(1200):
+        if i % 3 == 2:
+            base = rng.choice(bases)
+        else:
+            setup = support.random_literal_setup if i % 3 else support.random_flow_setup
+            base = save_dsl(setup(rng)[0])
+        doc = _mutate_dsl(rng, base)
+        new, old = _load_outcome(load_dsl, doc), _load_outcome(support.load_dsl_oracle, doc)
+        if isinstance(old, RobotClassDsl):
+            assert new == old, doc
+            loaded += 1
+        elif new == old:
+            same_error += 1
+        else:
+            assert new[0] is XmlSyntaxError and STRAY_IN_LIST.match(new[1]), (doc, new, old)
+            if old[0] is XmlSyntaxError:
+                stray_first += 1
+            else:
+                assert old[0] is DuplicateIdentifierError and "declares parameter" in old[1]
+                assert new[1].endswith("inside <ResourceComponent>"), (doc, new, old)
+                dup_param_first += 1
+    assert loaded > 150 and same_error > 500 and stray_first > 100, \
+        (loaded, same_error, stray_first, dup_param_first)
+
+
+def test_stray_action_sibling_is_reported_before_a_duplicate_parameter():
+    doc = dsl_doc('<ResourceComponent type="C"><Action actionIdentifier="A"><ParameterList>'
+                  '<Parameter name="p" type="Int"/><Parameter name="p" type="Int"/>'
+                  '</ParameterList></Action><Bogus/></ResourceComponent>')
+    with pytest.raises(XmlSyntaxError, match=r"^unexpected element <Bogus> inside <ResourceComponent>$"):
+        load_dsl(doc)
+    with pytest.raises(DuplicateIdentifierError):
+        support.load_dsl_oracle(doc)
+
+
+@pytest.mark.parametrize("body,parent", [
+    ('<VariableTypes><VariableType/><Bogus/></VariableTypes>', "VariableTypes"),
+    ('<VariableTypes><VariableType name="V"><Field/><Bogus/></VariableType></VariableTypes>',
+     "VariableType"),
+    ('<ResourceComponent type="C"><Action/><Bogus/></ResourceComponent>', "ResourceComponent"),
+    ('<ResourceComponent type="C"><Action actionIdentifier="A"><ParameterList>'
+     '<Parameter/><Bogus/></ParameterList></Action></ResourceComponent>', "ParameterList"),
+    ('<ResourceComponent type="C"><Action actionIdentifier="A">'
+     '<NotAllowedSimultaneousActionTypes><NotAllowedSimultaneousAction/><Bogus/>'
+     '</NotAllowedSimultaneousActionTypes></Action></ResourceComponent>',
+     "NotAllowedSimultaneousActionTypes"),
+])
+def test_stray_in_a_list_names_its_parent_before_attributes_are_read(body, parent):
+    with pytest.raises(XmlSyntaxError, match=rf"^unexpected element <Bogus> inside <{parent}>$"):
+        load_dsl(dsl_doc(body))
+    with pytest.raises(XmlSyntaxError, match="missing required attribute"):
+        support.load_dsl_oracle(dsl_doc(body))

@@ -339,6 +339,13 @@ def test_save_load_round_trip(dsl_name, program_name):
     assert save_program(again) == text
 
 
+@pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)
+def test_fixtures_are_canonical(dsl_name, program_name):
+    text = fixture_text(program_name)
+    program = load_program(text, load_dsl(fixture_text(dsl_name)))
+    assert save_program(program) == text == support.save_program_oracle(program)
+
+
 def test_save_load_round_trip_on_random_programs():
     # Names, String literals and composite fields full of characters that
     # need escaping; the second save must repeat the first byte for byte.

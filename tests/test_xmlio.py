@@ -1,17 +1,34 @@
-"""Attribute quoting and the import cost of the XML helpers."""
+"""The shared XML rules: attribute quoting, the element writer, the child
+reader, the writers they serve, and the import cost of the helpers."""
 
 import os
 import random
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import pytest
 
-from seqc.xmlio import attr_escape
+import support
+from seqc.dsl import (
+    ActionTypeDef,
+    ParameterDef,
+    ResourceComponentTypeDef,
+    RobotClassDsl,
+    VariableTypeDef,
+    load_dsl,
+    save_dsl,
+)
+from seqc.errors import XmlSyntaxError
+from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
+from seqc.program_io import load_program, save_program
+from seqc.xmlio import _children, _write_element, attr_escape
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Both quote kinds, the escaped characters, whitespace that gets a
 # character reference, other control characters, non-ASCII.
@@ -49,3 +66,107 @@ def test_importing_the_cli_skips_the_network_stack():
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == ""
+
+
+def test_write_element_indents_quotes_and_self_closes():
+    lines = []
+    _write_element(lines, "", "Doc", [("b", "2"), ("a", 'say "hi"')], [
+        ("Empty", (), ()),
+        ("List", [("n", 1)], [("Item", [("v", "<&>")], ())]),
+        ("Bare", (), [("Leaf", (), ())]),
+    ])
+    assert lines == [
+        """<Doc b="2" a='say "hi"'>""",
+        "  <Empty/>",
+        '  <List n="1">',
+        '    <Item v="&lt;&amp;&gt;"/>',
+        "  </List>",
+        "  <Bare>",
+        "    <Leaf/>",
+        "  </Bare>",
+        "</Doc>",
+    ]
+
+
+def test_write_element_appends_at_the_given_indent():
+    lines = ["kept"]
+    _write_element(lines, "    ", "Solo")
+    assert lines == ["kept", "    <Solo/>"]
+
+
+def test_children_returns_every_child_in_order():
+    elem = ET.fromstring('<List><Item n="1"/><Item n="2"/></List>')
+    assert [child.get("n") for child in _children(elem, "Item")] == ["1", "2"]
+    assert _children(ET.fromstring("<List/>"), "Item") == []
+
+
+def test_children_names_the_first_stray_and_its_parent():
+    elem = ET.fromstring('<List><Item/><Other/><Item/><Third/></List>')
+    with pytest.raises(XmlSyntaxError, match=r"^unexpected element <Other> inside <List>$"):
+        _children(elem, "Item")
+
+
+# The saved documents, byte for byte, against copies of the writers that
+# spelled out every element by hand.
+
+def test_writers_match_the_old_writers_on_random_documents():
+    rng = random.Random(909)
+    documents = composites = mutex = 0
+    for setup in (support.random_literal_setup, support.random_flow_setup) * 400:
+        dsl, program = setup(rng)
+        assert save_dsl(dsl) == support.save_dsl_oracle(dsl)
+        text = save_program(program)
+        assert text == support.save_program_oracle(program)
+        documents += 2
+        composites += "<Field " in text
+        mutex += any(action.mutex_types for component in dsl.components
+                     for action in component.actions)
+    assert documents >= 1500 and composites > 200 and mutex > 200
+
+
+def test_readme_dsl_example_is_canonical():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Robot class DSL", 1)[1]
+    example = re.search(r"```xml\n(.*?)```", section, flags=re.S).group(1)
+    assert save_dsl(load_dsl(example)) == example
+
+
+def _collapse_empty(text: str) -> str:
+    """The old writers' empty open/close pairs as self-closing elements."""
+    return re.sub(r"<(\w+)([^<>]*)>\n *</\1>", r"<\1\2/>", text)
+
+
+def test_empty_dsl_parts_self_close_and_load_back():
+    dsl = RobotClassDsl("Bare", (VariableTypeDef("Nothing", ()),), (
+        ResourceComponentTypeDef("Idle"),
+        ResourceComponentTypeDef("Busy", (ActionTypeDef("Go", "Busy"),)),
+    ))
+    text = save_dsl(dsl)
+    assert '<VariableType name="Nothing"/>' in text
+    assert '<ResourceComponent type="Idle"/>' in text
+    assert text == _collapse_empty(support.save_dsl_oracle(dsl))
+    assert load_dsl(text) == dsl
+    assert save_dsl(RobotClassDsl("None")) == '<RobotClassDSL name="None"/>\n'
+    assert load_dsl(save_dsl(RobotClassDsl("None"))) == RobotClassDsl("None")
+
+
+def test_empty_composite_literal_self_closes():
+    dsl = RobotClassDsl("Bare", (VariableTypeDef("Nothing", ()),
+                                 VariableTypeDef("Holder", (("inner", "Nothing"),))), (
+        ResourceComponentTypeDef("Unit", (
+            ActionTypeDef("Use", "Unit", parameters=(ParameterDef("p", "Holder"),)),)),))
+    program = Program("P", "Bare", (ResourceInstance("r", "Unit"),),
+                      (VariableDecl("held", "Holder", {"inner": {}}),
+                       VariableDecl("empty", "Nothing", {})),
+                      (ActionInstance("a", "Use", "r", (ArgBinding("p", value={"inner": {}}),)),))
+    text = save_program(program)
+    assert '<Variable name="empty" type="Nothing"/>' in text
+    assert text.count('<Field name="inner"/>') == 2
+    assert text == _collapse_empty(support.save_program_oracle(program))
+    # A nested empty composite loads back; a top-level one reads as no
+    # initializer, with the old writer's empty pair as with this one.
+    loaded = load_program(text, load_dsl(save_dsl(dsl)))
+    assert loaded.variable("held") == program.variable("held")
+    assert loaded.actions == program.actions
+    assert loaded.variable("empty") == VariableDecl("empty", "Nothing")
+    assert load_program(support.save_program_oracle(program), dsl) == loaded
