@@ -9,14 +9,13 @@ predefined and never declared.
 Loading is strict: every reference must resolve, identifiers must be
 unique in their namespace, and composite types may not contain
 themselves.  Mutual exclusion is declared per action as a directed list
-but means "may never run simultaneously", so the loader symmetrizes the
-declarations into an unordered relation.
+but means "may never run simultaneously", so `RobotClassDsl.mutex_relation`
+symmetrizes the declarations into an unordered relation.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import (
     DuplicateIdentifierError,
@@ -83,7 +82,15 @@ class RobotClassDsl:
     name: str
     variable_types: tuple[VariableTypeDef, ...] = ()
     components: tuple[ResourceComponentTypeDef, ...] = ()
-    mutex_relation: frozenset[frozenset[str]] = frozenset()
+
+    @cached_property
+    def mutex_relation(self) -> frozenset[frozenset[str]]:
+        """Each action's `mutex_types` as unordered pairs; a self-exclusive
+        type is a one-element set.  Not a field, so equality ignores it."""
+        return frozenset(frozenset((action.identifier, partner))
+                         for component in self.components
+                         for action in component.actions
+                         for partner in action.mutex_types)
 
     @cached_property
     def _index(self) -> _DslIndex:
@@ -111,16 +118,6 @@ class RobotClassDsl:
 
     def is_mutex(self, type_a: str, type_b: str) -> bool:
         return frozenset((type_a, type_b)) in self.mutex_relation
-
-
-def symmetrize_mutex(declared: Iterable[tuple[str, str]]) -> frozenset[frozenset[str]]:
-    """Close directed not-simultaneous declarations under symmetry.
-
-    Each unordered pair appears once; a self-pair (x, x) collapses to a
-    single-element set, meaning two instances of that type exclude each
-    other.
-    """
-    return frozenset(frozenset(pair) for pair in declared)
 
 
 def lookup_action(dsl: RobotClassDsl, identifier: str) -> ActionTypeDef:
@@ -154,17 +151,7 @@ def load_dsl(text: str) -> RobotClassDsl:
 
     _check_variable_types(variable_types)
     _check_components(components)
-    dsl = RobotClassDsl(
-        name=name,
-        variable_types=tuple(variable_types),
-        components=tuple(components),
-        mutex_relation=symmetrize_mutex(
-            (action.identifier, partner)
-            for component in components
-            for action in component.actions
-            for partner in action.mutex_types
-        ),
-    )
+    dsl = RobotClassDsl(name, tuple(variable_types), tuple(components))
     _check_type_references(dsl)
     return dsl
 

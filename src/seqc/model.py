@@ -22,6 +22,12 @@ query, the ancestor closure as one int bitset per action (Purdom's
 algorithm).  Two actions on distinct resources are potentially parallel
 when neither bitset holds the other: they are incomparable in the
 precedence order, as in Lamport's happens-before.
+
+The graph exists only for a program whose action names are unique and
+whose predecessors all name actions.  Every query, `Program.action`
+included, raises the first defect it meets: DuplicateIdentifierError,
+then UnresolvedReferenceError, then, for the queries that need an
+order, CyclicGraphError.
 """
 
 import heapq
@@ -32,6 +38,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     CyclicGraphError,
+    DuplicateIdentifierError,
     NonPositiveDurationError,
     SameActionError,
     UnknownActionError,
@@ -137,9 +144,9 @@ class Program:
 
     Construction sorts resources, variables, and actions by name and
     requires every action's resource reference to resolve.  Duplicate
-    names, dangling variable references, and cycles are representable;
-    they are reported by the validator (or rejected by the XML loader),
-    not here, so that diagnostics can cover the whole program at once.
+    names, dangling references, and cycles are representable, so that
+    the validator can report them all at once (the XML loader rejects
+    them); the graph queries raise on them instead.
     """
 
     name: str
@@ -170,11 +177,13 @@ class Program:
         """The precedence-graph index, built on first use.
 
         Not a dataclass field: equality, hashing and repr ignore it.
+        Raises as `ProgramGraph` does, on every access.
         """
         return ProgramGraph(self)
 
     def action(self, name: str) -> ActionInstance:
-        """The first action declared under `name`."""
+        """The action named `name`.  Raises as `graph` does, or
+        UnknownActionError when no action has that name."""
         try:
             return self.graph.actions[name]
         except KeyError:
@@ -238,42 +247,24 @@ def _first_cycle(roots: Iterable[str],
 
 def _find_cycle(preds: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
     """One concrete cycle, rotated to start at its smallest name, or None.
-    The search visits roots and predecessors in name order; dangling
-    names are reported elsewhere."""
-    cycle = _first_cycle(sorted(preds), lambda name: sorted(
-        pred for pred in preds[name] if pred in preds))
+    The search visits roots and predecessors in name order."""
+    cycle = _first_cycle(sorted(preds), lambda name: sorted(preds[name]))
     if cycle is None:
         return None
     pivot = cycle.index(min(cycle))
     return tuple(cycle[pivot:] + cycle[:pivot])
 
 
-def _kahn_order(preds: Mapping[str, frozenset[str]],
-                 succs: Mapping[str, set[str]]) -> list[str]:
-    """Kahn's algorithm with a name-ordered heap; stops short on a cycle."""
-    indegree = {name: sum(1 for p in incoming if p in preds)
-                for name, incoming in preds.items()}
-    ready = sorted(name for name, deg in indegree.items() if deg == 0)
-    order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for succ in succs.get(node, ()):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    return order
-
-
 class ProgramGraph:
     """Read-only index of one program's precedence graph.
 
     Built once per Program (see `Program.graph`); every graph query
-    reads it instead of rescanning the actions.  With duplicate action
-    names, `actions` keeps the first declaration and `preds` the last,
-    matching the lookups the index replaces; `succs` unions all of them.
-    Dangling predecessor names are kept in the edge sets and ignored by
-    the traversals.
+    reads it instead of rescanning the actions.  Construction is one
+    pass over the actions and their edges.  It raises
+    DuplicateIdentifierError for the first action name declared twice,
+    then UnresolvedReferenceError for the first (action, predecessor)
+    pair whose predecessor names no action, so every name in `preds`
+    and `succs` is an action.
 
     The topological order and the cycle witness are computed on first
     use; the ancestor closure, one int bitset per action, only when a
@@ -286,24 +277,39 @@ class ProgramGraph:
         succs: dict[str, set[str]] = {}
         for action in program.actions:
             name = action.name
-            if name not in actions:
-                actions[name] = action
-                succs.setdefault(name, set())
+            if name in actions:  # actions are sorted: the first repeat is the smallest
+                raise DuplicateIdentifierError(f"action {name!r} declared twice")
+            actions[name] = action
+            succs.setdefault(name, set())
             preds[name] = incoming = action.predecessors
             for pred in incoming:
                 if pred in succs:
                     succs[pred].add(name)
                 else:
                     succs[pred] = {name}
+        if len(succs) != len(actions):
+            raise UnresolvedReferenceError("action %r names unknown predecessor %r" % min(
+                (name, pred) for name, incoming in preds.items()
+                for pred in incoming if pred not in actions))
         self.actions = actions
         self.preds = preds
         self.succs = succs
-        self.duplicate_names = len(actions) != len(program.actions)
 
     @cached_property
     def order(self) -> list[str]:
-        """Kahn's order over `succs`; it falls short of `preds` on a cycle."""
-        return _kahn_order(self.preds, self.succs)
+        """Kahn's algorithm with a name-ordered heap; the order falls
+        short of `preds` on a cycle."""
+        indegree = {name: len(incoming) for name, incoming in self.preds.items()}
+        ready = sorted(name for name, deg in indegree.items() if deg == 0)
+        order: list[str] = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for succ in self.succs[node]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        return order
 
     @cached_property
     def cycle(self) -> tuple[str, ...] | None:
@@ -317,24 +323,14 @@ class ProgramGraph:
         Raises CyclicGraphError on a cyclic graph: Kahn's order falls
         short, and only then does the search for a witness run.
         """
-        order = self.order
-        if self.duplicate_names:
-            # The union successor sets may disagree with the last-wins
-            # predecessor sets; order by the latter alone.
-            derived: dict[str, set[str]] = {}
-            for name, incoming in self.preds.items():
-                for pred in incoming:
-                    derived.setdefault(pred, set()).add(name)
-            order = _kahn_order(self.preds, derived)
-        if len(order) < len(self.preds):
+        if len(self.order) < len(self.preds):
             raise CyclicGraphError(self.cycle)
         position = self.position
         closure: dict[str, int] = {}
-        for name in order:
+        for name in self.order:
             bits = 0
             for pred in self.preds[name]:
-                if pred in closure:
-                    bits |= closure[pred] | 1 << position[pred]
+                bits |= closure[pred] | 1 << position[pred]
             closure[name] = bits
         return closure
 
@@ -355,7 +351,7 @@ class ProgramGraph:
 def successors(program: Program, action: str) -> frozenset[str]:
     """All actions that list `action` as a direct predecessor."""
     program.action(action)
-    return frozenset(program.graph.succs.get(action, ()))
+    return frozenset(program.graph.succs[action])
 
 
 def ancestors(program: Program, action: str) -> frozenset[str]:
@@ -423,7 +419,7 @@ def critical_path_length(program: Program, durations: Mapping[str, int] | None =
     for name in topological_order(program):
         duration = _checked_duration(name, durations.get(name, 1))
         action = program.action(name)
-        start = max((finish[p] for p in action.predecessors if p in finish), default=0)
+        start = max((finish[p] for p in action.predecessors), default=0)
         finish[name] = start + duration
         longest = max(longest, finish[name])
     return longest

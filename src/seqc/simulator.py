@@ -21,12 +21,7 @@ from typing import Mapping
 
 from . import jsonout, model
 from .dsl import RobotClassDsl
-from .errors import (
-    DuplicateIdentifierError,
-    InvalidProgramError,
-    UnknownActionError,
-    UnresolvedReferenceError,
-)
+from .errors import InvalidProgramError, UnknownActionError
 from .model import Program
 from .validator import validate
 
@@ -86,22 +81,16 @@ def simulate(
     The program must validate cleanly unless force is set.  Forcing
     additionally serializes mutex-partnered actions at runtime, as if
     each declared pair shared a virtual resource, so that invalid
-    programs remain explorable.  A cyclic graph cannot be scheduled
-    even when forced.
+    programs remain explorable.  Even forced, a program raises as the
+    graph queries do on duplicate names, a dangling predecessor or a cycle.
     """
     durations = durations or DurationMap()
     report = validate(program, dsl)
     if not report.ok and not force:
         raise InvalidProgramError(report)
-    graph = program.graph
-    if graph.duplicate_names:
-        raise DuplicateIdentifierError("cannot simulate a program with duplicate action names")
     model.topological_order(program)
+    graph = program.graph
     preds, actions = graph.preds, graph.actions
-    dangling = min(((name, pred) for name, incoming in preds.items()
-                    for pred in incoming if pred not in preds), default=None)
-    if dangling:
-        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling)
 
     # Kahn's loop with a clock.  Both heaps pop in name order, so events
     # come out in trace order: an instant's finishes, then its starts.

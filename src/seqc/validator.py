@@ -1,9 +1,12 @@
 """Static checks on programs: completeness, types, and parallelism limits.
 
 Checks accumulate findings instead of raising, so one pass reports
-everything: duplicate names, unbound parameters, dangling or mistyped
-variable references, cycles, mutual-exclusion violations, and data-flow
-lints (reads with no possible writer, races between parallel actions).
+everything: duplicate names, unresolved action types, parameters and
+predecessors, unbound parameters, dangling or mistyped variable
+references, cycles, mutual-exclusion violations, and data-flow lints
+(reads with no possible writer, races between parallel actions).  The
+graph checks run only on a program that has a precedence graph: unique
+action names and every predecessor an action.
 
 A program is acceptable ("ok") when no Error-severity finding exists;
 warnings flag suspicious but permitted constructions.
@@ -17,7 +20,7 @@ from operator import attrgetter
 
 from . import model
 from .dsl import RobotClassDsl, _duplicates
-from .errors import CyclicGraphError
+from .errors import CyclicGraphError, DuplicateIdentifierError, UnresolvedReferenceError
 from .model import Program
 
 
@@ -32,6 +35,7 @@ class Code(str, Enum):
     DUPLICATE_NAME = "DuplicateName"
     UNBOUND_PARAMETER = "UnboundParameter"
     UNKNOWN_VARIABLE = "UnknownVariable"
+    UNRESOLVED_REFERENCE = "UnresolvedReference"
     TYPE_MISMATCH = "TypeMismatch"
     UNINSTANTIATED_VARIABLE = "UninstantiatedVariable"
     CYCLIC_GRAPH = "CyclicGraph"
@@ -128,22 +132,21 @@ def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def _cycle_finding(program: Program) -> Finding | None:
+def _graph_gate(program: Program) -> list[Finding] | None:
+    """None when the graph checks may run.  Otherwise what stands in for
+    them: the cycle, or nothing when the precedence graph cannot be built,
+    since the name check and check_bindings report why."""
     try:
         model.topological_order(program)
         return None
+    except (DuplicateIdentifierError, UnresolvedReferenceError):
+        return []
     except CyclicGraphError as exc:
-        members = tuple(sorted(set(exc.cycle)))
-        return _finding(
+        return [_finding(
             Code.CYCLIC_GRAPH,
-            members,
+            tuple(sorted(set(exc.cycle))),
             "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]),
-        )
-
-
-def _flow_ambiguous(program: Program) -> bool:
-    """Flow analysis needs an unambiguous acyclic graph."""
-    return program.graph.duplicate_names or _cycle_finding(program) is not None
+        )]
 
 
 def _check_unique_names(program: Program) -> list[Finding]:
@@ -165,15 +168,11 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
     are mutex partners and nothing prevents simultaneity: no precedence
     path between them and distinct resource instances.  Actions are
     grouped by type, so only instances of mutex-partner types are tested
-    for parallelism.  With duplicate action names the graph is
-    ambiguous, so analysis is skipped; validate reports the duplicates
-    themselves.
+    for parallelism.  A cyclic program yields its cycle instead.
     """
-    if program.graph.duplicate_names:
-        return []
-    cyclic = _cycle_finding(program)
-    if cyclic:
-        return [cyclic]
+    gated = _graph_gate(program)
+    if gated is not None:
+        return gated
     type_of = {action.name: action.action_type for action in program.actions}
     by_type: dict[str, list[str]] = {}
     for name, action_type in type_of.items():
@@ -224,7 +223,9 @@ def _literal_matches(value, type_name: str, dsl: RobotClassDsl) -> bool:
 
 
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    """Completeness and typing of argument and return bindings.
+    """Completeness and typing of argument and return bindings, and the
+    references the precedence graph and the loader resolve: each
+    action's type, bound parameters, and predecessors.
 
     Also warns (UninstantiatedVariable) when an action reads a variable
     that has no initializer and no writer that could run before it: every
@@ -236,10 +237,24 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     findings = []
     declared_vars = {v.name: v for v in program.variables}
     action_types = dsl.action_types()
+    names = {action.name for action in program.actions}
     for action in program.actions:
+        for edge in action.constraints:
+            if edge.predecessor not in names:
+                findings.append(_finding(
+                    Code.UNRESOLVED_REFERENCE, (action.name, edge.predecessor),
+                    f"action {action.name!r} names unknown predecessor {edge.predecessor!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
-            continue  # unloadable type; only reachable on hand-built programs
+            findings.append(_finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
+                f"action {action.name!r} has unknown type {action.action_type!r}"))
+            continue
+        for arg in action.args:
+            if arg.param not in atype.parameters_by_name:
+                findings.append(_finding(
+                    Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
+                    f"action {action.name!r} binds unknown parameter {arg.param!r}"))
         bound = {arg.param: arg for arg in action.args}
         # (variable, binding slot, expected type, what the slot expects)
         references = []
@@ -301,7 +316,7 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
 
 
 def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
-    if _flow_ambiguous(program):
+    if _graph_gate(program) is not None:
         return []
     readers, writers = program._variable_uses
     precedes = program.graph.precedes
@@ -345,7 +360,7 @@ def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     cannot race.  Actions are grouped by variable, so only pairs with a
     conflict are tested for parallelism.
     """
-    if _flow_ambiguous(program):
+    if _graph_gate(program) is not None:
         return []
     readers, writers = program._variable_uses
     conflicts: dict[tuple[str, str], set[str]] = {}

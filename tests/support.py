@@ -21,7 +21,6 @@ from seqc.dsl import (
     ResourceComponentTypeDef,
     RobotClassDsl,
     VariableTypeDef,
-    symmetrize_mutex,
 )
 from seqc.errors import (
     CyclicGraphError,
@@ -58,8 +57,7 @@ def make_dsl(components: dict[str, list[str]], mutex=()) -> RobotClassDsl:
     """Build a DSL of parameterless void actions.
 
     components maps component type -> action identifiers; mutex is an
-    iterable of identifier pairs (declared one-sided, symmetrized as
-    usual).
+    iterable of identifier pairs, each declared on its first action only.
     """
     declared: dict[str, set[str]] = {}
     for a, b in mutex:
@@ -75,7 +73,7 @@ def make_dsl(components: dict[str, list[str]], mutex=()) -> RobotClassDsl:
         )
         for ctype, identifiers in components.items()
     )
-    return RobotClassDsl("TestBot", (), comps, symmetrize_mutex(mutex))
+    return RobotClassDsl("TestBot", (), comps)
 
 
 def make_program(dsl: RobotClassDsl, actions, edges=(), name="Prog",
@@ -151,8 +149,7 @@ def ancestors_oracle(program: Program, target: str) -> set[str]:
 
 def cycle_oracle(program: Program) -> tuple[str, ...] | None:
     """The cycle witness of a recursive depth-first search: roots and
-    predecessors in name order, rotated to start at the smallest name.
-    With duplicate names the last declaration's edges count."""
+    predecessors in name order, rotated to start at the smallest name."""
     preds = {a.name: set(a.predecessors) for a in program.actions}
     color: dict[str, int] = {}
     stack: list[str] = []
@@ -215,9 +212,8 @@ def composite_cycle_oracle(declared) -> str | None:
 
 def topological_order_oracle(program: Program) -> list[str]:
     """Kahn's algorithm with a name-ordered heap, as `topological_order`
-    is specified: in-degrees from the last declaration of each name,
-    successor edges from every declaration; raises CyclicGraphError with
-    `cycle_oracle`'s witness, or the unordered names, when it stalls."""
+    is specified; raises CyclicGraphError with `cycle_oracle`'s witness,
+    or the unordered names, when it stalls."""
     preds = {a.name: set(a.predecessors) for a in program.actions}
     succs: dict[str, set[str]] = {}
     for action in program.actions:
@@ -257,6 +253,33 @@ def critical_path_oracle(program: Program, durations=None) -> int:
     for action in program.actions:
         extend(action.name, 0)
     return best
+
+
+def has_duplicate_names(program: Program) -> bool:
+    """Whether two actions share a name: such a program has no graph."""
+    names = program.action_names()
+    return len(names) != len(set(names))
+
+
+def dangling_predecessor(program: Program) -> tuple[str, str] | None:
+    """The smallest (action, predecessor) pair whose predecessor names no
+    action, or None."""
+    names = set(program.action_names())
+    return min(((action.name, pred) for action in program.actions
+                for pred in action.predecessors if pred not in names), default=None)
+
+
+def graph_defect(program: Program) -> tuple[type, str] | None:
+    """The error type and message a graph query raises before it looks at
+    cycles: duplicate names first, then a dangling predecessor."""
+    if has_duplicate_names(program):
+        names = program.action_names()
+        first = min(name for name in names if names.count(name) > 1)
+        return DuplicateIdentifierError, f"action {first!r} declared twice"
+    dangling = dangling_predecessor(program)
+    if dangling:
+        return UnresolvedReferenceError, "action %r names unknown predecessor %r" % dangling
+    return None
 
 
 def may_overlap(program: Program, first: str, second: str) -> bool:
@@ -376,14 +399,18 @@ def with_graph_defects(rng: random.Random, dsl: RobotClassDsl,
     type, a dangling predecessor, one or two back edges (a cycle when a
     forward path closes one), and a duplicated action name."""
     actions = list(program.actions)
-    mutex = set(dsl.mutex_relation)
     n = len(actions)
     if rng.random() < 0.4:
         i, j = rng.sample(range(n), 2)
         shared = actions[i].action_type
         actions[j] = dataclasses.replace(actions[j], action_type=shared)
         if rng.random() < 0.7:
-            mutex.add(frozenset((shared,)))
+            dsl = dataclasses.replace(dsl, components=tuple(
+                dataclasses.replace(component, actions=tuple(
+                    dataclasses.replace(atype, mutex_types=atype.mutex_types | {shared})
+                    if atype.identifier == shared else atype
+                    for atype in component.actions))
+                for component in dsl.components))
     if rng.random() < 0.2:
         k = rng.randrange(n)
         actions[k] = dataclasses.replace(
@@ -397,8 +424,7 @@ def with_graph_defects(rng: random.Random, dsl: RobotClassDsl,
         k, m = rng.sample(range(n), 2)
         if actions[m].name not in actions[k].predecessors:
             actions[k] = dataclasses.replace(actions[k], name=actions[m].name)
-    return (dataclasses.replace(dsl, mutex_relation=frozenset(mutex)),
-            dataclasses.replace(program, actions=tuple(actions)))
+    return dsl, dataclasses.replace(program, actions=tuple(actions))
 
 
 def random_flow_setup(rng: random.Random, **kwargs) -> tuple[RobotClassDsl, Program]:
@@ -662,18 +688,17 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
     report = validate(program, dsl)
     if not report.ok and not force:
         raise InvalidProgramError(report)
-    names = program.action_names()
-    if len(names) != len(set(names)):
-        raise DuplicateIdentifierError("cannot simulate a program with duplicate action names")
+    defect = graph_defect(program)
+    if defect:
+        error, message = defect
+        raise error(message)
     model.topological_order(program)
 
+    names = program.action_names()
     duration = {name: durations.duration_of(name) for name in names}
     resource_of = {name: program.action(name).resource for name in names}
     type_of = {name: program.action(name).action_type for name in names}
     waiting = {name: set(program.action(name).predecessors) for name in names}
-    dangling = sorted((name, pred) for name in names for pred in waiting[name].difference(waiting))
-    if dangling:
-        raise UnresolvedReferenceError("action %r names unknown predecessor %r" % dangling[0])
     dependents: dict[str, set[str]] = {name: set() for name in names}
     for name in names:
         for pred in waiting[name]:
@@ -726,7 +751,8 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
 # table and the data-flow lints shared one variable-use index, kept as an
 # oracle: every finding names its severity, and each lint walks the
 # arguments and return bindings itself.  The mutex and race checks test
-# all pairs instead of grouping candidates by type or by variable.
+# all pairs instead of grouping candidates by type or by variable, and run
+# only when action names are unique and every predecessor names an action.
 
 def validate_oracle(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     findings = _unique_names_oracle(program)
@@ -761,7 +787,7 @@ def _unique_names_oracle(program: Program) -> list[Finding]:
 
 
 def _mutex_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    if program.graph.duplicate_names:
+    if has_duplicate_names(program) or dangling_predecessor(program):
         return []
     cyclic = _cycle_finding_oracle(program)
     if cyclic:
@@ -786,10 +812,24 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     findings = []
     declared_vars = {v.name: v for v in program.variables}
     action_types = dsl.action_types()
+    names = set(program.action_names())
     for action in program.actions:
+        for pred in sorted(action.predecessors - names):
+            findings.append(Finding(
+                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, pred),
+                f"action {action.name!r} names unknown predecessor {pred!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
+            findings.append(Finding(
+                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
+                f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
+        declared = [param.name for param in atype.parameters]
+        for arg in action.args:
+            if arg.param not in declared:
+                findings.append(Finding(
+                    Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
+                    f"action {action.name!r} binds unknown parameter {arg.param!r}"))
         bound = {arg.param: arg for arg in action.args}
         for param in atype.parameters:
             arg = bound.get(param.name)
@@ -825,7 +865,8 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                     Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
                     f"return value is {atype.return_type}, variable"
                     f" {action.return_to!r} is {decl.type_name}"))
-    if program.graph.duplicate_names or _cycle_finding_oracle(program) is not None:
+    if (has_duplicate_names(program) or dangling_predecessor(program)
+            or _cycle_finding_oracle(program) is not None):
         return findings
     writers: dict[str, set[str]] = {}
     for action in program.actions:
@@ -857,7 +898,8 @@ def _unused_variables_oracle(program: Program) -> list[Finding]:
 
 
 def _races_oracle(program: Program) -> list[Finding]:
-    if program.graph.duplicate_names or _cycle_finding_oracle(program) is not None:
+    if (has_duplicate_names(program) or dangling_predecessor(program)
+            or _cycle_finding_oracle(program) is not None):
         return []
     readers: dict[str, set[str]] = {}
     writers: dict[str, set[str]] = {}
@@ -1024,11 +1066,7 @@ def load_dsl_oracle(text: str) -> RobotClassDsl:
             raise XmlSyntaxError(f"unexpected element <{child.tag}>")
     dslmod._check_variable_types(variable_types)
     dslmod._check_components(components)
-    dsl = RobotClassDsl(name, tuple(variable_types), tuple(components), symmetrize_mutex(
-        (action.identifier, partner)
-        for component in components
-        for action in component.actions
-        for partner in action.mutex_types))
+    dsl = RobotClassDsl(name, tuple(variable_types), tuple(components))
     dslmod._check_type_references(dsl)
     return dsl
 

@@ -19,7 +19,6 @@ from seqc.dsl import (
     load_dsl,
     lookup_action,
     save_dsl,
-    symmetrize_mutex,
 )
 from seqc.errors import (
     DuplicateIdentifierError,
@@ -257,10 +256,27 @@ def test_nested_composites_without_cycles_are_fine():
 
 
 def test_mutex_symmetrization():
-    relation = symmetrize_mutex([("A", "B")])
-    assert frozenset({"A", "B"}) in relation
-    # A self-pair collapses to a singleton set and is kept as declared.
-    assert symmetrize_mutex([("A", "A")]) == frozenset({frozenset({"A"})})
+    # A declares B on one side only; C lists itself.
+    dsl = support.make_dsl({"Unit": ["A", "B", "C"]}, mutex=[("A", "B"), ("C", "C")])
+    assert dsl.is_mutex("A", "B") and dsl.is_mutex("B", "A")
+    assert dsl.is_mutex("C", "C")
+    assert not dsl.is_mutex("A", "A") and not dsl.is_mutex("A", "C")
+    # A self-pair collapses to a singleton set.
+    assert dsl.mutex_relation == {frozenset({"A", "B"}), frozenset({"C"})}
+
+
+def test_random_dsls_round_trip_with_their_mutex_relation():
+    # The relation is derived from each action's declarations, so what
+    # save_dsl writes is the whole relation; self-exclusions are included.
+    rng = random.Random(0)
+    self_exclusive = 0
+    for _ in range(200):
+        dsl, _ = support.random_flow_setup(rng)
+        loaded = load_dsl(save_dsl(dsl))
+        assert loaded == dsl
+        assert loaded.mutex_relation == dsl.mutex_relation
+        self_exclusive += any(len(pair) == 1 for pair in dsl.mutex_relation)
+    assert self_exclusive > 20
 
 
 def test_one_sided_mutex_declaration_is_symmetric():

@@ -1,14 +1,17 @@
 """Graph queries on the core program model."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from seqc import model
 from seqc.errors import (
     CyclicGraphError,
+    DuplicateIdentifierError,
     NonPositiveDurationError,
     SameActionError,
+    SeqcError,
     UnknownActionError,
     UnresolvedReferenceError,
 )
@@ -21,17 +24,21 @@ from seqc.model import (
     ResourceInstance,
     VariableDecl,
 )
+from seqc.simulator import DurationMap, simulate
 from seqc.validator import Code, validate
 from support import (
     ancestors_oracle,
     critical_path_oracle,
     cycle_oracle,
     five_stage,
+    graph_defect,
     make_dsl,
     make_program,
+    random_durations,
     random_flow_setup,
     random_setup,
     reverse_chain_cycle,
+    simulate_oracle,
     topological_order_oracle,
     with_edge,
 )
@@ -242,13 +249,23 @@ def test_program_rejects_undeclared_resource():
         )
 
 
-def test_dangling_predecessor_is_left_to_the_validator():
+def every_graph_query(program: Program, first: str, second: str):
+    """Each graph query of the model on `program`, as (query, *args)."""
+    return [(model.topological_order, program), (model.critical_path_length, program),
+            (program.action, first), (model.successors, program, first),
+            (model.ancestors, program, first),
+            (model.potentially_parallel, program, first, second)]
+
+
+def test_dangling_predecessor_raises_from_every_graph_query():
     dsl = make_dsl({"Station": ["Step"]})
     program = make_program(
-        dsl, [("a", "Step", "r1"), ("b", "Step", "r1")], edges=[("ghost", "b")]
+        dsl, [("a", "Step", "r1"), ("b", "Step", "r1")], edges=[("ghost", "b"), ("a", "b")]
     )
-    assert model.topological_order(program) == ["a", "b"]
-    assert model.ancestors(program, "b") == frozenset()
+    for query, *args in every_graph_query(program, "a", "b"):
+        with pytest.raises(UnresolvedReferenceError,
+                           match="^action 'b' names unknown predecessor 'ghost'$"):
+            query(*args)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "2"])
@@ -264,60 +281,91 @@ def test_critical_path_of_empty_program_is_zero():
     assert model.topological_order(program) == []
 
 
-def _outcome(query, *args):
-    """A query's value, or the type and cycle witness of what it raised."""
+def _outcome(query, *args, **kwargs):
+    """A query's value, or the type and message of what it raised."""
     try:
-        return query(*args)
-    except CyclicGraphError as exc:
-        return CyclicGraphError, exc.cycle
+        return query(*args, **kwargs)
+    except SeqcError as exc:
+        return type(exc), str(exc)
+
+
+# "a" declared after "c" and again after "b", with "b" after "a".  When the
+# graph kept both declarations, topological_order gave c, a, b while
+# ancestors raised the cycle a -> b -> a.
+SPLIT_DUPLICATE = Program("Dup", "TestBot", (ResourceInstance("r1", "Station"),), (), (
+    ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("c"),)),
+    ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("b"),)),
+    ActionInstance("b", "Step", "r1", constraints=(ConstraintEdge("a"),)),
+    ActionInstance("c", "Step", "r1"),
+))
+
+
+def graph_contract_corpus():
+    """The split-duplicate case, then seeded programs in which duplicate
+    names, dangling predecessors, cycles and clean graphs all occur."""
+    yield make_dsl({"Station": ["Step"]}), SPLIT_DUPLICATE
+    rng = random.Random(2024)
+    for _ in range(300):
+        yield random_flow_setup(rng, max_actions=8)
 
 
 def test_graph_queries_match_oracles_on_random_programs():
-    # Duplicate names, cycles, dangling predecessors and same-type
-    # actions all occur among these programs.
-    rng = random.Random(2024)
-    for _ in range(400):
-        _, program = random_flow_setup(rng, max_actions=8)
+    # Each query matches its oracle or raises the first defect: duplicate
+    # names, then a dangling predecessor, then a cycle where an order is needed.
+    rng = random.Random(7)
+    kinds = Counter()
+    for dsl, program in graph_contract_corpus():
+        defect = graph_defect(program)
+        cycle = None if defect else cycle_oracle(program)
+        unordered = defect or cycle and (CyclicGraphError, str(CyclicGraphError(cycle)))
+        kinds[defect[0] if defect else "cyclic" if cycle else "clean"] += 1
+        assert _outcome(model.topological_order, program) == (
+            defect or _outcome(topological_order_oracle, program))
+        durations = random_durations(rng, program)
+        assert _outcome(model.critical_path_length, program, durations) == (
+            unordered or critical_path_oracle(program, durations))
+        timing = DurationMap(durations)
+        assert _outcome(simulate, program, dsl, timing, force=True) == (
+            unordered or simulate_oracle(program, dsl, timing, force=True))
         names = sorted(set(program.action_names()))
-        cycle = cycle_oracle(program)
-        assert _outcome(model.topological_order, program) == _outcome(
-            topological_order_oracle, program)
-        first = {}
-        for action in program.actions:
-            first.setdefault(action.name, action)
+        declared = {action.name: action for action in program.actions}
         for name in names:
-            assert program.action(name) is first[name]
-            assert model.successors(program, name) == {
-                a.name for a in program.actions if name in a.predecessors}
-            expected = ((CyclicGraphError, cycle) if cycle
-                        else ancestors_oracle(program, name) & set(names))
-            assert _outcome(model.ancestors, program, name) == expected
+            assert _outcome(program.action, name) == (defect or declared[name])
+            assert _outcome(model.successors, program, name) == (defect or {
+                a.name for a in program.actions if name in a.predecessors})
+            assert _outcome(model.ancestors, program, name) == (
+                unordered or ancestors_oracle(program, name))
         for a in names:
             for b in names:
                 if a == b:
                     continue
-                if first[a].resource == first[b].resource:
-                    expected = False
-                elif cycle:
-                    expected = (CyclicGraphError, cycle)
+                if declared[a].resource == declared[b].resource:
+                    expected = defect or False
                 else:
-                    expected = (a not in ancestors_oracle(program, b)
-                                and b not in ancestors_oracle(program, a))
+                    expected = unordered or (a not in ancestors_oracle(program, b)
+                                             and b not in ancestors_oracle(program, a))
                 assert _outcome(model.potentially_parallel, program, a, b) == expected
+    assert kinds[DuplicateIdentifierError] > 20 and kinds[UnresolvedReferenceError] > 20
+    assert kinds["cyclic"] > 20 and kinds["clean"] > 100
 
 
-def test_duplicate_names_take_predecessors_from_the_last_declaration():
-    # Kahn's order, which counts edges of both declarations of "m", puts
-    # "m" before its last declaration's predecessor "z".
+def test_duplicate_names_raise_from_every_graph_query():
+    for query, *args in every_graph_query(SPLIT_DUPLICATE, "a", "c"):
+        with pytest.raises(DuplicateIdentifierError, match="^action 'a' declared twice$"):
+            query(*args)
+    # The smallest repeated name is named, and a repeat is reported before
+    # a dangling predecessor or a cycle.
     program = Program("Dup", "TestBot", (ResourceInstance("r1", "Unit"),), (), (
-        ActionInstance("a", "Step", "r1"),
-        ActionInstance("m", "Step", "r1", constraints=(ConstraintEdge("a"),)),
+        ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("ghost"),)),
         ActionInstance("m", "Step", "r1", constraints=(ConstraintEdge("z"),)),
+        ActionInstance("m", "Step", "r1"),
+        ActionInstance("z", "Step", "r1", constraints=(ConstraintEdge("z2"),)),
         ActionInstance("z", "Step", "r1"),
+        ActionInstance("z2", "Step", "r1", constraints=(ConstraintEdge("m"),)),
     ))
-    assert model.topological_order(program) == topological_order_oracle(program) == ["a", "m", "z"]
-    assert model.ancestors(program, "m") == ancestors_oracle(program, "m") == {"z"}
-    assert program.action("m").predecessors == {"a"}
+    for query, *args in every_graph_query(program, "a", "m"):
+        with pytest.raises(DuplicateIdentifierError, match="^action 'm' declared twice$"):
+            query(*args)
 
 
 def test_graph_index_is_cached_and_ignored_by_equality():

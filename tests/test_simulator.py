@@ -134,15 +134,17 @@ def test_duplicate_names_cannot_be_forced():
 
 
 def test_dangling_predecessor_is_refused_before_scheduling():
-    # Validation does not look at constraint endpoints, so the program
-    # passes the gate with or without force.
+    # Validation reports the dangling name; forcing past it reaches the
+    # graph, which raises.
     dsl = make_dsl({"Station": ["Step"]})
     program = make_program(dsl, [("a", "Step", "r1"), ("b", "Step", "r1")],
                            edges=[("a", "b"), ("ghost", "b")])
-    for force in (False, True):
-        with pytest.raises(UnresolvedReferenceError,
-                           match="action 'b' names unknown predecessor 'ghost'"):
-            simulate(program, dsl, force=force)
+    with pytest.raises(InvalidProgramError) as exc_info:
+        simulate(program, dsl)
+    assert [f.code for f in exc_info.value.report.findings] == [Code.UNRESOLVED_REFERENCE]
+    with pytest.raises(UnresolvedReferenceError,
+                       match="action 'b' names unknown predecessor 'ghost'"):
+        simulate(program, dsl, force=True)
 
 
 def tampered(trace, **intervals):

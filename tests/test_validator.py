@@ -151,6 +151,36 @@ def test_unbound_parameter():
     assert report.findings[0].subjects == ("d", "speed")
 
 
+# What the XML loader refuses, built by hand: a predecessor, a bound
+# parameter and an action type that name nothing declared.
+UNRESOLVED = lint_program([
+    ActionInstance("a", "Drive", "m1",
+                   (ArgBinding("speed", value=1), ArgBinding("bogus", variable="nowhere")),
+                   constraints=(ConstraintEdge("ghost"),)),
+    ActionInstance("b", "Hover", "m2", constraints=(ConstraintEdge("a"),)),
+])
+
+
+def test_unresolved_references_are_reported():
+    assert validate(UNRESOLVED, LINT_DSL).render_text().splitlines() == [
+        "error UnresolvedReference (a, bogus): action 'a' binds unknown parameter 'bogus'",
+        "error UnresolvedReference (a, ghost): action 'a' names unknown predecessor 'ghost'",
+        "error UnresolvedReference (b, Hover): action 'b' has unknown type 'Hover'",
+        "FAILED, 3 findings",
+    ]
+
+
+def test_dangling_predecessor_skips_the_graph_checks():
+    # Without a precedence graph the mutex pair cannot be judged; it is
+    # reported once the reference resolves.
+    dsl = make_dsl({"Station": ["Step"]}, mutex=[("Step", "Step")])
+    actions = [("a", "Step", "r1"), ("b", "Step", "r2")]
+    report = validate(make_program(dsl, actions, edges=[("ghost", "b")]), dsl)
+    assert [(f.code, f.subjects) for f in report.findings] == [
+        (Code.UNRESOLVED_REFERENCE, ("b", "ghost"))]
+    assert codes(validate(make_program(dsl, actions), dsl)) == [Code.MUTEX_VIOLATION]
+
+
 def test_unknown_variable_in_arg_and_return():
     program = lint_program(
         [
@@ -482,9 +512,10 @@ FLOW_CODES = {Code.CYCLIC_GRAPH, Code.MUTEX_VIOLATION, Code.VARIABLE_RACE,
 
 def pairwise_flow_findings(program, dsl):
     """The mutex, race and read-before-write checks as first written:
-    every action pair, reachability by path enumeration."""
+    every action pair, reachability by path enumeration.  Like the
+    validator, they need unique names and resolved predecessors."""
     names = program.action_names()
-    if len(names) != len(set(names)):
+    if support.has_duplicate_names(program) or support.dangling_predecessor(program):
         return []
     try:
         topological_order_oracle(program)
@@ -594,7 +625,7 @@ def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
     closures = cyclic = 0
     for _ in range(300):
         dsl, program = random_flow_setup(rng, max_actions=10, mutex_prob=0.5)
-        if program.graph.duplicate_names:
+        if support.graph_defect(program):
             continue
         searches.clear()
         report = validate(program, dsl)
@@ -637,6 +668,7 @@ def differential_corpus():
         yield random_flow_setup(rng, max_actions=10)
     for _ in range(200):
         yield random_literal_setup(rng)
+    yield LINT_DSL, UNRESOLVED
     for dsl_name, program_name in VALIDATE_FIXTURES:
         dsl = load_dsl(fixture_text(dsl_name))
         yield dsl, load_program(fixture_text(program_name), dsl)
@@ -682,7 +714,7 @@ def test_findings_are_invariant_under_consistent_renaming():
         cyclic += bool(skip)
         assert _finding_multiset(after.findings, skip=skip) == _finding_multiset(
             before.findings, mapping, skip), (program, mapping)
-        if skip and not program.graph.duplicate_names:
+        if skip and not support.graph_defect(program):
             assert Code.CYCLIC_GRAPH in codes(after)
     assert cyclic > 20
 
@@ -692,7 +724,7 @@ def test_an_implied_edge_changes_no_finding():
     cases = 0
     while cases < 200:
         dsl, program = random_flow_setup(rng, max_actions=10)
-        if program.graph.duplicate_names or cycle_oracle(program) is not None:
+        if support.graph_defect(program) or cycle_oracle(program) is not None:
             continue
         implied = [
             (ancestor, action.name)
