@@ -37,13 +37,6 @@ from .model import Program
 from .validator import validate
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
 def main(argv=None) -> int:
     # Collections during a command would free nothing: what it builds is
     # acyclic (tests pin this), yet they took 2.6 of 36.7 ms of
@@ -63,13 +56,10 @@ def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as failure:
-        print(f"seqc: error: {failure.message}", file=sys.stderr)
-        return failure.code
     except (SeqcError, OSError, json.JSONDecodeError) as exc:
         print(f"seqc: error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # composite literals, template blocks, JSON
+    except RecursionError:  # composite literals, JSON
         print("seqc: error: input is nested too deeply", file=sys.stderr)
         return 2
 
@@ -143,21 +133,23 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise _CliFailure(2, f"{path}: not UTF-8 text: {exc}") from exc
+        raise SeqcError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_dsl(path: str) -> RobotClassDsl:
+    text = _read(path)
     try:
-        return load_dsl(_read(path))
+        return load_dsl(text)
     except SeqcError as exc:
-        raise _CliFailure(2, f"{path}: {exc}") from exc
+        raise SeqcError(f"{path}: {exc}") from exc
 
 
 def _load_program(path: str, dsl: RobotClassDsl) -> Program:
+    text = _read(path)
     try:
-        return program_io.load_program(_read(path), dsl)
+        return program_io.load_program(text, dsl)
     except SeqcError as exc:
-        raise _CliFailure(2, f"{path}: {exc}") from exc
+        raise SeqcError(f"{path}: {exc}") from exc
 
 
 def _print_json(payload) -> None:
@@ -182,24 +174,23 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
     if args.durations:
         raw = json.loads(_read(args.durations))
         if not isinstance(raw, dict):
-            raise _CliFailure(2, f"{args.durations}: expected a JSON object")
+            raise SeqcError(f"{args.durations}: expected a JSON object")
         default = raw.get("default", 1)
         actions = raw.get("actions", {})
         if not isinstance(actions, dict):
-            raise _CliFailure(2, f"{args.durations}: \"actions\" must be an object")
+            raise SeqcError(f"{args.durations}: \"actions\" must be an object")
         per_action.update(actions)
     known = set(program.action_names())
     for override in args.duration:
         name, sep, value = override.partition("=")
         if not sep or not name:
-            raise _CliFailure(2, f"--duration expects NAME=N, got {override!r}")
+            raise SeqcError(f"--duration expects NAME=N, got {override!r}")
         if name not in known:
-            raise _CliFailure(2, f"--duration names unknown action {name!r}")
+            raise SeqcError(f"--duration names unknown action {name!r}")
         try:
             per_action[name] = int(value, 10)
         except ValueError:
-            raise _CliFailure(
-                2, f"--duration {name}: {value!r} is not an integer") from None
+            raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
     return simulator.DurationMap(per_action, default)
 
 
@@ -237,7 +228,7 @@ def cmd_generate(args) -> int:
         config = codegen.load_generator_file(args.templates,
                                              search_path=_template_search_path())
     except SeqcError as exc:
-        raise _CliFailure(2, f"{args.templates}: {exc}") from exc
+        raise SeqcError(f"{args.templates}: {exc}") from exc
     try:
         result = codegen.generate(program, dsl, config, strict=not args.lenient)
     except InvalidProgramError as exc:
@@ -260,13 +251,12 @@ def cmd_generate(args) -> int:
 
 def cmd_graph(args) -> int:
     text = _read(args.program)
+    dsl = _load_dsl(args.dsl) if args.dsl else None
     try:
-        if args.dsl:
-            program = program_io.load_program(text, _load_dsl(args.dsl))
-        else:
-            program = program_io.parse_program(text)
+        program = (program_io.parse_program(text) if dsl is None
+                   else program_io.load_program(text, dsl))
     except SeqcError as exc:
-        raise _CliFailure(2, f"{args.program}: {exc}") from exc
+        raise SeqcError(f"{args.program}: {exc}") from exc
     if args.json:
         _print_json(program_io.graph_payload(program))
     else:

@@ -76,6 +76,12 @@ def _normalize_literal(value):
     return value
 
 
+def _literal_or_none(value):
+    # A top-level {} is no literal, as in XML, where an element with no
+    # value and no <Field> children has none; a nested {} stays a value.
+    return None if value is None or value == {} else _normalize_literal(value)
+
+
 @dataclass(frozen=True)
 class ArgBinding:
     """Binds one declared parameter to a global variable or a literal value."""
@@ -85,12 +91,11 @@ class ArgBinding:
     value: Any = None
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _literal_or_none(self.value))
         if (self.variable is None) == (self.value is None):
             raise ValueError(
                 f"argument {self.param!r} must bind exactly one of a variable or a literal"
             )
-        if self.value is not None:
-            object.__setattr__(self, "value", _normalize_literal(self.value))
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,7 @@ class VariableDecl:
     init: Any = None
 
     def __post_init__(self):
-        if self.init is not None:
-            object.__setattr__(self, "init", _normalize_literal(self.init))
+        object.__setattr__(self, "init", _literal_or_none(self.init))
 
 
 @dataclass(frozen=True)

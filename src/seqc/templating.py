@@ -28,11 +28,16 @@ UnresolvedReferenceError with the template id and line.  In lenient
 mode it renders as empty text and is recorded as a warning instead.
 ``#if`` is the exception in both modes: an unresolvable condition is
 simply false, since testing for presence is what the directive is for.
+
+Parsing is one scan that keeps the open blocks on a stack, and rendering
+one loop over a stack of bodies in progress, so blocks nest to any depth.
+Only ``#insert`` is capped: more than 32 nested inserts fail the render,
+which catches template cycles.
 """
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import (
     MalformedReferenceError,
@@ -46,8 +51,11 @@ from .errors import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
-_WORD = re.compile(r"[a-z]+")
-_DIRECTIVES = ("foreach", "if", "else", "end", "set", "insert")
+_WORD = re.compile(r"[a-z]*")
+# Everything that is not plain text: an escape, a `$` before `{`, `_` or
+# a letter, and a `#` before a letter.  `[^\W\d_]` also admits the few
+# numeric characters that are not letters; the parser keeps those as text.
+_MARKUP = re.compile(r"\\[$#]|\$[{_]|[$#][^\W\d_]")
 _MAX_INSERT_DEPTH = 32
 
 
@@ -118,6 +126,21 @@ class Template:
     nodes: tuple
 
 
+# Each directive's node type, its arguments in order, and for a block the
+# markers that end its bodies in order.  An argument is a bare $variable
+# ("var"), a $reference ("ref"), a reference or literal ("value") or a
+# template id ("id"); any other entry is a token that must appear as is.
+# #else and #end are the markers themselves and take no arguments.
+_DIRECTIVES = {
+    "foreach": (ForeachNode, ("var", "in", "ref"), ("end",)),
+    "if": (IfNode, ("ref",), ("else", "end")),
+    "set": (SetNode, ("var", "=", "value"), ()),
+    "insert": (InsertNode, ("id", ",", "ref"), ()),
+    "else": None,
+    "end": None,
+}
+
+
 def parse_template(source: str, template_id: str = "<string>") -> Template:
     """Parse template source into an AST, checking block structure."""
     parser = _Parser(source, template_id)
@@ -131,122 +154,92 @@ class _Parser:
         self.template_id = template_id
         self.pos = 0
         self.line = 1
+        self.arguments = {"var": self._parse_loop_var, "ref": self._parse_reference,
+                          "value": self._parse_value, "id": self._parse_insert_id}
 
     def fail(self, exc_type, message, line=None):
         raise exc_type(message, template_id=self.template_id,
                        line=self.line if line is None else line)
 
     def parse(self) -> tuple:
-        nodes, terminator = self._parse_block(())
-        assert terminator is None
-        return nodes
-
-    def _parse_block(self, terminators: tuple) -> tuple[tuple, str | None]:
-        nodes: list = []
-        buffer: list[str] = []
+        src = self.source
+        nodes: list = []  # the innermost open body
+        text: list[str] = []
+        # Open blocks, innermost last: (the markers still to come, node
+        # type, arguments, line, the enclosing body, the finished bodies).
+        blocks: list[tuple] = []
 
         def flush():
-            if buffer:
-                nodes.append(TextNode("".join(buffer)))
-                buffer.clear()
+            joined = "".join(text)
+            if joined:
+                nodes.append(TextNode(joined))
+            text.clear()
 
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch == "\\" and self.pos + 1 < len(src) and src[self.pos + 1] in "$#":
-                buffer.append(src[self.pos + 1])
-                self.pos += 2
-            elif ch == "$" and self._reference_follows():
+        while match := _MARKUP.search(src, self.pos):
+            start = match.start()
+            text.append(src[self.pos: start])
+            self.line += src.count("\n", self.pos, start)
+            marker, follower = src[start], src[start + 1]
+            if marker == "\\":
+                text.append(follower)
+                self.pos = start + 2
+            elif not (follower.isalpha() or marker == "$" and follower in "{_"):
+                text.append(marker)
+                self.pos = start + 1
+            elif marker == "$":
                 flush()
+                self.pos = start
                 nodes.append(ReferenceNode(self._parse_reference()))
-            elif ch == "#" and self.pos + 1 < len(src) and src[self.pos + 1].isalpha():
-                start_line = self.line
-                word = self._peek_word()
+            else:
+                word = _WORD.match(src, start + 1).group()
                 if word not in _DIRECTIVES:
                     self.fail(UnknownDirectiveError, f"unknown directive #{word}")
-                if word in terminators:
-                    flush()
-                    self._consume_directive_name(word)
-                    self._gobble_newline()
-                    return tuple(nodes), word
-                if word in ("end", "else"):
+                directive = _DIRECTIVES[word]
+                if directive is None and not (blocks and word in blocks[-1][0]):
                     self.fail(UnclosedBlockError, f"#{word} without an open block")
                 flush()
-                nodes.append(self._parse_directive(word, start_line))
-            else:
-                if ch == "\n":
-                    self.line += 1
-                buffer.append(ch)
-                self.pos += 1
-        if terminators:
+                self.pos = start + 1 + len(word)
+                if directive is None:
+                    self._gobble_newline()
+                    markers, node_type, args, line, enclosing, bodies = blocks.pop()
+                    # An #if that ends without #else has an empty else body.
+                    bodies += [tuple(nodes)] + [()] * markers.index(word)
+                    if word == "else":
+                        blocks.append((markers[1:], node_type, args, line, enclosing, bodies))
+                        nodes = []
+                    else:
+                        nodes = enclosing
+                        nodes.append(node_type(*args, *bodies, line))
+                else:
+                    node_type, kinds, markers = directive
+                    line = self.line
+                    args = self._parse_arguments(kinds)
+                    if markers:
+                        blocks.append((markers, node_type, args, line, nodes, []))
+                        nodes = []
+                    else:
+                        nodes.append(node_type(*args, line))
+        text.append(src[self.pos:])
+        self.line += src.count("\n", self.pos)
+        if blocks:
             self.fail(UnclosedBlockError,
-                      f"reached end of template while looking for #{terminators[0]}")
+                      f"reached end of template while looking for #{blocks[-1][0][0]}")
         flush()
-        return tuple(nodes), None
+        return tuple(nodes)
 
-    def _reference_follows(self) -> bool:
-        nxt = self.source[self.pos + 1: self.pos + 2]
-        return nxt == "{" or (nxt != "" and (nxt.isalpha() or nxt == "_"))
-
-    def _peek_word(self) -> str:
-        match = _WORD.match(self.source, self.pos + 1)
-        return match.group(0) if match else ""
-
-    def _consume_directive_name(self, word: str):
-        self.pos += 1 + len(word)
-
-    def _parse_directive(self, word: str, line: int):
-        self._consume_directive_name(word)
-        if word == "foreach":
-            self._expect("(")
+    def _parse_arguments(self, kinds: tuple[str, ...]) -> list:
+        self._expect("(")
+        args = []
+        for kind in kinds:
             self._skip_spaces()
-            var = self._parse_loop_var()
-            self._skip_spaces()
-            self._expect_word("in")
-            self._skip_spaces()
-            path = self._parse_reference()
-            self._skip_spaces()
-            self._expect(")")
-            self._gobble_newline()
-            body, _ = self._parse_block(("end",))
-            return ForeachNode(var, path, body, line)
-        if word == "if":
-            self._expect("(")
-            self._skip_spaces()
-            path = self._parse_reference()
-            self._skip_spaces()
-            self._expect(")")
-            self._gobble_newline()
-            then_body, terminator = self._parse_block(("else", "end"))
-            else_body: tuple = ()
-            if terminator == "else":
-                else_body, _ = self._parse_block(("end",))
-            return IfNode(path, then_body, else_body, line)
-        if word == "set":
-            self._expect("(")
-            self._skip_spaces()
-            var = self._parse_loop_var()
-            self._skip_spaces()
-            self._expect("=")
-            self._skip_spaces()
-            value = self._parse_value()
-            self._skip_spaces()
-            self._expect(")")
-            self._gobble_newline()
-            return SetNode(var, value, line)
-        if word == "insert":
-            self._expect("(")
-            self._skip_spaces()
-            template_id = self._parse_insert_id()
-            self._skip_spaces()
-            self._expect(",")
-            self._skip_spaces()
-            target = self._parse_reference()
-            self._skip_spaces()
-            self._expect(")")
-            self._gobble_newline()
-            return InsertNode(template_id, target, line)
-        raise AssertionError(word)
+            if kind in self.arguments:
+                args.append(self.arguments[kind]())
+            else:
+                self._expect(kind)
+        self._skip_spaces()
+        self._expect(")")
+        self._gobble_newline()
+        return args
 
     def _parse_loop_var(self) -> str:
         if self.source[self.pos: self.pos + 1] != "$":
@@ -338,16 +331,13 @@ class _Parser:
         while self.source[self.pos: self.pos + 1] in (" ", "\t"):
             self.pos += 1
 
-    def _expect(self, char: str):
-        if self.source[self.pos: self.pos + 1] != char:
+    def _expect(self, token: str):
+        if not self.source.startswith(token, self.pos):
             found = self.source[self.pos: self.pos + 1] or "end of template"
-            self.fail(MalformedReferenceError, f"expected {char!r}, found {found!r}")
-        self.pos += 1
-
-    def _expect_word(self, word: str):
-        if not self.source.startswith(word, self.pos):
-            self.fail(MalformedReferenceError, f"expected {word!r}")
-        self.pos += len(word)
+            # A missing keyword is reported without what stands in its place.
+            self.fail(MalformedReferenceError, f"expected {token!r}" if token.isalpha()
+                      else f"expected {token!r}, found {found!r}")
+        self.pos += len(token)
 
     def _gobble_newline(self):
         if self.source.startswith("\r\n", self.pos):
@@ -402,10 +392,98 @@ class TemplateEngine:
 
     def render_template(self, template: Template,
                         scope: Mapping[str, object]) -> RenderResult:
-        state = _RenderState(self, dict(scope))
+        top_scope = dict(scope)
         parts: list[str] = []
-        state.emit(template, template.nodes, dict(scope), parts, depth=0)
-        return RenderResult("".join(parts), tuple(state.warnings))
+        warnings: list[str] = []
+        # Bodies still being rendered, innermost last: (template, node
+        # iterator, scope, #insert depth).  An #if branch shares its scope.
+        frames = [(template, iter(template.nodes), dict(scope), 0)]
+        while frames:
+            template, nodes, scope, depth = frames[-1]
+            for node in nodes:
+                if isinstance(node, TextNode):
+                    parts.append(node.text)
+                elif isinstance(node, ReferenceNode):
+                    value = self._resolve(template, node.path, scope, warnings)
+                    if value is not _MISSING:
+                        parts.append(_to_text(value))
+                elif isinstance(node, ForeachNode):
+                    value = self._resolve(template, node.path, scope, warnings)
+                    if value is _MISSING:
+                        continue
+                    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                        raise NonIterableInForeachError(
+                            f"{node.path.raw} is not iterable",
+                            template_id=template.id, line=node.line)
+                    # Each item renders the body in a fresh child scope.
+                    frames.extend((template, iter(node.body), {**scope, node.var: item}, depth)
+                                  for item in reversed(list(value)))
+                    break
+                elif isinstance(node, IfNode):
+                    value, _ = _walk(node.path, scope)  # None when unresolvable
+                    branch = node.then_body if value else node.else_body
+                    frames.append((template, iter(branch), scope, depth))
+                    break
+                elif isinstance(node, SetNode):
+                    value = (node.value.value if isinstance(node.value, Literal)
+                             else self._resolve(template, node.value, scope, warnings))
+                    if value is not _MISSING:
+                        scope[node.var] = value
+                elif isinstance(node, InsertNode):
+                    frame = self._insert(template, node, scope, depth, top_scope, warnings)
+                    if frame is not None:
+                        frames.append(frame)
+                        break
+                else:
+                    raise AssertionError(node)
+            else:
+                frames.pop()
+        return RenderResult("".join(parts), tuple(warnings))
+
+    def _insert(self, template, node: InsertNode, scope, depth, top_scope, warnings):
+        """The frame that renders an #insert, or None when it is skipped."""
+        if depth >= _MAX_INSERT_DEPTH:
+            raise TemplateError("#insert nesting exceeds the depth limit"
+                                " (template cycle?)",
+                                template_id=template.id, line=node.line)
+        template_id = node.template_id
+        if isinstance(template_id, ReferencePath):
+            resolved = self._resolve(template, template_id, scope, warnings)
+            if resolved is _MISSING:
+                return None
+            template_id = _to_text(resolved)
+        try:
+            inserted = self.template(template_id)
+        except UnknownTemplateIdError:
+            if self.strict:
+                raise UnknownTemplateIdError(
+                    f"#insert names unknown template {template_id!r}",
+                    template_id=template.id, line=node.line) from None
+            warnings.append(f"{template.id}:{node.line}: skipped #insert of unknown"
+                            f" template {template_id!r}")
+            return None
+        target = self._resolve(template, node.target, scope, warnings)
+        if target is _MISSING:
+            return None
+        root = getattr(target, "_root", None)
+        if not isinstance(root, str):
+            raise TemplateError(
+                f"#insert target {node.target.raw} does not publish a root name",
+                template_id=template.id, line=node.line)
+        return inserted, iter(inserted.nodes), {**top_scope, root: target}, depth + 1
+
+    def _resolve(self, template: Template, path: ReferencePath, scope: dict,
+                 warnings: list[str]):
+        value, failure = _walk(path, scope)
+        if failure is None:
+            return value
+        if self.strict:
+            raise UnresolvedReferenceError(
+                f"cannot resolve {path.raw}: {failure}",
+                template_id=template.id, line=path.line)
+        warnings.append(f"{template.id}:{path.line}: unresolved reference {path.raw}"
+                        f" ({failure})")
+        return _MISSING
 
 
 def render_string(source: str, scope: Mapping[str, object], *,
@@ -414,103 +492,6 @@ def render_string(source: str, scope: Mapping[str, object], *,
     """Parse and render a one-off template in a single call."""
     engine = TemplateEngine(library, strict=strict)
     return engine.render_template(parse_template(source), scope)
-
-
-class _RenderState:
-    def __init__(self, engine: TemplateEngine, top_scope: dict):
-        self.engine = engine
-        self.top_scope = top_scope
-        self.warnings: list[str] = []
-
-    def emit(self, template: Template, nodes: Iterable, scope: dict,
-             parts: list[str], depth: int):
-        for node in nodes:
-            if isinstance(node, TextNode):
-                parts.append(node.text)
-            elif isinstance(node, ReferenceNode):
-                value = self.resolve(template, node.path, scope)
-                if value is not _MISSING:
-                    parts.append(_to_text(value))
-            elif isinstance(node, ForeachNode):
-                self._emit_foreach(template, node, scope, parts, depth)
-            elif isinstance(node, IfNode):
-                value = self._resolve_quietly(node.path, scope)
-                branch = node.then_body if _truthy(value) else node.else_body
-                self.emit(template, branch, scope, parts, depth)
-            elif isinstance(node, SetNode):
-                value = (node.value.value if isinstance(node.value, Literal)
-                         else self.resolve(template, node.value, scope))
-                if value is not _MISSING:
-                    scope[node.var] = value
-            elif isinstance(node, InsertNode):
-                self._emit_insert(template, node, scope, parts, depth)
-            else:
-                raise AssertionError(node)
-
-    def _emit_foreach(self, template, node: ForeachNode, scope, parts, depth):
-        value = self.resolve(template, node.path, scope)
-        if value is _MISSING:
-            return
-        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-            raise NonIterableInForeachError(
-                f"{node.path.raw} is not iterable",
-                template_id=template.id, line=node.line)
-        for item in value:
-            child = dict(scope)
-            child[node.var] = item
-            self.emit(template, node.body, child, parts, depth)
-
-    def _emit_insert(self, template, node: InsertNode, scope, parts, depth):
-        if depth >= _MAX_INSERT_DEPTH:
-            raise TemplateError("#insert nesting exceeds the depth limit"
-                                " (template cycle?)",
-                                template_id=template.id, line=node.line)
-        if isinstance(node.template_id, ReferencePath):
-            resolved = self.resolve(template, node.template_id, scope)
-            if resolved is _MISSING:
-                return
-            template_id = _to_text(resolved)
-        else:
-            template_id = node.template_id
-        try:
-            inserted = self.engine.template(template_id)
-        except UnknownTemplateIdError:
-            if self.engine.strict:
-                raise UnknownTemplateIdError(
-                    f"#insert names unknown template {template_id!r}",
-                    template_id=template.id, line=node.line) from None
-            self.warnings.append(
-                f"{template.id}:{node.line}: skipped #insert of unknown"
-                f" template {template_id!r}")
-            return
-        target = self.resolve(template, node.target, scope)
-        if target is _MISSING:
-            return
-        root = getattr(target, "_root", None)
-        if not isinstance(root, str):
-            raise TemplateError(
-                f"#insert target {node.target.raw} does not publish a root name",
-                template_id=template.id, line=node.line)
-        child = dict(self.top_scope)
-        child[root] = target
-        self.emit(inserted, inserted.nodes, child, parts, depth + 1)
-
-    def resolve(self, template: Template, path: ReferencePath, scope: dict):
-        value, failure = _walk(path, scope)
-        if failure is None:
-            return value
-        if self.engine.strict:
-            raise UnresolvedReferenceError(
-                f"cannot resolve {path.raw}: {failure}",
-                template_id=template.id, line=path.line)
-        self.warnings.append(
-            f"{template.id}:{path.line}: unresolved reference {path.raw}"
-            f" ({failure})")
-        return _MISSING
-
-    def _resolve_quietly(self, path: ReferencePath, scope: dict):
-        value, failure = _walk(path, scope)
-        return _MISSING if failure is not None else value
 
 
 def _walk(path: ReferencePath, scope: Mapping) -> tuple[object, str | None]:
@@ -530,12 +511,6 @@ def _walk(path: ReferencePath, scope: Mapping) -> tuple[object, str | None]:
         if callable(value):
             value = value()
     return value, None
-
-
-def _truthy(value) -> bool:
-    if value is _MISSING or value is None:
-        return False
-    return bool(value)
 
 
 def _to_text(value) -> str:

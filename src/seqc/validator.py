@@ -235,7 +235,6 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     finish.
     """
     findings = []
-    declared_vars = {v.name: v for v in program.variables}
     action_types = dsl.action_types()
     names = {action.name for action in program.actions}
     for action in program.actions:
@@ -284,7 +283,7 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             references.append((action.return_to, "return", atype.return_type,
                                f"return value is {atype.return_type}"))
         for variable, slot, type_name, expects in references:
-            decl = declared_vars.get(variable)
+            decl = program.variable(variable)
             if decl is None:
                 findings.append(
                     _finding(
@@ -311,18 +310,18 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                     f" {action.name!r} binds a return variable",
                 )
             )
-    findings += _lint_uninstantiated(program, declared_vars)
+    findings += _lint_uninstantiated(program)
     return findings
 
 
-def _lint_uninstantiated(program: Program, declared_vars) -> list[Finding]:
+def _lint_uninstantiated(program: Program) -> list[Finding]:
     if _graph_gate(program) is not None:
         return []
     readers, writers = program._variable_uses
     precedes = program.graph.precedes
     findings = []
     for variable, read_by in readers.items():
-        decl = declared_vars.get(variable)
+        decl = program.variable(variable)
         if decl is None or decl.init is not None:
             continue
         written_by = writers.get(variable, ())

@@ -9,7 +9,9 @@ import dataclasses
 import heapq
 import itertools
 import random
+import re
 from pathlib import Path
+from typing import Iterable
 
 from seqc import dsl as dslmod
 from seqc import model
@@ -26,6 +28,12 @@ from seqc.errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
     InvalidProgramError,
+    MalformedReferenceError,
+    NonIterableInForeachError,
+    TemplateError,
+    UnclosedBlockError,
+    UnknownDirectiveError,
+    UnknownTemplateIdError,
     UnknownResourceTypeError,
     UnresolvedReferenceError,
     XmlSyntaxError,
@@ -39,6 +47,22 @@ from seqc.model import (
     VariableDecl,
 )
 from seqc.simulator import DurationMap, EventKind, ExecutionTrace, TraceEvent
+from seqc.templating import (
+    ForeachNode,
+    IfNode,
+    InsertNode,
+    Literal,
+    ReferenceNode,
+    ReferencePath,
+    RenderResult,
+    SetNode,
+    Template,
+    TemplateEngine,
+    TextNode,
+    _to_text,
+    _walk,
+    normalize_accessor,
+)
 from seqc.validator import Code, Finding, Severity, ValidationReport, _literal_matches, validate
 from seqc.xmlio import attr_escape, parse_root, require_attr
 
@@ -810,7 +834,9 @@ def _unknown_variable_oracle(action_name: str, variable: str) -> Finding:
 
 def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     findings = []
-    declared_vars = {v.name: v for v in program.variables}
+    declared_vars: dict[str, VariableDecl] = {}
+    for variable in program.variables:  # the first declaration of a name wins
+        declared_vars.setdefault(variable.name, variable)
     action_types = dsl.action_types()
     names = set(program.action_names())
     for action in program.actions:
@@ -1100,3 +1126,364 @@ def _action_type_oracle(elem, owner: str) -> ActionTypeDef:
             f"action type {identifier!r} declares parameter {dup!r} twice")
     return ActionTypeDef(identifier, owner, return_type, tuple(parameters),
                          frozenset(mutex_types))
+
+
+# --- template engine oracle ----------------------------------------------------
+# The recursive-descent parser and the recursive renderer that the engine's
+# one-scan parser and frame-stack renderer replaced, kept as they were: one
+# Python call per open block, #foreach item and #insert.
+
+_TEMPLATE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TEMPLATE_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_TEMPLATE_WORD = re.compile(r"[a-z]+")
+_TEMPLATE_DIRECTIVES = ("foreach", "if", "else", "end", "set", "insert")
+_TEMPLATE_MAX_INSERT_DEPTH = 32
+_TEMPLATE_MISSING = object()
+
+
+def parse_template_oracle(source: str, template_id: str = "<string>") -> Template:
+    return Template(template_id, _TemplateParserOracle(source, template_id).parse())
+
+
+def render_template_oracle(engine: TemplateEngine, template: Template, scope) -> RenderResult:
+    """Render with the engine's library and mode, one call per nested body."""
+    state = _RenderStateOracle(engine, dict(scope))
+    parts: list[str] = []
+    state.emit(template, template.nodes, dict(scope), parts, depth=0)
+    return RenderResult("".join(parts), tuple(state.warnings))
+
+
+def _template_truthy(value) -> bool:
+    if value is _TEMPLATE_MISSING or value is None:
+        return False
+    return bool(value)
+
+
+class _TemplateParserOracle:
+    def __init__(self, source: str, template_id: str):
+        self.source = source
+        self.template_id = template_id
+        self.pos = 0
+        self.line = 1
+
+    def fail(self, exc_type, message, line=None):
+        raise exc_type(message, template_id=self.template_id,
+                       line=self.line if line is None else line)
+
+    def parse(self) -> tuple:
+        nodes, terminator = self._parse_block(())
+        assert terminator is None
+        return nodes
+
+    def _parse_block(self, terminators: tuple) -> tuple[tuple, str | None]:
+        nodes: list = []
+        buffer: list[str] = []
+
+        def flush():
+            if buffer:
+                nodes.append(TextNode("".join(buffer)))
+                buffer.clear()
+
+        src = self.source
+        while self.pos < len(src):
+            ch = src[self.pos]
+            if ch == "\\" and self.pos + 1 < len(src) and src[self.pos + 1] in "$#":
+                buffer.append(src[self.pos + 1])
+                self.pos += 2
+            elif ch == "$" and self._reference_follows():
+                flush()
+                nodes.append(ReferenceNode(self._parse_reference()))
+            elif ch == "#" and self.pos + 1 < len(src) and src[self.pos + 1].isalpha():
+                start_line = self.line
+                word = self._peek_word()
+                if word not in _TEMPLATE_DIRECTIVES:
+                    self.fail(UnknownDirectiveError, f"unknown directive #{word}")
+                if word in terminators:
+                    flush()
+                    self._consume_directive_name(word)
+                    self._gobble_newline()
+                    return tuple(nodes), word
+                if word in ("end", "else"):
+                    self.fail(UnclosedBlockError, f"#{word} without an open block")
+                flush()
+                nodes.append(self._parse_directive(word, start_line))
+            else:
+                if ch == "\n":
+                    self.line += 1
+                buffer.append(ch)
+                self.pos += 1
+        if terminators:
+            self.fail(UnclosedBlockError,
+                      f"reached end of template while looking for #{terminators[0]}")
+        flush()
+        return tuple(nodes), None
+
+    def _reference_follows(self) -> bool:
+        nxt = self.source[self.pos + 1: self.pos + 2]
+        return nxt == "{" or (nxt != "" and (nxt.isalpha() or nxt == "_"))
+
+    def _peek_word(self) -> str:
+        match = _TEMPLATE_WORD.match(self.source, self.pos + 1)
+        return match.group(0) if match else ""
+
+    def _consume_directive_name(self, word: str):
+        self.pos += 1 + len(word)
+
+    def _parse_directive(self, word: str, line: int):
+        self._consume_directive_name(word)
+        if word == "foreach":
+            self._expect("(")
+            self._skip_spaces()
+            var = self._parse_loop_var()
+            self._skip_spaces()
+            self._expect_word("in")
+            self._skip_spaces()
+            path = self._parse_reference()
+            self._skip_spaces()
+            self._expect(")")
+            self._gobble_newline()
+            body, _ = self._parse_block(("end",))
+            return ForeachNode(var, path, body, line)
+        if word == "if":
+            self._expect("(")
+            self._skip_spaces()
+            path = self._parse_reference()
+            self._skip_spaces()
+            self._expect(")")
+            self._gobble_newline()
+            then_body, terminator = self._parse_block(("else", "end"))
+            else_body: tuple = ()
+            if terminator == "else":
+                else_body, _ = self._parse_block(("end",))
+            return IfNode(path, then_body, else_body, line)
+        if word == "set":
+            self._expect("(")
+            self._skip_spaces()
+            var = self._parse_loop_var()
+            self._skip_spaces()
+            self._expect("=")
+            self._skip_spaces()
+            value = self._parse_value()
+            self._skip_spaces()
+            self._expect(")")
+            self._gobble_newline()
+            return SetNode(var, value, line)
+        if word == "insert":
+            self._expect("(")
+            self._skip_spaces()
+            template_id = self._parse_insert_id()
+            self._skip_spaces()
+            self._expect(",")
+            self._skip_spaces()
+            target = self._parse_reference()
+            self._skip_spaces()
+            self._expect(")")
+            self._gobble_newline()
+            return InsertNode(template_id, target, line)
+        raise AssertionError(word)
+
+    def _parse_loop_var(self) -> str:
+        if self.source[self.pos: self.pos + 1] != "$":
+            self.fail(MalformedReferenceError, "expected a $variable")
+        self.pos += 1
+        name = self._parse_identifier()
+        if self.source[self.pos: self.pos + 1] == ".":
+            self.fail(MalformedReferenceError,
+                      f"${name} must be a bare variable name here, not a path")
+        return name
+
+    def _parse_value(self) -> ReferencePath | Literal:
+        src = self.source
+        ch = src[self.pos: self.pos + 1]
+        if ch == "$":
+            return self._parse_reference()
+        if ch == '"':
+            end = src.find('"', self.pos + 1)
+            if end < 0 or "\n" in src[self.pos + 1: end]:
+                self.fail(MalformedReferenceError, "unterminated string literal")
+            text = src[self.pos + 1: end]
+            self.pos = end + 1
+            return Literal(text)
+        match = _TEMPLATE_NUMBER.match(src, self.pos)
+        if match:
+            self.pos = match.end()
+            text = match.group(0)
+            return Literal(float(text) if "." in text else int(text))
+        for keyword, value in (("true", True), ("false", False)):
+            if src.startswith(keyword, self.pos):
+                self.pos += len(keyword)
+                return Literal(value)
+        self.fail(MalformedReferenceError, "expected a reference or literal")
+
+    def _parse_insert_id(self) -> str | ReferencePath:
+        ch = self.source[self.pos: self.pos + 1]
+        if ch == "$":
+            return self._parse_reference()
+        if ch == '"':
+            literal = self._parse_value()
+            return literal.value
+        return self._parse_identifier()
+
+    def _parse_reference(self) -> ReferencePath:
+        line = self.line
+        src = self.source
+        if src[self.pos: self.pos + 1] != "$":
+            self.fail(MalformedReferenceError, "expected a $reference")
+        start = self.pos
+        self.pos += 1
+        braced = src[self.pos: self.pos + 1] == "{"
+        if braced:
+            self.pos += 1
+        root = self._parse_identifier()
+        steps: list[str] = []
+        while src[self.pos: self.pos + 1] == ".":
+            follower = src[self.pos + 1: self.pos + 2]
+            if not (follower.isalpha() or follower == "_"):
+                break
+            self.pos += 1
+            step = self._parse_identifier()
+            if src.startswith("()", self.pos):
+                step += "()"
+                self.pos += 2
+            normalized = normalize_accessor(step)
+            if normalized.startswith("_"):
+                self.fail(MalformedReferenceError,
+                          f"accessor {step!r} is not addressable", line)
+            steps.append(normalized)
+        if braced:
+            if src[self.pos: self.pos + 1] != "}":
+                self.fail(MalformedReferenceError,
+                          "missing '}' after braced reference", line)
+            self.pos += 1
+        if root.startswith("_"):
+            self.fail(MalformedReferenceError,
+                      f"reference root {root!r} is not addressable", line)
+        return ReferencePath(src[start: self.pos], root, tuple(steps), line)
+
+    def _parse_identifier(self) -> str:
+        match = _TEMPLATE_IDENT.match(self.source, self.pos)
+        if not match:
+            self.fail(MalformedReferenceError,
+                      f"expected an identifier at {self.source[self.pos: self.pos + 10]!r}")
+        self.pos = match.end()
+        return match.group(0)
+
+    def _skip_spaces(self):
+        while self.source[self.pos: self.pos + 1] in (" ", "\t"):
+            self.pos += 1
+
+    def _expect(self, char: str):
+        if self.source[self.pos: self.pos + 1] != char:
+            found = self.source[self.pos: self.pos + 1] or "end of template"
+            self.fail(MalformedReferenceError, f"expected {char!r}, found {found!r}")
+        self.pos += 1
+
+    def _expect_word(self, word: str):
+        if not self.source.startswith(word, self.pos):
+            self.fail(MalformedReferenceError, f"expected {word!r}")
+        self.pos += len(word)
+
+    def _gobble_newline(self):
+        if self.source.startswith("\r\n", self.pos):
+            self.pos += 2
+            self.line += 1
+        elif self.source.startswith("\n", self.pos):
+            self.pos += 1
+            self.line += 1
+
+
+class _RenderStateOracle:
+    def __init__(self, engine, top_scope: dict):
+        self.engine = engine
+        self.top_scope = top_scope
+        self.warnings: list[str] = []
+
+    def emit(self, template: Template, nodes: Iterable, scope: dict,
+             parts: list[str], depth: int):
+        for node in nodes:
+            if isinstance(node, TextNode):
+                parts.append(node.text)
+            elif isinstance(node, ReferenceNode):
+                value = self.resolve(template, node.path, scope)
+                if value is not _TEMPLATE_MISSING:
+                    parts.append(_to_text(value))
+            elif isinstance(node, ForeachNode):
+                self._emit_foreach(template, node, scope, parts, depth)
+            elif isinstance(node, IfNode):
+                value = self._resolve_quietly(node.path, scope)
+                branch = node.then_body if _template_truthy(value) else node.else_body
+                self.emit(template, branch, scope, parts, depth)
+            elif isinstance(node, SetNode):
+                value = (node.value.value if isinstance(node.value, Literal)
+                         else self.resolve(template, node.value, scope))
+                if value is not _TEMPLATE_MISSING:
+                    scope[node.var] = value
+            elif isinstance(node, InsertNode):
+                self._emit_insert(template, node, scope, parts, depth)
+            else:
+                raise AssertionError(node)
+
+    def _emit_foreach(self, template, node: ForeachNode, scope, parts, depth):
+        value = self.resolve(template, node.path, scope)
+        if value is _TEMPLATE_MISSING:
+            return
+        if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+            raise NonIterableInForeachError(
+                f"{node.path.raw} is not iterable",
+                template_id=template.id, line=node.line)
+        for item in value:
+            child = dict(scope)
+            child[node.var] = item
+            self.emit(template, node.body, child, parts, depth)
+
+    def _emit_insert(self, template, node: InsertNode, scope, parts, depth):
+        if depth >= _TEMPLATE_MAX_INSERT_DEPTH:
+            raise TemplateError("#insert nesting exceeds the depth limit"
+                                " (template cycle?)",
+                                template_id=template.id, line=node.line)
+        if isinstance(node.template_id, ReferencePath):
+            resolved = self.resolve(template, node.template_id, scope)
+            if resolved is _TEMPLATE_MISSING:
+                return
+            template_id = _to_text(resolved)
+        else:
+            template_id = node.template_id
+        try:
+            inserted = self.engine.template(template_id)
+        except UnknownTemplateIdError:
+            if self.engine.strict:
+                raise UnknownTemplateIdError(
+                    f"#insert names unknown template {template_id!r}",
+                    template_id=template.id, line=node.line) from None
+            self.warnings.append(
+                f"{template.id}:{node.line}: skipped #insert of unknown"
+                f" template {template_id!r}")
+            return
+        target = self.resolve(template, node.target, scope)
+        if target is _TEMPLATE_MISSING:
+            return
+        root = getattr(target, "_root", None)
+        if not isinstance(root, str):
+            raise TemplateError(
+                f"#insert target {node.target.raw} does not publish a root name",
+                template_id=template.id, line=node.line)
+        child = dict(self.top_scope)
+        child[root] = target
+        self.emit(inserted, inserted.nodes, child, parts, depth + 1)
+
+    def resolve(self, template: Template, path: ReferencePath, scope: dict):
+        value, failure = _walk(path, scope)
+        if failure is None:
+            return value
+        if self.engine.strict:
+            raise UnresolvedReferenceError(
+                f"cannot resolve {path.raw}: {failure}",
+                template_id=template.id, line=path.line)
+        self.warnings.append(
+            f"{template.id}:{path.line}: unresolved reference {path.raw}"
+            f" ({failure})")
+        return _TEMPLATE_MISSING
+
+    def _resolve_quietly(self, path: ReferencePath, scope: dict):
+        value, failure = _walk(path, scope)
+        return _TEMPLATE_MISSING if failure is not None else value

@@ -470,16 +470,21 @@ def test_deep_durations_json_is_a_one_line_error(capsys, tmp_path, collector_on)
         capsys, "simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", str(durations)))
 
 
-def test_deep_template_blocks_are_a_one_line_error(capsys, tmp_path, collector_on):
+def test_deep_template_blocks_render(capsys, tmp_path, collector_on):
+    # Template blocks nest to any depth: neither the parser nor the
+    # renderer recurses.
     depth = sys.getrecursionlimit()
     (tmp_path / "main.vt").write_text(
-        "#if($x)\n" * depth + "x\n" + "#end\n" * depth, encoding="utf-8")
+        "#if($Program)\n" * depth + "x\n" + "#end\n" * depth, encoding="utf-8")
     generator = tmp_path / "gen.xml"
     generator.write_text('<Generator><Main file="main.vt" output="out.txt"/></Generator>',
                          encoding="utf-8")
-    _assert_nested_too_deeply(*run(
-        capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
-        "--templates", str(generator), "--out", str(tmp_path / "out")))
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert out == f"{tmp_path / 'out' / 'out.txt'}\n"
+    assert (tmp_path / "out" / "out.txt").read_bytes() == b"x\n"
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("bad_input", ["dsl", "program"])
@@ -521,7 +526,7 @@ def collector_on():
     [
         (["validate", "--dsl", DEMO_DSL, FIVE_STAGE], 0),
         (["validate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL], 1),
-        (["validate", "--dsl", DEMO_DSL, "{bad_utf8}"], 2),  # _CliFailure
+        (["validate", "--dsl", DEMO_DSL, "{bad_utf8}"], 2),  # SeqcError
         (["validate", "--dsl", DEMO_DSL, "{missing}"], 2),  # OSError
         (["simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", "{bad_json}"], 2),
         (["validate", FIVE_STAGE], SystemExit),  # argparse: --dsl is required

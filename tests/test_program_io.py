@@ -17,7 +17,7 @@ from seqc.errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from seqc.model import ActionInstance, Program, ResourceInstance, VariableDecl
+from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
 from seqc.program_io import (
     export_dot,
     graph_payload,
@@ -359,6 +359,31 @@ def test_save_load_round_trip_on_random_programs():
         assert save_program(again) == text
         composites += "<Field " in text
     assert composites > 100
+
+
+EMPTY_COMPOSITE_DSL = load_dsl(
+    '<RobotClassDSL name="Bare"><VariableTypes>'
+    '<VariableType name="Nothing"/>'
+    '<VariableType name="Holder"><Field name="inner" type="Nothing"/></VariableType>'
+    '</VariableTypes><ResourceComponent type="Unit"><Action actionIdentifier="Use">'
+    '<ParameterList><Parameter name="p" type="Holder"/></ParameterList>'
+    "</Action></ResourceComponent></RobotClassDSL>"
+)
+
+
+def test_top_level_empty_literal_is_no_literal_and_round_trips():
+    # A top-level {} is no literal, as its XML form (no value, no <Field>)
+    # reads back; a nested {} is an empty composite and stays one.
+    assert VariableDecl("v", "Nothing", {}) == VariableDecl("v", "Nothing")
+    with pytest.raises(ValueError, match="exactly one of a variable or a literal"):
+        ArgBinding("p", value={})
+    program = Program("P", "Bare", (ResourceInstance("r", "Unit"),),
+                      (VariableDecl("empty", "Nothing", {}),
+                       VariableDecl("held", "Holder", {"inner": {}})),
+                      (ActionInstance("a", "Use", "r", (ArgBinding("p", value={"inner": {}}),)),))
+    assert program.variable("empty").init is None
+    assert program.variable("held").init == {"inner": {}}
+    assert load_program(save_program(program), EMPTY_COMPOSITE_DSL) == program
 
 
 def test_canonical_form_uses_self_closing_empty_sections():

@@ -1,29 +1,37 @@
 """Template parsing and rendering semantics."""
 
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import pytest
 
+from seqc.codegen import load_generator_file, program_view
+from seqc.dsl import load_dsl
 from seqc.errors import (
     MalformedReferenceError,
     NonIterableInForeachError,
+    SeqcError,
     TemplateError,
     UnclosedBlockError,
     UnknownDirectiveError,
     UnknownTemplateIdError,
     UnresolvedReferenceError,
 )
+from seqc.program_io import load_program
 from seqc.templating import (
     ForeachNode,
     ReferenceNode,
+    Template,
     TemplateEngine,
     TextNode,
     normalize_accessor,
     parse_template,
     render_string,
 )
+from support import fixture_path, fixture_text, parse_template_oracle, render_template_oracle
 
 
 @dataclass(frozen=True)
@@ -384,3 +392,135 @@ def test_render_string_accepts_a_library():
     library = {"part": parse_template("<$Box.name>", "part")}
     result = render_string("#insert(part, $b)", {"b": Box(name="q")}, library=library)
     assert result.text == "<q>"
+
+
+# --- nesting depth ---------------------------------------------------------------
+
+def test_blocks_nest_far_deeper_than_the_recursion_limit():
+    depth = 10 * sys.getrecursionlimit()
+    openers = ["#if($t)\n", "#foreach($i in $one)\n"] * (depth // 2)
+    source = "".join(openers) + "x\n" + "#end\n" * len(openers)
+    template = parse_template(source)
+    engine = TemplateEngine()
+    assert engine.render_template(template, {"t": True, "one": [1]}).text == "x\n"
+    assert engine.render_template(template, {"t": False, "one": [1]}).text == ""
+
+
+# --- the one-scan parser and frame-stack renderer against the recursive oracle ---
+
+# Pieces that parse in any position outside a block's argument list.
+_PIECES = [
+    "plain ", "x", "\n", "\r\n", " \t", "|", "(", ")", ",", ".", "}", "=",
+    r"\$", r"\#", "\\", r"\x", r"\\$a", "$", "#", "$5", "#1", "$ ", "# ", "$$a",
+    "#_x", "#{x}", "$²", "#²", "$a", "${a}", "$a.", "$a.1", "$b.name", "$b.getName()",
+    "${b.size}", "$b.items", "$b.getSize().x", "$ghost", "${ghost.x}",
+    "$cfg.inner.deep", "$cfg.getInner().Deep", "$n", "$t", "$f", "$x", "$v",
+    '#set($v = $a)', '#set($v = "s")', "#set($v = -3)", "#set($v = 2.5)",
+    "#set($v = true)", "#set( $v=false )\n", "#set($v = $ghost)", "#set($x = $items)",
+    "#insert(part, $b)", '#insert("part", $b)\n', "#insert($name, $b)",
+    "#insert( ghost ,$b )", "#insert(part, $a)", "#insert(part, $ghost)",
+    "#insert($ghost, $b)", "#insert(loop, $b)\r\n", "#insert($b.name, $b)",
+    "#insert(chain1, $b)", "#insert(chain0, $b)",
+]
+# Pieces that fail to parse, or that are stray in most positions.
+_BROKEN = [
+    "$_hidden", "$a._x", "${a", "${}", "$é", "#é", "#Foo", "#bogus(1)", "#endif",
+    "#if", "#if(", "#if $a)", "#if($a", "#foreach($x on $items)",
+    "#foreach($x.y in $items)", "#foreach($x in)", "#foreach($x in $items",
+    "#set($v = )", '#set($v = "open)', '#set($v = "two\nlines")', "#set($v.x = 1)",
+    "#set(v = 1)", "#insert(t $b)", "#insert(, $b)", "#insert(part, b)", "#end",
+    "#else", "#else\n", "#end\r\n",
+]
+_OPENERS = [
+    "#foreach($x in $items)", "#foreach( $x in $nested )\n", "#foreach($x in $ghost)",
+    "#foreach($x in $a)", "#foreach($x\tin\t$b.items)\r\n", "#foreach($i in $x)",
+    "#if($a)", "#if($ghost)\n", "#if( $n )", "#if($t)\r\n", "#if($f)", "#if($x)",
+    "#if($v)\n",
+]
+_LIBRARY_SOURCES = {
+    "part": "<$Box.name #foreach($x in $Box.items)$x,#end$a $x>",
+    "loop": "#insert(loop, $Box)",
+    # A chain one #insert longer than the depth limit allows.
+    **{f"chain{i}": f"{i} #insert(chain{i + 1}, $Box)" for i in range(32)},
+    "chain32": "end",
+}
+
+
+def random_template_source(rng: random.Random, depth: int = 0) -> str:
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.03:
+            out.append(rng.choice(_BROKEN))
+        elif roll < 0.3 and depth < 4:
+            opener = rng.choice(_OPENERS)
+            out.append(opener + random_template_source(rng, depth + 1))
+            if opener.startswith("#if") and rng.random() < 0.5:
+                out.append(rng.choice(["#else", "#else\n", "#else\r\n"])
+                           + random_template_source(rng, depth + 1))
+            out.append(rng.choice(["#end", "#end\n", "#end\r\n", "#end "]))
+        else:
+            out.append(rng.choice(_PIECES))
+    source = "".join(out)
+    if source and rng.random() < 0.1:  # cut a slice out: unclosed and half directives
+        cut = rng.randrange(len(source))
+        source = source[:cut] + source[cut + rng.randint(1, 12):]
+    return source
+
+
+def outcome(call):
+    try:
+        return call()
+    except SeqcError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def assert_engine_matches_oracle(source, template_id, scope, library):
+    parsed = outcome(lambda: parse_template(source, template_id))
+    assert parsed == outcome(lambda: parse_template_oracle(source, template_id)), source
+    if not isinstance(parsed, Template):
+        return parsed
+    for strict in (True, False):
+        engine = TemplateEngine(library, strict=strict)
+        rendered = outcome(lambda: engine.render_template(parsed, scope))
+        assert rendered == outcome(lambda: render_template_oracle(engine, parsed, scope)), \
+            (source, strict)
+    return parsed
+
+
+def test_engine_matches_the_recursive_oracle_on_random_templates():
+    rng = random.Random(20)
+    scope = {"a": "ALPHA", "b": Box(name="part", size=4, items=(1, 2)), "items": [1, 2],
+             "nested": [[1], [2, 3]], "name": "part", "n": None, "t": True, "f": False,
+             "cfg": {"inner": {"deep": "D"}}}
+    library = {key: parse_template(text, key) for key, text in _LIBRARY_SOURCES.items()}
+    kinds = Counter()
+    for _ in range(2500):
+        result = assert_engine_matches_oracle(
+            random_template_source(rng), "random.vt", scope, library)
+        kinds[result[0].__name__ if isinstance(result, tuple) else "parsed"] += 1
+    # The generator reaches every parse failure as well as clean templates.
+    assert kinds["parsed"] > 1000
+    for error in (UnclosedBlockError, UnknownDirectiveError, MalformedReferenceError):
+        assert kinds[error.__name__] > 20
+
+
+@pytest.mark.parametrize("name,program_file", [
+    ("nxt", "obstacle_avoid.xml"), ("service_robot", "grasp_demo.xml"),
+])
+def test_engine_matches_the_recursive_oracle_on_fixture_templates(name, program_file):
+    dsl = load_dsl(fixture_text(name, "dsl.xml"))
+    program = load_program(fixture_text(name, program_file), dsl)
+    config = load_generator_file(fixture_path(name, "generator.xml"))
+    scope = {"Program": program_view(program, dsl)}
+    library = config.library()
+    sources = sorted(fixture_path(name, "templates").glob("*.vt"))
+    assert sources
+    for path in sources:
+        assert isinstance(assert_engine_matches_oracle(
+            path.read_text(encoding="utf-8"), path.name, scope, library), Template)
+    for main in config.mains:  # output-name patterns come from generator.xml
+        for strict in (True, False):
+            engine = TemplateEngine(library, strict=strict)
+            assert engine.render_template(main.output_pattern, scope) == \
+                render_template_oracle(engine, main.output_pattern, scope)

@@ -144,6 +144,17 @@ def test_duplicate_names_reported_for_every_kind():
     assert Code.DUPLICATE_NAME in codes(report)
 
 
+def test_bindings_use_the_first_declaration_of_a_variable():
+    # v is declared Int, then Bool; the Int one is the variable, as
+    # Program.variable has it, so the binding to an Int parameter type-checks.
+    program = lint_program(
+        [ActionInstance("a", "Drive", "m1", (ArgBinding("speed", variable="v"),))],
+        [VariableDecl("v", "Int", 1), VariableDecl("v", "Bool", True)],
+    )
+    report = validate(program, LINT_DSL)
+    assert [(f.code, f.subjects) for f in report.findings] == [(Code.DUPLICATE_NAME, ("v",))]
+
+
 def test_unbound_parameter():
     program = lint_program([ActionInstance("d", "Drive", "m1")])
     report = validate(program, LINT_DSL)
