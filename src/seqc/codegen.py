@@ -187,9 +187,17 @@ def load_generator_config(text: str, *, base_dir: str | Path = ".",
 def load_generator_file(path: str | Path,
                         search_path: Sequence[str | Path] = ()) -> GeneratorConfig:
     path = Path(path)
-    return load_generator_config(path.read_text(encoding="utf-8"),
+    return load_generator_config(_read_utf8(path),  # the caller names the configuration
                                  base_dir=path.parent,
                                  search_path=search_path)
+
+
+def _read_utf8(path: Path, prefix: str = "") -> str:
+    """The text of `path`; bytes that are not UTF-8 are a SeqcError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SeqcError(f"{prefix}not UTF-8 text: {exc}") from exc
 
 
 def _add_unique(mapping: dict, key: str, template: Template, kind: str):
@@ -202,7 +210,7 @@ def _load_template(elem: ET.Element, template_id: str, base_dir,
                    search_path) -> Template:
     file_name = require_attr(elem, "file")
     path = _resolve_file(file_name, base_dir, search_path)
-    return parse_template(path.read_text(encoding="utf-8"), template_id)
+    return parse_template(_read_utf8(path, f"{path}: "), template_id)
 
 
 def _resolve_file(file_name: str, base_dir, search_path) -> Path:

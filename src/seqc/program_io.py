@@ -6,31 +6,33 @@ constraint section of <After action="X" predecessor="Y"/> edges.
 Documents are saved in canonical form (fixed section order, entries
 sorted by name) so equal programs always produce identical bytes.
 
-Both loaders share one structural walk over the document, which checks
-the section and entry tags and reads each entry's required attributes,
-so a structural error is reported before any reference is resolved.
-`load_program` follows it with a resolve pass against the DSL: literal
-argument values and variable initializers are attribute text parsed
-under the direction of the declared type, and composite values use
-nested <Field> elements.  `parse_program` builds the unresolved model
-from the same walk.
+Both loaders read the document with `xmlio.read_document`, which parses
+it in slices and hands over each entry, its tag and required attributes
+checked, as soon as it is complete; the element tree never exists whole.
+`parse_program` keeps the attribute rows only.  `load_program` resolves
+each variable and action against the DSL as it arrives (literal values
+are attribute text parsed under the direction of the declared type;
+composite values use nested <Field> elements) and keeps the result, or
+the first error of its section.  Its checks then run in the order of a
+walk over the whole tree: every structural error first, then the robot
+class, resources, variables, actions, names and constraints.
 """
 
 import math
 import re
-from operator import itemgetter
 
 from . import model
 from .dsl import RobotClassDsl, _duplicates, lookup_action
 from .errors import (
     DuplicateIdentifierError,
+    SeqcError,
     UnknownResourceTypeError,
     UnknownVariableTypeError,
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
 from .model import ActionInstance, ArgBinding, ConstraintEdge, Program, ResourceInstance, VariableDecl
-from .xmlio import _children, _write_element, parse_root, require_attr
+from .xmlio import _children, _detached, _write_element, read_document, require_attr
 
 
 def load_program(text: str, dsl: RobotClassDsl) -> Program:
@@ -42,32 +44,76 @@ def load_program(text: str, dsl: RobotClassDsl) -> Program:
     acyclic.  Variable references in bindings are deliberately
     not resolved here; the validator reports them with context.
     """
-    name, robot_class, elems, attrs = _read_document(text)
+    program = _resolve(text, dsl)  # its working lists are freed before the graph index is built
+    model.topological_order(program)  # raises CyclicGraphError on cycles
+    return program
+
+
+def _resolve(text: str, dsl: RobotClassDsl) -> Program:
+    """`load_program` up to the acyclicity check."""
+    rows: dict[str, list] = {"Resources": [], "Constraints": []}
+    variables: list[VariableDecl] = []
+    heads: list[tuple] = []  # (name, type, resource, action type) of each typed action
+    bodies: list[tuple] = []  # (args, return_to) of each action resolved in full
+    failed: dict[str, SeqcError] = {}  # section tag: the first error resolving it
+
+    def take(tag, entries, found):
+        if tag in rows:  # checked once every entry is in
+            rows[tag].extend(found)
+            return
+        if tag in failed:  # a section resolves up to its first error
+            return
+        try:
+            for elem, row in zip(entries, found):
+                if tag == "Variables":
+                    variables.append(_parse_variable(elem, row, dsl))
+                else:
+                    action_type = lookup_action(dsl, row[1])
+                    heads.append((*row, action_type))
+                    bodies.append(_parse_children(elem, action_type, dsl, row[0]))
+        except SeqcError as exc:
+            failed[tag] = _detached(exc)
+        except RecursionError:
+            kind = "variable" if tag == "Variables" else "action"
+            failed[tag] = XmlSyntaxError(f"{kind} {row[0]!r}: literal nested too deeply")
+
+    name, robot_class = read_document(text, "Program", ("name", "robotClass"), _SECTIONS, take)
     if robot_class != dsl.name:
         raise UnresolvedReferenceError(f"program is written for robot class {robot_class!r},"
                                        f" but the DSL is {dsl.name!r}")
-    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
+    resources = [ResourceInstance(*row) for row in rows["Resources"]]
     for resource in resources:
         if dsl.component(resource.component_type) is None:
             raise UnknownResourceTypeError(f"resource {resource.name!r} has unknown"
                                            f" component type {resource.component_type!r}")
-    variables = [_parse_variable(elem, row, dsl)
-                 for elem, row in zip(elems["Variables"], attrs["Variables"])]
+    if "Variables" in failed:
+        raise failed["Variables"]
     _reject_duplicates((r.name for r in resources), "resource")
     _reject_duplicates((v.name for v in variables), "variable")
     resource_types = {r.name: r.component_type for r in resources}
-    rows = [_parse_action(elem, row, dsl, resource_types)
-            for elem, row in zip(elems["Actions"], attrs["Actions"])]
-    _reject_duplicates((row[0] for row in rows), "action")
-    incoming: dict[str, set[str]] = {row[0]: set() for row in rows}
-    for action, predecessor in attrs["Constraints"]:
+    for action_name, type_name, resource, action_type in heads:
+        if resource not in resource_types:
+            raise UnresolvedReferenceError(
+                f"action {action_name!r} runs on undeclared resource {resource!r}"
+            )
+        if resource_types[resource] != action_type.owner:
+            raise UnresolvedReferenceError(
+                f"action {action_name!r}: type {type_name!r} belongs to component"
+                f" {action_type.owner!r}, but resource {resource!r} is a"
+                f" {resource_types[resource]!r}"
+            )
+    if "Actions" in failed:  # after the resource checks of the actions before it
+        raise failed["Actions"]
+    _reject_duplicates((head[0] for head in heads), "action")
+    incoming: dict[str, set[str]] = {head[0]: set() for head in heads}
+    for action, predecessor in rows["Constraints"]:
         for endpoint in (action, predecessor):
             if endpoint not in incoming:
                 raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
         incoming[action].add(predecessor)
-    program = _assemble(name, robot_class, resources, variables, rows, incoming)
-    model.topological_order(program)  # raises CyclicGraphError on cycles
-    return program
+    actions = ((action_name, type_name, resource, args, return_to)
+               for (action_name, type_name, resource, _), (args, return_to) in zip(heads, bodies))
+    return _assemble(name, robot_class, resources, variables, actions, incoming)
 
 
 def parse_program(text: str) -> Program:
@@ -76,14 +122,19 @@ def parse_program(text: str) -> Program:
     Types are not resolved, literals are kept as raw strings, and
     acyclicity is not enforced.  Use load_program for real loading.
     """
-    name, robot_class, _, attrs = _read_document(text)
-    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
-    variables = [VariableDecl(*row) for row in attrs["Variables"]]
-    rows = [(*row, (), None) for row in attrs["Actions"]]
+    rows: dict[str, list] = {tag: [] for tag in _SECTIONS}
+
+    def take(tag, entries, found):
+        rows[tag].extend(found)
+
+    name, robot_class = read_document(text, "Program", ("name", "robotClass"), _SECTIONS, take)
+    resources = [ResourceInstance(*row) for row in rows["Resources"]]
+    variables = [VariableDecl(*row) for row in rows["Variables"]]
+    actions = [(*row, (), None) for row in rows["Actions"]]
     incoming: dict[str, set[str]] = {}
-    for action, predecessor in attrs["Constraints"]:
+    for action, predecessor in rows["Constraints"]:
         incoming.setdefault(action, set()).add(predecessor)
-    return _assemble(name, robot_class, resources, variables, rows, incoming)
+    return _assemble(name, robot_class, resources, variables, actions, incoming)
 
 
 _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
@@ -92,26 +143,6 @@ _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
     "Actions": ("ActionInstance", ("name", "type", "resource")),
     "Constraints": ("After", ("action", "predecessor")),
 }
-
-
-def _read_document(text: str):
-    """The one structural walk: checks the section and entry tags and the
-    entries' required attributes, in document order.  Returns the root's
-    name and robot class, then by section tag the entry elements and, in
-    the same order, the tuples of their required attribute values."""
-    root = parse_root(text, "Program")
-    name = require_attr(root, "name")
-    robot_class = require_attr(root, "robotClass")
-    elems: dict[str, list] = {tag: [] for tag in _SECTIONS}
-    attrs: dict[str, list[tuple[str, ...]]] = {tag: [] for tag in _SECTIONS}
-    for section in root:
-        if section.tag not in _SECTIONS:
-            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
-        entry_tag, required = _SECTIONS[section.tag]
-        entries = _children(section, entry_tag)
-        elems[section.tag].extend(entries)
-        attrs[section.tag].extend(_required(entries, required))
-    return name, robot_class, elems, attrs
 
 
 def _assemble(name, robot_class, resources, variables, rows, incoming) -> Program:
@@ -123,15 +154,6 @@ def _assemble(name, robot_class, resources, variables, rows, incoming) -> Progra
         for action_name, type_name, resource, args, return_to in rows
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
-
-
-def _required(elems: list, names: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """Each element's values of the attributes `names`, which it must carry."""
-    values = itemgetter(*names)
-    try:
-        return [values(elem.attrib) for elem in elems]
-    except KeyError:  # report the first one missing
-        return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
 
 
 def _reject_duplicates(names, kind):
@@ -151,19 +173,8 @@ def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
     return VariableDecl(name, type_name, _parse_literal(elem, init_attr, type_name, dsl, where))
 
 
-def _parse_action(elem, attrs, dsl: RobotClassDsl, resource_types: dict[str, str]):
-    name, type_name, resource = attrs
-    action_type = lookup_action(dsl, type_name)
-    if resource not in resource_types:
-        raise UnresolvedReferenceError(
-            f"action {name!r} runs on undeclared resource {resource!r}"
-        )
-    if resource_types[resource] != action_type.owner:
-        raise UnresolvedReferenceError(
-            f"action {name!r}: type {type_name!r} belongs to component"
-            f" {action_type.owner!r}, but resource {resource!r} is a"
-            f" {resource_types[resource]!r}"
-        )
+def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
+    """The (args, return_to) of action `name` from its <Arg> and <ReturnTo> children."""
     declared = action_type.parameters_by_name
     bindings: dict[str, ArgBinding] = {}
     return_to = None
@@ -185,8 +196,7 @@ def _parse_action(elem, attrs, dsl: RobotClassDsl, resource_types: dict[str, str
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    ordered = tuple([bindings[param] for param in declared if param in bindings])
-    return name, type_name, resource, ordered, return_to
+    return tuple([bindings[param] for param in declared if param in bindings]), return_to
 
 
 def _parse_arg(elem, param, dsl: RobotClassDsl, action_name: str) -> ArgBinding:

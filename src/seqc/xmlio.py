@@ -1,9 +1,18 @@
 """The XML rules shared by every document kind: one way to read a root,
-an attribute and a list of children, and one way to write an element."""
+an attribute and a list of children, and one way to write an element.
+
+DSL and generator documents are small and parsed whole (`parse_root`).
+Program documents grow with the program, so `read_document` parses them
+in slices and hands each entry over as soon as it is complete, then drops
+it: the element tree never exists whole.
+"""
 
 import xml.etree.ElementTree as ET
+from operator import itemgetter
 
 from .errors import XmlSyntaxError
+
+_SLICE = 1 << 16  # characters of text parsed between two walks of the tree
 
 
 def parse_root(text: str, expected_tag: str) -> ET.Element:
@@ -12,9 +21,122 @@ def parse_root(text: str, expected_tag: str) -> ET.Element:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc
+    _expect_tag(root, expected_tag)
+    return root
+
+
+def _expect_tag(root: ET.Element, expected_tag: str) -> None:
     if root.tag != expected_tag:
         raise XmlSyntaxError(f"expected <{expected_tag}> document, found <{root.tag}>")
-    return root
+
+
+def read_document(text: str, root_tag: str, root_attrs: tuple[str, ...],
+                  sections: dict, take) -> tuple[str, ...]:
+    """Read a document whose root holds sections of entries, slice by slice.
+
+    `sections` maps each section tag to its entry tag and the attributes
+    every entry must carry.  After each slice of text, the entries that
+    have completed are checked (tag, then required attributes) and handed
+    to `take(section_tag, entries, rows)` in document order, `rows`
+    holding each entry's required attribute values; then they are
+    dropped.  Returns the values of the root's `root_attrs`.
+
+    Errors come in the order of a walk over the whole tree: XML syntax
+    anywhere, then the root's tag and attributes, then, section by
+    section, an unknown section tag, the section's first stray entry and
+    its first missing attribute.  Once one of these is found `take` sees
+    no more entries; `take` itself must hold back its own errors until
+    this returns.
+    """
+    parser = ET.XMLPullParser(("start",))  # only the root's start is used
+    walk = _Walk(root_tag, root_attrs, sections, take)
+    try:
+        for at in range(0, len(text), _SLICE):
+            parser.feed(text[at:at + _SLICE])
+            # Reading the events also raises a syntax error the feed queued;
+            # close() would report it at a later position.
+            walk.step(parser.read_events(), final=False)
+        parser.close()
+    except ET.ParseError as exc:
+        raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc
+    walk.step(parser.read_events(), final=True)
+    if walk.error is not None:
+        raise walk.error
+    return walk.values
+
+
+class _Walk:
+    """The walk of `read_document` over a growing tree.  Only the last
+    section of the root, and only its last entry, can be unfinished after
+    a slice, so each step takes everything before them and drops it."""
+
+    def __init__(self, root_tag, root_attrs, sections, take):
+        self.root_tag, self.root_attrs = root_tag, root_attrs
+        self.sections, self.take = sections, take
+        self.root = self.values = None
+        self.error = None  # the first structural error
+        self.missing = None  # the current section's first missing attribute
+
+    def step(self, events, final: bool) -> None:
+        started = False  # an entry is finished only once a later element starts
+        for _, elem in events:  # drained: a queued event holds its element
+            started = True
+            if self.root is None:
+                self.root = elem
+                try:
+                    _expect_tag(elem, self.root_tag)
+                    self.values = tuple([require_attr(elem, name) for name in self.root_attrs])
+                except XmlSyntaxError as exc:
+                    self.error = exc
+        if self.root is None or not (started or final):
+            return
+        sections = self.root[:]
+        for section in sections:
+            closed = final or section is not sections[-1]
+            entries = section[:] if closed else section[:-1]
+            if self.error is None:
+                self._check(section, entries)
+            del section[:len(entries)]
+            if closed:
+                self.root.remove(section)
+                self.error = self.error or self.missing
+
+    def _check(self, section: ET.Element, entries: list) -> None:
+        if section.tag not in self.sections:
+            self.error = XmlSyntaxError(f"unexpected element <{section.tag}>")
+            return
+        entry_tag, required = self.sections[section.tag]
+        for entry in entries:
+            if entry.tag != entry_tag:  # beats a missing attribute in this section
+                self.error = XmlSyntaxError(
+                    f"unexpected element <{entry.tag}> inside <{section.tag}>")
+                return
+        if self.missing is None:
+            try:
+                rows = _required(entries, required)
+            except XmlSyntaxError as exc:
+                self.missing = _detached(exc)
+            else:
+                self.take(section.tag, entries, rows)
+
+
+def _detached(exc: BaseException) -> BaseException:
+    """`exc` held for later: without the tracebacks, down its chain, whose
+    frames would keep the elements they saw alive."""
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return exc
+
+
+def _required(elems: list, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Each element's values of the attributes `names`, which it must carry."""
+    values = itemgetter(*names)
+    try:
+        return [values(elem.attrib) for elem in elems]
+    except KeyError:  # report the first one missing
+        return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
 
 
 def require_attr(elem: ET.Element, name: str) -> str:

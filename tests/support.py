@@ -10,6 +10,7 @@ import heapq
 import itertools
 import random
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -35,6 +36,7 @@ from seqc.errors import (
     UnknownDirectiveError,
     UnknownTemplateIdError,
     UnknownResourceTypeError,
+    UnknownVariableTypeError,
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
@@ -604,7 +606,7 @@ def random_durations(rng: random.Random, program: Program, low=1, high=5):
 # The two program-document walkers as they were before the shared
 # structural walk, kept as oracles.  They check tags lazily and read each
 # entry's required attributes just before resolving it, as they did, and
-# reuse program_io's per-entry resolvers for the rest.
+# reuse the whole-tree oracle's entry resolvers below for the rest.
 
 def _expect_lazily(section, tag):
     for child in section:
@@ -634,7 +636,7 @@ def load_program_oracle(text: str, dsl: RobotClassDsl) -> Program:
         if section.tag == "Resources":
             resources.extend(_parse_resource(e, dsl) for e in _expect_lazily(section, "Resource"))
         elif section.tag == "Variables":
-            variables.extend(pio._parse_variable(e, _attrs(e, "name", "type"), dsl)
+            variables.extend(_whole_tree_variable(e, _attrs(e, "name", "type"), dsl)
                              for e in _expect_lazily(section, "Variable"))
         elif section.tag == "Actions":
             action_elems.extend(_expect_lazily(section, "ActionInstance"))
@@ -642,12 +644,12 @@ def load_program_oracle(text: str, dsl: RobotClassDsl) -> Program:
             constraint_elems.extend(_expect_lazily(section, "After"))
         else:
             raise XmlSyntaxError(f"unexpected element <{section.tag}>")
-    pio._reject_duplicates((r.name for r in resources), "resource")
-    pio._reject_duplicates((v.name for v in variables), "variable")
+    _whole_tree_reject_duplicates((r.name for r in resources), "resource")
+    _whole_tree_reject_duplicates((v.name for v in variables), "variable")
     resource_types = {r.name: r.component_type for r in resources}
-    parsed_actions = [pio._parse_action(elem, _attrs(elem, "name", "type", "resource"), dsl,
-                                        resource_types) for elem in action_elems]
-    pio._reject_duplicates((name for name, *_ in parsed_actions), "action")
+    parsed_actions = [_whole_tree_action(elem, _attrs(elem, "name", "type", "resource"), dsl,
+                                         resource_types) for elem in action_elems]
+    _whole_tree_reject_duplicates((name for name, *_ in parsed_actions), "action")
     incoming: dict[str, set[str]] = {name: set() for name, *_ in parsed_actions}
     for elem in constraint_elems:
         action = require_attr(elem, "action")
@@ -701,6 +703,165 @@ def parse_program_oracle(text: str) -> Program:
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
 
+
+
+# The one whole-tree walk that served both loaders before program
+# documents were read slice by slice, kept as an oracle: `ET.fromstring`
+# builds the whole element tree, the structural walk checks every section
+# and entry, then each phase resolves the entries it needs.  The entry
+# resolvers are copied too; composite literals reuse `pio._parse_literal`,
+# which reading by slices did not change.
+
+WHOLE_TREE_SECTIONS = {
+    "Resources": ("Resource", ("name", "type")),
+    "Variables": ("Variable", ("name", "type")),
+    "Actions": ("ActionInstance", ("name", "type", "resource")),
+    "Constraints": ("After", ("action", "predecessor")),
+}
+
+
+def _whole_tree_children(elem, tag):
+    children = elem.findall(tag)
+    if len(children) != len(elem):
+        stray = next(child for child in elem if child.tag != tag)
+        raise XmlSyntaxError(f"unexpected element <{stray.tag}> inside <{elem.tag}>")
+    return children
+
+
+def _whole_tree_required(elems, names):
+    values = itemgetter(*names)
+    try:
+        return [values(elem.attrib) for elem in elems]
+    except KeyError:
+        return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
+
+
+def read_document_whole_tree(text: str):
+    root = parse_root(text, "Program")
+    name = require_attr(root, "name")
+    robot_class = require_attr(root, "robotClass")
+    elems: dict[str, list] = {tag: [] for tag in WHOLE_TREE_SECTIONS}
+    attrs: dict[str, list] = {tag: [] for tag in WHOLE_TREE_SECTIONS}
+    for section in root:
+        if section.tag not in WHOLE_TREE_SECTIONS:
+            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
+        entry_tag, required = WHOLE_TREE_SECTIONS[section.tag]
+        entries = _whole_tree_children(section, entry_tag)
+        elems[section.tag].extend(entries)
+        attrs[section.tag].extend(_whole_tree_required(entries, required))
+    return name, robot_class, elems, attrs
+
+
+def _whole_tree_variable(elem, attrs, dsl):
+    name, type_name = attrs
+    if dsl.variable_type(type_name) is None:
+        raise UnknownVariableTypeError(f"variable {name!r} has unknown type {type_name!r}")
+    init_attr, where = elem.get("init"), f"variable {name!r}"
+    if init_attr is not None and len(elem):
+        raise XmlSyntaxError(f"{where} mixes init attribute and <Field> children")
+    if init_attr is None and not len(elem):
+        return VariableDecl(name, type_name)
+    return VariableDecl(name, type_name, pio._parse_literal(elem, init_attr, type_name, dsl, where))
+
+
+def _whole_tree_action(elem, attrs, dsl, resource_types):
+    name, type_name, resource = attrs
+    action_type = dslmod.lookup_action(dsl, type_name)
+    if resource not in resource_types:
+        raise UnresolvedReferenceError(f"action {name!r} runs on undeclared resource {resource!r}")
+    if resource_types[resource] != action_type.owner:
+        raise UnresolvedReferenceError(
+            f"action {name!r}: type {type_name!r} belongs to component"
+            f" {action_type.owner!r}, but resource {resource!r} is a"
+            f" {resource_types[resource]!r}")
+    declared = action_type.parameters_by_name
+    bindings: dict[str, ArgBinding] = {}
+    return_to = None
+    for child in elem:
+        if child.tag == "Arg":
+            param = require_attr(child, "param")
+            if param not in declared:
+                raise UnresolvedReferenceError(f"action {name!r} binds unknown parameter {param!r}")
+            if param in bindings:
+                raise DuplicateIdentifierError(f"action {name!r} binds parameter {param!r} twice")
+            bindings[param] = _whole_tree_arg(child, declared[param], dsl, name)
+        elif child.tag == "ReturnTo":
+            if return_to is not None:
+                raise XmlSyntaxError(f"action {name!r} has more than one <ReturnTo>")
+            return_to = require_attr(child, "variable")
+        else:
+            raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
+    ordered = tuple([bindings[param] for param in declared if param in bindings])
+    return name, type_name, resource, ordered, return_to
+
+
+def _whole_tree_arg(elem, param, dsl, action_name):
+    variable, value_attr = elem.get("variable"), elem.get("value")
+    if (variable is not None) + (value_attr is not None) + (len(elem) > 0) != 1:
+        raise XmlSyntaxError(
+            f"action {action_name!r}, parameter {param.name!r}: exactly one of"
+            " variable=, value=, or nested <Field> elements is required")
+    if variable is not None:
+        return ArgBinding(param.name, variable=variable)
+    where = f"action {action_name!r}, parameter {param.name!r}"
+    return ArgBinding(param.name,
+                      value=pio._parse_literal(elem, value_attr, param.type_name, dsl, where))
+
+
+def _whole_tree_reject_duplicates(names, kind):
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateIdentifierError(f"{kind} {name!r} declared twice")
+        seen.add(name)
+
+
+def _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming):
+    actions = tuple(
+        ActionInstance(action_name, type_name, resource, args, return_to,
+                       tuple(ConstraintEdge(p) for p in sorted(incoming.get(action_name, ()))))
+        for action_name, type_name, resource, args, return_to in rows)
+    return Program(name, robot_class, tuple(resources), tuple(variables), actions)
+
+
+def load_program_whole_tree(text: str, dsl: RobotClassDsl) -> Program:
+    name, robot_class, elems, attrs = read_document_whole_tree(text)
+    if robot_class != dsl.name:
+        raise UnresolvedReferenceError(f"program is written for robot class {robot_class!r},"
+                                       f" but the DSL is {dsl.name!r}")
+    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
+    for resource in resources:
+        if dsl.component(resource.component_type) is None:
+            raise UnknownResourceTypeError(f"resource {resource.name!r} has unknown"
+                                           f" component type {resource.component_type!r}")
+    variables = [_whole_tree_variable(elem, row, dsl)
+                 for elem, row in zip(elems["Variables"], attrs["Variables"])]
+    _whole_tree_reject_duplicates((r.name for r in resources), "resource")
+    _whole_tree_reject_duplicates((v.name for v in variables), "variable")
+    resource_types = {r.name: r.component_type for r in resources}
+    rows = [_whole_tree_action(elem, row, dsl, resource_types)
+            for elem, row in zip(elems["Actions"], attrs["Actions"])]
+    _whole_tree_reject_duplicates((row[0] for row in rows), "action")
+    incoming: dict[str, set[str]] = {row[0]: set() for row in rows}
+    for action, predecessor in attrs["Constraints"]:
+        for endpoint in (action, predecessor):
+            if endpoint not in incoming:
+                raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
+        incoming[action].add(predecessor)
+    program = _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming)
+    model.topological_order(program)
+    return program
+
+
+def parse_program_whole_tree(text: str) -> Program:
+    name, robot_class, _, attrs = read_document_whole_tree(text)
+    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
+    variables = [VariableDecl(*row) for row in attrs["Variables"]]
+    rows = [(*row, (), None) for row in attrs["Actions"]]
+    incoming: dict[str, set[str]] = {}
+    for action, predecessor in attrs["Constraints"]:
+        incoming.setdefault(action, set()).add(predecessor)
+    return _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming)
 
 # The scheduling loop as it was before it ran on the shared graph index,
 # kept as an oracle: per-action `waiting` sets, a re-sort of the ready

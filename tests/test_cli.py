@@ -308,6 +308,33 @@ def test_generate_missing_config(capsys, tmp_path):
     assert err.startswith("seqc: error:")
 
 
+
+def test_generate_non_utf8_config_is_a_one_line_error(capsys, tmp_path):
+    generator = tmp_path / "gen.xml"
+    generator.write_bytes(b"\xff")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"seqc: error: {generator}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_generate_non_utf8_template_is_a_one_line_error(capsys, tmp_path):
+    template = tmp_path / "main.vt"
+    template.write_bytes(b"\xff")
+    generator = tmp_path / "gen.xml"
+    generator.write_text('<Generator><Main file="main.vt" output="out.txt"/></Generator>',
+                         encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"seqc: error: {generator}: {template}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
 def test_generate_template_search_path(capsys, tmp_path, monkeypatch):
     config_dir = tmp_path / "config"
     shared_dir = tmp_path / "shared"
@@ -459,8 +486,42 @@ def test_deep_composite_literal_is_a_one_line_error(capsys, tmp_path, collector_
         f'</Resources><Variables><Variable name="v" type="T0">{literal}</Variable>'
         '</Variables><Actions><ActionInstance name="a" type="Step" resource="r"/>'
         '</Actions></Program>', encoding="utf-8")
-    _assert_nested_too_deeply(
-        *run(capsys, "validate", "--dsl", str(dsl_file), str(program_file)))
+    code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
+    assert (code, out) == (2, "")
+    # One line, no traceback, path-prefixed like every other load error.
+    assert err == f"seqc: error: {program_file}: variable 'v': literal nested too deeply\n"
+    assert gc.isenabled()
+
+
+def test_deep_action_literal_keeps_its_place_in_the_error_order(capsys, tmp_path, collector_on):
+    depth = sys.getrecursionlimit()
+    types = "".join(
+        f'<VariableType name="T{i}"><Field name="f" type="{f"T{i + 1}" if i + 1 < depth else "Int"}"/>'
+        '</VariableType>' for i in range(depth))
+    dsl_file, program_file = tmp_path / "dsl.xml", tmp_path / "program.xml"
+    dsl_file.write_text(
+        f'<RobotClassDSL name="Deep"><VariableTypes>{types}</VariableTypes>'
+        '<ResourceComponent type="Unit"><Action actionIdentifier="Step">'
+        '<ParameterList><Parameter name="p" type="T0"/></ParameterList></Action>'
+        '</ResourceComponent></RobotClassDSL>', encoding="utf-8")
+    literal = ('<Field name="f">' * (depth - 1) + '<Field name="f" value="1"/>'
+               + '</Field>' * (depth - 1))
+    # Action 'b' comes first in the document, so its undeclared resource
+    # is reported before the literal of 'a' that follows it.
+    program_file.write_text(
+        '<Program name="P" robotClass="Deep"><Resources><Resource name="r" type="Unit"/>'
+        '</Resources><Actions><ActionInstance name="b" type="Step" resource="ghost"/>'
+        f'<ActionInstance name="a" type="Step" resource="r"><Arg param="p">{literal}</Arg>'
+        '</ActionInstance></Actions></Program>', encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
+    assert (code, out) == (2, "")
+    assert err == (f"seqc: error: {program_file}: action 'b' runs on undeclared"
+                   " resource 'ghost'\n")
+    program_file.write_text(program_file.read_text(encoding="utf-8").replace('"ghost"', '"r"'),
+                            encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
+    assert (code, out) == (2, "")
+    assert err == f"seqc: error: {program_file}: action 'a': literal nested too deeply\n"
 
 
 def test_deep_durations_json_is_a_one_line_error(capsys, tmp_path, collector_on):

@@ -2,10 +2,12 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
 import support
+from seqc import xmlio
 from seqc.dsl import load_dsl
 from seqc.errors import (
     CyclicGraphError,
@@ -17,7 +19,14 @@ from seqc.errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
+from seqc.model import (
+    ActionInstance,
+    ArgBinding,
+    ConstraintEdge,
+    Program,
+    ResourceInstance,
+    VariableDecl,
+)
 from seqc.program_io import (
     export_dot,
     graph_payload,
@@ -487,11 +496,12 @@ def _mutate(rng: random.Random, text: str) -> str:
     if kind == "drop_attr" and entries:
         i = rng.choice(entries)
         attrs = re.findall(r' \w+="[^"]*"', lines[i])
-        lines[i] = lines[i].replace(rng.choice(attrs), "", 1)
+        if attrs:
+            lines[i] = lines[i].replace(rng.choice(attrs), "", 1)
     elif kind == "rename_section":
         section = rng.choice(["Resources", "Variables", "Actions", "Constraints"])
         return re.sub(rf"<(/?){section}\b", rf"<\1{section}X", text)
-    elif kind == "stray_entry":
+    elif kind == "stray_entry" and len(lines) > 2:
         i = rng.randrange(1, len(lines) - 1)
         lines.insert(i + 1 if lines[i].endswith("s>") else i, "<Bogus/>")
     elif kind == "unknown_type":
@@ -502,18 +512,19 @@ def _mutate(rng: random.Random, text: str) -> str:
         i = rng.choice(entries)
         if lines[i].endswith("/>"):
             lines.insert(i, lines[i])
-    elif kind in ("extra_edge", "self_edge"):
+    elif kind in ("extra_edge", "self_edge") and '<ActionInstance name="' in text:
         names = re.findall(r'<ActionInstance name="([^"]*)"', text)
         a, b = rng.choice(names), rng.choice(names)
         edge = f'<After action="{a}" predecessor="{a if kind == "self_edge" else b}"/>'
         return text.replace("<Constraints/>", f"<Constraints>{edge}</Constraints>").replace(
             "<Constraints>\n", f"<Constraints>\n{edge}\n")
-    elif kind == "truncate":
+    elif kind == "truncate" and text:
         return text[:rng.randrange(len(text))]
     elif kind == "reorder_sections":
         head, body = text.split("\n", 1)
         blocks = re.findall(r"(  <(\w+)(?:/>|>.*?</\2>)\n)", body, flags=re.S)
-        assert len(blocks) == 4
+        if len(blocks) != 4:  # an earlier mutation broke a section
+            return text
         rng.shuffle(blocks)
         return head + "\n" + "".join(block for block, _ in blocks) + "</Program>\n"
     elif kind == "unknown_resource_type":
@@ -560,6 +571,141 @@ def test_walkers_match_the_old_walkers_on_random_documents():
             failed += not isinstance(new, Program)
     # Both outcomes, and both kinds of failure, well exercised.
     assert loaded > 150 and failed - unsound > 100 and unsound > 50
+
+
+def _result(parse, *args):
+    """What a loader makes of a document: the Program, or the class and
+    message of the error it raises."""
+    try:
+        return parse(*args)
+    except SeqcError as exc:
+        return type(exc), str(exc)
+
+
+SLICES = (1, 7, 64, xmlio._SLICE)
+
+
+def test_sliced_loaders_match_the_whole_tree_loaders_on_random_documents(monkeypatch):
+    """Reading by slices against the whole-tree walk it replaced: the
+    same Program, or the same error class and message, whatever the
+    slice size, on saved random programs with up to two defects."""
+    rng = random.Random(1313)
+    outcomes = set()
+    for index in range(520):
+        setup = support.random_flow_setup if index % 2 else support.random_literal_setup
+        dsl, program = setup(rng, max_actions=6)
+        doc = save_program(program)
+        for _ in range(index % 3):
+            doc = _mutate(rng, doc)
+        loaded = _result(support.load_program_whole_tree, doc, dsl)
+        parsed = _result(support.parse_program_whole_tree, doc)
+        for size in SLICES:
+            monkeypatch.setattr(xmlio, "_SLICE", size)
+            assert _result(load_program, doc, dsl) == loaded, (size, doc)
+            assert _result(parse_program, doc) == parsed, (size, doc)
+        outcomes.add(Program if isinstance(loaded, Program) else loaded[0])
+    # Loaded programs and every kind of error, well exercised.
+    assert {Program, XmlSyntaxError, UnknownActionTypeError, UnresolvedReferenceError,
+            DuplicateIdentifierError, CyclicGraphError, UnknownResourceTypeError} <= outcomes
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_a_stray_entry_beats_a_missing_attribute_only_in_its_own_section(monkeypatch, size):
+    # At the small slice sizes the stray entry arrives slices after the
+    # missing attribute.
+    monkeypatch.setattr(xmlio, "_SLICE", size)
+    padding = '<ActionInstance name="b" type="Measure" resource="r"/>' * 20
+    same = typed_doc('<ActionInstance name="a" type="Measure"/>' + padding + "<Bogus/>")
+    later = typed_doc(padding + "<Bogus/>").replace(' type="Rig"', "")
+    for doc, message in ((same, "unexpected element <Bogus> inside <Actions>"),
+                         (later, "<Resource> is missing required attribute 'type'")):
+        with pytest.raises(XmlSyntaxError, match=re.escape(message)):
+            load_program(doc, TYPED_DSL)
+        with pytest.raises(XmlSyntaxError, match=re.escape(message)):
+            parse_program(doc)
+
+
+def _large_program(rng: random.Random, n: int) -> Program:
+    """n TypedBot actions on eight rigs: literals and variable bindings,
+    composite initializers, return targets, and up to two predecessors
+    each from the eight actions before it."""
+    resources = tuple(ResourceInstance(f"rig{i}", "Rig") for i in range(8))
+    variables = tuple(VariableDecl(f"pose{i}", "Pose", {"x": rng.random(), "y": float(i)})
+                      for i in range(n // 5))
+    actions = []
+    for i in range(n):
+        resource, before = rng.choice(resources).name, range(max(0, i - 8), i)
+        edges = tuple(ConstraintEdge(f"act{j}") for j in rng.sample(before, min(2, len(before))))
+        if i % 3 == 0:
+            actions.append(ActionInstance(f"act{i}", "Measure", resource,
+                                          return_to=f"count{i}", constraints=edges))
+            continue
+        args = (ArgBinding("count", value=rng.randrange(100)), ArgBinding("rate", value=0.5),
+                ArgBinding("on", value=i % 2 == 0), ArgBinding("label", value=f"step {i}"),
+                ArgBinding("pose", variable=rng.choice(variables).name))
+        actions.append(ActionInstance(f"act{i}", "Apply", resource, args, constraints=edges))
+    return Program("Large", "TypedBot", resources, variables, tuple(actions))
+
+
+def _edit_last(text: str, tag: str, attr: str, new: str) -> str:
+    """`text` with attribute `attr` of its last <tag> replaced by `new`."""
+    at = text.rindex(f"<{tag} ")
+    end = text.index(">", at)
+    head = re.sub(rf' {attr}="[^"]*"', new, text[at:end], count=1)
+    return text[:at] + head + text[end:]
+
+
+LAST_ENTRY_DEFECTS = {  # section: (entry tag, a reference that fails to resolve)
+    "Resources": ("Resource", "type"),
+    "Variables": ("Variable", "type"),
+    "Actions": ("ActionInstance", "type"),
+    "Constraints": ("After", "predecessor"),
+}
+
+
+def test_sliced_loaders_match_on_defects_in_the_last_entry_of_each_section(monkeypatch):
+    text = save_program(_large_program(random.Random(5), 300))
+    assert len(text) > xmlio._SLICE
+    unresolved = [_edit_last(text, tag, attr, f' {attr}="Nope"')
+                  for tag, attr in LAST_ENTRY_DEFECTS.values()]
+    missing = [_edit_last(text, tag, attr, "") for tag, attr in LAST_ENTRY_DEFECTS.values()]
+    stray = [text.replace(f"</{section}>", f"<Bogus/></{section}>")
+             for section in LAST_ENTRY_DEFECTS]
+    everything = text
+    for tag, attr in LAST_ENTRY_DEFECTS.values():
+        everything = _edit_last(everything, tag, attr, f' {attr}="Nope"')
+    docs = [text, *unresolved, *missing, *stray, everything]
+    for size in (xmlio._SLICE, 4093):
+        monkeypatch.setattr(xmlio, "_SLICE", size)
+        for doc in docs:
+            assert _result(load_program, doc, TYPED_DSL) == _result(
+                support.load_program_whole_tree, doc, TYPED_DSL)
+            assert _result(parse_program, doc) == _result(support.parse_program_whole_tree, doc)
+    assert isinstance(load_program(text, TYPED_DSL), Program)
+    # Each defect is the one reported when it is alone.
+    assert [_result(load_program, doc, TYPED_DSL)[0] for doc in unresolved] == [
+        UnknownResourceTypeError, UnknownVariableTypeError, UnknownActionTypeError,
+        UnresolvedReferenceError]
+    assert {_result(load_program, doc, TYPED_DSL)[0] for doc in missing + stray} == {
+        XmlSyntaxError}
+
+
+def _peak_bytes(function, *args) -> int:
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaders_never_hold_the_whole_element_tree():
+    # Reading by slices keeps the model plus one slice of tree; the whole
+    # tree alone takes far more than either loader's model.
+    text = save_program(_large_program(random.Random(11), 2000))
+    tree = _peak_bytes(xmlio.parse_root, text, "Program")
+    assert _peak_bytes(parse_program, text) < tree / 2
+    assert _peak_bytes(load_program, text, TYPED_DSL) < tree / 2
 
 
 def _graph_payload_oracle(program: Program) -> dict:
