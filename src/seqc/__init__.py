@@ -16,7 +16,6 @@ from .model import (
     ActionInstance,
     ArgBinding,
     ConstraintEdge,
-    ConstraintOperator,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -34,7 +33,6 @@ __all__ = [
     "ActionInstance",
     "ArgBinding",
     "ConstraintEdge",
-    "ConstraintOperator",
     "DurationMap",
     "ExecutionTrace",
     "Program",

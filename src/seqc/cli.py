@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import codegen, jsonout, program_io, simulator
-from .dsl import RobotClassDsl, load_dsl
+from .dsl import load_dsl
 from .errors import (
     InvalidProgramError,
     SeqcError,
@@ -129,36 +129,17 @@ def _add_common(parser: argparse.ArgumentParser, *, dsl_required: bool):
         "--json", action="store_true", help="machine-readable output")
 
 
-def _read(path: str) -> str:
+def _load(path: str, load, *args, **kwargs):
+    """`load(text, ...)` on the UTF-8 text of the file at `path`; a SeqcError names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SeqcError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _load_dsl(path: str) -> RobotClassDsl:
-    text = _read(path)
-    try:
-        return load_dsl(text)
+        return load(codegen._read_utf8(Path(path)), *args, **kwargs)
     except SeqcError as exc:
         raise SeqcError(f"{path}: {exc}") from exc
-
-
-def _load_program(path: str, dsl: RobotClassDsl) -> Program:
-    text = _read(path)
-    try:
-        return program_io.load_program(text, dsl)
-    except SeqcError as exc:
-        raise SeqcError(f"{path}: {exc}") from exc
-
-
-def _print_json(payload) -> None:
-    print(jsonout.dumps(payload))
 
 
 def cmd_validate(args) -> int:
-    dsl = _load_dsl(args.dsl)
-    program = _load_program(args.program, dsl)
+    dsl = _load(args.dsl, load_dsl)
+    program = _load(args.program, program_io.load_program, dsl)
     report = validate(program, dsl)
     print(report.to_json() if args.json else report.render_text())
     if not report.ok:
@@ -169,17 +150,12 @@ def cmd_validate(args) -> int:
 
 
 def _parse_durations(args, program: Program) -> simulator.DurationMap:
-    default = 1
-    per_action: dict[str, int] = {}
-    if args.durations:
-        raw = json.loads(_read(args.durations))
-        if not isinstance(raw, dict):
-            raise SeqcError(f"{args.durations}: expected a JSON object")
-        default = raw.get("default", 1)
-        actions = raw.get("actions", {})
-        if not isinstance(actions, dict):
-            raise SeqcError(f"{args.durations}: \"actions\" must be an object")
-        per_action.update(actions)
+    raw = _load(args.durations, json.loads) if args.durations else {}
+    if not isinstance(raw, dict):
+        raise SeqcError(f"{args.durations}: expected a JSON object")
+    per_action = raw.get("actions", {})
+    if not isinstance(per_action, dict):
+        raise SeqcError(f"{args.durations}: \"actions\" must be an object")
     known = set(program.action_names())
     for override in args.duration:
         name, sep, value = override.partition("=")
@@ -191,12 +167,12 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
             per_action[name] = int(value, 10)
         except ValueError:
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
-    return simulator.DurationMap(per_action, default)
+    return simulator.DurationMap(per_action, raw.get("default", 1))
 
 
 def cmd_simulate(args) -> int:
-    dsl = _load_dsl(args.dsl)
-    program = _load_program(args.program, dsl)
+    dsl = _load(args.dsl, load_dsl)
+    program = _load(args.program, program_io.load_program, dsl)
     durations = _parse_durations(args, program)
     try:
         trace = simulator.simulate(program, dsl, durations, force=args.force)
@@ -222,13 +198,10 @@ def _template_search_path() -> list[str]:
 
 
 def cmd_generate(args) -> int:
-    dsl = _load_dsl(args.dsl)
-    program = _load_program(args.program, dsl)
-    try:
-        config = codegen.load_generator_file(args.templates,
-                                             search_path=_template_search_path())
-    except SeqcError as exc:
-        raise SeqcError(f"{args.templates}: {exc}") from exc
+    dsl = _load(args.dsl, load_dsl)
+    program = _load(args.program, program_io.load_program, dsl)
+    config = _load(args.templates, codegen.load_generator_config,
+                   base_dir=Path(args.templates).parent, search_path=_template_search_path())
     try:
         result = codegen.generate(program, dsl, config, strict=not args.lenient)
     except InvalidProgramError as exc:
@@ -241,8 +214,8 @@ def cmd_generate(args) -> int:
         print(f"seqc: warning: {warning}", file=sys.stderr)
     written = codegen.write_outputs(result, args.out, force=args.force)
     if args.json:
-        _print_json({"written": [str(path) for path in written],
-                     "warnings": list(result.warnings)})
+        print(jsonout.dumps({"written": [str(path) for path in written],
+                             "warnings": list(result.warnings)}))
     else:
         for path in written:
             print(path)
@@ -250,15 +223,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    text = _read(args.program)
-    dsl = _load_dsl(args.dsl) if args.dsl else None
-    try:
-        program = (program_io.parse_program(text) if dsl is None
-                   else program_io.load_program(text, dsl))
-    except SeqcError as exc:
-        raise SeqcError(f"{args.program}: {exc}") from exc
+    if args.dsl:
+        program = _load(args.program, program_io.load_program, _load(args.dsl, load_dsl))
+    else:
+        program = _load(args.program, program_io.parse_program)
     if args.json:
-        _print_json(program_io.graph_payload(program))
+        print(jsonout.dumps(program_io.graph_payload(program)))
     else:
         sys.stdout.write(program_io.export_dot(program))
     return 0

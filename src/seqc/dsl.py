@@ -13,6 +13,7 @@ but means "may never run simultaneously", so `RobotClassDsl.mutex_relation`
 symmetrizes the declarations into an unordered relation.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,25 @@ class VariableTypeDef:
 
 
 PRIMITIVES = {name: VariableTypeDef(name) for name in PRIMITIVE_TYPES}
+
+
+def _is_float(value) -> bool:
+    # NaN breaks equality, no infinity is JSON, and a huge int reads back as one.
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+# What a literal of each primitive type is: a reader of its attribute text
+# (bad text raises ValueError or reads as no literal) and a predicate.
+_LITERALS = {
+    "Int": (int, lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    "Float": (float, _is_float),
+    "Bool": ({"true": True, "false": False}.get, lambda value: isinstance(value, bool)),
+    "String": (str, lambda value: isinstance(value, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -118,6 +138,18 @@ class RobotClassDsl:
 
     def is_mutex(self, type_a: str, type_b: str) -> bool:
         return frozenset((type_a, type_b)) in self.mutex_relation
+
+    def _is_literal(self, value, type_name: str) -> bool:
+        """Whether `value` is a literal of type `type_name`: a primitive its `_LITERALS`
+        predicate accepts, or a dict of exactly the composite's fields, each a literal."""
+        if type_name in _LITERALS:
+            return _LITERALS[type_name][1](value)
+        vtype = self.variable_type(type_name)
+        if vtype is None or not isinstance(value, dict):
+            return False
+        fields = dict(vtype.fields or ())
+        return value.keys() == fields.keys() and all(
+            self._is_literal(value[name], fields[name]) for name in fields)
 
 
 def lookup_action(dsl: RobotClassDsl, identifier: str) -> ActionTypeDef:

@@ -33,7 +33,6 @@ order, CyclicGraphError.
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from enum import Enum
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -46,26 +45,11 @@ from .errors import (
 )
 
 
-class ConstraintOperator(Enum):
-    """Temporal operator of an execution constraint.
-
-    Ordering is the only supported relation: the predecessor must finish
-    before the constrained action starts.
-    """
-
-    PRECEDES = "Precedes"
-
-
 @dataclass(frozen=True)
 class ConstraintEdge:
     """One incoming precedence edge, stored on the successor action."""
 
     predecessor: str
-    operator: ConstraintOperator = ConstraintOperator.PRECEDES
-
-    def __post_init__(self):
-        if not isinstance(self.operator, ConstraintOperator):
-            raise ValueError(f"unsupported constraint operator: {self.operator!r}")
 
 
 def _normalize_literal(value):
@@ -111,7 +95,6 @@ class ActionInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        # Precedes is the only operator, so an edge is its predecessor name.
         edges = {edge.predecessor: edge for edge in self.constraints}
         if self.name in edges:
             raise CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")

@@ -18,11 +18,10 @@ walk over the whole tree: every structural error first, then the robot
 class, resources, variables, actions, names and constraints.
 """
 
-import math
 import re
 
 from . import model
-from .dsl import RobotClassDsl, _duplicates, lookup_action
+from .dsl import _LITERALS, RobotClassDsl, _duplicates, lookup_action
 from .errors import (
     DuplicateIdentifierError,
     SeqcError,
@@ -119,8 +118,9 @@ def _resolve(text: str, dsl: RobotClassDsl) -> Program:
 def parse_program(text: str) -> Program:
     """Structural parse without a DSL, for graph export.
 
-    Types are not resolved, literals are kept as raw strings, and
-    acyclicity is not enforced.  Use load_program for real loading.
+    Types are not resolved; arguments, return bindings and initializers
+    are dropped; acyclicity is not enforced.  Use load_program for real
+    loading.
     """
     rows: dict[str, list] = {tag: [] for tag in _SECTIONS}
 
@@ -215,31 +215,24 @@ def _parse_arg(elem, param, dsl: RobotClassDsl, action_name: str) -> ArgBinding:
 def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):
     """A scalar from attribute `text`, or if it is None from `elem`'s <Field>s."""
     if text is not None:
-        return _parse_scalar(text, type_name, dsl, where)
+        return _parse_scalar(text, type_name, where)
     return _parse_composite(elem, type_name, dsl, where)
 
 
-def _parse_scalar(text: str, type_name: str, dsl: RobotClassDsl, where: str):
-    vtype = dsl.variable_type(type_name)
-    if vtype is None or not vtype.is_primitive:
+def _parse_scalar(text: str, type_name: str, where: str):
+    rule = _LITERALS.get(type_name)
+    if rule is None:
         raise XmlSyntaxError(
             f"{where}: type {type_name!r} takes nested <Field> values, not attribute text"
         )
+    read, is_literal = rule
     try:
-        if type_name == "Int":
-            return int(text, 10)
-        if type_name == "Float":
-            value = float(text)
-            if not math.isfinite(value):  # NaN breaks equality; none is valid JSON
-                raise ValueError(text)
-            return value
-        if type_name == "Bool":
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError(text)
-        return text  # String
-    except ValueError as exc:
-        raise XmlSyntaxError(f"{where}: {text!r} is not a valid {type_name}") from exc
+        value = read(text)
+    except ValueError:
+        value = None
+    if not is_literal(value):
+        raise XmlSyntaxError(f"{where}: {text!r} is not a valid {type_name}")
+    return value
 
 
 def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> dict:

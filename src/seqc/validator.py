@@ -1,9 +1,9 @@
 """Static checks on programs: completeness, types, and parallelism limits.
 
 Checks accumulate findings instead of raising, so one pass reports
-everything: duplicate names, unresolved action types, parameters and
-predecessors, unbound parameters, dangling or mistyped variable
-references, cycles, mutual-exclusion violations, and data-flow lints
+everything: duplicate names and bindings, every reference the loader
+resolves, unbound parameters, dangling or mistyped variable references
+and literals, cycles, mutual-exclusion violations, and data-flow lints
 (reads with no possible writer, races between parallel actions).  The
 graph checks run only on a program that has a precedence graph: unique
 action names and every predecessor an action.
@@ -202,30 +202,12 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
     return findings
 
 
-def _literal_matches(value, type_name: str, dsl: RobotClassDsl) -> bool:
-    vtype = dsl.variable_type(type_name)
-    if vtype is None:
-        return False
-    if vtype.is_primitive:
-        if type_name == "Int":
-            return isinstance(value, int) and not isinstance(value, bool)
-        if type_name == "Float":
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if type_name == "Bool":
-            return isinstance(value, bool)
-        return isinstance(value, str)
-    if not isinstance(value, dict):
-        return False
-    declared = dict(vtype.fields or ())
-    if set(value) != set(declared):
-        return False
-    return all(_literal_matches(value[f], declared[f], dsl) for f in declared)
-
-
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    """Completeness and typing of argument and return bindings, and the
-    references the precedence graph and the loader resolve: each
-    action's type, bound parameters, and predecessors.
+    """Completeness and typing of bindings and initializers, and every
+    reference the loader resolves: the robot class, each resource's
+    component, each variable's type, and each action's type, resource,
+    bound parameters and predecessors.  Of a repeated resource or
+    variable name, the first declaration counts.
 
     Also warns (UninstantiatedVariable) when an action reads a variable
     that has no initializer and no writer that could run before it: every
@@ -235,6 +217,28 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     finish.
     """
     findings = []
+    if program.robot_class != dsl.name:
+        findings.append(_finding(
+            Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
+            f"program is written for robot class {program.robot_class!r},"
+            f" but the DSL is {dsl.name!r}"))
+    for resource in program.resources:
+        if dsl.component(resource.component_type) is None:
+            findings.append(_finding(
+                Code.UNRESOLVED_REFERENCE, (resource.name, resource.component_type),
+                f"resource {resource.name!r} has unknown component type"
+                f" {resource.component_type!r}"))
+    for variable in program.variables:
+        if dsl.variable_type(variable.type_name) is None:
+            findings.append(_finding(
+                Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
+                f"variable {variable.name!r} has unknown type {variable.type_name!r}"))
+        elif variable.init is not None and not dsl._is_literal(variable.init, variable.type_name):
+            findings.append(_finding(
+                Code.TYPE_MISMATCH, (variable.name, "init"),
+                f"initializer of variable {variable.name!r} does not type-check"
+                f" as {variable.type_name}"))
+    component_of = {r.name: r.component_type for r in reversed(program.resources)}
     action_types = dsl.action_types()
     names = {action.name for action in program.actions}
     for action in program.actions:
@@ -249,11 +253,21 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
+        component = component_of[action.resource]  # an unknown one is reported above
+        if component != atype.owner and dsl.component(component) is not None:
+            findings.append(_finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r}: type {atype.identifier!r} belongs to component"
+                f" {atype.owner!r}, but resource {action.resource!r} is a {component!r}"))
         for arg in action.args:
             if arg.param not in atype.parameters_by_name:
                 findings.append(_finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
                     f"action {action.name!r} binds unknown parameter {arg.param!r}"))
+        for param in _duplicates(arg.param for arg in action.args):
+            findings.append(_finding(
+                Code.DUPLICATE_NAME, (action.name, param),
+                f"action {action.name!r} binds parameter {param!r} twice"))
         bound = {arg.param: arg for arg in action.args}
         # (variable, binding slot, expected type, what the slot expects)
         references = []
@@ -270,7 +284,7 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             elif arg.variable is not None:
                 references.append((arg.variable, param.name, param.type_name,
                                    f"parameter {param.name!r} expects {param.type_name}"))
-            elif not _literal_matches(arg.value, param.type_name, dsl):
+            elif not dsl._is_literal(arg.value, param.type_name):
                 findings.append(
                     _finding(
                         Code.TYPE_MISMATCH,

@@ -7,6 +7,7 @@ in slices and hands each entry over as soon as it is complete, then drops
 it: the element tree never exists whole.
 """
 
+import re
 import xml.etree.ElementTree as ET
 from operator import itemgetter
 
@@ -14,12 +15,16 @@ from .errors import XmlSyntaxError
 
 _SLICE = 1 << 16  # characters of text parsed between two walks of the tree
 
+# What XML 1.0 cannot carry, even as a character reference: most C0
+# controls, U+FFFE, U+FFFF, and lone surrogates, which UTF-8 cannot encode.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff\ud800-\udfff]")
+
 
 def parse_root(text: str, expected_tag: str) -> ET.Element:
     """Parse XML text and insist on the expected document root."""
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter: a lone surrogate
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc
     _expect_tag(root, expected_tag)
     return root
@@ -57,7 +62,7 @@ def read_document(text: str, root_tag: str, root_attrs: tuple[str, ...],
             # close() would report it at a later position.
             walk.step(parser.read_events(), final=False)
         parser.close()
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc
     walk.step(parser.read_events(), final=True)
     if walk.error is not None:
@@ -170,12 +175,16 @@ def _write_element(lines: list[str], indent: str, tag: str, attrs=(), children=(
 
 
 def attr_escape(value: str) -> str:
-    """Quote an attribute value, double quotes preferred.
+    """Quote an attribute value, double quotes preferred.  A character
+    XML cannot carry is an XmlSyntaxError.
 
-    The rules of `xml.sax.saxutils.quoteattr`, whose module imports
+    The quoting rules of `xml.sax.saxutils.quoteattr`, whose module imports
     `urllib.request` and with it `http.client`, `email` and `ssl`.
     """
-    text = (str(value).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    text = str(value)
+    if bad := _NOT_XML.search(text):
+        raise XmlSyntaxError(f"{text!r}: XML cannot carry the character {bad.group()!r}")
+    text = (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
     if '"' not in text:
         return f'"{text}"'

@@ -65,7 +65,7 @@ from seqc.templating import (
     _walk,
     normalize_accessor,
 )
-from seqc.validator import Code, Finding, Severity, ValidationReport, _literal_matches, validate
+from seqc.validator import Code, Finding, Severity, ValidationReport, validate
 from seqc.xmlio import attr_escape, parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -599,6 +599,119 @@ def random_valid_setup(rng: random.Random, **kwargs):
         program = with_edge(program, a, b)
 
 
+# Programs a hand-built `Program` can hold but no document can carry:
+# `save_program` writes each of the first seven kinds and `load_program`
+# refuses what it wrote; XML cannot carry the characters of the last kind.
+HOSTILE_KINDS = ("robot_class", "component", "placement", "variable_type", "initializer",
+                 "bound_twice", "non_finite", "xml_char")
+NOT_XML_CHARS = "\x00\x01\x08\x0b\x0c\x0e\x1f\ufffe\uffff\ud800\udfff"
+
+
+def clean_literal_setup(rng: random.Random) -> tuple[RobotClassDsl, Program]:
+    """random_literal_setup with every parameter bound to a literal and no
+    variable bound: a program that validates without an error."""
+    dsl, program = random_literal_setup(rng)
+    action_types = dsl.action_types()
+    actions = tuple(
+        dataclasses.replace(action, return_to=None, args=tuple(
+            ArgBinding(param.name, value=random_literal(rng, param.type_name, dsl))
+            for param in action_types[action.action_type].parameters))
+        for action in program.actions)
+    return dsl, dataclasses.replace(program, actions=actions)
+
+
+def _wrong_literal(rng: random.Random, type_name: str, dsl: RobotClassDsl):
+    """A finite value that is no literal of `type_name`, written as text
+    or fields that the loader refuses for that type."""
+    wrong = {"Int": ("seven", 1.5, True), "Float": ("x", False), "Bool": (0, 1, "yes"),
+             "String": ({"f": 1},)}
+    if type_name in wrong:
+        return rng.choice(wrong[type_name])
+    return rng.choice(({**random_literal(rng, type_name, dsl), "~extra": 0}, 7, "text"))
+
+
+def hostile_setup(rng: random.Random, kind: str) -> tuple[RobotClassDsl, Program]:
+    """A clean_literal_setup program with one defect of `kind` (see
+    HOSTILE_KINDS).  A name starting with "~" is fresh: no generated name
+    has that character."""
+    dsl, program = clean_literal_setup(rng)
+    fresh = "~" + awkward_text(rng)
+    if kind == "robot_class":
+        return dsl, dataclasses.replace(program, robot_class="~" + dsl.name)
+    if kind == "component":
+        return dsl, dataclasses.replace(program, resources=(
+            *program.resources, ResourceInstance(fresh, "~" + awkward_text(rng))))
+    if kind == "placement":
+        # A component without actions: no action type belongs to it.
+        dsl = dataclasses.replace(dsl, components=(
+            *dsl.components, ResourceComponentTypeDef("~Empty")))
+        k = rng.randrange(len(program.actions))
+        actions = list(program.actions)
+        actions[k] = dataclasses.replace(actions[k], resource=fresh)
+        return dsl, dataclasses.replace(
+            program, resources=(*program.resources, ResourceInstance(fresh, "~Empty")),
+            actions=tuple(actions))
+    if kind == "variable_type":
+        init = rng.choice((None, 1, "x"))
+        variable = VariableDecl(fresh, "~" + awkward_text(rng), init)
+        return dsl, dataclasses.replace(program, variables=(*program.variables, variable))
+    if kind == "initializer":
+        type_name = rng.choice((*PRIMITIVE_TYPES, *(t.name for t in dsl.variable_types)))
+        variable = VariableDecl(fresh, type_name, _wrong_literal(rng, type_name, dsl))
+        return dsl, dataclasses.replace(program, variables=(*program.variables, variable))
+    if kind == "bound_twice":
+        while not any(action.args for action in program.actions):
+            dsl, program = clean_literal_setup(rng)
+        actions = list(program.actions)
+        k = rng.choice([i for i, action in enumerate(actions) if action.args])
+        again = rng.choice(actions[k].args)
+        actions[k] = dataclasses.replace(actions[k], args=(*actions[k].args, again))
+        return dsl, dataclasses.replace(program, actions=tuple(actions))
+    if kind == "non_finite":
+        bad = rng.choice((float("nan"), float("inf"), float("-inf")))
+        where = rng.choice(("variable", "argument", "nested"))
+        floats = [(k, i) for k, action in enumerate(program.actions)
+                  for i, param in enumerate(dsl.action_types()[action.action_type].parameters)
+                  if param.type_name == "Float"]
+        if where == "argument" and floats:  # else a variable
+            k, i = rng.choice(floats)
+            actions = list(program.actions)
+            args = list(actions[k].args)
+            args[i] = ArgBinding(args[i].param, value=bad)
+            actions[k] = dataclasses.replace(actions[k], args=tuple(args))
+            return dsl, dataclasses.replace(program, actions=tuple(actions))
+        if where == "nested":
+            dsl = dataclasses.replace(dsl, variable_types=(
+                *dsl.variable_types, VariableTypeDef("~Box", (("n", "Int"), ("f", "Float"))),
+                VariableTypeDef("~Outer", (("box", "~Box"),))))
+            type_name, init = rng.choice((("~Box", {"n": 1, "f": bad}),
+                                          ("~Outer", {"box": {"n": 1, "f": bad}})))
+        else:
+            type_name, init = "Float", bad
+        variable = VariableDecl(fresh, type_name, init)
+        return dsl, dataclasses.replace(program, variables=(*program.variables, variable))
+    if kind == "xml_char":
+        char = rng.choice(NOT_XML_CHARS)
+        where = rng.choice(("program", "resource", "variable", "literal"))
+        if where == "program":
+            return dsl, dataclasses.replace(program, name=program.name + char)
+        if where == "resource":
+            resource = ResourceInstance(fresh + char, dsl.components[0].type_name)
+            return dsl, dataclasses.replace(program, resources=(*program.resources, resource))
+        variable = (VariableDecl(fresh + char, "Int") if where == "variable"
+                    else VariableDecl(fresh, "String", awkward_text(rng, low=0) + char))
+        return dsl, dataclasses.replace(program, variables=(*program.variables, variable))
+    raise ValueError(kind)
+
+
+def hostile_corpus(seed: int, per_kind: int = 25):
+    """(kind, dsl, program) for `per_kind` seeded cases of each kind."""
+    rng = random.Random(seed)
+    for kind in HOSTILE_KINDS:
+        for _ in range(per_kind):
+            yield (kind, *hostile_setup(rng, kind))
+
+
 def random_durations(rng: random.Random, program: Program, low=1, high=5):
     return {name: rng.randint(low, high) for name in program.action_names()}
 
@@ -993,11 +1106,75 @@ def _unknown_variable_oracle(action_name: str, variable: str) -> Finding:
                    f"action {action_name!r} references undeclared variable {variable!r}")
 
 
-def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+def _literal_oracle(value, type_name: str, dsl: RobotClassDsl) -> bool:
+    """The literal rule written out per type, apart from `dsl`'s table,
+    with the loader's finiteness: a Float that is NaN, infinite, or an
+    int that `float` cannot hold is no literal."""
+    vtype = dsl.variable_type(type_name)
+    if vtype is None:
+        return False
+    if vtype.is_primitive:
+        if type_name == "Int":
+            return isinstance(value, int) and not isinstance(value, bool)
+        if type_name == "Float":
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                return False
+            try:
+                as_float = float(value)
+            except OverflowError:
+                return False
+            return as_float - as_float == 0  # NaN for NaN and both infinities
+        if type_name == "Bool":
+            return isinstance(value, bool)
+        return isinstance(value, str)
+    if not isinstance(value, dict):
+        return False
+    declared = dict(vtype.fields or ())
+    if set(value) != set(declared):
+        return False
+    return all(_literal_oracle(value[f], declared[f], dsl) for f in declared)
+
+
+def _declarations_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+    """What `load_program` rejects in a program's robot class, resources
+    and variables, as findings."""
     findings = []
+    if program.robot_class != dsl.name:
+        findings.append(Finding(
+            Severity.ERROR, Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
+            f"program is written for robot class {program.robot_class!r},"
+            f" but the DSL is {dsl.name!r}"))
+    component_names = [component.type_name for component in dsl.components]
+    for resource in program.resources:
+        if resource.component_type not in component_names:
+            findings.append(Finding(
+                Severity.ERROR, Code.UNRESOLVED_REFERENCE,
+                (resource.name, resource.component_type),
+                f"resource {resource.name!r} has unknown component type"
+                f" {resource.component_type!r}"))
+    type_names = [*PRIMITIVE_TYPES, *(vtype.name for vtype in dsl.variable_types)]
+    for variable in program.variables:
+        if variable.type_name not in type_names:
+            findings.append(Finding(
+                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
+                f"variable {variable.name!r} has unknown type {variable.type_name!r}"))
+        elif variable.init is not None and not _literal_oracle(variable.init, variable.type_name, dsl):
+            findings.append(Finding(
+                Severity.ERROR, Code.TYPE_MISMATCH, (variable.name, "init"),
+                f"initializer of variable {variable.name!r} does not type-check"
+                f" as {variable.type_name}"))
+    return findings
+
+
+def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+    findings = _declarations_oracle(program, dsl)
     declared_vars: dict[str, VariableDecl] = {}
     for variable in program.variables:  # the first declaration of a name wins
         declared_vars.setdefault(variable.name, variable)
+    resource_types: dict[str, str] = {}
+    for resource in program.resources:  # so does the first resource of a name
+        resource_types.setdefault(resource.name, resource.component_type)
+    component_names = [component.type_name for component in dsl.components]
     action_types = dsl.action_types()
     names = set(program.action_names())
     for action in program.actions:
@@ -1011,12 +1188,24 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
+        placed_on = resource_types[action.resource]
+        if placed_on in component_names and placed_on != atype.owner:
+            findings.append(Finding(
+                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r}: type {action.action_type!r} belongs to component"
+                f" {atype.owner!r}, but resource {action.resource!r} is a {placed_on!r}"))
         declared = [param.name for param in atype.parameters]
         for arg in action.args:
             if arg.param not in declared:
                 findings.append(Finding(
                     Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
                     f"action {action.name!r} binds unknown parameter {arg.param!r}"))
+        params = [arg.param for arg in action.args]
+        for param in sorted(set(params)):
+            if params.count(param) > 1:
+                findings.append(Finding(
+                    Severity.ERROR, Code.DUPLICATE_NAME, (action.name, param),
+                    f"action {action.name!r} binds parameter {param!r} twice"))
         bound = {arg.param: arg for arg in action.args}
         for param in atype.parameters:
             arg = bound.get(param.name)
@@ -1033,7 +1222,7 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                         Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
                         f"parameter {param.name!r} expects {param.type_name},"
                         f" variable {arg.variable!r} is {decl.type_name}"))
-            elif not _literal_matches(arg.value, param.type_name, dsl):
+            elif not _literal_oracle(arg.value, param.type_name, dsl):
                 findings.append(Finding(
                     Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
                     f"literal value for parameter {param.name!r} does not"

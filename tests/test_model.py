@@ -19,7 +19,6 @@ from seqc.model import (
     ActionInstance,
     ArgBinding,
     ConstraintEdge,
-    ConstraintOperator,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -207,12 +206,6 @@ def test_duplicate_constraint_edges_collapse():
     )
     assert action.predecessors == {"a", "c"}
     assert [e.predecessor for e in action.constraints] == ["a", "c"]
-
-
-def test_constraint_operator_is_checked():
-    assert ConstraintEdge("a").operator is ConstraintOperator.PRECEDES
-    with pytest.raises(ValueError):
-        ConstraintEdge("a", operator="Precedes")
 
 
 def test_arg_binding_requires_exactly_one_side():

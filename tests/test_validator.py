@@ -11,10 +11,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import support
 from seqc import jsonout, model
 from seqc.dsl import load_dsl
-from seqc.errors import CyclicGraphError
+from seqc.errors import CyclicGraphError, SeqcError
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -23,7 +25,7 @@ from seqc.model import (
     ResourceInstance,
     VariableDecl,
 )
-from seqc.program_io import load_program
+from seqc.program_io import load_program, save_program
 from seqc.validator import Code, Finding, Severity, ValidationReport, validate
 from support import (
     ancestors_oracle,
@@ -179,6 +181,97 @@ def test_unresolved_references_are_reported():
         "error UnresolvedReference (b, Hover): action 'b' has unknown type 'Hover'",
         "FAILED, 3 findings",
     ]
+
+
+# What only the loader refused before `validate` judged it too, one defect
+# per program: the finding, and the loader's error on the saved program.
+LOADER_ONLY = [
+    (Program("P", "Other", RESOURCES),
+     "error UnresolvedReference (P, Other): program is written for robot class 'Other',"
+     " but the DSL is 'LintBot'"),
+    (Program("P", "LintBot", (*RESOURCES, ResourceInstance("g", "Ghost"))),
+     "error UnresolvedReference (g, Ghost): resource 'g' has unknown component type 'Ghost'"),
+    (lint_program([ActionInstance("a", "Drive", "s1", (ArgBinding("speed", value=1),))]),
+     "error UnresolvedReference (a, s1): action 'a': type 'Drive' belongs to component"
+     " 'Motor', but resource 's1' is a 'Sensor'"),
+    (lint_program([], [VariableDecl("v", "Ghost")]),
+     "error UnresolvedReference (v, Ghost): variable 'v' has unknown type 'Ghost'"),
+    (lint_program([], [VariableDecl("v", "Int", "hello")]),
+     "error TypeMismatch (v, init): initializer of variable 'v' does not type-check as Int"),
+    (lint_program([ActionInstance("a", "Drive", "m1", (ArgBinding("speed", value=1),
+                                                      ArgBinding("speed", value=2)))]),
+     "error DuplicateName (a, speed): action 'a' binds parameter 'speed' twice"),
+]
+
+
+@pytest.mark.parametrize("program, line", LOADER_ONLY)
+def test_what_the_loader_refuses_is_an_error_finding(program, line):
+    report = validate(program, LINT_DSL)
+    errors = [text for text in report.render_text().splitlines() if text.startswith("error ")]
+    assert errors == [line] and not report.ok
+    with pytest.raises(SeqcError):
+        load_program(save_program(program), LINT_DSL)
+
+
+def test_an_action_on_a_resource_of_unknown_component_gets_one_finding():
+    # The first declaration of a repeated resource name counts, as for variables.
+    program = Program("P", "LintBot", (ResourceInstance("g", "Ghost"), ResourceInstance("g", "Motor"),
+                                       ResourceInstance("s", "Sensor"), ResourceInstance("s", "Motor")),
+                      actions=(ActionInstance("a", "Drive", "g", (ArgBinding("speed", value=1),)),
+                               ActionInstance("b", "Drive", "s", (ArgBinding("speed", value=1),))))
+    assert [(f.code, f.subjects) for f in validate(program, LINT_DSL).findings] == [
+        (Code.DUPLICATE_NAME, ("g",)), (Code.DUPLICATE_NAME, ("s",)),
+        (Code.UNRESOLVED_REFERENCE, ("b", "s")), (Code.UNRESOLVED_REFERENCE, ("g", "Ghost"))]
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_float_literals_are_type_mismatches(bad):
+    program = lint_program(
+        [ActionInstance("a", "Aim", "m1", (ArgBinding("at", value={"x": 1.0, "y": bad}),))],
+        [VariableDecl("f", "Float", bad), VariableDecl("p", "Pose", {"x": bad, "y": 0.0})])
+    assert [(f.code, f.subjects) for f in validate(program, LINT_DSL).findings] == [
+        (Code.TYPE_MISMATCH, ("a", "at")), (Code.TYPE_MISMATCH, ("f", "init")),
+        (Code.TYPE_MISMATCH, ("p", "init")),
+        (Code.UNUSED_VARIABLE, ("f",)), (Code.UNUSED_VARIABLE, ("p",))]
+
+
+def test_an_int_beyond_the_float_range_is_no_float_literal():
+    # Its decimal text would read back as an infinity.
+    program = lint_program([], [VariableDecl("f", "Float", 10 ** 400),
+                                VariableDecl("g", "Float", 10 ** 300)])
+    assert [(f.code, f.subjects) for f in validate(program, LINT_DSL).findings
+            if f.code is Code.TYPE_MISMATCH] == [(Code.TYPE_MISMATCH, ("f", "init"))]
+
+
+def test_every_hostile_program_is_reported_refused_or_loads():
+    # Any program gets an error finding, or save_program refuses it, or
+    # what it saved loads back.
+    outcomes = Counter()
+    for kind, dsl, program in support.hostile_corpus(1400):
+        if not validate(program, dsl).ok:
+            outcomes[kind, "reported"] += 1
+            with pytest.raises(SeqcError):  # what validate reports, the loader refuses
+                load_program(save_program(program), dsl)
+            continue
+        try:
+            text = save_program(program)
+        except SeqcError:
+            outcomes[kind, "refused"] += 1
+            continue
+        load_program(text, dsl)
+        outcomes[kind, "loaded"] += 1
+    assert sum(outcomes.values()) >= 200
+    assert outcomes == Counter({(kind, "refused" if kind == "xml_char" else "reported"): 25
+                                for kind in support.HOSTILE_KINDS})
+
+
+def test_validate_matches_the_oracle_on_hostile_programs():
+    for _, dsl, program in support.hostile_corpus(1401, per_kind=10):
+        assert (validate(program, dsl).render_text()
+                == support.validate_oracle(program, dsl).render_text())
 
 
 def test_dangling_predecessor_skips_the_graph_checks():

@@ -1,6 +1,7 @@
 """The shared XML rules: attribute quoting, the element writer, the child
 reader, the writers they serve, and the import cost of the helpers."""
 
+import dataclasses
 import os
 import random
 import re
@@ -13,6 +14,8 @@ from xml.sax.saxutils import quoteattr
 import pytest
 
 import support
+from seqc import xmlio
+from seqc.codegen import load_generator_config
 from seqc.dsl import (
     ActionTypeDef,
     ParameterDef,
@@ -24,7 +27,8 @@ from seqc.dsl import (
 )
 from seqc.errors import XmlSyntaxError
 from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
-from seqc.program_io import load_program, save_program
+from seqc.program_io import load_program, parse_program, save_program
+from seqc.validator import validate
 from seqc.xmlio import _children, _write_element, attr_escape
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,11 +48,26 @@ def test_attr_escape_matches_quoteattr(value):
     assert attr_escape(value) == quoteattr(value)
 
 
+def xml_char(char: str) -> bool:
+    """The Char production of XML 1.0."""
+    code = ord(char)
+    return (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD
+            or 0x10000 <= code <= 0x10FFFF)
+
+
 def test_attr_escape_matches_quoteattr_on_random_strings():
+    # quoteattr writes what XML cannot carry; attr_escape refuses it.
     rng = random.Random(7)
+    refused = 0
     for _ in range(1000):
         value = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
-        assert attr_escape(value) == quoteattr(value), repr(value)
+        if all(map(xml_char, value)):
+            assert attr_escape(value) == quoteattr(value), repr(value)
+        else:
+            refused += 1
+            with pytest.raises(XmlSyntaxError, match="XML cannot carry the character"):
+                attr_escape(value)
+    assert 100 < refused < 900
 
 
 def test_attr_escape_writes_non_strings_as_str():
@@ -170,3 +189,49 @@ def test_empty_composite_literal_self_closes():
     assert loaded.actions == program.actions
     assert loaded.variable("empty") == VariableDecl("empty", "Nothing")
     assert load_program(support.save_program_oracle(program), dsl) == loaded
+
+
+# What XML can carry, both ways: a `str` may hold a lone surrogate, which
+# no XML document can, and characters XML 1.0 has no place for.
+
+LONE_SURROGATE_DOCUMENTS = [
+    (load_dsl, '<RobotClassDSL name="\ud800"/>'),
+    (lambda text: load_program(text, RobotClassDsl("B")), '<Program name="P\udfff" robotClass="B"/>'),
+    (parse_program, '<Program name="P" robotClass="B"><Resources>\ud800</Resources></Program>'),
+    (load_generator_config, '<Generator name="\udc80"/>'),
+]
+
+
+@pytest.mark.parametrize("load, text", LONE_SURROGATE_DOCUMENTS,
+                         ids=["load_dsl", "load_program", "parse_program", "load_generator_config"])
+def test_a_lone_surrogate_is_an_xml_syntax_error(load, text):
+    with pytest.raises(XmlSyntaxError, match="^not well-formed XML: .*surrogates not allowed"):
+        load(text)
+
+
+def test_a_lone_surrogate_past_the_first_slice_is_an_xml_syntax_error():
+    body = "".join(f'<Resource name="r{i}" type="T"/>' for i in range(5000))
+    text = f'<Program name="P" robotClass="B"><Resources>{body}\ud800</Resources></Program>'
+    assert len(text) > 2 * xmlio._SLICE
+    with pytest.raises(XmlSyntaxError, match="surrogates not allowed"):
+        parse_program(text)
+
+
+@pytest.mark.parametrize("char", support.NOT_XML_CHARS)
+def test_save_refuses_what_xml_cannot_carry(char):
+    dsl = RobotClassDsl("B", (), (ResourceComponentTypeDef("U", (ActionTypeDef("Go", "U"),)),))
+    program = Program("P", "B", (ResourceInstance("r", "U"),))
+    literal = dataclasses.replace(program, variables=(VariableDecl("s", "String", f"a{char}b"),))
+    assert [f.code.value for f in validate(literal, dsl).findings] == ["UnusedVariable"]
+    for refused in (lambda: save_program(literal),
+                    lambda: save_program(dataclasses.replace(program, name=f"P{char}")),
+                    lambda: save_dsl(dataclasses.replace(dsl, name=f"B{char}"))):
+        with pytest.raises(XmlSyntaxError, match="XML cannot carry the character"):
+            refused()
+
+
+def test_save_keeps_every_character_xml_can_carry():
+    dsl = RobotClassDsl("B", (), (ResourceComponentTypeDef("U"),))
+    kept = VariableDecl("s", "String", "a\tb\n\r\x7f\x80\u00e9\ud7ff\ue000\ufffd\U0001d11e")
+    program = Program("P", "B", (ResourceInstance("r", "U"),), (kept,))
+    assert load_program(save_program(program), dsl) == program
