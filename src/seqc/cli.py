@@ -56,7 +56,7 @@ def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeqcError, OSError, json.JSONDecodeError) as exc:
+    except (SeqcError, OSError) as exc:
         print(f"seqc: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # composite literals, JSON
@@ -150,7 +150,10 @@ def cmd_validate(args) -> int:
 
 
 def _parse_durations(args, program: Program) -> simulator.DurationMap:
-    raw = _load(args.durations, json.loads) if args.durations else {}
+    try:
+        raw = _load(args.durations, json.loads) if args.durations else {}
+    except ValueError as exc:  # malformed, or an int past the int-string limit
+        raise SeqcError(str(exc)) from None
     if not isinstance(raw, dict):
         raise SeqcError(f"{args.durations}: expected a JSON object")
     per_action = raw.get("actions", {})

@@ -184,14 +184,6 @@ def load_generator_config(text: str, *, base_dir: str | Path = ".",
                            tuple(mains))
 
 
-def load_generator_file(path: str | Path,
-                        search_path: Sequence[str | Path] = ()) -> GeneratorConfig:
-    path = Path(path)
-    return load_generator_config(_read_utf8(path),  # the caller names the configuration
-                                 base_dir=path.parent,
-                                 search_path=search_path)
-
-
 def _read_utf8(path: Path, prefix: str = "") -> str:
     """The text of `path`; bytes that are not UTF-8 are a SeqcError."""
     try:

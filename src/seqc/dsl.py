@@ -47,23 +47,26 @@ class VariableTypeDef:
 PRIMITIVES = {name: VariableTypeDef(name) for name in PRIMITIVE_TYPES}
 
 
-def _is_float(value) -> bool:
-    # NaN breaks equality, no infinity is JSON, and a huge int reads back as one.
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
+def _read_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # NaN breaks equality, and no infinity is JSON
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
-# What a literal of each primitive type is: a reader of its attribute text
-# (bad text raises ValueError or reads as no literal) and a predicate.
-_LITERALS = {
-    "Int": (int, lambda value: isinstance(value, int) and not isinstance(value, bool)),
-    "Float": (float, _is_float),
-    "Bool": ({"true": True, "false": False}.get, lambda value: isinstance(value, bool)),
-    "String": (str, lambda value: isinstance(value, str)),
-}
+# The reader of each primitive type's attribute text; bad text raises ValueError.
+_LITERALS = {"Int": int, "Float": _read_float,
+             "Bool": lambda text: bool(("false", "true").index(text)), "String": str}
+
+
+def _literal_text(value) -> str:
+    """The attribute text of a primitive literal, which its type's reader reads."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    try:  # a float's str is its shortest text that reads back equal
+        return str(value)
+    except ValueError as exc:  # an int past the interpreter's int-string limit
+        raise XmlSyntaxError(f"literal cannot be written as text: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,13 @@ class RobotClassDsl:
         return frozenset((type_a, type_b)) in self.mutex_relation
 
     def _is_literal(self, value, type_name: str) -> bool:
-        """Whether `value` is a literal of type `type_name`: a primitive its `_LITERALS`
-        predicate accepts, or a dict of exactly the composite's fields, each a literal."""
+        """Whether `value` is a literal of type `type_name`: a primitive whose text reads
+        back equal under that type, or a dict of exactly the composite's fields, each one."""
         if type_name in _LITERALS:
-            return _LITERALS[type_name][1](value)
+            try:
+                return _LITERALS[type_name](_literal_text(value)) == value
+            except (ValueError, XmlSyntaxError):
+                return False
         vtype = self.variable_type(type_name)
         if vtype is None or not isinstance(value, dict):
             return False

@@ -4,15 +4,20 @@ falls back to whenever an indent is given; strings are escaped in C."""
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
+from .errors import SeqcError
+
 
 def dumps(value) -> str:
     """Exactly `json.dumps(value, indent=2)`.  Values holding anything but
-    dicts with str keys, lists, tuples, str, int, bool or None go to it."""
+    dicts with str keys, lists, tuples, str, int, bool or None go to it.
+    An int past the interpreter's int-string limit is a SeqcError."""
     chunks: list[str] = []
     try:
         _write(value, "\n", chunks.append)
     except (TypeError, RecursionError):
         return json.dumps(value, indent=2)
+    except ValueError as exc:
+        raise SeqcError(f"cannot write JSON: {exc}") from None
     return "".join(chunks)
 
 

@@ -21,7 +21,7 @@ class, resources, variables, actions, names and constraints.
 import re
 
 from . import model
-from .dsl import _LITERALS, RobotClassDsl, _duplicates, lookup_action
+from .dsl import _LITERALS, RobotClassDsl, _duplicates, _literal_text, lookup_action
 from .errors import (
     DuplicateIdentifierError,
     SeqcError,
@@ -220,19 +220,15 @@ def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, w
 
 
 def _parse_scalar(text: str, type_name: str, where: str):
-    rule = _LITERALS.get(type_name)
-    if rule is None:
+    read = _LITERALS.get(type_name)
+    if read is None:
         raise XmlSyntaxError(
             f"{where}: type {type_name!r} takes nested <Field> values, not attribute text"
         )
-    read, is_literal = rule
     try:
-        value = read(text)
+        return read(text)
     except ValueError:
-        value = None
-    if not is_literal(value):
-        raise XmlSyntaxError(f"{where}: {text!r} is not a valid {type_name}")
-    return value
+        raise XmlSyntaxError(f"{where}: {text!r} is not a valid {type_name}") from None
 
 
 def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> dict:
@@ -256,21 +252,13 @@ def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> di
     return value
 
 
-def _scalar_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _literal_element(tag: str, attrs: list, attr: str, value):
     """<tag> carrying a literal: a scalar in attribute `attr`, a composite
     as nested <Field> elements."""
     if isinstance(value, dict):
         return tag, attrs, [_literal_element("Field", [("name", field_name)], "value", field_value)
                             for field_name, field_value in value.items()]
-    return tag, [*attrs, (attr, _scalar_text(value))], ()
+    return tag, [*attrs, (attr, _literal_text(value))], ()
 
 
 def save_program(program: Program) -> str:

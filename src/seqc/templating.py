@@ -267,7 +267,10 @@ class _Parser:
         if match:
             self.pos = match.end()
             text = match.group(0)
-            return Literal(float(text) if "." in text else int(text))
+            try:
+                return Literal(float(text) if "." in text else int(text))
+            except ValueError:  # an int past the interpreter's int-string limit
+                self.fail(MalformedReferenceError, f"number of {len(text)} characters is too long")
         for keyword, value in (("true", True), ("false", False)):
             if src.startswith(keyword, self.pos):
                 self.pos += len(keyword)

@@ -10,6 +10,7 @@ import heapq
 import itertools
 import random
 import re
+import sys
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
@@ -17,6 +18,7 @@ from typing import Iterable
 from seqc import dsl as dslmod
 from seqc import model
 from seqc import program_io as pio
+from seqc.codegen import GeneratorConfig, load_generator_config
 from seqc.dsl import (
     PRIMITIVE_TYPES,
     ActionTypeDef,
@@ -77,6 +79,12 @@ def fixture_path(*parts) -> Path:
 
 def fixture_text(*parts) -> str:
     return fixture_path(*parts).read_text(encoding="utf-8")
+
+
+def fixture_generator(*parts) -> GeneratorConfig:
+    """The generator configuration at fixture_path(*parts), its templates
+    resolved beside it."""
+    return load_generator_config(fixture_text(*parts), base_dir=fixture_path(*parts).parent)
 
 
 def make_dsl(components: dict[str, list[str]], mutex=()) -> RobotClassDsl:
@@ -704,6 +712,19 @@ def hostile_setup(rng: random.Random, kind: str) -> tuple[RobotClassDsl, Program
     raise ValueError(kind)
 
 
+def edge_scalars() -> tuple:
+    """Scalars at the edges of the literal rule: ints about 2**53 and about
+    the interpreter's int-string limit, bools, signed zeros, subnormals,
+    the largest float, NaN and the infinities, and strings XML must escape."""
+    most = 10 ** sys.get_int_max_str_digits()  # the first int with too many digits
+    return (2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53 + 1), 10 ** 20, 10 ** 20 + 1,
+            10 ** 300, 0, -7, most - 1, most, 1 - most, -most, True, False,
+            0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.5,
+            1.7976931348623157e308, -1.7976931348623157e308, float(2 ** 53),
+            float("nan"), float("inf"), float("-inf"),
+            "", "&<>\"'\r\n\t", " 7 ", "1.5", "true", "None")
+
+
 def hostile_corpus(seed: int, per_kind: int = 25):
     """(kind, dsl, program) for `per_kind` seeded cases of each kind."""
     rng = random.Random(seed)
@@ -1107,15 +1128,17 @@ def _unknown_variable_oracle(action_name: str, variable: str) -> Finding:
 
 
 def _literal_oracle(value, type_name: str, dsl: RobotClassDsl) -> bool:
-    """The literal rule written out per type, apart from `dsl`'s table,
-    with the loader's finiteness: a Float that is NaN, infinite, or an
-    int that `float` cannot hold is no literal."""
+    """The literal rule written out per type, apart from `dsl`'s codec:
+    a Float that is NaN or infinite is no literal, an int in a Float slot
+    must equal its float exactly, and an Int must have no more decimal
+    digits than the interpreter's int-string limit allows."""
     vtype = dsl.variable_type(type_name)
     if vtype is None:
         return False
     if vtype.is_primitive:
         if type_name == "Int":
-            return isinstance(value, int) and not isinstance(value, bool)
+            return (isinstance(value, int) and not isinstance(value, bool)
+                    and abs(value) < 10 ** sys.get_int_max_str_digits())
         if type_name == "Float":
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 return False
@@ -1123,7 +1146,8 @@ def _literal_oracle(value, type_name: str, dsl: RobotClassDsl) -> bool:
                 as_float = float(value)
             except OverflowError:
                 return False
-            return as_float - as_float == 0  # NaN for NaN and both infinities
+            # NaN for NaN and both infinities; an int must survive the float.
+            return as_float - as_float == 0 and as_float == value
         if type_name == "Bool":
             return isinstance(value, bool)
         return isinstance(value, str)
@@ -1303,9 +1327,17 @@ def _races_oracle(program: Program) -> list[Finding]:
 # quoting and closing tags, and the DSL loader checks a list's tags lazily,
 # one child at a time, with a message that does not name the parent.
 
+def _scalar_text_oracle(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def _write_literal_oracle(lines, head: str, tag: str, attr: str, value, indent: str) -> None:
     if not isinstance(value, dict):
-        lines.append(f"{head} {attr}={attr_escape(pio._scalar_text(value))}/>")
+        lines.append(f"{head} {attr}={attr_escape(_scalar_text_oracle(value))}/>")
         return
     lines.append(head + ">")
     inner = indent + "  "

@@ -531,6 +531,46 @@ def test_deep_durations_json_is_a_one_line_error(capsys, tmp_path, collector_on)
         capsys, "simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", str(durations)))
 
 
+def _assert_one_line_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("seqc: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_durations_int_past_the_digit_limit_is_a_one_line_error(capsys, tmp_path):
+    durations = tmp_path / "durations.json"
+    durations.write_text('{"actions": {"A": %s}}' % ("9" * (sys.get_int_max_str_digits() + 1)),
+                         encoding="utf-8")
+    _assert_one_line_error(*run(
+        capsys, "simulate", "--json", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", str(durations)))
+
+
+def test_template_int_past_the_digit_limit_is_a_one_line_error(capsys, tmp_path):
+    (tmp_path / "main.vt").write_text(
+        "x\n#set($x = %s)\n" % ("9" * (sys.get_int_max_str_digits() + 1)), encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text('<Generator><Main file="main.vt" output="out.txt"/></Generator>',
+                         encoding="utf-8")
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(tmp_path / "out"))
+    _assert_one_line_error(code, out, err)
+    assert err.endswith("is too long [main.vt:2]\n")  # the line of the #set
+
+
+@pytest.mark.parametrize("output", [["--json"], ["--trace", "trace.json"]])
+def test_finish_time_past_the_digit_limit_is_a_one_line_error(capsys, tmp_path, monkeypatch,
+                                                              output):
+    # Each duration has as many digits as the limit allows; D finishes at
+    # their sum, which has one more.  The text timeline would take one
+    # character per tick, so only the JSON outputs are run.
+    monkeypatch.chdir(tmp_path)
+    nines = "9" * sys.get_int_max_str_digits()
+    _assert_one_line_error(*run(
+        capsys, "simulate", *output, "--dsl", DEMO_DSL, FIVE_STAGE,
+        "--duration", f"A={nines}", "--duration", f"D={nines}"))
+    assert not (tmp_path / "trace.json").exists()
+
+
 def test_deep_template_blocks_render(capsys, tmp_path, collector_on):
     # Template blocks nest to any depth: neither the parser nor the
     # renderer recurses.
@@ -693,7 +733,7 @@ def test_commands_build_no_reference_cycles(tmp_path, collector_on):
         base_dir=tmp_path)
     cases = []
     for robot, program_name, generator in CLI_FIXTURES:
-        config = (codegen.load_generator_file(fixture_path(robot, generator))
+        config = (support.fixture_generator(robot, generator)
                   if generator else generic)
         cases.append((load_dsl(fixture_text(robot, "dsl.xml")),
                       fixture_text(robot, program_name), config))

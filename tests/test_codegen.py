@@ -17,7 +17,6 @@ from seqc.codegen import (
     action_view,
     generate,
     load_generator_config,
-    load_generator_file,
     program_view,
     write_outputs,
 )
@@ -33,7 +32,7 @@ from seqc.errors import (
 )
 from seqc.program_io import load_program
 from seqc.templating import parse_template
-from support import fixture_path, fixture_text
+from support import fixture_generator, fixture_text
 
 
 def service_setup():
@@ -163,7 +162,7 @@ def test_views_are_reachable_through_template_accessors():
 # --- configuration loading -----------------------------------------------------
 
 def test_load_service_generator_config():
-    config = load_generator_file(fixture_path("service_robot/generator.xml"))
+    config = fixture_generator("service_robot/generator.xml")
     assert config.name == "csharp-service"
     assert set(config.action_templates) == {"MoveManipulator", "MoveTo", "CloseGripper"}
     assert set(config.component_templates) == {"Manipulator", "DriveBase", "Gripper"}
@@ -251,7 +250,7 @@ def test_main_requires_file_and_output(tmp_path):
 
 def test_generate_grasp_demo_golden():
     dsl, program = service_setup()
-    config = load_generator_file(fixture_path("service_robot/generator.xml"))
+    config = fixture_generator("service_robot/generator.xml")
     result = generate(program, dsl, config)
     assert result.warnings == ()
     assert list(result.files) == ["GraspDemo.cs"]
@@ -260,7 +259,7 @@ def test_generate_grasp_demo_golden():
 
 def test_generate_obstacle_avoid_golden():
     dsl, program = nxt_setup()
-    config = load_generator_file(fixture_path("nxt/generator.xml"))
+    config = fixture_generator("nxt/generator.xml")
     result = generate(program, dsl, config)
     assert result.files == {"ObstacleAvoid.nxc": OBSTACLE_AVOID_NXC}
 

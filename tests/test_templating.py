@@ -8,7 +8,7 @@ from typing import Callable, ClassVar
 
 import pytest
 
-from seqc.codegen import load_generator_file, program_view
+from seqc.codegen import program_view
 from seqc.dsl import load_dsl
 from seqc.errors import (
     MalformedReferenceError,
@@ -31,7 +31,13 @@ from seqc.templating import (
     parse_template,
     render_string,
 )
-from support import fixture_path, fixture_text, parse_template_oracle, render_template_oracle
+from support import (
+    fixture_generator,
+    fixture_path,
+    fixture_text,
+    parse_template_oracle,
+    render_template_oracle,
+)
 
 
 @dataclass(frozen=True)
@@ -511,7 +517,7 @@ def test_engine_matches_the_recursive_oracle_on_random_templates():
 def test_engine_matches_the_recursive_oracle_on_fixture_templates(name, program_file):
     dsl = load_dsl(fixture_text(name, "dsl.xml"))
     program = load_program(fixture_text(name, program_file), dsl)
-    config = load_generator_file(fixture_path(name, "generator.xml"))
+    config = fixture_generator(name, "generator.xml")
     scope = {"Program": program_view(program, dsl)}
     library = config.library()
     sources = sorted(fixture_path(name, "templates").glob("*.vt"))

@@ -15,8 +15,15 @@ import pytest
 
 import support
 from seqc import jsonout, model
-from seqc.dsl import load_dsl
-from seqc.errors import CyclicGraphError, SeqcError
+from seqc.dsl import (
+    ActionTypeDef,
+    ParameterDef,
+    ResourceComponentTypeDef,
+    RobotClassDsl,
+    VariableTypeDef,
+    load_dsl,
+)
+from seqc.errors import CyclicGraphError, SeqcError, XmlSyntaxError
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -239,11 +246,88 @@ def test_non_finite_float_literals_are_type_mismatches(bad):
 
 
 def test_an_int_beyond_the_float_range_is_no_float_literal():
-    # Its decimal text would read back as an infinity.
+    # The text of f reads back as an infinity, that of g as a float unequal to it.
     program = lint_program([], [VariableDecl("f", "Float", 10 ** 400),
                                 VariableDecl("g", "Float", 10 ** 300)])
     assert [(f.code, f.subjects) for f in validate(program, LINT_DSL).findings
-            if f.code is Code.TYPE_MISMATCH] == [(Code.TYPE_MISMATCH, ("f", "init"))]
+            if f.code is Code.TYPE_MISMATCH] == [(Code.TYPE_MISMATCH, ("f", "init")),
+                                                 (Code.TYPE_MISMATCH, ("g", "init"))]
+
+
+@pytest.mark.parametrize("value", [10 ** 20 + 1, 2 ** 53 + 1])
+def test_an_int_a_float_cannot_hold_is_no_float_literal(value):
+    # Its text reads back as the nearest float, which is another number;
+    # the int just below it is a float exactly and loads back equal.
+    def program(value):
+        return lint_program(
+            [ActionInstance("a", "Aim", "m1", (ArgBinding("at", value={"x": 0.0, "y": value}),))],
+            [VariableDecl("f", "Float", value), VariableDecl("p", "Pose", {"x": value, "y": 0.0})])
+    assert [(f.code, f.subjects) for f in validate(program(value), LINT_DSL).findings
+            if f.code is Code.TYPE_MISMATCH] == [
+        (Code.TYPE_MISMATCH, ("a", "at")), (Code.TYPE_MISMATCH, ("f", "init")),
+        (Code.TYPE_MISMATCH, ("p", "init"))]
+    exact = program(value - 1)
+    assert validate(exact, LINT_DSL).ok
+    assert load_program(save_program(exact), LINT_DSL) == exact
+
+
+def test_an_int_past_the_digit_limit_is_no_int_literal_and_is_not_saved():
+    # The interpreter writes no text for it; at the limit it round-trips.
+    limit = sys.get_int_max_str_digits()
+
+    def program(value):
+        return lint_program([ActionInstance("d", "Drive", "m1", (ArgBinding("speed", value=value),))],
+                            [VariableDecl("i", "Int", value)])
+    for sign in (1, -1):
+        too_long = program(sign * 10 ** limit)
+        assert [(f.code, f.subjects) for f in validate(too_long, LINT_DSL).findings
+                if f.code is Code.TYPE_MISMATCH] == [
+            (Code.TYPE_MISMATCH, ("d", "speed")), (Code.TYPE_MISMATCH, ("i", "init"))]
+        with pytest.raises(XmlSyntaxError, match="literal cannot be written as text"):
+            save_program(too_long)
+        at_limit = program(sign * (10 ** limit - 1))
+        assert validate(at_limit, LINT_DSL).ok
+        assert load_program(save_program(at_limit), LINT_DSL) == at_limit
+
+
+EDGE_TYPES = ("Int", "Float", "Bool", "String", "Box")
+EDGE_DSL = RobotClassDsl(
+    "Edge", (VariableTypeDef("Box", (("i", "Int"), ("f", "Float"), ("b", "Bool"), ("s", "String"))),),
+    (ResourceComponentTypeDef("Unit", tuple(ActionTypeDef(f"Set{type_name}", "Unit", parameters=(
+        ParameterDef("x", type_name),)) for type_name in EDGE_TYPES)),))
+
+
+def test_a_value_is_a_literal_exactly_when_its_text_reads_back_equal():
+    # Every edge scalar, and Box values of them with a None field now and
+    # then, in every slot, as an initializer and as an argument.
+    rng = random.Random(1500)
+    scalars = support.edge_scalars()
+    outcomes = Counter()
+    for _ in range(300):
+        type_name = rng.choice(EDGE_TYPES)
+        if rng.random() < (0.8 if type_name == "Box" else 0.15):
+            value = {name: None if rng.random() < 0.1 else rng.choice(scalars)
+                     for name in ("i", "f", "b", "s")}
+        else:
+            value = rng.choice(scalars)
+        program = Program("P", "Edge", (ResourceInstance("r", "Unit"),),
+                          (VariableDecl("v", type_name, value),),
+                          (ActionInstance("a", f"Set{type_name}", "r", (ArgBinding("x", value=value),)),))
+        report = validate(program, EDGE_DSL)
+        literal = support._literal_oracle(value, type_name, EDGE_DSL)
+        assert {f.subjects for f in report.findings if f.code is Code.TYPE_MISMATCH} == (
+            set() if literal else {("v", "init"), ("a", "x")}), (type_name, value)
+        if not report.ok:
+            outcomes["reported"] += 1
+            continue
+        try:
+            text = save_program(program)
+        except SeqcError:
+            outcomes["refused"] += 1
+            continue
+        assert load_program(text, EDGE_DSL) == program, (type_name, value)
+        outcomes["loaded"] += 1
+    assert outcomes["reported"] >= 100 and outcomes["loaded"] >= 40, outcomes
 
 
 def test_every_hostile_program_is_reported_refused_or_loads():
