@@ -15,7 +15,6 @@ from .errors import SeqcError
 from .model import (
     ActionInstance,
     ArgBinding,
-    ConstraintEdge,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -32,7 +31,6 @@ from .validator import ValidationReport, validate
 __all__ = [
     "ActionInstance",
     "ArgBinding",
-    "ConstraintEdge",
     "DurationMap",
     "ExecutionTrace",
     "Program",

@@ -153,7 +153,7 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
     try:
         raw = _load(args.durations, json.loads) if args.durations else {}
     except ValueError as exc:  # malformed, or an int past the int-string limit
-        raise SeqcError(str(exc)) from None
+        raise SeqcError(f"{args.durations}: {exc}") from None
     if not isinstance(raw, dict):
         raise SeqcError(f"{args.durations}: expected a JSON object")
     per_action = raw.get("actions", {})

@@ -1,8 +1,9 @@
 """Meta-model for concurrent robot action sequences.
 
 A Program is a set of uniquely named action instances wired into a
-dependency graph: each action carries constraint edges naming the
-actions that must finish before it may start.  Actions are placed on
+dependency graph: each action carries `predecessors`, the sorted,
+unique names of the actions that must finish before it may start (no
+edge objects; an edge is a name on its successor).  Actions are placed on
 resource instances, which execute one action at a time, so parallelism
 only ever arises between actions on distinct resources.  Global
 variables form the data space that actions read through argument
@@ -45,13 +46,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ConstraintEdge:
-    """One incoming precedence edge, stored on the successor action."""
-
-    predecessor: str
-
-
 def _normalize_literal(value):
     # Composite literals are dicts of field name to value; sort the keys so
     # that equal values always serialize to identical bytes.
@@ -91,18 +85,16 @@ class ActionInstance:
     resource: str
     args: tuple[ArgBinding, ...] = ()
     return_to: str | None = None
-    constraints: tuple[ConstraintEdge, ...] = ()
+    predecessors: tuple[str, ...] = ()  # the names of the actions that must finish first
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        edges = {edge.predecessor: edge for edge in self.constraints}
-        if self.name in edges:
+        if isinstance(self.predecessors, str):  # would read as a set of one-letter names
+            raise TypeError(f"predecessors of {self.name!r} must be names, not one string")
+        names = set(self.predecessors)
+        if self.name in names:
             raise CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
-        object.__setattr__(self, "constraints", tuple(map(edges.__getitem__, sorted(edges))))
-
-    @property
-    def predecessors(self) -> frozenset[str]:
-        return frozenset(edge.predecessor for edge in self.constraints)
+        object.__setattr__(self, "predecessors", tuple(sorted(names)))
 
 
 @dataclass(frozen=True)
@@ -232,10 +224,11 @@ def _first_cycle(roots: Iterable[str],
     return None
 
 
-def _find_cycle(preds: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
+def _find_cycle(preds: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
     """One concrete cycle, rotated to start at its smallest name, or None.
-    The search visits roots and predecessors in name order."""
-    cycle = _first_cycle(sorted(preds), lambda name: sorted(preds[name]))
+    The search visits roots and predecessors in name order: `preds` holds
+    the names in that order, each with its sorted predecessor names."""
+    cycle = _first_cycle(preds, preds.__getitem__)
     if cycle is None:
         return None
     pivot = cycle.index(min(cycle))
@@ -260,7 +253,7 @@ class ProgramGraph:
 
     def __init__(self, program: "Program"):
         actions: dict[str, ActionInstance] = {}
-        preds: dict[str, frozenset[str]] = {}
+        preds: dict[str, tuple[str, ...]] = {}
         succs: dict[str, set[str]] = {}
         for action in program.actions:
             name = action.name

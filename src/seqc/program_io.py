@@ -15,7 +15,9 @@ are attribute text parsed under the direction of the declared type;
 composite values use nested <Field> elements) and keeps the result, or
 the first error of its section.  Its checks then run in the order of a
 walk over the whole tree: every structural error first, then the robot
-class, resources, variables, actions, names and constraints.
+class, resources, variables, actions, names and constraints.  Each
+action's <After> edges become its `predecessors`, a sorted tuple of
+names; no object stands for an edge.
 """
 
 import re
@@ -30,7 +32,7 @@ from .errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from .model import ActionInstance, ArgBinding, ConstraintEdge, Program, ResourceInstance, VariableDecl
+from .model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
 from .xmlio import _children, _detached, _write_element, read_document, require_attr
 
 
@@ -146,11 +148,11 @@ _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
 
 
 def _assemble(name, robot_class, resources, variables, rows, incoming) -> Program:
-    """The Program from parts; `rows` are (name, type, resource, args, return_to)."""
-    edge = {p: ConstraintEdge(p) for p in set().union(*incoming.values())}
+    """The Program from parts; `rows` are (name, type, resource, args, return_to)
+    and `incoming` maps an action's name to the set of its predecessors."""
     actions = tuple(
         ActionInstance(action_name, type_name, resource, args, return_to,
-                       tuple(map(edge.__getitem__, incoming.get(action_name, ()))))
+                       incoming.get(action_name, ()))
         for action_name, type_name, resource, args, return_to in rows
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
@@ -278,8 +280,9 @@ def save_program(program: Program) -> str:
             children.append(("ReturnTo", [("variable", action.return_to)], ()))
         actions.append(("ActionInstance", [("name", action.name), ("type", action.action_type),
                                            ("resource", action.resource)], children))
-    edges = sorted((action.name, edge.predecessor)
-                   for action in program.actions for edge in action.constraints)
+    # In order already, unless an action name repeats.
+    edges = sorted((action.name, pred)
+                   for action in program.actions for pred in action.predecessors)
     sections = [
         ("Resources", (), [("Resource", [("name", r.name), ("type", r.component_type)], ())
                            for r in program.resources]),
@@ -306,11 +309,7 @@ def _dot_quoted(text: str) -> str:
 
 def _edge_pairs(program: Program) -> list[tuple[str, str]]:
     """Every (predecessor, action) precedence pair, sorted."""
-    return sorted(
-        (edge.predecessor, action.name)
-        for action in program.actions
-        for edge in action.constraints
-    )
+    return sorted((pred, action.name) for action in program.actions for pred in action.predecessors)
 
 
 def graph_payload(program: Program) -> dict:

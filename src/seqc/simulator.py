@@ -167,7 +167,7 @@ def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) ->
                     f"action {action.name!r} starts before tick 0",
                 )
             )
-        for pred in sorted(action.predecessors):
+        for pred in action.predecessors:
             pred_interval = trace.schedule.get(pred)
             if pred_interval is None or pred_interval[1] > start:
                 violations.append(

@@ -242,11 +242,11 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     action_types = dsl.action_types()
     names = {action.name for action in program.actions}
     for action in program.actions:
-        for edge in action.constraints:
-            if edge.predecessor not in names:
+        for pred in action.predecessors:
+            if pred not in names:
                 findings.append(_finding(
-                    Code.UNRESOLVED_REFERENCE, (action.name, edge.predecessor),
-                    f"action {action.name!r} names unknown predecessor {edge.predecessor!r}"))
+                    Code.UNRESOLVED_REFERENCE, (action.name, pred),
+                    f"action {action.name!r} names unknown predecessor {pred!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(_finding(

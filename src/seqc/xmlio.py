@@ -4,7 +4,9 @@ an attribute and a list of children, and one way to write an element.
 DSL and generator documents are small and parsed whole (`parse_root`).
 Program documents grow with the program, so `read_document` parses them
 in slices and hands each entry over as soon as it is complete, then drops
-it: the element tree never exists whole.
+it: the element tree never exists whole.  The C tree builder grows the
+tree without per-element events; the root is the only child of a
+placeholder element opened before the first slice.
 """
 
 import re
@@ -53,48 +55,46 @@ def read_document(text: str, root_tag: str, root_attrs: tuple[str, ...],
     no more entries; `take` itself must hold back its own errors until
     this returns.
     """
-    parser = ET.XMLPullParser(("start",))  # only the root's start is used
-    walk = _Walk(root_tag, root_attrs, sections, take)
+    builder = ET.TreeBuilder()
+    holder = builder.start("", {})  # the document's root becomes its only child
+    parser = ET.XMLParser(target=builder)  # no events: the C builder grows the tree
+    walk = _Walk(holder, root_tag, root_attrs, sections, take)
     try:
         for at in range(0, len(text), _SLICE):
-            parser.feed(text[at:at + _SLICE])
-            # Reading the events also raises a syntax error the feed queued;
-            # close() would report it at a later position.
-            walk.step(parser.read_events(), final=False)
+            parser.feed(text[at:at + _SLICE])  # raises a syntax error at once
+            walk.step(final=False)
         parser.close()
     except (ET.ParseError, UnicodeEncodeError) as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc
-    walk.step(parser.read_events(), final=True)
+    walk.step(final=True)
     if walk.error is not None:
         raise walk.error
     return walk.values
 
 
 class _Walk:
-    """The walk of `read_document` over a growing tree.  Only the last
-    section of the root, and only its last entry, can be unfinished after
-    a slice, so each step takes everything before them and drops it."""
+    """The walk of `read_document` over a growing tree, whose root is the
+    only child of `holder`.  Only the last section of the root, and only
+    its last entry, can be unfinished after a slice, so each step takes
+    everything before them and drops it."""
 
-    def __init__(self, root_tag, root_attrs, sections, take):
-        self.root_tag, self.root_attrs = root_tag, root_attrs
+    def __init__(self, holder, root_tag, root_attrs, sections, take):
+        self.holder, self.root_tag, self.root_attrs = holder, root_tag, root_attrs
         self.sections, self.take = sections, take
         self.root = self.values = None
         self.error = None  # the first structural error
         self.missing = None  # the current section's first missing attribute
 
-    def step(self, events, final: bool) -> None:
-        started = False  # an entry is finished only once a later element starts
-        for _, elem in events:  # drained: a queued event holds its element
-            started = True
-            if self.root is None:
-                self.root = elem
-                try:
-                    _expect_tag(elem, self.root_tag)
-                    self.values = tuple([require_attr(elem, name) for name in self.root_attrs])
-                except XmlSyntaxError as exc:
-                    self.error = exc
-        if self.root is None or not (started or final):
-            return
+    def step(self, final: bool) -> None:
+        if self.root is None:
+            if not len(self.holder):
+                return
+            self.root = self.holder[0]
+            try:
+                _expect_tag(self.root, self.root_tag)
+                self.values = tuple([require_attr(self.root, name) for name in self.root_attrs])
+            except XmlSyntaxError as exc:
+                self.error = exc
         sections = self.root[:]
         for section in sections:
             closed = final or section is not sections[-1]

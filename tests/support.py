@@ -45,7 +45,6 @@ from seqc.errors import (
 from seqc.model import (
     ActionInstance,
     ArgBinding,
-    ConstraintEdge,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -128,7 +127,7 @@ def make_program(dsl: RobotClassDsl, actions, edges=(), name="Prog",
             name=action_name,
             action_type=action_type,
             resource=resource,
-            constraints=tuple(ConstraintEdge(p) for p in sorted(incoming[action_name])),
+            predecessors=incoming[action_name],
         )
         for action_name, action_type, resource in actions
     )
@@ -156,7 +155,7 @@ def with_edge(program: Program, predecessor: str, successor: str) -> Program:
     actions = tuple(
         dataclasses.replace(
             action,
-            constraints=(*action.constraints, ConstraintEdge(predecessor)),
+            predecessors=(*action.predecessors, predecessor),
         )
         if action.name == successor
         else action
@@ -448,12 +447,12 @@ def with_graph_defects(rng: random.Random, dsl: RobotClassDsl,
     if rng.random() < 0.2:
         k = rng.randrange(n)
         actions[k] = dataclasses.replace(
-            actions[k], constraints=(*actions[k].constraints, ConstraintEdge("missing")))
+            actions[k], predecessors=(*actions[k].predecessors, "missing"))
     for _ in range(rng.choice((0, 0, 0, 1, 2))):
         i, j = sorted(rng.sample(range(n), 2))
         actions[i] = dataclasses.replace(
             actions[i],
-            constraints=(*actions[i].constraints, ConstraintEdge(actions[j].name)))
+            predecessors=(*actions[i].predecessors, actions[j].name))
     if rng.random() < 0.2:
         k, m = rng.sample(range(n), 2)
         if actions[m].name not in actions[k].predecessors:
@@ -490,7 +489,7 @@ def renamed(rng: random.Random, program: Program) -> tuple[Program, dict[str, st
             tuple(dataclasses.replace(arg, variable=new(arg.variable))
                   if arg.variable is not None else arg for arg in action.args),
             None if action.return_to is None else new(action.return_to),
-            tuple(ConstraintEdge(new(edge.predecessor)) for edge in action.constraints))
+            tuple(map(new, action.predecessors)))
         for action in program.actions
     )
     return Program(program.name, program.robot_class, resources, variables, actions), mapping
@@ -586,7 +585,7 @@ def random_literal_setup(rng: random.Random, *, max_actions=8) -> tuple[RobotCla
         actions.append(ActionInstance(
             name, action_type.identifier, resource, tuple(args),
             rng.choice(variable_names) if rng.random() < 0.4 else None,
-            tuple(ConstraintEdge(p) for p in predecessors)))
+            tuple(predecessors)))
     program = Program(awkward_text(rng), dsl.name, tuple(resources), tuple(variables),
                       tuple(actions))
     return dsl, program
@@ -795,7 +794,7 @@ def load_program_oracle(text: str, dsl: RobotClassDsl) -> Program:
         incoming[action].add(predecessor)
     actions = [
         ActionInstance(action_name, type_name, resource, args, return_to,
-                       tuple(ConstraintEdge(p) for p in sorted(incoming[action_name])))
+                       incoming[action_name])
         for action_name, type_name, resource, args, return_to in parsed_actions
     ]
     program = Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
@@ -831,8 +830,7 @@ def parse_program_oracle(text: str) -> Program:
             raise XmlSyntaxError(f"unexpected element <{section.tag}>")
     actions = tuple(
         ActionInstance(action_name, type_name, resource,
-                       constraints=tuple(ConstraintEdge(p)
-                                         for p in sorted(incoming.get(action_name, ()))))
+                       predecessors=incoming.get(action_name, ()))
         for action_name, type_name, resource in raw_actions
     )
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
@@ -953,7 +951,7 @@ def _whole_tree_reject_duplicates(names, kind):
 def _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming):
     actions = tuple(
         ActionInstance(action_name, type_name, resource, args, return_to,
-                       tuple(ConstraintEdge(p) for p in sorted(incoming.get(action_name, ()))))
+                       incoming.get(action_name, ()))
         for action_name, type_name, resource, args, return_to in rows)
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
 
@@ -1202,7 +1200,7 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     action_types = dsl.action_types()
     names = set(program.action_names())
     for action in program.actions:
-        for pred in sorted(action.predecessors - names):
+        for pred in sorted(set(action.predecessors) - names):
             findings.append(Finding(
                 Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, pred),
                 f"action {action.name!r} names unknown predecessor {pred!r}"))
@@ -1386,9 +1384,9 @@ def save_program_oracle(program: Program) -> str:
     constraints = [
         f"    <After action={attr_escape(action_name)} predecessor={attr_escape(predecessor)}/>"
         for action_name, predecessor in sorted(
-            (action.name, edge.predecessor)
+            (action.name, predecessor)
             for action in program.actions
-            for edge in action.constraints
+            for predecessor in action.predecessors
         )
     ]
     lines = [

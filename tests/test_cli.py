@@ -159,6 +159,16 @@ def test_simulate_bad_durations_file(capsys, tmp_path, content):
     assert err.startswith("seqc: error:")
 
 
+def test_malformed_durations_file_error_names_the_file(capsys, tmp_path):
+    durations = tmp_path / "durations.json"
+    durations.write_text("{bad", encoding="utf-8")
+    code, out, err = run(
+        capsys, "simulate", "--durations", str(durations), "--dsl", DEMO_DSL, FIVE_STAGE)
+    assert (code, out) == (2, "")
+    assert err == (f"seqc: error: {durations}: Expecting property name enclosed in double"
+                   " quotes: line 1 column 2 (char 1)\n")
+
+
 def test_simulate_invalid_program_suggests_force(capsys):
     code, _, err = run(capsys, "simulate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL)
     assert code == 1

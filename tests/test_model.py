@@ -18,7 +18,6 @@ from seqc.errors import (
 from seqc.model import (
     ActionInstance,
     ArgBinding,
-    ConstraintEdge,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -184,7 +183,7 @@ def test_cycle_is_detected():
 
 def test_self_loop_rejected_at_construction():
     with pytest.raises(CyclicGraphError):
-        ActionInstance("A", "Step", "r1", constraints=(ConstraintEdge("A"),))
+        ActionInstance("A", "Step", "r1", predecessors=("A",))
 
 
 def test_two_cycle_reported_with_members():
@@ -202,10 +201,14 @@ def test_two_cycle_reported_with_members():
 def test_duplicate_constraint_edges_collapse():
     action = ActionInstance(
         "b", "Step", "r1",
-        constraints=(ConstraintEdge("a"), ConstraintEdge("a"), ConstraintEdge("c")),
+        predecessors=("a", "a", "c"),
     )
-    assert action.predecessors == {"a", "c"}
-    assert [e.predecessor for e in action.constraints] == ["a", "c"]
+    assert action.predecessors == ("a", "c")
+
+
+def test_one_string_is_no_predecessor_collection():
+    with pytest.raises(TypeError, match="not one string"):
+        ActionInstance("b", "Step", "r1", predecessors="ac")
 
 
 def test_arg_binding_requires_exactly_one_side():
@@ -286,9 +289,9 @@ def _outcome(query, *args, **kwargs):
 # graph kept both declarations, topological_order gave c, a, b while
 # ancestors raised the cycle a -> b -> a.
 SPLIT_DUPLICATE = Program("Dup", "TestBot", (ResourceInstance("r1", "Station"),), (), (
-    ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("c"),)),
-    ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("b"),)),
-    ActionInstance("b", "Step", "r1", constraints=(ConstraintEdge("a"),)),
+    ActionInstance("a", "Step", "r1", predecessors=("c",)),
+    ActionInstance("a", "Step", "r1", predecessors=("b",)),
+    ActionInstance("b", "Step", "r1", predecessors=("a",)),
     ActionInstance("c", "Step", "r1"),
 ))
 
@@ -349,12 +352,12 @@ def test_duplicate_names_raise_from_every_graph_query():
     # The smallest repeated name is named, and a repeat is reported before
     # a dangling predecessor or a cycle.
     program = Program("Dup", "TestBot", (ResourceInstance("r1", "Unit"),), (), (
-        ActionInstance("a", "Step", "r1", constraints=(ConstraintEdge("ghost"),)),
-        ActionInstance("m", "Step", "r1", constraints=(ConstraintEdge("z"),)),
+        ActionInstance("a", "Step", "r1", predecessors=("ghost",)),
+        ActionInstance("m", "Step", "r1", predecessors=("z",)),
         ActionInstance("m", "Step", "r1"),
-        ActionInstance("z", "Step", "r1", constraints=(ConstraintEdge("z2"),)),
+        ActionInstance("z", "Step", "r1", predecessors=("z2",)),
         ActionInstance("z", "Step", "r1"),
-        ActionInstance("z2", "Step", "r1", constraints=(ConstraintEdge("m"),)),
+        ActionInstance("z2", "Step", "r1", predecessors=("m",)),
     ))
     for query, *args in every_graph_query(program, "a", "m"):
         with pytest.raises(DuplicateIdentifierError, match="^action 'm' declared twice$"):

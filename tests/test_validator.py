@@ -27,7 +27,6 @@ from seqc.errors import CyclicGraphError, SeqcError, XmlSyntaxError
 from seqc.model import (
     ActionInstance,
     ArgBinding,
-    ConstraintEdge,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -176,8 +175,8 @@ def test_unbound_parameter():
 UNRESOLVED = lint_program([
     ActionInstance("a", "Drive", "m1",
                    (ArgBinding("speed", value=1), ArgBinding("bogus", variable="nowhere")),
-                   constraints=(ConstraintEdge("ghost"),)),
-    ActionInstance("b", "Hover", "m2", constraints=(ConstraintEdge("a"),)),
+                   predecessors=("ghost",)),
+    ActionInstance("b", "Hover", "m2", predecessors=("a",)),
 ])
 
 
@@ -440,7 +439,7 @@ def test_uninstantiated_variable_warning():
     program = lint_program(
         [
             ActionInstance("d", "Drive", "m1", args=(ArgBinding("speed", variable="v"),)),
-            ActionInstance("r", "Read", "s1", return_to="v", constraints=()),
+            ActionInstance("r", "Read", "s1", return_to="v", predecessors=()),
         ],
         [VariableDecl("v", "Int")],
     )
@@ -448,7 +447,7 @@ def test_uninstantiated_variable_warning():
         [
             ActionInstance("d", "Drive", "m1", args=(ArgBinding("speed", variable="v"),)),
             ActionInstance(
-                "r", "Read", "s1", return_to="v", constraints=(ConstraintEdge("d"),)
+                "r", "Read", "s1", return_to="v", predecessors=("d",)
             ),
         ],
         [VariableDecl("v", "Int")],
@@ -530,7 +529,7 @@ def test_write_write_race():
 
 
 def test_read_write_race_and_its_suppressions():
-    def build(constraints=(), reader_resource="m1"):
+    def build(predecessors=(), reader_resource="m1"):
         return lint_program(
             [
                 ActionInstance(
@@ -538,7 +537,7 @@ def test_read_write_race_and_its_suppressions():
                     "Drive",
                     reader_resource,
                     args=(ArgBinding("speed", variable="v"),),
-                    constraints=constraints,
+                    predecessors=predecessors,
                 ),
                 ActionInstance("w", "Read", "s1", return_to="v"),
             ],
@@ -549,7 +548,7 @@ def test_read_write_race_and_its_suppressions():
     assert codes(racy) == [Code.VARIABLE_RACE]
     assert racy.findings[0].subjects == ("d", "w", "v")
 
-    ordered = validate(build(constraints=(ConstraintEdge("w"),)), LINT_DSL)
+    ordered = validate(build(predecessors=("w",)), LINT_DSL)
     assert ordered.findings == ()
 
     same_resource = lint_program(
