@@ -16,9 +16,15 @@ acyclic and freed by reference counting, so collections during a
 command only walk live objects; on 1000-5000-action programs they took
 7-16% of `graph`'s time.  The library functions leave the collector
 alone: its state belongs to the program that embeds them.
+
+The argument parser is built on the first `main` call and reused after
+it: a process may call `main` repeatedly, but not reentrantly.  The
+parser holds no command function; `_run` looks the command up by name
+when it runs, so a patched `cmd_*` takes effect on the next call.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -38,11 +44,12 @@ from .validator import validate
 
 
 def main(argv=None) -> int:
+    """Run one command; may be called repeatedly, but is not reentrant."""
     # Collections during a command would free nothing: what it builds is
     # acyclic (tests pin this), yet they took 2.6 of 36.7 ms of
-    # `graph --json` at 1000 actions and 30 of 207 ms at 5000.  A call
-    # leaves only argparse's few hundred cyclic objects, whatever the
-    # program's size.
+    # `graph --json` at 1000 actions and 30 of 207 ms at 5000.  The
+    # parser, argparse's only cyclic structure, is built on the first call
+    # and kept, so a later call leaves no garbage at all.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -55,7 +62,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SeqcError, OSError) as exc:
         print(f"seqc: error: {exc}", file=sys.stderr)
         return 2
@@ -64,6 +71,7 @@ def _run(argv) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqc",
@@ -77,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate_p.add_argument(
         "--strict-warnings", action="store_true",
         help="exit nonzero when warnings are present")
-    validate_p.set_defaults(func=cmd_validate)
 
     simulate_p = sub.add_parser(
         "simulate", help="run the deterministic scheduler and print a timeline")
@@ -93,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate_p.add_argument(
         "--force", action="store_true",
         help="simulate even if validation fails, serializing mutex pairs")
-    simulate_p.set_defaults(func=cmd_simulate)
 
     generate_p = sub.add_parser(
         "generate", help="render code templates for a validated program")
@@ -108,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     generate_p.add_argument(
         "--lenient", action="store_true",
         help="render unresolved references as empty text with warnings")
-    generate_p.set_defaults(func=cmd_generate)
 
     graph_p = sub.add_parser(
         "graph", help="export the precedence graph")
@@ -116,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_p.add_argument(
         "--format", choices=["dot"], default="dot",
         help="output format (default dot)")
-    graph_p.set_defaults(func=cmd_graph)
     return parser
 
 

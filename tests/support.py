@@ -736,6 +736,72 @@ def random_durations(rng: random.Random, program: Program, low=1, high=5):
     return {name: rng.randint(low, high) for name in program.action_names()}
 
 
+def mutate_program(rng: random.Random, text: str) -> str:
+    """One random defect (or a harmless reordering) in a saved document."""
+    lines = text.splitlines()
+    entries = [i for i, line in enumerate(lines)
+               if re.match(r"\s*<(Resource|Variable|ActionInstance|After|Arg) ", line)]
+    kind = rng.choice(["drop_attr", "rename_section", "stray_entry", "unknown_type",
+                       "unknown_endpoint", "duplicate_entry", "extra_edge", "self_edge",
+                       "truncate", "reorder_sections", "unknown_resource_type",
+                       "unknown_param", "bad_literal", "none"])
+    if kind == "drop_attr" and entries:
+        i = rng.choice(entries)
+        attrs = re.findall(r' \w+="[^"]*"', lines[i])
+        if attrs:
+            lines[i] = lines[i].replace(rng.choice(attrs), "", 1)
+    elif kind == "rename_section":
+        section = rng.choice(["Resources", "Variables", "Actions", "Constraints"])
+        return re.sub(rf"<(/?){section}\b", rf"<\1{section}X", text)
+    elif kind == "stray_entry" and len(lines) > 2:
+        i = rng.randrange(1, len(lines) - 1)
+        lines.insert(i + 1 if lines[i].endswith("s>") else i, "<Bogus/>")
+    elif kind == "unknown_type":
+        return re.sub(r'(<ActionInstance [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
+    elif kind == "unknown_endpoint":
+        return re.sub(r'predecessor="[^"]*"', 'predecessor="ghost"', text, count=1)
+    elif kind == "duplicate_entry" and entries:
+        i = rng.choice(entries)
+        if lines[i].endswith("/>"):
+            lines.insert(i, lines[i])
+    elif kind in ("extra_edge", "self_edge") and '<ActionInstance name="' in text:
+        names = re.findall(r'<ActionInstance name="([^"]*)"', text)
+        a, b = rng.choice(names), rng.choice(names)
+        edge = f'<After action="{a}" predecessor="{a if kind == "self_edge" else b}"/>'
+        return text.replace("<Constraints/>", f"<Constraints>{edge}</Constraints>").replace(
+            "<Constraints>\n", f"<Constraints>\n{edge}\n")
+    elif kind == "truncate" and text:
+        return text[:rng.randrange(len(text))]
+    elif kind == "reorder_sections":
+        head, body = text.split("\n", 1)
+        blocks = re.findall(r"(  <(\w+)(?:/>|>.*?</\2>)\n)", body, flags=re.S)
+        if len(blocks) != 4:  # an earlier mutation broke a section
+            return text
+        rng.shuffle(blocks)
+        return head + "\n" + "".join(block for block, _ in blocks) + "</Program>\n"
+    elif kind == "unknown_resource_type":
+        return re.sub(r'(<Resource [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
+    elif kind == "unknown_param":
+        return text.replace('param="x"', 'param="y"', 1)
+    elif kind == "bad_literal":
+        return re.sub(r'value="[^"]*"', 'value="nan"', text, count=1)
+    return "\n".join(lines) + "\n"
+
+
+def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
+    """One byte-level defect in a file: truncated, one byte replaced by
+    0xFF (never UTF-8), or a span deleted."""
+    if not data:
+        return data
+    kind = rng.choice(["truncate", "ff_byte", "delete_span"])
+    at = rng.randrange(len(data))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "ff_byte":
+        return data[:at] + b"\xff" + data[at + 1:]
+    return data[:at] + data[at + rng.randint(1, 64):]
+
+
 # The two program-document walkers as they were before the shared
 # structural walk, kept as oracles.  They check tags lazily and read each
 # entry's required attributes just before resolving it, as they did, and

@@ -3,12 +3,14 @@
 import gc
 import json
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import support
-from seqc import codegen, jsonout, program_io, simulator
+from seqc import cli, codegen, jsonout, program_io, simulator
 from seqc.cli import main
 from seqc.dsl import load_dsl, save_dsl
 from seqc.errors import SeqcError
@@ -772,13 +774,134 @@ def _graph_files(tmp_path, n):
 
 @pytest.mark.parametrize("mode", [["--json"], []])
 def test_cli_garbage_does_not_grow_with_the_program(capsys, tmp_path, collector_on, mode):
-    # What a command leaves for the collector is argparse's parser, not the
-    # program: the pause cannot let memory grow with program size.
+    # A command leaves nothing for the collector, whatever the program's
+    # size: the pause cannot let memory grow.  The parser, argparse's only
+    # cyclic structure, is built once and kept.
     garbage = {}
     for n in (10, 500):
         dsl_file, program_file = _graph_files(tmp_path, n)
         argv = ["graph", *mode, "--dsl", dsl_file, program_file]
-        main(argv)  # warm caches such as re's and argparse's
+        main(argv)  # warm caches such as re's, and build the parser
         garbage[n] = _garbage_of(lambda: main(argv))
         assert capsys.readouterr().out
-    assert garbage[10] == garbage[500] > 0
+    assert garbage[10] == garbage[500] == 0
+
+
+# --- one parser per process ---------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    """The next `main` call builds the parser, as the first call in a process does."""
+    cli._build_parser.cache_clear()
+
+
+def run_or_exit(capsys, *argv):
+    """`run`, with argparse's `SystemExit` (usage errors, `--help`) as the exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_main_builds_the_parser_once(capsys, fresh_parser):
+    for _ in range(3):
+        assert run_or_exit(capsys, "validate", "--dsl", DEMO_DSL, FIVE_STAGE)[0] == 0
+        assert run_or_exit(capsys)[0] == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_a_patched_command_runs_after_the_parser_is_built(capsys, monkeypatch):
+    argv = ["graph", "--json", FIVE_STAGE]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr("seqc.cli.cmd_graph", lambda args: 7)
+    assert run(capsys, *argv) == (7, "", "")
+
+
+def test_a_duration_override_does_not_reach_the_next_command(capsys):
+    argv = ["simulate", "--dsl", DEMO_DSL, FIVE_STAGE]
+    assert run(capsys, *argv)[1].endswith("makespan: 3\n")
+    assert run(capsys, *argv, "--duration", "A=5")[1].endswith("makespan: 7\n")
+    assert run(capsys, *argv)[1].endswith("makespan: 3\n")
+
+
+@pytest.mark.parametrize("bad", [[], ["validate", FIVE_STAGE]])  # no command; no --dsl
+@pytest.mark.parametrize("good", [
+    ["validate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL],
+    ["simulate", "--json", "--dsl", DEMO_DSL, FIVE_STAGE, "--duration", "C=4"],
+])
+def test_a_command_after_a_usage_error_runs_as_the_first(capsys, fresh_parser, bad, good):
+    first = run(capsys, *good)
+    code, out, err = run_or_exit(capsys, *bad)
+    assert code == 2 and not out and err.startswith("usage: seqc")
+    assert run(capsys, *good) == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_help_prints_the_same_bytes_on_a_later_call(capsys, fresh_parser, argv):
+    first = run_or_exit(capsys, *argv)
+    assert first[0] == 0 and first[1].startswith("usage: seqc")
+    run(capsys, "graph", "--json", FIVE_STAGE)
+    run_or_exit(capsys, "validate", FIVE_STAGE)
+    assert run_or_exit(capsys, *argv) == first
+
+
+def test_a_one_shot_process_prints_what_a_later_call_prints(capsys, monkeypatch):
+    """`python -m seqc.cli` builds the parser once and runs one command;
+    its exit code and stdout equal those of a third in-process call."""
+    monkeypatch.setenv("COLUMNS", "80")  # help's width, in both processes
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    cases = [
+        (["--help"], 0),
+        (["validate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL], 1),
+        (["validate", "--dsl", VACUUM_DSL, VACUUM_ORDERED], 0),
+        (["simulate", "--json", "--dsl", DEMO_DSL, FIVE_STAGE], 0),
+        (["graph", "--json", FIVE_STAGE], 0),
+    ]
+    for argv, expected in cases:
+        for _ in range(3):
+            code, out, _ = run_or_exit(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "seqc.cli", *argv],
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout) == (code, out) and code == expected, argv
+        assert "Traceback" not in fresh.stderr, argv
+
+
+# --- mutated inputs ---------------------------------------------------------------
+
+def test_mutated_fixtures_keep_the_exit_code_contract(capsys, tmp_path):
+    """Seeded mutants of the fixture documents through validate, simulate
+    and graph: each exits 0, 1 or 2, an exit 2 is one `seqc: error:` line,
+    and no output holds a traceback.  Half the mutants are structural
+    defects of the program; the rest are byte-level edits of the program
+    or the DSL."""
+    rng = random.Random(1717)
+    dsl_file, program_file = tmp_path / "dsl.xml", tmp_path / "program.xml"
+    commands = (["validate"], ["simulate", "--json"], ["graph", "--json"])
+    seen = {command[0]: set() for command in commands}
+    for index in range(600):
+        robot, program_name, _ = CLI_FIXTURES[index % len(CLI_FIXTURES)]
+        dsl = fixture_path(robot, "dsl.xml").read_bytes()
+        program = fixture_path(robot, program_name).read_bytes()
+        if index % 2:
+            text = program.decode("utf-8")
+            for _ in range(rng.randint(1, 2)):
+                text = support.mutate_program(rng, text)
+            program = text.encode("utf-8")
+        elif rng.random() < 0.5:
+            program = support.mutate_bytes(rng, program)
+        else:
+            dsl = support.mutate_bytes(rng, dsl)
+        dsl_file.write_bytes(dsl)
+        program_file.write_bytes(program)
+        for command in commands:
+            with_dsl = command[0] != "graph" or index % 4 < 2
+            argv = [*command, *(["--dsl", str(dsl_file)] if with_dsl else []), str(program_file)]
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, program, dsl)
+            assert "Traceback" not in out + err, (argv, program, dsl)
+            if code == 2:
+                assert err.startswith("seqc: error:") and err.count("\n") == 1, (err, program)
+            seen[command[0]].add(code)
+    assert seen == {"validate": {0, 1, 2}, "simulate": {0, 1, 2}, "graph": {0, 2}}

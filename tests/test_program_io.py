@@ -510,58 +510,6 @@ def test_walkers_match_the_old_walkers_on_fixtures(dsl_name, program_name):
     assert parse_program(text) == support.parse_program_oracle(text)
 
 
-def _mutate(rng: random.Random, text: str) -> str:
-    """One random defect (or a harmless reordering) in a saved document."""
-    lines = text.splitlines()
-    entries = [i for i, line in enumerate(lines)
-               if re.match(r"\s*<(Resource|Variable|ActionInstance|After|Arg) ", line)]
-    kind = rng.choice(["drop_attr", "rename_section", "stray_entry", "unknown_type",
-                       "unknown_endpoint", "duplicate_entry", "extra_edge", "self_edge",
-                       "truncate", "reorder_sections", "unknown_resource_type",
-                       "unknown_param", "bad_literal", "none"])
-    if kind == "drop_attr" and entries:
-        i = rng.choice(entries)
-        attrs = re.findall(r' \w+="[^"]*"', lines[i])
-        if attrs:
-            lines[i] = lines[i].replace(rng.choice(attrs), "", 1)
-    elif kind == "rename_section":
-        section = rng.choice(["Resources", "Variables", "Actions", "Constraints"])
-        return re.sub(rf"<(/?){section}\b", rf"<\1{section}X", text)
-    elif kind == "stray_entry" and len(lines) > 2:
-        i = rng.randrange(1, len(lines) - 1)
-        lines.insert(i + 1 if lines[i].endswith("s>") else i, "<Bogus/>")
-    elif kind == "unknown_type":
-        return re.sub(r'(<ActionInstance [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
-    elif kind == "unknown_endpoint":
-        return re.sub(r'predecessor="[^"]*"', 'predecessor="ghost"', text, count=1)
-    elif kind == "duplicate_entry" and entries:
-        i = rng.choice(entries)
-        if lines[i].endswith("/>"):
-            lines.insert(i, lines[i])
-    elif kind in ("extra_edge", "self_edge") and '<ActionInstance name="' in text:
-        names = re.findall(r'<ActionInstance name="([^"]*)"', text)
-        a, b = rng.choice(names), rng.choice(names)
-        edge = f'<After action="{a}" predecessor="{a if kind == "self_edge" else b}"/>'
-        return text.replace("<Constraints/>", f"<Constraints>{edge}</Constraints>").replace(
-            "<Constraints>\n", f"<Constraints>\n{edge}\n")
-    elif kind == "truncate" and text:
-        return text[:rng.randrange(len(text))]
-    elif kind == "reorder_sections":
-        head, body = text.split("\n", 1)
-        blocks = re.findall(r"(  <(\w+)(?:/>|>.*?</\2>)\n)", body, flags=re.S)
-        if len(blocks) != 4:  # an earlier mutation broke a section
-            return text
-        rng.shuffle(blocks)
-        return head + "\n" + "".join(block for block, _ in blocks) + "</Program>\n"
-    elif kind == "unknown_resource_type":
-        return re.sub(r'(<Resource [^>]*type=)"[^"]*"', r'\1"Nope"', text, count=1)
-    elif kind == "unknown_param":
-        return text.replace('param="x"', 'param="y"', 1)
-    elif kind == "bad_literal":
-        return re.sub(r'value="[^"]*"', 'value="nan"', text, count=1)
-    return "\n".join(lines) + "\n"
-
-
 def _outcome(parse, *args):
     try:
         return parse(*args)
@@ -584,7 +532,7 @@ def test_walkers_match_the_old_walkers_on_random_documents():
     for _ in range(300):
         dsl, program = support.random_flow_setup(rng, max_actions=8)
         text = save_program(program)
-        for doc in (text, _mutate(rng, text)):
+        for doc in (text, support.mutate_program(rng, text)):
             structure = _outcome(support.parse_program_oracle, doc)
             assert _outcome(parse_program, doc) == structure, doc
             new = _outcome(load_program, doc, dsl)
@@ -622,7 +570,7 @@ def test_sliced_loaders_match_the_whole_tree_loaders_on_random_documents(monkeyp
         dsl, program = setup(rng, max_actions=6)
         doc = save_program(program)
         for _ in range(index % 3):
-            doc = _mutate(rng, doc)
+            doc = support.mutate_program(rng, doc)
         loaded = _result(support.load_program_whole_tree, doc, dsl)
         parsed = _result(support.parse_program_whole_tree, doc)
         for size in SLICES:
@@ -650,7 +598,7 @@ def test_sliced_loaders_find_the_root_past_a_prolog(monkeypatch):
         dsl, program = setup(rng, max_actions=6)
         bare = save_program(program)
         for _ in range(index % 3):
-            bare = _mutate(rng, bare)
+            bare = support.mutate_program(rng, bare)
         doc = PROLOG + bare + "<!-- the end -->\n"
         loaded = _result(support.load_program_whole_tree, doc, dsl)
         parsed = _result(support.parse_program_whole_tree, doc)
