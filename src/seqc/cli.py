@@ -164,6 +164,7 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
     if not isinstance(per_action, dict):
         raise SeqcError(f"{args.durations}: \"actions\" must be an object")
     known = set(program.action_names())
+    overrides = {}
     for override in args.duration:
         name, sep, value = override.partition("=")
         if not sep or not name:
@@ -171,10 +172,15 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
         if name not in known:
             raise SeqcError(f"--duration names unknown action {name!r}")
         try:
-            per_action[name] = int(value, 10)
+            overrides[name] = int(value, 10)
         except ValueError:
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
-    return simulator.DurationMap(per_action, raw.get("default", 1))
+    try:  # the file's values, less those an override replaces
+        simulator.DurationMap({name: value for name, value in per_action.items()
+                               if name not in overrides}, raw.get("default", 1))
+    except SeqcError as exc:
+        raise SeqcError(f"{args.durations}: {exc}") from None
+    return simulator.DurationMap({**per_action, **overrides}, raw.get("default", 1))
 
 
 def cmd_simulate(args) -> int:

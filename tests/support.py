@@ -3,6 +3,24 @@
 The oracles deliberately use the dumbest algorithm that can be argued
 correct (path enumeration, exhaustive schedule search) so the library
 implementations are checked against independent math, not themselves.
+
+The rule: an oracle calls no graph query of `seqc.model`, no
+`Program.graph`, no `Program.action` and no `validate`.  It reads the
+program's fields and other oracles; `test_oracles.py` runs each one with
+the graph index and the validator made to raise.  One oracle per library
+behaviour:
+
+    model.ancestors, topological_order   ancestors_oracle, topological_order_oracle
+    model.critical_path_length           critical_path_oracle
+    model.potentially_parallel           may_overlap
+    validator.validate                   validate_oracle (graph findings: pairwise_flow_findings)
+    simulator.simulate                   simulate_oracle
+    program_io.load_program              load_program_whole_tree
+    program_io.parse_program             parse_program_whole_tree
+    program_io.save_program              save_program_oracle
+    dsl.load_dsl, save_dsl               load_dsl_oracle, save_dsl_oracle
+    dsl composite containment            composite_cycle_oracle
+    templating parse, render             parse_template_oracle, render_template_oracle
 """
 
 import dataclasses
@@ -11,12 +29,10 @@ import itertools
 import random
 import re
 import sys
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 from seqc import dsl as dslmod
-from seqc import model
 from seqc import program_io as pio
 from seqc.codegen import GeneratorConfig, load_generator_config
 from seqc.dsl import (
@@ -323,13 +339,11 @@ def may_overlap(program: Program, first: str, second: str) -> bool:
     the same resource) each step adds one tick, no chain passes through
     both of an unordered pair, and chains visit at most n actions.
     """
-    if first == second:
-        return False
-    if program.action(first).resource == program.action(second).resource:
-        return False
-    order = model.topological_order(program)
-    preds = {a.name: set(a.predecessors) for a in program.actions}
     resource = {a.name: a.resource for a in program.actions}
+    if first == second or resource[first] == resource[second]:
+        return False
+    order = topological_order_oracle(program)
+    preds = {a.name: set(a.predecessors) for a in program.actions}
     horizon = len(order)
     start: dict[str, int] = {}
 
@@ -465,7 +479,6 @@ def random_flow_setup(rng: random.Random, **kwargs) -> tuple[RobotClassDsl, Prog
     dsl, program = random_setup(rng, **kwargs)
     dsl, program = with_data_flow(rng, dsl, program)
     return with_graph_defects(rng, dsl, program)
-
 
 
 def renamed(rng: random.Random, program: Program) -> tuple[Program, dict[str, str]]:
@@ -802,113 +815,10 @@ def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
     return data[:at] + data[at + rng.randint(1, 64):]
 
 
-# The two program-document walkers as they were before the shared
-# structural walk, kept as oracles.  They check tags lazily and read each
-# entry's required attributes just before resolving it, as they did, and
-# reuse the whole-tree oracle's entry resolvers below for the rest.
-
-def _expect_lazily(section, tag):
-    for child in section:
-        if child.tag != tag:
-            raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <{section.tag}>")
-        yield child
-
-
-def _attrs(elem, *names):
-    return tuple(require_attr(elem, name) for name in names)
-
-
-def _parse_resource(elem, dsl):
-    name, component_type = _attrs(elem, "name", "type")
-    if dsl.component(component_type) is None:
-        raise UnknownResourceTypeError(
-            f"resource {name!r} has unknown component type {component_type!r}")
-    return ResourceInstance(name, component_type)
-
-
-def load_program_oracle(text: str, dsl: RobotClassDsl) -> Program:
-    root = parse_root(text, "Program")
-    name = require_attr(root, "name")
-    robot_class = require_attr(root, "robotClass")
-    resources, variables, action_elems, constraint_elems = [], [], [], []
-    for section in root:
-        if section.tag == "Resources":
-            resources.extend(_parse_resource(e, dsl) for e in _expect_lazily(section, "Resource"))
-        elif section.tag == "Variables":
-            variables.extend(_whole_tree_variable(e, _attrs(e, "name", "type"), dsl)
-                             for e in _expect_lazily(section, "Variable"))
-        elif section.tag == "Actions":
-            action_elems.extend(_expect_lazily(section, "ActionInstance"))
-        elif section.tag == "Constraints":
-            constraint_elems.extend(_expect_lazily(section, "After"))
-        else:
-            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
-    _whole_tree_reject_duplicates((r.name for r in resources), "resource")
-    _whole_tree_reject_duplicates((v.name for v in variables), "variable")
-    resource_types = {r.name: r.component_type for r in resources}
-    parsed_actions = [_whole_tree_action(elem, _attrs(elem, "name", "type", "resource"), dsl,
-                                         resource_types) for elem in action_elems]
-    _whole_tree_reject_duplicates((name for name, *_ in parsed_actions), "action")
-    incoming: dict[str, set[str]] = {name: set() for name, *_ in parsed_actions}
-    for elem in constraint_elems:
-        action = require_attr(elem, "action")
-        predecessor = require_attr(elem, "predecessor")
-        for endpoint in (action, predecessor):
-            if endpoint not in incoming:
-                raise UnresolvedReferenceError(
-                    f"constraint references unknown action {endpoint!r}")
-        incoming[action].add(predecessor)
-    actions = [
-        ActionInstance(action_name, type_name, resource, args, return_to,
-                       incoming[action_name])
-        for action_name, type_name, resource, args, return_to in parsed_actions
-    ]
-    program = Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
-    model.topological_order(program)
-    return program
-
-
-def parse_program_oracle(text: str) -> Program:
-    root = parse_root(text, "Program")
-    name = require_attr(root, "name")
-    robot_class = require_attr(root, "robotClass")
-    resources, variables, raw_actions = [], [], []
-    incoming: dict[str, set[str]] = {}
-    for section in root:
-        if section.tag == "Resources":
-            for elem in _expect_lazily(section, "Resource"):
-                resources.append(
-                    ResourceInstance(require_attr(elem, "name"), require_attr(elem, "type")))
-        elif section.tag == "Variables":
-            for elem in _expect_lazily(section, "Variable"):
-                variables.append(
-                    VariableDecl(require_attr(elem, "name"), require_attr(elem, "type")))
-        elif section.tag == "Actions":
-            for elem in _expect_lazily(section, "ActionInstance"):
-                raw_actions.append((require_attr(elem, "name"), require_attr(elem, "type"),
-                                    require_attr(elem, "resource")))
-                incoming.setdefault(raw_actions[-1][0], set())
-        elif section.tag == "Constraints":
-            for elem in _expect_lazily(section, "After"):
-                incoming.setdefault(require_attr(elem, "action"), set()).add(
-                    require_attr(elem, "predecessor"))
-        else:
-            raise XmlSyntaxError(f"unexpected element <{section.tag}>")
-    actions = tuple(
-        ActionInstance(action_name, type_name, resource,
-                       predecessors=incoming.get(action_name, ()))
-        for action_name, type_name, resource in raw_actions
-    )
-    return Program(name, robot_class, tuple(resources), tuple(variables), actions)
-
-
-
-# The one whole-tree walk that served both loaders before program
-# documents were read slice by slice, kept as an oracle: `ET.fromstring`
-# builds the whole element tree, the structural walk checks every section
-# and entry, then each phase resolves the entries it needs.  The entry
-# resolvers are copied too; composite literals reuse `pio._parse_literal`,
-# which reading by slices did not change.
+# The whole-tree walk that served both loaders before program documents
+# were read slice by slice, kept as their oracle: `ET.fromstring` builds the
+# whole tree, a structural walk checks every section and entry, then each
+# phase resolves its entries.  Composite literals reuse `pio._parse_literal`.
 
 WHOLE_TREE_SECTIONS = {
     "Resources": ("Resource", ("name", "type")),
@@ -927,11 +837,7 @@ def _whole_tree_children(elem, tag):
 
 
 def _whole_tree_required(elems, names):
-    values = itemgetter(*names)
-    try:
-        return [values(elem.attrib) for elem in elems]
-    except KeyError:
-        return [tuple([require_attr(elem, attr) for attr in names]) for elem in elems]
+    return [tuple(require_attr(elem, attr) for attr in names) for elem in elems]
 
 
 def read_document_whole_tree(text: str):
@@ -1047,7 +953,7 @@ def load_program_whole_tree(text: str, dsl: RobotClassDsl) -> Program:
                 raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
         incoming[action].add(predecessor)
     program = _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming)
-    model.topological_order(program)
+    topological_order_oracle(program)  # names are unique and resolved by now
     return program
 
 
@@ -1068,20 +974,19 @@ def parse_program_whole_tree(text: str) -> Program:
 def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
                     force: bool = False) -> ExecutionTrace:
     durations = durations or DurationMap()
-    report = validate(program, dsl)
-    if not report.ok and not force:
+    if not force and not (report := validate_oracle(program, dsl)).ok:
         raise InvalidProgramError(report)
     defect = graph_defect(program)
     if defect:
         error, message = defect
         raise error(message)
-    model.topological_order(program)
+    topological_order_oracle(program)
 
     names = program.action_names()
     duration = {name: durations.duration_of(name) for name in names}
-    resource_of = {name: program.action(name).resource for name in names}
-    type_of = {name: program.action(name).action_type for name in names}
-    waiting = {name: set(program.action(name).predecessors) for name in names}
+    resource_of = {a.name: a.resource for a in program.actions}
+    type_of = {a.name: a.action_type for a in program.actions}
+    waiting = {a.name: set(a.predecessors) for a in program.actions}
     dependents: dict[str, set[str]] = {name: set() for name in names}
     for name in names:
         for pred in waiting[name]:
@@ -1133,26 +1038,65 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
 # The validator's checks as they were before severities came from the code
 # table and the data-flow lints shared one variable-use index, kept as an
 # oracle: every finding names its severity, and each lint walks the
-# arguments and return bindings itself.  The mutex and race checks test
-# all pairs instead of grouping candidates by type or by variable, and run
-# only when action names are unique and every predecessor names an action.
+# arguments and return bindings itself.  The graph findings come from
+# `pairwise_flow_findings`, which tests every action pair by path
+# enumeration.
 
 def validate_oracle(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     findings = _unique_names_oracle(program)
     findings += _bindings_oracle(program, dsl)
     findings += _unused_variables_oracle(program)
-    findings += _mutex_oracle(program, dsl)
-    findings += _races_oracle(program)
+    findings += pairwise_flow_findings(program, dsl)
     return ValidationReport(tuple(findings))
 
 
-def _cycle_finding_oracle(program: Program) -> Finding | None:
+def pairwise_flow_findings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+    """The cycle, mutex, race and read-before-write checks as first
+    written: every action pair, reachability by path enumeration.  Like
+    the validator, they need unique names and resolved predecessors."""
+    names = program.action_names()
+    if has_duplicate_names(program) or dangling_predecessor(program):
+        return []
     try:
-        model.topological_order(program)
-        return None
+        topological_order_oracle(program)
     except CyclicGraphError as exc:
-        return Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
-                       "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]))
+        return [Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+                        "actions form a precedence cycle: "
+                        + " -> ".join(exc.cycle + exc.cycle[:1]))]
+    actions = {a.name: a for a in program.actions}
+    above = {name: ancestors_oracle(program, name) for name in names}
+    reads = {a.name: {arg.variable for arg in a.args if arg.variable is not None}
+             for a in program.actions}
+    writes = {a.name: {a.return_to} - {None} for a in program.actions}
+    findings = []
+    for a, b in itertools.combinations(names, 2):
+        if (actions[a].resource == actions[b].resource
+                or a in above[b] or b in above[a]):
+            continue
+        type_a, type_b = actions[a].action_type, actions[b].action_type
+        if dsl.is_mutex(type_a, type_b):
+            findings.append(Finding(
+                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
+                f"{a!r} ({type_a}) and {b!r} ({type_b}) may run"
+                " simultaneously but their action types are mutually exclusive"))
+        conflicts = (writes[a] & writes[b]) | (writes[a] & reads[b]) | (reads[a] & writes[b])
+        for variable in sorted(conflicts):
+            findings.append(Finding(
+                Severity.WARNING, Code.VARIABLE_RACE, (a, b, variable),
+                f"{a!r} and {b!r} may run simultaneously and both"
+                f" touch variable {variable!r}"))
+    declared = {v.name: v for v in reversed(program.variables)}  # the first one wins
+    for reader in names:
+        for variable in sorted(reads[reader]):
+            if variable not in declared or declared[variable].init is not None:
+                continue
+            writers = [w for w in names if w != reader and variable in writes[w]]
+            if all(reader in above[w] for w in writers):
+                findings.append(Finding(
+                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (reader, variable),
+                    f"action {reader!r} reads {variable!r}, which has no"
+                    " initializer and no writer that can run first"))
+    return findings
 
 
 def _unique_names_oracle(program: Program) -> list[Finding]:
@@ -1166,23 +1110,6 @@ def _unique_names_oracle(program: Program) -> list[Finding]:
                 findings.append(Finding(Severity.ERROR, Code.DUPLICATE_NAME, (name,),
                                         f"{kind} name {name!r} is declared more than once"))
             seen.add(name)
-    return findings
-
-
-def _mutex_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    if has_duplicate_names(program) or dangling_predecessor(program):
-        return []
-    cyclic = _cycle_finding_oracle(program)
-    if cyclic:
-        return [cyclic]
-    type_of = {action.name: action.action_type for action in program.actions}
-    findings = []
-    for a, b in itertools.combinations(sorted(type_of), 2):
-        if dsl.is_mutex(type_of[a], type_of[b]) and model.potentially_parallel(program, a, b):
-            findings.append(Finding(
-                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
-                f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
-                " simultaneously but their action types are mutually exclusive"))
     return findings
 
 
@@ -1329,24 +1256,6 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                     Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
                     f"return value is {atype.return_type}, variable"
                     f" {action.return_to!r} is {decl.type_name}"))
-    if (has_duplicate_names(program) or dangling_predecessor(program)
-            or _cycle_finding_oracle(program) is not None):
-        return findings
-    writers: dict[str, set[str]] = {}
-    for action in program.actions:
-        if action.return_to is not None:
-            writers.setdefault(action.return_to, set()).add(action.name)
-    for action in program.actions:
-        for arg in action.args:
-            decl = declared_vars.get(arg.variable)
-            if decl is None or decl.init is not None:
-                continue
-            candidates = writers.get(arg.variable, set()) - {action.name}
-            if all(program.graph.precedes(action.name, writer) for writer in candidates):
-                findings.append(Finding(
-                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (action.name, arg.variable),
-                    f"action {action.name!r} reads {arg.variable!r}, which has no"
-                    " initializer and no writer that can run first"))
     return findings
 
 
@@ -1359,31 +1268,6 @@ def _unused_variables_oracle(program: Program) -> list[Finding]:
     return [Finding(Severity.WARNING, Code.UNUSED_VARIABLE, (variable.name,),
                     f"variable {variable.name!r} is never read or written by any action")
             for variable in program.variables if variable.name not in used]
-
-
-def _races_oracle(program: Program) -> list[Finding]:
-    if (has_duplicate_names(program) or dangling_predecessor(program)
-            or _cycle_finding_oracle(program) is not None):
-        return []
-    readers: dict[str, set[str]] = {}
-    writers: dict[str, set[str]] = {}
-    for action in program.actions:
-        for arg in action.args:
-            if arg.variable is not None:
-                readers.setdefault(arg.variable, set()).add(action.name)
-        if action.return_to is not None:
-            writers.setdefault(action.return_to, set()).add(action.name)
-    findings = []
-    for variable, written_by in writers.items():
-        for writer in written_by:
-            for other in written_by | readers.get(variable, set()):
-                first, second = sorted((writer, other))
-                if writer != other and model.potentially_parallel(program, first, second):
-                    findings.append(Finding(
-                        Severity.WARNING, Code.VARIABLE_RACE, (first, second, variable),
-                        f"{first!r} and {second!r} may run simultaneously and both"
-                        f" touch variable {variable!r}"))
-    return findings
 
 
 # The XML writers and the DSL loader as they were before `xmlio` stated the

@@ -136,19 +136,20 @@ def test_simulate_durations_file(capsys, tmp_path):
 
 def test_simulate_flag_overrides_file(capsys, tmp_path):
     durations = tmp_path / "durations.json"
-    durations.write_text(json.dumps({"actions": {"C": 5}}), encoding="utf-8")
-    code, out, _ = run(
-        capsys,
-        "simulate", "--durations", str(durations), "--duration", "C=1",
-        "--dsl", DEMO_DSL, FIVE_STAGE,
-    )
-    assert code == 0
-    assert out.endswith("makespan: 3\n")
+    for in_file in (5, 0):  # an override replaces even a value the file may not hold
+        durations.write_text(json.dumps({"actions": {"C": in_file}}), encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "simulate", "--durations", str(durations), "--duration", "C=1",
+            "--dsl", DEMO_DSL, FIVE_STAGE,
+        )
+        assert code == 0
+        assert out.endswith("makespan: 3\n")
 
 
 @pytest.mark.parametrize(
     "content",
-    ["[]", '{"actions": []}', '{"actions": {"A": 0}}', "{not json"],
+    ["[]", '{"actions": []}', '{"actions": {"A": 0}}', '{"default": 0}', "{not json"],
 )
 def test_simulate_bad_durations_file(capsys, tmp_path, content):
     durations = tmp_path / "durations.json"
@@ -158,7 +159,7 @@ def test_simulate_bad_durations_file(capsys, tmp_path, content):
         "simulate", "--durations", str(durations), "--dsl", DEMO_DSL, FIVE_STAGE,
     )
     assert code == 2
-    assert err.startswith("seqc: error:")
+    assert err.startswith(f"seqc: error: {durations}: ")
 
 
 def test_malformed_durations_file_error_names_the_file(capsys, tmp_path):

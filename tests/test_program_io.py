@@ -502,51 +502,6 @@ def test_export_dot_quotes_awkward_names():
     assert '"say \\"hi\\"" [label="say \\"hi\\": T @r"];' in dot
 
 
-@pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)
-def test_walkers_match_the_old_walkers_on_fixtures(dsl_name, program_name):
-    dsl = load_dsl(fixture_text(dsl_name))
-    text = fixture_text(program_name)
-    assert load_program(text, dsl) == support.load_program_oracle(text, dsl)
-    assert parse_program(text) == support.parse_program_oracle(text)
-
-
-def _outcome(parse, *args):
-    try:
-        return parse(*args)
-    except SeqcError as exc:
-        return type(exc)
-
-
-def test_walkers_match_the_old_walkers_on_random_documents():
-    """The one-walk loaders against copies of the two walkers they
-    replaced, on saved random programs (data flow, duplicate names,
-    cycles, dangling predecessors) with one mutation each.
-
-    The old load_program interleaved structural checks with resolution
-    in document order; the new one reports a structural error, which
-    is whatever the old parse_program rejected as XML, before resolving
-    anything.  So load outcomes are compared on structurally sound
-    documents, and on the others load must fail as parse does."""
-    rng = random.Random(20240)
-    loaded = failed = unsound = 0
-    for _ in range(300):
-        dsl, program = support.random_flow_setup(rng, max_actions=8)
-        text = save_program(program)
-        for doc in (text, support.mutate_program(rng, text)):
-            structure = _outcome(support.parse_program_oracle, doc)
-            assert _outcome(parse_program, doc) == structure, doc
-            new = _outcome(load_program, doc, dsl)
-            if structure is XmlSyntaxError:
-                assert new is XmlSyntaxError, doc
-                unsound += 1
-            else:
-                assert new == _outcome(support.load_program_oracle, doc, dsl), doc
-            loaded += isinstance(new, Program)
-            failed += not isinstance(new, Program)
-    # Both outcomes, and both kinds of failure, well exercised.
-    assert loaded > 150 and failed - unsound > 100 and unsound > 50
-
-
 def _result(parse, *args):
     """What a loader makes of a document: the Program, or the class and
     message of the error it raises."""
@@ -554,6 +509,36 @@ def _result(parse, *args):
         return parse(*args)
     except SeqcError as exc:
         return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)
+def test_walkers_match_the_old_walkers_on_fixtures(dsl_name, program_name):
+    dsl = load_dsl(fixture_text(dsl_name))
+    text = fixture_text(program_name)
+    assert load_program(text, dsl) == support.load_program_whole_tree(text, dsl)
+    assert parse_program(text) == support.parse_program_whole_tree(text)
+
+
+def test_walkers_match_the_old_walkers_on_random_documents():
+    """The loaders against the whole-tree walk, on saved random programs
+    (data flow, duplicate names, cycles, dangling predecessors) with one
+    mutation each: the same Program, or the same error class and message.
+    A document is unsound when the whole-tree parse refuses it as XML."""
+    rng = random.Random(20240)
+    loaded = failed = unsound = 0
+    for _ in range(300):
+        dsl, program = support.random_flow_setup(rng, max_actions=8)
+        text = save_program(program)
+        for doc in (text, support.mutate_program(rng, text)):
+            structure = _result(support.parse_program_whole_tree, doc)
+            assert _result(parse_program, doc) == structure, doc
+            new = _result(load_program, doc, dsl)
+            assert new == _result(support.load_program_whole_tree, doc, dsl), doc
+            unsound += not isinstance(structure, Program) and structure[0] is XmlSyntaxError
+            loaded += isinstance(new, Program)
+            failed += not isinstance(new, Program)
+    # Both outcomes, and both kinds of failure, well exercised.
+    assert loaded > 150 and failed - unsound > 100 and unsound > 50
 
 
 SLICES = (1, 7, 64, xmlio._SLICE)
@@ -679,12 +664,13 @@ def test_sliced_loaders_match_on_defects_in_the_last_entry_of_each_section(monke
     for tag, attr in LAST_ENTRY_DEFECTS.values():
         everything = _edit_last(everything, tag, attr, f' {attr}="Nope"')
     docs = [text, *unresolved, *missing, *stray, everything]
+    expected = [(doc, _result(support.load_program_whole_tree, doc, TYPED_DSL),
+                 _result(support.parse_program_whole_tree, doc)) for doc in docs]
     for size in (xmlio._SLICE, 4093):
         monkeypatch.setattr(xmlio, "_SLICE", size)
-        for doc in docs:
-            assert _result(load_program, doc, TYPED_DSL) == _result(
-                support.load_program_whole_tree, doc, TYPED_DSL)
-            assert _result(parse_program, doc) == _result(support.parse_program_whole_tree, doc)
+        for doc, loaded, parsed in expected:
+            assert _result(load_program, doc, TYPED_DSL) == loaded
+            assert _result(parse_program, doc) == parsed
     assert isinstance(load_program(text, TYPED_DSL), Program)
     # Each defect is the one reported when it is alone.
     assert [_result(load_program, doc, TYPED_DSL)[0] for doc in unresolved] == [

@@ -23,7 +23,7 @@ from seqc.dsl import (
     VariableTypeDef,
     load_dsl,
 )
-from seqc.errors import CyclicGraphError, SeqcError, XmlSyntaxError
+from seqc.errors import SeqcError, XmlSyntaxError
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -43,7 +43,6 @@ from support import (
     random_flow_setup,
     random_literal_setup,
     random_setup,
-    topological_order_oracle,
     with_data_flow,
     with_edge,
 )
@@ -697,55 +696,6 @@ FLOW_CODES = {Code.CYCLIC_GRAPH, Code.MUTEX_VIOLATION, Code.VARIABLE_RACE,
               Code.UNINSTANTIATED_VARIABLE}
 
 
-def pairwise_flow_findings(program, dsl):
-    """The mutex, race and read-before-write checks as first written:
-    every action pair, reachability by path enumeration.  Like the
-    validator, they need unique names and resolved predecessors."""
-    names = program.action_names()
-    if support.has_duplicate_names(program) or support.dangling_predecessor(program):
-        return []
-    try:
-        topological_order_oracle(program)
-    except CyclicGraphError as exc:
-        return [Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
-                        "actions form a precedence cycle: "
-                        + " -> ".join(exc.cycle + exc.cycle[:1]))]
-    actions = {a.name: a for a in program.actions}
-    above = {name: ancestors_oracle(program, name) for name in names}
-    reads = {a.name: {arg.variable for arg in a.args if arg.variable is not None}
-             for a in program.actions}
-    writes = {a.name: {a.return_to} - {None} for a in program.actions}
-    findings = []
-    for a, b in itertools.combinations(names, 2):
-        if (actions[a].resource == actions[b].resource
-                or a in above[b] or b in above[a]):
-            continue
-        type_a, type_b = actions[a].action_type, actions[b].action_type
-        if dsl.is_mutex(type_a, type_b):
-            findings.append(Finding(
-                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
-                f"{a!r} ({type_a}) and {b!r} ({type_b}) may run"
-                " simultaneously but their action types are mutually exclusive"))
-        conflicts = (writes[a] & writes[b]) | (writes[a] & reads[b]) | (reads[a] & writes[b])
-        for variable in sorted(conflicts):
-            findings.append(Finding(
-                Severity.WARNING, Code.VARIABLE_RACE, (a, b, variable),
-                f"{a!r} and {b!r} may run simultaneously and both"
-                f" touch variable {variable!r}"))
-    declared = {v.name: v for v in program.variables}
-    for reader in names:
-        for variable in sorted(reads[reader]):
-            if variable not in declared or declared[variable].init is not None:
-                continue
-            writers = [w for w in names if w != reader and variable in writes[w]]
-            if all(reader in above[w] for w in writers):
-                findings.append(Finding(
-                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (reader, variable),
-                    f"action {reader!r} reads {variable!r}, which has no"
-                    " initializer and no writer that can run first"))
-    return findings
-
-
 def test_flow_findings_match_all_pairs_definitions():
     rng = random.Random(4242)
     seen = set()
@@ -753,7 +703,8 @@ def test_flow_findings_match_all_pairs_definitions():
         dsl, program = random_flow_setup(rng, max_actions=8)
         report = validate(program, dsl)
         found = tuple(f for f in report.findings if f.code in FLOW_CODES)
-        assert found == ValidationReport(tuple(pairwise_flow_findings(program, dsl))).findings
+        expected = support.pairwise_flow_findings(program, dsl)
+        assert found == ValidationReport(tuple(expected)).findings
         seen.update(f.code for f in report.findings)
     assert FLOW_CODES | {Code.DUPLICATE_NAME} <= seen
 
