@@ -29,8 +29,10 @@ def _write(value, newline: str, append) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError
-            if type(item) is str:  # the common leaf, written without a call
+            if type(item) is str:  # the common leaves, written without a call
                 append(f"{opener}{_quote(key)}: {_quote(item)}")
+            elif type(item) is int:  # not bool, nor a subclass whose text may differ
+                append(f"{opener}{_quote(key)}: {item}")
             else:
                 append(f"{opener}{_quote(key)}: ")
                 _write(item, inner, append)

@@ -34,6 +34,7 @@ order, CyclicGraphError.
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -44,6 +45,8 @@ from .errors import (
     UnknownActionError,
     UnresolvedReferenceError,
 )
+
+_set = object.__setattr__  # how a frozen class's own __init__ writes each field once
 
 
 def _normalize_literal(value):
@@ -60,7 +63,7 @@ def _literal_or_none(value):
     return None if value is None or value == {} else _normalize_literal(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ArgBinding:
     """Binds one declared parameter to a global variable or a literal value."""
 
@@ -68,15 +71,16 @@ class ArgBinding:
     variable: str | None = None
     value: Any = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _literal_or_none(self.value))
-        if (self.variable is None) == (self.value is None):
-            raise ValueError(
-                f"argument {self.param!r} must bind exactly one of a variable or a literal"
-            )
+    def __init__(self, param: str, variable: str | None = None, value: Any = None):
+        value = value if value is None else _literal_or_none(value)
+        if (variable is None) == (value is None):
+            raise ValueError(f"argument {param!r} must bind exactly one of a variable or a literal")
+        _set(self, "param", param)
+        _set(self, "variable", variable)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ActionInstance:
     """A named occurrence of a DSL action type, placed on a resource instance."""
 
@@ -87,14 +91,20 @@ class ActionInstance:
     return_to: str | None = None
     predecessors: tuple[str, ...] = ()  # the names of the actions that must finish first
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if isinstance(self.predecessors, str):  # would read as a set of one-letter names
-            raise TypeError(f"predecessors of {self.name!r} must be names, not one string")
-        names = set(self.predecessors)
-        if self.name in names:
-            raise CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
-        object.__setattr__(self, "predecessors", tuple(sorted(names)))
+    def __init__(self, name: str, action_type: str, resource: str, args=(),
+                 return_to: str | None = None, predecessors=()):
+        args = tuple(args)
+        if isinstance(predecessors, str):  # would read as a set of one-letter names
+            raise TypeError(f"predecessors of {name!r} must be names, not one string")
+        names = set(predecessors)
+        if name in names:
+            raise CyclicGraphError((name,), f"action {name!r} precedes itself")
+        _set(self, "name", name)
+        _set(self, "action_type", action_type)
+        _set(self, "resource", resource)
+        _set(self, "args", args)
+        _set(self, "return_to", return_to)
+        _set(self, "predecessors", tuple(sorted(names)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ class ResourceInstance:
     component_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VariableDecl:
     """A global variable of the program's data space."""
 
@@ -113,8 +123,10 @@ class VariableDecl:
     type_name: str
     init: Any = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "init", _literal_or_none(self.init))
+    def __init__(self, name: str, type_name: str, init: Any = None):
+        _set(self, "name", name)
+        _set(self, "type_name", type_name)
+        _set(self, "init", _literal_or_none(init))
 
 
 @dataclass(frozen=True)
@@ -135,15 +147,10 @@ class Program:
     actions: tuple[ActionInstance, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "resources", tuple(sorted(self.resources, key=lambda r: r.name))
-        )
-        object.__setattr__(
-            self, "variables", tuple(sorted(self.variables, key=lambda v: v.name))
-        )
-        object.__setattr__(
-            self, "actions", tuple(sorted(self.actions, key=lambda a: a.name))
-        )
+        by_name = attrgetter("name")
+        _set(self, "resources", tuple(sorted(self.resources, key=by_name)))
+        _set(self, "variables", tuple(sorted(self.variables, key=by_name)))
+        _set(self, "actions", tuple(sorted(self.actions, key=by_name)))
         declared = {r.name for r in self.resources}
         for action in self.actions:
             if action.resource not in declared:

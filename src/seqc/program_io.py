@@ -21,6 +21,7 @@ names; no object stands for an edge.
 """
 
 import re
+from collections import defaultdict
 
 from . import model
 from .dsl import _LITERALS, RobotClassDsl, _duplicates, _literal_text, lookup_action
@@ -54,7 +55,7 @@ def _resolve(text: str, dsl: RobotClassDsl) -> Program:
     """`load_program` up to the acyclicity check."""
     rows: dict[str, list] = {"Resources": [], "Constraints": []}
     variables: list[VariableDecl] = []
-    heads: list[tuple] = []  # (name, type, resource, action type) of each typed action
+    heads: list[tuple] = []  # (name, type, resource, owning component) of each typed action
     bodies: list[tuple] = []  # (args, return_to) of each action resolved in full
     failed: dict[str, SeqcError] = {}  # section tag: the first error resolving it
 
@@ -70,7 +71,7 @@ def _resolve(text: str, dsl: RobotClassDsl) -> Program:
                     variables.append(_parse_variable(elem, row, dsl))
                 else:
                     action_type = lookup_action(dsl, row[1])
-                    heads.append((*row, action_type))
+                    heads.append((*row, action_type.owner))
                     bodies.append(_parse_children(elem, action_type, dsl, row[0]))
         except SeqcError as exc:
             failed[tag] = _detached(exc)
@@ -92,29 +93,29 @@ def _resolve(text: str, dsl: RobotClassDsl) -> Program:
     _reject_duplicates((r.name for r in resources), "resource")
     _reject_duplicates((v.name for v in variables), "variable")
     resource_types = {r.name: r.component_type for r in resources}
-    for action_name, type_name, resource, action_type in heads:
+    for action_name, type_name, resource, owner in heads:
         if resource not in resource_types:
             raise UnresolvedReferenceError(
                 f"action {action_name!r} runs on undeclared resource {resource!r}"
             )
-        if resource_types[resource] != action_type.owner:
+        if resource_types[resource] != owner:
             raise UnresolvedReferenceError(
                 f"action {action_name!r}: type {type_name!r} belongs to component"
-                f" {action_type.owner!r}, but resource {resource!r} is a"
-                f" {resource_types[resource]!r}"
+                f" {owner!r}, but resource {resource!r} is a {resource_types[resource]!r}"
             )
     if "Actions" in failed:  # after the resource checks of the actions before it
         raise failed["Actions"]
     _reject_duplicates((head[0] for head in heads), "action")
     incoming: dict[str, set[str]] = {head[0]: set() for head in heads}
     for action, predecessor in rows["Constraints"]:
-        for endpoint in (action, predecessor):
-            if endpoint not in incoming:
-                raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
+        if action not in incoming or predecessor not in incoming:
+            endpoint = predecessor if action in incoming else action
+            raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
         incoming[action].add(predecessor)
-    actions = ((action_name, type_name, resource, args, return_to)
-               for (action_name, type_name, resource, _), (args, return_to) in zip(heads, bodies))
-    return _assemble(name, robot_class, resources, variables, actions, incoming)
+    actions = [ActionInstance(action_name, type_name, resource, args, return_to,
+                              incoming[action_name])
+               for (action_name, type_name, resource, _), (args, return_to) in zip(heads, bodies)]
+    return Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
 
 
 def parse_program(text: str) -> Program:
@@ -132,11 +133,11 @@ def parse_program(text: str) -> Program:
     name, robot_class = read_document(text, "Program", ("name", "robotClass"), _SECTIONS, take)
     resources = [ResourceInstance(*row) for row in rows["Resources"]]
     variables = [VariableDecl(*row) for row in rows["Variables"]]
-    actions = [(*row, (), None) for row in rows["Actions"]]
-    incoming: dict[str, set[str]] = {}
+    incoming: dict[str, set[str]] = defaultdict(set)
     for action, predecessor in rows["Constraints"]:
-        incoming.setdefault(action, set()).add(predecessor)
-    return _assemble(name, robot_class, resources, variables, actions, incoming)
+        incoming[action].add(predecessor)
+    actions = [ActionInstance(*row, (), None, incoming.get(row[0], ())) for row in rows["Actions"]]
+    return Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
 
 
 _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
@@ -145,17 +146,6 @@ _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
     "Actions": ("ActionInstance", ("name", "type", "resource")),
     "Constraints": ("After", ("action", "predecessor")),
 }
-
-
-def _assemble(name, robot_class, resources, variables, rows, incoming) -> Program:
-    """The Program from parts; `rows` are (name, type, resource, args, return_to)
-    and `incoming` maps an action's name to the set of its predecessors."""
-    actions = tuple(
-        ActionInstance(action_name, type_name, resource, args, return_to,
-                       incoming.get(action_name, ()))
-        for action_name, type_name, resource, args, return_to in rows
-    )
-    return Program(name, robot_class, tuple(resources), tuple(variables), actions)
 
 
 def _reject_duplicates(names, kind):
@@ -176,42 +166,50 @@ def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
 
 
 def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
-    """The (args, return_to) of action `name` from its <Arg> and <ReturnTo> children."""
+    """The (args, return_to) of action `name` from its <Arg> and <ReturnTo> children.
+    `_parse_arg` takes each <Arg> but a `variable=` or scalar `value=` binding."""
     declared = action_type.parameters_by_name
     bindings: dict[str, ArgBinding] = {}
     return_to = None
     for child in elem:
         if child.tag == "Arg":
-            param = require_attr(child, "param")
-            if param not in declared:
-                raise UnresolvedReferenceError(
-                    f"action {name!r} binds unknown parameter {param!r}"
-                )
-            if param in bindings:
-                raise DuplicateIdentifierError(
-                    f"action {name!r} binds parameter {param!r} twice"
-                )
-            bindings[param] = _parse_arg(child, declared[param], dsl, name)
+            param, variable, text = child.get("param"), child.get("variable"), child.get("value")
+            slot = declared.get(param)
+            if (slot is None or param in bindings or len(child)
+                    or (variable is None) == (text is None)):
+                _parse_arg(child, declared, bindings, dsl, name)
+            elif variable is not None:  # the DSL's name, held once for every binding
+                bindings[param] = ArgBinding(slot.name, variable)
+            elif (read := _LITERALS.get(slot.type_name)) is None:  # value= of a composite
+                _parse_arg(child, declared, bindings, dsl, name)
+            else:
+                try:
+                    bindings[param] = ArgBinding(slot.name, None, read(text))
+                except ValueError:  # _parse_arg raises it, naming the place
+                    _parse_arg(child, declared, bindings, dsl, name)
         elif child.tag == "ReturnTo":
             if return_to is not None:
                 raise XmlSyntaxError(f"action {name!r} has more than one <ReturnTo>")
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    return tuple([bindings[param] for param in declared if param in bindings]), return_to
+    return tuple(filter(None, map(bindings.get, declared))), return_to  # in declaration order
 
 
-def _parse_arg(elem, param, dsl: RobotClassDsl, action_name: str) -> ArgBinding:
+def _parse_arg(elem, declared, bindings: dict, dsl: RobotClassDsl, action_name: str) -> None:
+    """Raise the first error an <Arg> holds, or add its binding of a composite value."""
+    param = require_attr(elem, "param")
+    if param not in declared:
+        raise UnresolvedReferenceError(f"action {action_name!r} binds unknown parameter {param!r}")
+    if param in bindings:
+        raise DuplicateIdentifierError(f"action {action_name!r} binds parameter {param!r} twice")
     variable, value_attr = elem.get("variable"), elem.get("value")
+    where = f"action {action_name!r}, parameter {param!r}"
     if (variable is not None) + (value_attr is not None) + (len(elem) > 0) != 1:
         raise XmlSyntaxError(
-            f"action {action_name!r}, parameter {param.name!r}: exactly one of"
-            " variable=, value=, or nested <Field> elements is required"
-        )
-    if variable is not None:
-        return ArgBinding(param.name, variable=variable)
-    where = f"action {action_name!r}, parameter {param.name!r}"
-    return ArgBinding(param.name, value=_parse_literal(elem, value_attr, param.type_name, dsl, where))
+            f"{where}: exactly one of variable=, value=, or nested <Field> elements is required")
+    value = _parse_literal(elem, value_attr, declared[param].type_name, dsl, where)
+    bindings[param] = ArgBinding(declared[param].name, value=value)
 
 
 def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):
@@ -327,10 +325,14 @@ def export_dot(program: Program) -> str:
     per precedence constraint, both in sorted order.
     """
     lines = [f"digraph {_dot_id(program.name)} {{"]
+    quoted = {}  # action name: its DOT id; a dangling predecessor is quoted where it occurs
     for action in program.actions:
+        quoted[action.name] = node = _dot_quoted(action.name)
         label = f"{action.name}: {action.action_type} @{action.resource}"
-        lines.append(f"  {_dot_quoted(action.name)} [label={_dot_quoted(label)}];")
+        lines.append(f"  {node} [label={_dot_quoted(label)}];")
     for predecessor, successor in _edge_pairs(program):
-        lines.append(f"  {_dot_quoted(predecessor)} -> {_dot_quoted(successor)};")
+        tail = quoted.get(predecessor) or _dot_quoted(predecessor)
+        lines.append(f"  {tail} -> {quoted[successor]};")
+    del quoted  # before the join, which holds the text twice
     lines.append("}")
     return "\n".join(lines) + "\n"

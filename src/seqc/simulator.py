@@ -85,8 +85,7 @@ def simulate(
     graph queries do on duplicate names, a dangling predecessor or a cycle.
     """
     durations = durations or DurationMap()
-    report = validate(program, dsl)
-    if not report.ok and not force:
+    if not force and not (report := validate(program, dsl)).ok:
         raise InvalidProgramError(report)
     model.topological_order(program)
     graph = program.graph

@@ -28,6 +28,8 @@ class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash runs Python code
+
 
 class Code(str, Enum):
     """Closed set of finding identifiers."""
@@ -45,7 +47,8 @@ class Code(str, Enum):
 
 
 # A code's severity is fixed: README's code table is the rule.
-_WARNINGS = frozenset({Code.UNINSTANTIATED_VARIABLE, Code.UNUSED_VARIABLE, Code.VARIABLE_RACE})
+_SEVERITY = {code: Severity.ERROR for code in Code} | dict.fromkeys(
+    (Code.UNINSTANTIATED_VARIABLE, Code.UNUSED_VARIABLE, Code.VARIABLE_RACE), Severity.WARNING)
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ def _json_strings(items: tuple[str, ...]) -> str:
 
 
 def _finding(code: Code, subjects: tuple[str, ...], message: str) -> Finding:
-    severity = Severity.WARNING if code in _WARNINGS else Severity.ERROR
-    return Finding(severity, code, subjects, message)
+    return Finding(_SEVERITY[code], code, subjects, message)
 
 
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:

@@ -49,6 +49,7 @@ from seqc.errors import (
     InvalidProgramError,
     MalformedReferenceError,
     NonIterableInForeachError,
+    SeqcError,
     TemplateError,
     UnclosedBlockError,
     UnknownDirectiveError,
@@ -86,6 +87,14 @@ from seqc.validator import Code, Finding, Severity, ValidationReport, validate
 from seqc.xmlio import attr_escape, parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def outcome(call, *args, **kwargs):
+    """A call's value, or the type and message of the SeqcError it raised."""
+    try:
+        return call(*args, **kwargs)
+    except SeqcError as exc:
+        return type(exc), str(exc)
 
 
 def fixture_path(*parts) -> Path:

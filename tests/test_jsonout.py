@@ -42,9 +42,22 @@ def test_matches_json_dumps_on_random_payloads():
         assert jsonout.dumps(value) == json.dumps(value, indent=2)
 
 
+class _Shouty(int):
+    """An int whose own text differs from the number's."""
+
+    def __repr__(self):
+        return "LOUD"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "LOUD"
+
+
 @pytest.mark.parametrize("value", [
     [], {}, (), "", 0, True, False, None, [[]], {"": {}}, [True, 1, False, 0],
     {"a": (1, [2, {"b": None}])}, "é\"\\\n", 2 ** 100,
+    {"t": 3, "on": True, "off": False, "odd": _Shouty(5)}, [_Shouty(6), 7],
 ])
 def test_matches_json_dumps_on_edge_cases(value):
     assert jsonout.dumps(value) == json.dumps(value, indent=2)

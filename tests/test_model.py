@@ -1,5 +1,8 @@
 """Graph queries on the core program model."""
 
+import dataclasses
+import inspect
+import pickle
 import random
 from collections import Counter
 
@@ -11,7 +14,6 @@ from seqc.errors import (
     DuplicateIdentifierError,
     NonPositiveDurationError,
     SameActionError,
-    SeqcError,
     UnknownActionError,
     UnresolvedReferenceError,
 )
@@ -32,6 +34,7 @@ from support import (
     graph_defect,
     make_dsl,
     make_program,
+    outcome,
     random_durations,
     random_flow_setup,
     random_setup,
@@ -277,14 +280,6 @@ def test_critical_path_of_empty_program_is_zero():
     assert model.topological_order(program) == []
 
 
-def _outcome(query, *args, **kwargs):
-    """A query's value, or the type and message of what it raised."""
-    try:
-        return query(*args, **kwargs)
-    except SeqcError as exc:
-        return type(exc), str(exc)
-
-
 # "a" declared after "c" and again after "b", with "b" after "a".  When the
 # graph kept both declarations, topological_order gave c, a, b while
 # ancestors raised the cycle a -> b -> a.
@@ -315,21 +310,21 @@ def test_graph_queries_match_oracles_on_random_programs():
         cycle = None if defect else cycle_oracle(program)
         unordered = defect or cycle and (CyclicGraphError, str(CyclicGraphError(cycle)))
         kinds[defect[0] if defect else "cyclic" if cycle else "clean"] += 1
-        assert _outcome(model.topological_order, program) == (
-            defect or _outcome(topological_order_oracle, program))
+        assert outcome(model.topological_order, program) == (
+            defect or outcome(topological_order_oracle, program))
         durations = random_durations(rng, program)
-        assert _outcome(model.critical_path_length, program, durations) == (
+        assert outcome(model.critical_path_length, program, durations) == (
             unordered or critical_path_oracle(program, durations))
         timing = DurationMap(durations)
-        assert _outcome(simulate, program, dsl, timing, force=True) == (
+        assert outcome(simulate, program, dsl, timing, force=True) == (
             unordered or simulate_oracle(program, dsl, timing, force=True))
         names = sorted(set(program.action_names()))
         declared = {action.name: action for action in program.actions}
         for name in names:
-            assert _outcome(program.action, name) == (defect or declared[name])
-            assert _outcome(model.successors, program, name) == (defect or {
+            assert outcome(program.action, name) == (defect or declared[name])
+            assert outcome(model.successors, program, name) == (defect or {
                 a.name for a in program.actions if name in a.predecessors})
-            assert _outcome(model.ancestors, program, name) == (
+            assert outcome(model.ancestors, program, name) == (
                 unordered or ancestors_oracle(program, name))
         for a in names:
             for b in names:
@@ -340,7 +335,7 @@ def test_graph_queries_match_oracles_on_random_programs():
                 else:
                     expected = unordered or (a not in ancestors_oracle(program, b)
                                              and b not in ancestors_oracle(program, a))
-                assert _outcome(model.potentially_parallel, program, a, b) == expected
+                assert outcome(model.potentially_parallel, program, a, b) == expected
     assert kinds[DuplicateIdentifierError] > 20 and kinds[UnresolvedReferenceError] > 20
     assert kinds["cyclic"] > 20 and kinds["clean"] > 100
 
@@ -402,3 +397,150 @@ def test_variable_index_is_ignored_by_equality():
     assert program.variable("v") is program.variables[0]
     assert program == fresh and hash(program) == hash(fresh)
     assert repr(program) == text
+
+
+def _sorted_literal(value):
+    if isinstance(value, dict):
+        return {name: _sorted_literal(value[name]) for name in sorted(value)}
+    return value
+
+
+def _reference_literal(value):
+    return None if value is None or value == {} else _sorted_literal(value)
+
+
+def _reference_arg_post_init(self):
+    object.__setattr__(self, "value", _reference_literal(self.value))
+    if (self.variable is None) == (self.value is None):
+        raise ValueError(
+            f"argument {self.param!r} must bind exactly one of a variable or a literal")
+
+
+def _reference_action_post_init(self):
+    object.__setattr__(self, "args", tuple(self.args))
+    if isinstance(self.predecessors, str):
+        raise TypeError(f"predecessors of {self.name!r} must be names, not one string")
+    names = set(self.predecessors)
+    if self.name in names:
+        raise model.CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
+    object.__setattr__(self, "predecessors", tuple(sorted(names)))
+
+
+def _reference_variable_post_init(self):
+    object.__setattr__(self, "init", _reference_literal(self.init))
+
+
+def _reference(cls, post_init):
+    """`cls` as a dataclass-generated frozen class that normalises in
+    __post_init__: the model's constructors must behave exactly so."""
+    specs = [(f.name, f.type, dataclasses.field(default=f.default))
+             if f.default is not dataclasses.MISSING else (f.name, f.type)
+             for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
+                                      namespace={"__post_init__": post_init})
+
+
+REFERENCES = {
+    ArgBinding: _reference(ArgBinding, _reference_arg_post_init),
+    ActionInstance: _reference(ActionInstance, _reference_action_post_init),
+    VariableDecl: _reference(VariableDecl, _reference_variable_post_init),
+}
+
+
+def _fields_of(value):
+    return [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+
+def _built_alike(seen: Counter, cls, *args, **kwargs):
+    """Build with `cls` and with its reference: both raise the same error,
+    or both build the same fields, repr and hash.  Returns the model's
+    value, or None; counts what happened in `seen`."""
+    try:
+        want = REFERENCES[cls](*args, **kwargs)
+    except (TypeError, ValueError, model.CyclicGraphError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            cls(*args, **kwargs)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        seen[type(exc)] += 1
+        return None
+    seen[cls] += 1
+    got = cls(*args, **kwargs)
+    assert _fields_of(got) == _fields_of(want)
+    assert repr(got) == repr(want)
+    assert _hash(got) == _hash(want)
+    return got
+
+
+def _parameters(cls):
+    return [(p.name, p.default, p.kind) for p in inspect.signature(cls).parameters.values()]
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError:  # a composite literal is a dict
+        return None
+
+
+def _shuffled_literal(rng, value):
+    if isinstance(value, dict):
+        names = list(value)
+        rng.shuffle(names)
+        return {name: _shuffled_literal(rng, value[name]) for name in names}
+    return value
+
+
+def _check_value(value, cls, rng):
+    """Equality, hash, replace, pickle and frozenness of one model value."""
+    again = cls(*_fields_of(value))
+    assert again == value and _hash(again) == _hash(value)
+    assert dataclasses.replace(value) == value
+    thawed = pickle.loads(pickle.dumps(value))
+    assert thawed == value and _hash(thawed) == _hash(value)
+    field = rng.choice(dataclasses.fields(value)).name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, field)
+
+
+def test_constructors_normalise_once_as_the_generated_ones_did():
+    rng = random.Random(4242)
+    for cls, reference in REFERENCES.items():
+        assert _parameters(cls) == _parameters(reference)
+    literals = [None, {}, 0, 1.5, True, "", "s", {"b": 1, "a": {"d": {}, "c": [1]}}, {"x": {}}]
+    seen = Counter()
+    for _ in range(300):
+        _, program = random_flow_setup(rng, max_actions=8)
+        for variable in program.variables:
+            init = rng.choice([variable.init, *literals])
+            built = _built_alike(seen, VariableDecl, variable.name, variable.type_name,
+                                 _shuffled_literal(rng, init))
+            _check_value(built, VariableDecl, rng)
+        names = [action.name for action in program.actions]
+        for action in program.actions:
+            args = []
+            for arg in action.args:
+                value = rng.choice([arg.value, *literals])
+                variable = rng.choice([arg.variable, arg.variable, None, "v9"])
+                built = _built_alike(seen, ArgBinding, arg.param, variable=variable,
+                                     value=_shuffled_literal(rng, value))
+                if built is not None:
+                    _check_value(built, ArgBinding, rng)
+                    args.append(built)
+            predecessors = rng.choice([
+                action.predecessors,
+                list(reversed(action.predecessors)) * 2,
+                set(rng.sample(names, rng.randint(0, len(names)))),  # may hold the action itself
+                action.name,  # one string
+            ])
+            shape = rng.choice([tuple, list])
+            built = _built_alike(seen, ActionInstance, action.name, action.action_type,
+                                 action.resource, shape(args), action.return_to,
+                                 predecessors=predecessors)
+            if built is not None:
+                _check_value(built, ActionInstance, rng)
+                assert dataclasses.replace(built, predecessors=["zz", "zz"]).predecessors == ("zz",)
+            _built_alike(seen, ActionInstance, action.name, "T", "r", 5)  # args not iterable
+    assert min(seen[kind] for kind in (*REFERENCES, TypeError, ValueError,
+                                       model.CyclicGraphError)) >= 100, seen

@@ -17,6 +17,7 @@ from support import (
     cycle_oracle,
     graph_defect,
     may_overlap,
+    outcome,
     random_durations,
     random_flow_setup,
     random_setup,
@@ -53,14 +54,6 @@ def test_oracles_use_neither_the_graph_index_nor_the_validator(monkeypatch):
         support.parse_program_whole_tree(text)
 
 
-def _outcome(call, *args, **kwargs):
-    """A call's value, or the type and message of the SeqcError it raised."""
-    try:
-        return call(*args, **kwargs)
-    except SeqcError as exc:
-        return type(exc), str(exc)
-
-
 ONE_MAIN = GeneratorConfig("one", {}, {}, (MainTemplate(
     parse_template("#foreach($a in $Program.actions)${a.name}@${a.resource};#end", "main"),
     parse_template("out.txt", "main#output")),))
@@ -83,14 +76,14 @@ def test_every_entry_point_agrees_with_its_oracle_or_raises_a_seqc_error():
         unordered = defect or cycle and (CyclicGraphError, str(CyclicGraphError(cycle)))
         durations = random_durations(rng, program)
         for force in (False, True):
-            assert (_outcome(simulate, program, dsl, DurationMap(durations), force=force)
-                    == _outcome(simulate_oracle, program, dsl, DurationMap(durations), force=force))
-        assert _outcome(model.topological_order, program) == (
-            defect or _outcome(topological_order_oracle, program))
-        assert _outcome(model.critical_path_length, program, durations) == (
+            assert (outcome(simulate, program, dsl, DurationMap(durations), force=force)
+                    == outcome(simulate_oracle, program, dsl, DurationMap(durations), force=force))
+        assert outcome(model.topological_order, program) == (
+            defect or outcome(topological_order_oracle, program))
+        assert outcome(model.critical_path_length, program, durations) == (
             unordered or critical_path_oracle(program, durations))
         for name in sorted(set(program.action_names())):
-            assert _outcome(model.ancestors, program, name) == (
+            assert outcome(model.ancestors, program, name) == (
                 unordered or ancestors_oracle(program, name))
         report = validate_oracle(program, dsl)
         if report.ok:
@@ -99,15 +92,15 @@ def test_every_entry_point_agrees_with_its_oracle_or_raises_a_seqc_error():
                                            for name in topological_order_oracle(program))}
         else:
             expected = InvalidProgramError, str(InvalidProgramError(report))
-        assert _outcome(lambda: generate(program, dsl, ONE_MAIN).files) == expected
+        assert outcome(lambda: generate(program, dsl, ONE_MAIN).files) == expected
         seen["generated" if report.ok else "invalid"] += 1
         try:
             text = save_program(program)
         except SeqcError:
             seen["not saved"] += 1
             continue
-        loaded = _outcome(load_program, text, dsl)
-        assert loaded == _outcome(support.load_program_whole_tree, text, dsl)
+        loaded = outcome(load_program, text, dsl)
+        assert loaded == outcome(support.load_program_whole_tree, text, dsl)
         if report.ok:
             assert loaded == program
     assert seen["generated"] > 50 and seen["invalid"] > 200 and seen["not saved"] == 25, seen

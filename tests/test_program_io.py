@@ -34,7 +34,7 @@ from seqc.program_io import (
     parse_program,
     save_program,
 )
-from support import fixture_text
+from support import fixture_text, outcome
 
 TYPED_DSL = load_dsl(
     '<RobotClassDSL name="TypedBot">'
@@ -502,15 +502,6 @@ def test_export_dot_quotes_awkward_names():
     assert '"say \\"hi\\"" [label="say \\"hi\\": T @r"];' in dot
 
 
-def _result(parse, *args):
-    """What a loader makes of a document: the Program, or the class and
-    message of the error it raises."""
-    try:
-        return parse(*args)
-    except SeqcError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)
 def test_walkers_match_the_old_walkers_on_fixtures(dsl_name, program_name):
     dsl = load_dsl(fixture_text(dsl_name))
@@ -530,10 +521,10 @@ def test_walkers_match_the_old_walkers_on_random_documents():
         dsl, program = support.random_flow_setup(rng, max_actions=8)
         text = save_program(program)
         for doc in (text, support.mutate_program(rng, text)):
-            structure = _result(support.parse_program_whole_tree, doc)
-            assert _result(parse_program, doc) == structure, doc
-            new = _result(load_program, doc, dsl)
-            assert new == _result(support.load_program_whole_tree, doc, dsl), doc
+            structure = outcome(support.parse_program_whole_tree, doc)
+            assert outcome(parse_program, doc) == structure, doc
+            new = outcome(load_program, doc, dsl)
+            assert new == outcome(support.load_program_whole_tree, doc, dsl), doc
             unsound += not isinstance(structure, Program) and structure[0] is XmlSyntaxError
             loaded += isinstance(new, Program)
             failed += not isinstance(new, Program)
@@ -556,12 +547,12 @@ def test_sliced_loaders_match_the_whole_tree_loaders_on_random_documents(monkeyp
         doc = save_program(program)
         for _ in range(index % 3):
             doc = support.mutate_program(rng, doc)
-        loaded = _result(support.load_program_whole_tree, doc, dsl)
-        parsed = _result(support.parse_program_whole_tree, doc)
+        loaded = outcome(support.load_program_whole_tree, doc, dsl)
+        parsed = outcome(support.parse_program_whole_tree, doc)
         for size in SLICES:
             monkeypatch.setattr(xmlio, "_SLICE", size)
-            assert _result(load_program, doc, dsl) == loaded, (size, doc)
-            assert _result(parse_program, doc) == parsed, (size, doc)
+            assert outcome(load_program, doc, dsl) == loaded, (size, doc)
+            assert outcome(parse_program, doc) == parsed, (size, doc)
         outcomes.add(Program if isinstance(loaded, Program) else loaded[0])
     # Loaded programs and every kind of error, well exercised.
     assert {Program, XmlSyntaxError, UnknownActionTypeError, UnresolvedReferenceError,
@@ -585,15 +576,15 @@ def test_sliced_loaders_find_the_root_past_a_prolog(monkeypatch):
         for _ in range(index % 3):
             bare = support.mutate_program(rng, bare)
         doc = PROLOG + bare + "<!-- the end -->\n"
-        loaded = _result(support.load_program_whole_tree, doc, dsl)
-        parsed = _result(support.parse_program_whole_tree, doc)
+        loaded = outcome(support.load_program_whole_tree, doc, dsl)
+        parsed = outcome(support.parse_program_whole_tree, doc)
         for size in SLICES:
             monkeypatch.setattr(xmlio, "_SLICE", size)
-            assert _result(load_program, doc, dsl) == loaded, (size, doc)
-            assert _result(parse_program, doc) == parsed, (size, doc)
+            assert outcome(load_program, doc, dsl) == loaded, (size, doc)
+            assert outcome(parse_program, doc) == parsed, (size, doc)
         if index % 3 == 0:  # unmutated: the prolog changes nothing
-            assert loaded == _result(load_program, bare, dsl)
-            assert parsed == _result(parse_program, bare)
+            assert loaded == outcome(load_program, bare, dsl)
+            assert parsed == outcome(parse_program, bare)
         outcomes.add(Program if isinstance(loaded, Program) else loaded[0])
     assert {Program, XmlSyntaxError} < outcomes
 
@@ -664,19 +655,19 @@ def test_sliced_loaders_match_on_defects_in_the_last_entry_of_each_section(monke
     for tag, attr in LAST_ENTRY_DEFECTS.values():
         everything = _edit_last(everything, tag, attr, f' {attr}="Nope"')
     docs = [text, *unresolved, *missing, *stray, everything]
-    expected = [(doc, _result(support.load_program_whole_tree, doc, TYPED_DSL),
-                 _result(support.parse_program_whole_tree, doc)) for doc in docs]
+    expected = [(doc, outcome(support.load_program_whole_tree, doc, TYPED_DSL),
+                 outcome(support.parse_program_whole_tree, doc)) for doc in docs]
     for size in (xmlio._SLICE, 4093):
         monkeypatch.setattr(xmlio, "_SLICE", size)
         for doc, loaded, parsed in expected:
-            assert _result(load_program, doc, TYPED_DSL) == loaded
-            assert _result(parse_program, doc) == parsed
+            assert outcome(load_program, doc, TYPED_DSL) == loaded
+            assert outcome(parse_program, doc) == parsed
     assert isinstance(load_program(text, TYPED_DSL), Program)
     # Each defect is the one reported when it is alone.
-    assert [_result(load_program, doc, TYPED_DSL)[0] for doc in unresolved] == [
+    assert [outcome(load_program, doc, TYPED_DSL)[0] for doc in unresolved] == [
         UnknownResourceTypeError, UnknownVariableTypeError, UnknownActionTypeError,
         UnresolvedReferenceError]
-    assert {_result(load_program, doc, TYPED_DSL)[0] for doc in missing + stray} == {
+    assert {outcome(load_program, doc, TYPED_DSL)[0] for doc in missing + stray} == {
         XmlSyntaxError}
 
 
