@@ -15,6 +15,7 @@ from .errors import SeqcError
 from .model import (
     ActionInstance,
     ArgBinding,
+    DurationMap,
     Program,
     ResourceInstance,
     VariableDecl,
@@ -25,7 +26,7 @@ from .model import (
     topological_order,
 )
 from .program_io import export_dot, load_program, parse_program, save_program
-from .simulator import DurationMap, ExecutionTrace, simulate, verify_trace
+from .simulator import ExecutionTrace, simulate, verify_trace
 from .validator import ValidationReport, validate
 
 __all__ = [

@@ -39,7 +39,7 @@ from .errors import (
     TemplateError,
     UnresolvedReferenceError,
 )
-from .model import Program
+from .model import DurationMap, Program
 from .validator import validate
 
 
@@ -153,7 +153,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _parse_durations(args, program: Program) -> simulator.DurationMap:
+def _parse_durations(args, program: Program) -> DurationMap:
     try:
         raw = _load(args.durations, json.loads) if args.durations else {}
     except ValueError as exc:  # malformed, or an int past the int-string limit
@@ -175,12 +175,13 @@ def _parse_durations(args, program: Program) -> simulator.DurationMap:
             overrides[name] = int(value, 10)
         except ValueError:
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
+    default = raw.get("default", DurationMap.default)
     try:  # the file's values, less those an override replaces
-        simulator.DurationMap({name: value for name, value in per_action.items()
-                               if name not in overrides}, raw.get("default", 1))
+        DurationMap({name: value for name, value in per_action.items()
+                     if name not in overrides}, default)
     except SeqcError as exc:
         raise SeqcError(f"{args.durations}: {exc}") from None
-    return simulator.DurationMap({**per_action, **overrides}, raw.get("default", 1))
+    return DurationMap({**per_action, **overrides}, default)
 
 
 def cmd_simulate(args) -> int:

@@ -43,6 +43,11 @@ class VariableTypeDef:
     def is_primitive(self) -> bool:
         return self.fields is None
 
+    @cached_property
+    def field_types(self) -> dict[str, str]:
+        """Field name -> type name, built on first use (not a dataclass field)."""
+        return dict(self.fields or ())
+
 
 PRIMITIVES = {name: VariableTypeDef(name) for name in PRIMITIVE_TYPES}
 
@@ -153,7 +158,7 @@ class RobotClassDsl:
         vtype = self.variable_type(type_name)
         if vtype is None or not isinstance(value, dict):
             return False
-        fields = dict(vtype.fields or ())
+        fields = vtype.field_types
         return value.keys() == fields.keys() and all(
             self._is_literal(value[name], fields[name]) for name in fields)
 

@@ -18,21 +18,22 @@ potentially_parallel, topological_order, critical_path_length) are the
 shared vocabulary of the validator and the simulator.  They all read one
 ProgramGraph per Program, built on first use and cached on it: a
 name-to-action dict, predecessor and successor adjacency, the
-topological order, a cycle witness, and, on the first reachability
-query, the ancestor closure as one int bitset per action (Purdom's
-algorithm).  Two actions on distinct resources are potentially parallel
-when neither bitset holds the other: they are incomparable in the
-precedence order, as in Lamport's happens-before.
+topological order, which alone decides acyclicity, a cycle witness, and,
+on the first reachability query, the ancestor closure as one int bitset
+per action (Purdom's algorithm).  Two actions on distinct resources are
+potentially parallel when neither bitset holds the other: they are
+incomparable in the precedence order, as in Lamport's happens-before.
 
 The graph exists only for a program whose action names are unique and
 whose predecessors all name actions.  Every query, `Program.action`
 included, raises the first defect it meets: DuplicateIdentifierError,
 then UnresolvedReferenceError, then, for the queries that need an
-order, CyclicGraphError.
+order, CyclicGraphError.  DurationMap is the one duration rule, shared
+by critical_path_length and the scheduler.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
@@ -253,8 +254,9 @@ class ProgramGraph:
     pair whose predecessor names no action, so every name in `preds`
     and `succs` is an action.
 
-    The topological order and the cycle witness are computed on first
-    use; the ancestor closure, one int bitset per action, only when a
+    The topological order, whose reading raises CyclicGraphError on a
+    cyclic graph, and the cycle witness are computed on first use; the
+    ancestor closure, one int bitset per action, only when a
     reachability query needs it, so loading a program never pays for it.
     """
 
@@ -284,8 +286,12 @@ class ProgramGraph:
 
     @cached_property
     def order(self) -> list[str]:
-        """Kahn's algorithm with a name-ordered heap; the order falls
-        short of `preds` on a cycle."""
+        """Kahn's algorithm with a name-ordered heap.
+
+        The one acyclicity check: when the order falls short of `preds`,
+        and only then, the search for a witness runs and CyclicGraphError
+        names it.  A raise is not cached, so every later reading raises too.
+        """
         indegree = {name: len(incoming) for name, incoming in self.preds.items()}
         ready = sorted(name for name, deg in indegree.items() if deg == 0)
         order: list[str] = []
@@ -296,6 +302,8 @@ class ProgramGraph:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     heapq.heappush(ready, succ)
+        if len(order) < len(self.preds):
+            raise CyclicGraphError(self.cycle)
         return order
 
     @cached_property
@@ -305,13 +313,9 @@ class ProgramGraph:
     @cached_property
     def ancestor_bits(self) -> dict[str, int]:
         """Purdom's closure, built in topological order: bit `position[x]`
-        of an action's int is set when x is one of its ancestors.
-
-        Raises CyclicGraphError on a cyclic graph: Kahn's order falls
-        short, and only then does the search for a witness run.
+        of an action's int is set when x is one of its ancestors.  Raises
+        CyclicGraphError, as `order` does, on a cyclic graph.
         """
-        if len(self.order) < len(self.preds):
-            raise CyclicGraphError(self.cycle)
         position = self.position
         closure: dict[str, int] = {}
         for name in self.order:
@@ -380,33 +384,41 @@ def potentially_parallel(program: Program, a: str, b: str) -> bool:
 
 def topological_order(program: Program) -> list[str]:
     """A precedence-compatible total order, ties broken by action name."""
-    graph = program.graph
-    if len(graph.order) != len(graph.preds):
-        raise CyclicGraphError(graph.cycle)
-    return list(graph.order)
+    return list(program.graph.order)
 
 
-def _checked_duration(name: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise NonPositiveDurationError(
-            f"duration of {name!r} must be a positive integer tick count, got {value!r}"
-        )
-    return value
+@dataclass(frozen=True)
+class DurationMap:
+    """Per-action tick counts with a default for unlisted actions."""
+
+    per_action: Mapping[str, int] = field(default_factory=dict)
+    default: int = 1
+
+    def __post_init__(self):
+        for name, value in (("default", self.default), *self.per_action.items()):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise NonPositiveDurationError(
+                    f"duration of {name!r} must be a positive integer tick count, got {value!r}")
+
+    def duration_of(self, name: str) -> int:
+        return self.per_action.get(name, self.default)
 
 
-def critical_path_length(program: Program, durations: Mapping[str, int] | None = None) -> int:
+def critical_path_length(program: Program,
+                         durations: "DurationMap | Mapping[str, int] | None" = None) -> int:
     """Length in ticks of the longest weighted path through the graph.
 
-    Actions missing from `durations` default to one tick.  This is the
-    lower bound on any schedule's makespan.
+    `durations` is a DurationMap or a mapping that one is built from, so
+    unlisted actions take one tick and every value is checked, an
+    action's or not.  A graph defect raises first.  This is the lower
+    bound on any schedule's makespan.
     """
-    durations = durations or {}
+    graph = program.graph
+    order, preds = graph.order, graph.preds
+    if not isinstance(durations, DurationMap):
+        durations = DurationMap(durations or {})
+    duration_of = durations.duration_of
     finish: dict[str, int] = {}
-    longest = 0
-    for name in topological_order(program):
-        duration = _checked_duration(name, durations.get(name, 1))
-        action = program.action(name)
-        start = max((finish[p] for p in action.predecessors), default=0)
-        finish[name] = start + duration
-        longest = max(longest, finish[name])
-    return longest
+    for name in order:
+        finish[name] = max(map(finish.__getitem__, preds[name]), default=0) + duration_of(name)
+    return max(finish.values(), default=0)

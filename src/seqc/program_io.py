@@ -23,7 +23,6 @@ names; no object stands for an edge.
 import re
 from collections import defaultdict
 
-from . import model
 from .dsl import _LITERALS, RobotClassDsl, _duplicates, _literal_text, lookup_action
 from .errors import (
     DuplicateIdentifierError,
@@ -47,7 +46,7 @@ def load_program(text: str, dsl: RobotClassDsl) -> Program:
     not resolved here; the validator reports them with context.
     """
     program = _resolve(text, dsl)  # its working lists are freed before the graph index is built
-    model.topological_order(program)  # raises CyclicGraphError on cycles
+    program.graph.order  # raises CyclicGraphError on cycles
     return program
 
 
@@ -235,7 +234,7 @@ def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> di
     vtype = dsl.variable_type(type_name)
     if vtype is None or vtype.is_primitive:
         raise XmlSyntaxError(f"{where}: type {type_name!r} does not take <Field> values")
-    declared = dict(vtype.fields or ())
+    declared = vtype.field_types
     value: dict[str, object] = {}
     for field in _children(elem, "Field"):
         field_name = require_attr(field, "name")
@@ -246,8 +245,8 @@ def _parse_composite(elem, type_name: str, dsl: RobotClassDsl, where: str) -> di
         value[field_name] = _parse_literal(
             field, field.get("value"), declared[field_name], dsl, f"{where}.{field_name}"
         )
-    missing = sorted(set(declared) - set(value))
-    if missing:
+    if len(value) < len(declared):  # every key of `value` is a declared field
+        missing = sorted(declared.keys() - value.keys())
         raise XmlSyntaxError(f"{where}: missing field(s) {', '.join(missing)}")
     return value
 

@@ -15,36 +15,20 @@ concern.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from . import jsonout, model
+from . import jsonout
 from .dsl import RobotClassDsl
 from .errors import InvalidProgramError, UnknownActionError
-from .model import Program
+from .model import DurationMap, Program
 from .validator import validate
 
 
 class EventKind(Enum):
     START = "start"
     FINISH = "finish"
-
-
-@dataclass(frozen=True)
-class DurationMap:
-    """Per-action tick counts with a default for unlisted actions."""
-
-    per_action: Mapping[str, int] = field(default_factory=dict)
-    default: int = 1
-
-    def __post_init__(self):
-        model._checked_duration("default", self.default)
-        for name, value in self.per_action.items():
-            model._checked_duration(name, value)
-
-    def duration_of(self, name: str) -> int:
-        return self.per_action.get(name, self.default)
 
 
 @dataclass(frozen=True)
@@ -87,8 +71,8 @@ def simulate(
     durations = durations or DurationMap()
     if not force and not (report := validate(program, dsl)).ok:
         raise InvalidProgramError(report)
-    model.topological_order(program)
     graph = program.graph
+    graph.order  # raises CyclicGraphError on a cycle
     preds, actions = graph.preds, graph.actions
 
     # Kahn's loop with a clock.  Both heaps pop in name order, so events

@@ -28,8 +28,6 @@ class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
 
-    __hash__ = object.__hash__  # members compare by identity; Enum's hash runs Python code
-
 
 class Code(str, Enum):
     """Closed set of finding identifiers."""
@@ -53,10 +51,14 @@ _SEVERITY = {code: Severity.ERROR for code in Code} | dict.fromkeys(
 
 @dataclass(frozen=True)
 class Finding:
-    severity: Severity
     code: Code
     subjects: tuple[str, ...]
     message: str
+
+    @property
+    def severity(self) -> Severity:
+        """Read from the code table, so no finding can contradict it."""
+        return _SEVERITY[self.code]
 
     def to_dict(self) -> dict:
         return {
@@ -120,10 +122,6 @@ def _json_strings(items: tuple[str, ...]) -> str:
     return "[\n        " + ",\n        ".join(map(_quote, items)) + "\n      ]"
 
 
-def _finding(code: Code, subjects: tuple[str, ...], message: str) -> Finding:
-    return Finding(_SEVERITY[code], code, subjects, message)
-
-
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     """Run every check and aggregate the findings; never aborts early."""
     findings = _check_unique_names(program)
@@ -139,21 +137,19 @@ def _graph_gate(program: Program) -> list[Finding] | None:
     them: the cycle, or nothing when the precedence graph cannot be built,
     since the name check and check_bindings report why."""
     try:
-        model.topological_order(program)
+        program.graph.order  # raises CyclicGraphError on a cycle
         return None
     except (DuplicateIdentifierError, UnresolvedReferenceError):
         return []
     except CyclicGraphError as exc:
-        return [_finding(
-            Code.CYCLIC_GRAPH,
-            tuple(sorted(set(exc.cycle))),
-            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]),
-        )]
+        return [Finding(
+            Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]))]
 
 
 def _check_unique_names(program: Program) -> list[Finding]:
     return [
-        _finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once")
+        Finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once")
         for kind, entries in (
             ("action", program.actions),
             ("resource", program.resources),
@@ -192,14 +188,10 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
             for x, y in pairs:
                 if model.potentially_parallel(program, x, y):
                     a, b = min(x, y), max(x, y)
-                    findings.append(
-                        _finding(
-                            Code.MUTEX_VIOLATION,
-                            (a, b),
-                            f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
-                            " simultaneously but their action types are mutually exclusive",
-                        )
-                    )
+                    findings.append(Finding(
+                        Code.MUTEX_VIOLATION, (a, b),
+                        f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
+                        " simultaneously but their action types are mutually exclusive"))
     findings.sort(key=lambda f: f.subjects)
     return findings
 
@@ -220,23 +212,23 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     """
     findings = []
     if program.robot_class != dsl.name:
-        findings.append(_finding(
+        findings.append(Finding(
             Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
             f"program is written for robot class {program.robot_class!r},"
             f" but the DSL is {dsl.name!r}"))
     for resource in program.resources:
         if dsl.component(resource.component_type) is None:
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (resource.name, resource.component_type),
                 f"resource {resource.name!r} has unknown component type"
                 f" {resource.component_type!r}"))
     for variable in program.variables:
         if dsl.variable_type(variable.type_name) is None:
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
                 f"variable {variable.name!r} has unknown type {variable.type_name!r}"))
         elif variable.init is not None and not dsl._is_literal(variable.init, variable.type_name):
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.TYPE_MISMATCH, (variable.name, "init"),
                 f"initializer of variable {variable.name!r} does not type-check"
                 f" as {variable.type_name}"))
@@ -246,28 +238,28 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     for action in program.actions:
         for pred in action.predecessors:
             if pred not in names:
-                findings.append(_finding(
+                findings.append(Finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, pred),
                     f"action {action.name!r} names unknown predecessor {pred!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
         component = component_of[action.resource]  # an unknown one is reported above
         if component != atype.owner and dsl.component(component) is not None:
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
                 f"action {action.name!r}: type {atype.identifier!r} belongs to component"
                 f" {atype.owner!r}, but resource {action.resource!r} is a {component!r}"))
         for arg in action.args:
             if arg.param not in atype.parameters_by_name:
-                findings.append(_finding(
+                findings.append(Finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
                     f"action {action.name!r} binds unknown parameter {arg.param!r}"))
         for param in _duplicates(arg.param for arg in action.args):
-            findings.append(_finding(
+            findings.append(Finding(
                 Code.DUPLICATE_NAME, (action.name, param),
                 f"action {action.name!r} binds parameter {param!r} twice"))
         bound = {arg.param: arg for arg in action.args}
@@ -276,56 +268,36 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
         for param in atype.parameters:
             arg = bound.get(param.name)
             if arg is None:
-                findings.append(
-                    _finding(
-                        Code.UNBOUND_PARAMETER,
-                        (action.name, param.name),
-                        f"action {action.name!r} leaves parameter {param.name!r} unset",
-                    )
-                )
+                findings.append(Finding(
+                    Code.UNBOUND_PARAMETER, (action.name, param.name),
+                    f"action {action.name!r} leaves parameter {param.name!r} unset"))
             elif arg.variable is not None:
                 references.append((arg.variable, param.name, param.type_name,
                                    f"parameter {param.name!r} expects {param.type_name}"))
             elif not dsl._is_literal(arg.value, param.type_name):
-                findings.append(
-                    _finding(
-                        Code.TYPE_MISMATCH,
-                        (action.name, param.name),
-                        f"literal value for parameter {param.name!r} does not"
-                        f" type-check as {param.type_name}",
-                    )
-                )
+                findings.append(Finding(
+                    Code.TYPE_MISMATCH, (action.name, param.name),
+                    f"literal value for parameter {param.name!r} does not"
+                    f" type-check as {param.type_name}"))
         if action.return_to is not None and atype.return_type is not None:
             references.append((action.return_to, "return", atype.return_type,
                                f"return value is {atype.return_type}"))
         for variable, slot, type_name, expects in references:
             decl = program.variable(variable)
             if decl is None:
-                findings.append(
-                    _finding(
-                        Code.UNKNOWN_VARIABLE,
-                        (action.name, variable),
-                        f"action {action.name!r} references undeclared variable {variable!r}",
-                    )
-                )
+                findings.append(Finding(
+                    Code.UNKNOWN_VARIABLE, (action.name, variable),
+                    f"action {action.name!r} references undeclared variable {variable!r}"))
             elif decl.type_name != type_name:
-                findings.append(
-                    _finding(
-                        Code.TYPE_MISMATCH,
-                        (action.name, slot),
-                        f"{expects}, variable {variable!r} is {decl.type_name}",
-                    )
-                )
+                findings.append(Finding(
+                    Code.TYPE_MISMATCH, (action.name, slot),
+                    f"{expects}, variable {variable!r} is {decl.type_name}"))
         # Last, so a parameter named "return" still reports before the binding.
         if action.return_to is not None and atype.return_type is None:
-            findings.append(
-                _finding(
-                    Code.TYPE_MISMATCH,
-                    (action.name, "return"),
-                    f"action type {atype.identifier!r} returns no value but"
-                    f" {action.name!r} binds a return variable",
-                )
-            )
+            findings.append(Finding(
+                Code.TYPE_MISMATCH, (action.name, "return"),
+                f"action type {atype.identifier!r} returns no value but"
+                f" {action.name!r} binds a return variable"))
     findings += _lint_uninstantiated(program)
     return findings
 
@@ -343,25 +315,18 @@ def _lint_uninstantiated(program: Program) -> list[Finding]:
         written_by = writers.get(variable, ())
         for reader in read_by:
             if all(writer == reader or precedes(reader, writer) for writer in written_by):
-                findings.append(
-                    _finding(
-                        Code.UNINSTANTIATED_VARIABLE,
-                        (reader, variable),
-                        f"action {reader!r} reads {variable!r}, which has no"
-                        " initializer and no writer that can run first",
-                    )
-                )
+                findings.append(Finding(
+                    Code.UNINSTANTIATED_VARIABLE, (reader, variable),
+                    f"action {reader!r} reads {variable!r}, which has no"
+                    " initializer and no writer that can run first"))
     return findings
 
 
 def _lint_unused_variables(program: Program) -> list[Finding]:
     readers, writers = program._variable_uses
     return [
-        _finding(
-            Code.UNUSED_VARIABLE,
-            (variable.name,),
-            f"variable {variable.name!r} is never read or written by any action",
-        )
+        Finding(Code.UNUSED_VARIABLE, (variable.name,),
+                f"variable {variable.name!r} is never read or written by any action")
         for variable in program.variables
         if variable.name not in readers and variable.name not in writers
     ]
@@ -391,12 +356,8 @@ def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
         if not model.potentially_parallel(program, first, second):
             continue
         for variable in sorted(variables):
-            findings.append(
-                _finding(
-                    Code.VARIABLE_RACE,
-                    (first, second, variable),
-                    f"{first!r} and {second!r} may run simultaneously and both"
-                    f" touch variable {variable!r}",
-                )
-            )
+            findings.append(Finding(
+                Code.VARIABLE_RACE, (first, second, variable),
+                f"{first!r} and {second!r} may run simultaneously and both"
+                f" touch variable {variable!r}"))
     return findings

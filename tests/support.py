@@ -83,7 +83,7 @@ from seqc.templating import (
     _walk,
     normalize_accessor,
 )
-from seqc.validator import Code, Finding, Severity, ValidationReport, validate
+from seqc.validator import Code, Finding, ValidationReport, validate
 from seqc.xmlio import attr_escape, parse_root, require_attr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1069,7 +1069,7 @@ def pairwise_flow_findings(program: Program, dsl: RobotClassDsl) -> list[Finding
     try:
         topological_order_oracle(program)
     except CyclicGraphError as exc:
-        return [Finding(Severity.ERROR, Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+        return [Finding(Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
                         "actions form a precedence cycle: "
                         + " -> ".join(exc.cycle + exc.cycle[:1]))]
     actions = {a.name: a for a in program.actions}
@@ -1085,13 +1085,13 @@ def pairwise_flow_findings(program: Program, dsl: RobotClassDsl) -> list[Finding
         type_a, type_b = actions[a].action_type, actions[b].action_type
         if dsl.is_mutex(type_a, type_b):
             findings.append(Finding(
-                Severity.ERROR, Code.MUTEX_VIOLATION, (a, b),
+                Code.MUTEX_VIOLATION, (a, b),
                 f"{a!r} ({type_a}) and {b!r} ({type_b}) may run"
                 " simultaneously but their action types are mutually exclusive"))
         conflicts = (writes[a] & writes[b]) | (writes[a] & reads[b]) | (reads[a] & writes[b])
         for variable in sorted(conflicts):
             findings.append(Finding(
-                Severity.WARNING, Code.VARIABLE_RACE, (a, b, variable),
+                Code.VARIABLE_RACE, (a, b, variable),
                 f"{a!r} and {b!r} may run simultaneously and both"
                 f" touch variable {variable!r}"))
     declared = {v.name: v for v in reversed(program.variables)}  # the first one wins
@@ -1102,7 +1102,7 @@ def pairwise_flow_findings(program: Program, dsl: RobotClassDsl) -> list[Finding
             writers = [w for w in names if w != reader and variable in writes[w]]
             if all(reader in above[w] for w in writers):
                 findings.append(Finding(
-                    Severity.WARNING, Code.UNINSTANTIATED_VARIABLE, (reader, variable),
+                    Code.UNINSTANTIATED_VARIABLE, (reader, variable),
                     f"action {reader!r} reads {variable!r}, which has no"
                     " initializer and no writer that can run first"))
     return findings
@@ -1116,14 +1116,14 @@ def _unique_names_oracle(program: Program) -> list[Finding]:
         seen: set[str] = set()
         for name in names:
             if name in seen:
-                findings.append(Finding(Severity.ERROR, Code.DUPLICATE_NAME, (name,),
+                findings.append(Finding(Code.DUPLICATE_NAME, (name,),
                                         f"{kind} name {name!r} is declared more than once"))
             seen.add(name)
     return findings
 
 
 def _unknown_variable_oracle(action_name: str, variable: str) -> Finding:
-    return Finding(Severity.ERROR, Code.UNKNOWN_VARIABLE, (action_name, variable),
+    return Finding(Code.UNKNOWN_VARIABLE, (action_name, variable),
                    f"action {action_name!r} references undeclared variable {variable!r}")
 
 
@@ -1165,14 +1165,14 @@ def _declarations_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     findings = []
     if program.robot_class != dsl.name:
         findings.append(Finding(
-            Severity.ERROR, Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
+            Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
             f"program is written for robot class {program.robot_class!r},"
             f" but the DSL is {dsl.name!r}"))
     component_names = [component.type_name for component in dsl.components]
     for resource in program.resources:
         if resource.component_type not in component_names:
             findings.append(Finding(
-                Severity.ERROR, Code.UNRESOLVED_REFERENCE,
+                Code.UNRESOLVED_REFERENCE,
                 (resource.name, resource.component_type),
                 f"resource {resource.name!r} has unknown component type"
                 f" {resource.component_type!r}"))
@@ -1180,11 +1180,11 @@ def _declarations_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     for variable in program.variables:
         if variable.type_name not in type_names:
             findings.append(Finding(
-                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
+                Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
                 f"variable {variable.name!r} has unknown type {variable.type_name!r}"))
         elif variable.init is not None and not _literal_oracle(variable.init, variable.type_name, dsl):
             findings.append(Finding(
-                Severity.ERROR, Code.TYPE_MISMATCH, (variable.name, "init"),
+                Code.TYPE_MISMATCH, (variable.name, "init"),
                 f"initializer of variable {variable.name!r} does not type-check"
                 f" as {variable.type_name}"))
     return findings
@@ -1204,38 +1204,38 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     for action in program.actions:
         for pred in sorted(set(action.predecessors) - names):
             findings.append(Finding(
-                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, pred),
+                Code.UNRESOLVED_REFERENCE, (action.name, pred),
                 f"action {action.name!r} names unknown predecessor {pred!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(Finding(
-                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
+                Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
         placed_on = resource_types[action.resource]
         if placed_on in component_names and placed_on != atype.owner:
             findings.append(Finding(
-                Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
                 f"action {action.name!r}: type {action.action_type!r} belongs to component"
                 f" {atype.owner!r}, but resource {action.resource!r} is a {placed_on!r}"))
         declared = [param.name for param in atype.parameters]
         for arg in action.args:
             if arg.param not in declared:
                 findings.append(Finding(
-                    Severity.ERROR, Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
+                    Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
                     f"action {action.name!r} binds unknown parameter {arg.param!r}"))
         params = [arg.param for arg in action.args]
         for param in sorted(set(params)):
             if params.count(param) > 1:
                 findings.append(Finding(
-                    Severity.ERROR, Code.DUPLICATE_NAME, (action.name, param),
+                    Code.DUPLICATE_NAME, (action.name, param),
                     f"action {action.name!r} binds parameter {param!r} twice"))
         bound = {arg.param: arg for arg in action.args}
         for param in atype.parameters:
             arg = bound.get(param.name)
             if arg is None:
                 findings.append(Finding(
-                    Severity.ERROR, Code.UNBOUND_PARAMETER, (action.name, param.name),
+                    Code.UNBOUND_PARAMETER, (action.name, param.name),
                     f"action {action.name!r} leaves parameter {param.name!r} unset"))
             elif arg.variable is not None:
                 decl = declared_vars.get(arg.variable)
@@ -1243,26 +1243,26 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                     findings.append(_unknown_variable_oracle(action.name, arg.variable))
                 elif decl.type_name != param.type_name:
                     findings.append(Finding(
-                        Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
+                        Code.TYPE_MISMATCH, (action.name, param.name),
                         f"parameter {param.name!r} expects {param.type_name},"
                         f" variable {arg.variable!r} is {decl.type_name}"))
             elif not _literal_oracle(arg.value, param.type_name, dsl):
                 findings.append(Finding(
-                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, param.name),
+                    Code.TYPE_MISMATCH, (action.name, param.name),
                     f"literal value for parameter {param.name!r} does not"
                     f" type-check as {param.type_name}"))
         if action.return_to is not None:
             decl = declared_vars.get(action.return_to)
             if atype.return_type is None:
                 findings.append(Finding(
-                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
+                    Code.TYPE_MISMATCH, (action.name, "return"),
                     f"action type {atype.identifier!r} returns no value but"
                     f" {action.name!r} binds a return variable"))
             elif decl is None:
                 findings.append(_unknown_variable_oracle(action.name, action.return_to))
             elif decl.type_name != atype.return_type:
                 findings.append(Finding(
-                    Severity.ERROR, Code.TYPE_MISMATCH, (action.name, "return"),
+                    Code.TYPE_MISMATCH, (action.name, "return"),
                     f"return value is {atype.return_type}, variable"
                     f" {action.return_to!r} is {decl.type_name}"))
     return findings
@@ -1274,7 +1274,7 @@ def _unused_variables_oracle(program: Program) -> list[Finding]:
         used.update(arg.variable for arg in action.args if arg.variable is not None)
         if action.return_to is not None:
             used.add(action.return_to)
-    return [Finding(Severity.WARNING, Code.UNUSED_VARIABLE, (variable.name,),
+    return [Finding(Code.UNUSED_VARIABLE, (variable.name,),
                     f"variable {variable.name!r} is never read or written by any action")
             for variable in program.variables if variable.name not in used]
 

@@ -160,8 +160,10 @@ def test_ancestors_match_path_enumeration():
 
 
 def test_critical_path_matches_path_enumeration():
+    # A DurationMap and a plain mapping are judged by one rule.  The extra
+    # inputs draw nothing from `rng`, so the 120 programs stay the same.
     rng = random.Random(13)
-    for _ in range(120):
+    for i in range(120):
         _, program = random_setup(rng)
         durations = {
             name: rng.randint(1, 9) for name in program.action_names()
@@ -170,6 +172,16 @@ def test_critical_path_matches_path_enumeration():
             program, durations
         )
         assert model.critical_path_length(program) == critical_path_oracle(program)
+        mapped = DurationMap(dict(list(durations.items())[::2]), default=2 + i % 4)
+        expanded = {name: mapped.duration_of(name) for name in program.action_names()}
+        assert model.critical_path_length(program, mapped) == critical_path_oracle(
+            program, expanded)
+        stray = {**durations, "no such action": [0, -1, True, 1.5, "2"][i % 5]}
+        with pytest.raises(NonPositiveDurationError) as refused:
+            DurationMap(stray)
+        with pytest.raises(NonPositiveDurationError) as caught:
+            model.critical_path_length(program, stray)
+        assert str(caught.value) == str(refused.value)
 
 
 def test_cycle_is_detected():
@@ -357,6 +369,14 @@ def test_duplicate_names_raise_from_every_graph_query():
     for query, *args in every_graph_query(program, "a", "m"):
         with pytest.raises(DuplicateIdentifierError, match="^action 'm' declared twice$"):
             query(*args)
+
+
+def test_graph_defects_raise_before_duration_errors():
+    _, program = five_stage()
+    with pytest.raises(CyclicGraphError):
+        model.critical_path_length(with_edge(program, "E", "A"), {"A": 0})
+    with pytest.raises(DuplicateIdentifierError):
+        model.critical_path_length(SPLIT_DUPLICATE, {"nope": 0})
 
 
 def test_graph_index_is_cached_and_ignored_by_equality():

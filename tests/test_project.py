@@ -1,0 +1,65 @@
+"""Project-level promises: README's examples run as printed, and the
+package needs nothing outside the standard library."""
+
+import ast
+import re
+import shlex
+import sys
+from pathlib import Path
+
+from seqc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def _squeezed(text: str) -> str:
+    return " ".join(text.split())
+
+
+def _quick_tour() -> list[tuple[list[str], str]]:
+    """README's quick-tour commands, each as (argv after `seqc`, printed output)."""
+    block = re.search(r"A quick tour over the bundled fixtures:\n\n```sh\n(.*?)```", README, re.S)
+    entries = []
+    for entry in re.split(r"^\$ ", block.group(1), flags=re.M)[1:]:
+        command, _, output = entry.replace("\\\n", " ").partition("\n")
+        entries.append((shlex.split(command)[1:], output))
+    return entries
+
+
+def test_readme_library_example_runs_from_the_repository_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].ok and namespace["trace"].makespan == 6
+
+
+def test_readme_quick_tour_prints_what_readme_shows(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    tour = [(argv, output) for argv, output in _quick_tour() if argv[0] in ("validate", "simulate")]
+    assert [argv[0] for argv, _ in tour] == ["validate", "simulate", "validate"]
+    assert tour[1][0][-2:] == ["--duration", "C=5"]
+    for argv, output in tour:
+        main(argv)
+        assert _squeezed(capsys.readouterr().out) == _squeezed(output), argv
+
+
+def test_the_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "seqc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "seqc", (path.name, module)
+
+
+def test_the_package_declares_no_runtime_dependency():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
+    assert declared is not None and declared.group(1).strip() == ""

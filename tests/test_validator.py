@@ -577,8 +577,8 @@ def test_all_checks_run_in_one_pass():
 
 
 def test_report_dedupes_and_sorts():
-    zebra = Finding(Severity.WARNING, Code.VARIABLE_RACE, ("a", "b", "v"), "m")
-    apple = Finding(Severity.ERROR, Code.CYCLIC_GRAPH, ("x",), "m")
+    zebra = Finding(Code.VARIABLE_RACE, ("a", "b", "v"), "m")
+    apple = Finding(Code.CYCLIC_GRAPH, ("x",), "m")
     report = ValidationReport((zebra, apple, zebra))
     assert report.findings == (apple, zebra)
 
@@ -589,7 +589,7 @@ def test_report_rendering():
     assert empty.to_dict() == {"ok": True, "findings": []}
 
     one = ValidationReport(
-        (Finding(Severity.ERROR, Code.MUTEX_VIOLATION, ("a", "b"), "clash"),)
+        (Finding(Code.MUTEX_VIOLATION, ("a", "b"), "clash"),)
     )
     text = one.render_text()
     assert text == "error MutexViolation (a, b): clash\nFAILED, 1 finding"
@@ -640,7 +640,7 @@ AWKWARD_JSON_TEXT = ('"', "\\", '\\"', "\x00\x08\x1f\x7f", "\t\n\r", "\u00e9\u26
 def test_report_json_escapes_like_json_dumps():
     rng = random.Random(607)
     findings = tuple(
-        Finding(rng.choice(list(Severity)), rng.choice(list(Code)),
+        Finding(rng.choice(list(Code)),
                 tuple(rng.choice(AWKWARD_JSON_TEXT) + str(k) for k in range(rng.randint(0, 3))),
                 "".join(rng.choices(AWKWARD_JSON_TEXT, k=rng.randint(0, 4))))
         for _ in range(200)
