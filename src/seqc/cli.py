@@ -242,7 +242,7 @@ def cmd_graph(args) -> int:
     else:
         program = _load(args.program, program_io.parse_program)
     if args.json:
-        print(jsonout.dumps(program_io.graph_payload(program)))
+        sys.stdout.write(program_io.graph_json(program))
     else:
         sys.stdout.write(program_io.export_dot(program))
     return 0

@@ -267,6 +267,9 @@ def _check_variable_types(declared: list[VariableTypeDef]) -> None:
         names.add(vtype.name)
     by_name = {v.name: v for v in declared}
     for vtype in declared:
+        for dup in _duplicates(field_name for field_name, _ in vtype.fields or ()):
+            raise DuplicateIdentifierError(
+                f"variable type {vtype.name!r} declares field {dup!r} twice")
         for field_name, field_type in vtype.fields or ():
             if field_type not in names:
                 raise UnknownTypeReferenceError(

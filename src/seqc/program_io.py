@@ -23,6 +23,7 @@ names; no object stands for an edge.
 import re
 from collections import defaultdict
 
+from . import jsonout
 from .dsl import _LITERALS, RobotClassDsl, _duplicates, _literal_text, lookup_action
 from .errors import (
     DuplicateIdentifierError,
@@ -315,6 +316,15 @@ def graph_payload(program: Program) -> dict:
              for a in program.actions]
     edges = [{"from": p, "to": a} for p, a in _edge_pairs(program)]
     return {"name": program.name, "nodes": nodes, "edges": edges}
+
+
+def graph_json(program: Program) -> str:
+    """`jsonout.dumps(graph_payload(program))` and a newline, written one
+    row per node and edge."""
+    nodes = [(a.name, a.action_type, a.resource) for a in program.actions]
+    return jsonout.dumps({"name": program.name,
+                          "nodes": jsonout.Table(("name", "type", "resource"), nodes),
+                          "edges": jsonout.Table(("from", "to"), _edge_pairs(program))}) + "\n"
 
 
 def export_dot(program: Program) -> str:

@@ -192,14 +192,9 @@ def _overlap(first: tuple[int, int], second: tuple[int, int]) -> bool:
 
 def trace_to_json(trace: ExecutionTrace) -> str:
     """Canonical JSON rendering of a trace."""
-    payload = {
-        "makespan": trace.makespan,
-        "events": [
-            {"t": e.time, "kind": e.kind.value, "action": e.action, "resource": e.resource}
-            for e in trace.events
-        ],
-    }
-    return jsonout.dumps(payload) + "\n"
+    events = [(e.time, e.kind.value, e.action, e.resource) for e in trace.events]
+    return jsonout.dumps({"makespan": trace.makespan, "events": jsonout.Table(
+        ("t", "kind", "action", "resource"), events)}) + "\n"
 
 
 def format_timeline(trace: ExecutionTrace) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import support
-from seqc import cli, codegen, jsonout, program_io, simulator
+from seqc import cli, codegen, program_io, simulator
 from seqc.cli import main
 from seqc.dsl import load_dsl, save_dsl
 from seqc.errors import SeqcError
@@ -701,7 +701,7 @@ CLI_FIXTURES = [
 def _run_every_stage(dsl, text, config, out_dir, done):
     """What the commands do with one program; nothing is kept."""
     program = program_io.parse_program(text)
-    jsonout.dumps(program_io.graph_payload(program))
+    program_io.graph_json(program)
     program_io.export_dot(program)
     validate(program, dsl)
     try:
@@ -710,7 +710,7 @@ def _run_every_stage(dsl, text, config, out_dir, done):
         return
     done["load"] += 1
     report = validate(program, dsl)
-    jsonout.dumps(report.to_dict())
+    report.to_json()
     report.render_text()
     trace = simulator.simulate(program, dsl, force=True)
     simulator.trace_to_json(trace)

@@ -138,6 +138,16 @@ def test_duplicate_variable_type():
         load_dsl(doc)
 
 
+def test_duplicate_field_name():
+    # Loaded, the last field would win: `field_types == {"x": "String"}`.
+    doc = dsl_doc('<VariableTypes><VariableType name="V">'
+                  '<Field name="x" type="Int"/><Field name="x" type="String"/>'
+                  "</VariableType></VariableTypes>")
+    with pytest.raises(DuplicateIdentifierError,
+                       match=r"^variable type 'V' declares field 'x' twice$"):
+        load_dsl(doc)
+
+
 def test_unknown_field_type():
     doc = dsl_doc(
         '<VariableTypes><VariableType name="V">'
@@ -483,7 +493,7 @@ def test_loader_matches_the_old_loader_on_mutated_documents():
     rng = random.Random(4242)
     bases = [fixture_text(name) for name in
              ("demo/dsl.xml", "vacuum/dsl.xml", "service_robot/dsl.xml", "nxt/dsl.xml")]
-    loaded = same_error = stray_first = dup_param_first = 0
+    loaded = same_error = stray_first = dup_param_first = dup_field = 0
     for i in range(1200):
         if i % 3 == 2:
             base = rng.choice(bases)
@@ -497,6 +507,7 @@ def test_loader_matches_the_old_loader_on_mutated_documents():
             loaded += 1
         elif new == old:
             same_error += 1
+            dup_field += "declares field" in new[1]
         else:
             assert new[0] is XmlSyntaxError and STRAY_IN_LIST.match(new[1]), (doc, new, old)
             if old[0] is XmlSyntaxError:
@@ -505,8 +516,8 @@ def test_loader_matches_the_old_loader_on_mutated_documents():
                 assert old[0] is DuplicateIdentifierError and "declares parameter" in old[1]
                 assert new[1].endswith("inside <ResourceComponent>"), (doc, new, old)
                 dup_param_first += 1
-    assert loaded > 150 and same_error > 500 and stray_first > 100, \
-        (loaded, same_error, stray_first, dup_param_first)
+    assert loaded > 150 and same_error > 500 and stray_first > 100 and dup_field > 0, \
+        (loaded, same_error, stray_first, dup_param_first, dup_field)
 
 
 def test_stray_action_sibling_is_reported_before_a_duplicate_parameter():

@@ -7,6 +7,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 from seqc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +45,25 @@ def test_readme_quick_tour_prints_what_readme_shows(monkeypatch, capsys):
     for argv, output in tour:
         main(argv)
         assert _squeezed(capsys.readouterr().out) == _squeezed(output), argv
+
+
+def _readme_block_after(text: str) -> list[str]:
+    """The lines of the first code block after `text` in README, less its `...` lines."""
+    block = re.search(re.escape(text) + r".*?\n```\n(.*?)```", README, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip() != "..."]
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("`--trace OUT` writes the",
+     ["simulate", "--dsl", "fixtures/demo/dsl.xml", "fixtures/demo/five_stage.xml", "--json"]),
+    ("The JSON document has three keys", ["graph", "fixtures/demo/five_stage.xml", "--json"]),
+])
+def test_readme_json_examples_are_the_output_with_lines_left_out(monkeypatch, capsys, text, argv):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    printed = iter(capsys.readouterr().out.splitlines())
+    for line in _readme_block_after(text):
+        assert line in printed, line  # consumes `printed` up to the match: lines stay in order
 
 
 def test_the_package_imports_only_the_standard_library():
