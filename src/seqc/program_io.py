@@ -10,14 +10,15 @@ Both loaders read the document with `xmlio.read_document`, which parses
 it in slices and hands over each entry, its tag and required attributes
 checked, as soon as it is complete; the element tree never exists whole.
 `parse_program` keeps the attribute rows only.  `load_program` resolves
-each variable and action against the DSL as it arrives (literal values
-are attribute text parsed under the direction of the declared type;
-composite values use nested <Field> elements) and keeps the result, or
-the first error of its section.  Its checks then run in the order of a
-walk over the whole tree: every structural error first, then the robot
-class, resources, variables, actions, names and constraints.  Each
-action's <After> edges become its `predecessors`, a sorted tuple of
-names; no object stands for an edge.
+each variable and action against the DSL as it arrives and keeps the
+result, or the first error of its section.  Each <Arg> has one reader,
+`_parse_children`, and each literal one, `_parse_literal`: a scalar is
+attribute text read under its declared type, a composite nested <Field>
+elements.  The checks then run in the order of a walk over the whole
+tree: every structural error first, then the robot class, resources,
+variables, actions, names and constraints.  Each action's <After> edges
+become its `predecessors`, a sorted tuple of names; no object stands for
+an edge.
 """
 
 import re
@@ -167,26 +168,29 @@ def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
 
 def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
     """The (args, return_to) of action `name` from its <Arg> and <ReturnTo> children.
-    `_parse_arg` takes each <Arg> but a `variable=` or scalar `value=` binding."""
+    Each <Arg> is read here and only here; its binding holds the DSL's parameter
+    name, so the bindings of one parameter share one string."""
     declared = action_type.parameters_by_name
     bindings: dict[str, ArgBinding] = {}
     return_to = None
     for child in elem:
         if child.tag == "Arg":
-            param, variable, text = child.get("param"), child.get("variable"), child.get("value")
+            param = require_attr(child, "param")
             slot = declared.get(param)
-            if (slot is None or param in bindings or len(child)
-                    or (variable is None) == (text is None)):
-                _parse_arg(child, declared, bindings, dsl, name)
-            elif variable is not None:  # the DSL's name, held once for every binding
+            if slot is None:
+                raise UnresolvedReferenceError(f"action {name!r} binds unknown parameter {param!r}")
+            if param in bindings:
+                raise DuplicateIdentifierError(f"action {name!r} binds parameter {param!r} twice")
+            variable, text = child.get("variable"), child.get("value")
+            if (variable is not None) + (text is not None) + (len(child) > 0) != 1:
+                raise XmlSyntaxError(f"action {name!r}, parameter {param!r}: exactly one of"
+                                     " variable=, value=, or nested <Field> elements is required")
+            if variable is not None:
                 bindings[param] = ArgBinding(slot.name, variable)
-            elif (read := _LITERALS.get(slot.type_name)) is None:  # value= of a composite
-                _parse_arg(child, declared, bindings, dsl, name)
             else:
-                try:
-                    bindings[param] = ArgBinding(slot.name, None, read(text))
-                except ValueError:  # _parse_arg raises it, naming the place
-                    _parse_arg(child, declared, bindings, dsl, name)
+                where = f"action {name!r}, parameter {param!r}"
+                value = _parse_literal(child, text, slot.type_name, dsl, where)
+                bindings[param] = ArgBinding(slot.name, None, value)
         elif child.tag == "ReturnTo":
             if return_to is not None:
                 raise XmlSyntaxError(f"action {name!r} has more than one <ReturnTo>")
@@ -196,30 +200,10 @@ def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
     return tuple(filter(None, map(bindings.get, declared))), return_to  # in declaration order
 
 
-def _parse_arg(elem, declared, bindings: dict, dsl: RobotClassDsl, action_name: str) -> None:
-    """Raise the first error an <Arg> holds, or add its binding of a composite value."""
-    param = require_attr(elem, "param")
-    if param not in declared:
-        raise UnresolvedReferenceError(f"action {action_name!r} binds unknown parameter {param!r}")
-    if param in bindings:
-        raise DuplicateIdentifierError(f"action {action_name!r} binds parameter {param!r} twice")
-    variable, value_attr = elem.get("variable"), elem.get("value")
-    where = f"action {action_name!r}, parameter {param!r}"
-    if (variable is not None) + (value_attr is not None) + (len(elem) > 0) != 1:
-        raise XmlSyntaxError(
-            f"{where}: exactly one of variable=, value=, or nested <Field> elements is required")
-    value = _parse_literal(elem, value_attr, declared[param].type_name, dsl, where)
-    bindings[param] = ArgBinding(declared[param].name, value=value)
-
-
 def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):
     """A scalar from attribute `text`, or if it is None from `elem`'s <Field>s."""
-    if text is not None:
-        return _parse_scalar(text, type_name, where)
-    return _parse_composite(elem, type_name, dsl, where)
-
-
-def _parse_scalar(text: str, type_name: str, where: str):
+    if text is None:
+        return _parse_composite(elem, type_name, dsl, where)
     read = _LITERALS.get(type_name)
     if read is None:
         raise XmlSyntaxError(

@@ -83,7 +83,8 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not any(f.severity is Severity.ERROR for f in self.findings)
+        codes = map(attrgetter("code"), self.findings)
+        return Severity.ERROR not in map(_SEVERITY.__getitem__, codes)
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "findings": [f.to_dict() for f in self.findings]}

@@ -3,13 +3,14 @@
 import dataclasses
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
 
 import support
 from seqc import xmlio
-from seqc.dsl import load_dsl
+from seqc.dsl import load_dsl, lookup_action
 from seqc.errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
@@ -192,6 +193,53 @@ def test_unknown_parameter_and_duplicate_binding():
             ),
             TYPED_DSL,
         )
+
+
+ARG_BRANCHES = {  # one document per branch of the <Arg> reader, checks in the loader's order
+    "no param": '<Arg value="1"/>',
+    "unknown parameter": '<Arg param="ghost" value="1"/>',
+    "unknown parameter before exactly one": '<Arg param="ghost"/>',
+    "bound twice": '<Arg param="count" value="1"/><Arg param="count" variable="v"/>',
+    "bound twice before exactly one": '<Arg param="count" variable="v"/><Arg param="count"/>',
+    "variable and value": '<Arg param="count" value="1" variable="v"/>',
+    "value and field": '<Arg param="pose" value="1"><Field name="x" value="1.0"/></Arg>',
+    "variable and field": '<Arg param="pose" variable="v"><Field name="x" value="1.0"/></Arg>',
+    "none of them": '<Arg param="count"/>',
+    "value on a composite": '<Arg param="pose" value="flat"/>',
+    "field on a scalar": '<Arg param="count"><Field name="x" value="1.0"/></Arg>',
+    "bad Int": '<Arg param="count" value="1.5"/>',
+    "bad Bool": '<Arg param="on" value="True"/>',
+    "nan": '<Arg param="rate" value="nan"/>',
+    "Int past the int-string limit":
+        f'<Arg param="count" value="{"9" * (sys.get_int_max_str_digits() + 1)}"/>',
+    "field without name": '<Arg param="pose"><Field value="1.0"/></Arg>',
+    "unknown field": '<Arg param="pose"><Field name="z" value="1.0"/></Arg>',
+    "field given twice": '<Arg param="pose"><Field name="x" value="1.0"/><Field name="x" value="1.0"/></Arg>',
+    "bad field value":
+        '<Arg param="pose"><Field name="x" value="nan"/><Field name="y" value="1.0"/></Arg>',
+    "missing field": '<Arg param="pose"><Field name="x" value="1.0"/></Arg>',
+}
+
+
+@pytest.mark.parametrize("args", ARG_BRANCHES.values(), ids=ARG_BRANCHES.keys())
+def test_each_arg_branch_matches_the_whole_tree_loader(args):
+    doc = typed_doc(one_apply(args))
+    expected = outcome(support.load_program_whole_tree, doc, TYPED_DSL)
+    assert isinstance(expected, tuple)  # every branch is an error
+    assert outcome(load_program, doc, TYPED_DSL) == expected
+
+
+def test_bindings_keep_the_dsl_parameter_name():
+    # One string per parameter, shared by all its bindings, whatever the document holds.
+    doc = typed_doc("".join(
+        f'<ActionInstance name="a{i}" type="Apply" resource="r">'
+        '<Arg param="count" variable="v"/><Arg param="rate" value="0.5"/>'
+        '<Arg param="pose"><Field name="x" value="1.0"/><Field name="y" value="2.0"/></Arg>'
+        "</ActionInstance>" for i in range(3)))
+    declared = lookup_action(TYPED_DSL, "Apply").parameters_by_name
+    args = [arg for action in load_program(doc, TYPED_DSL).actions for arg in action.args]
+    assert [arg.param for arg in args] == ["count", "rate", "pose"] * 3
+    assert all(arg.param is declared[arg.param].name for arg in args)
 
 
 def test_second_return_to_rejected():
