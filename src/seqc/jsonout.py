@@ -1,93 +1,54 @@
-"""Indented JSON output without the pure-Python encoder, which `json.dumps`
-falls back to whenever an indent is given; strings are escaped in C.  A
-`Table` is a list of flat objects as keys once and one row of values per
-object, each row written with one format and no dict built for it."""
+"""Indented JSON for the documents seqc writes: `graph --json`, the
+schedule trace and `generate --json`.  Each is one flat object whose
+members are str, int, a list of str, or a `Table`: a list of flat objects
+given as its keys once and one row of values per object.  `dumps` writes
+exactly what `json.dumps(..., indent=2)` writes for the same object with
+each table read as its list of dicts, but escapes strings in C and writes
+each row with one format, with no dict built for it."""
 
-import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SeqcError
 
 
 class Table:
-    """JSON objects that share `keys`; `rows` holds one tuple of values per object.
-    A table with a column not all str or all int is written by `json.dumps`."""
+    """JSON objects that share `keys`; `rows` holds one tuple of values per
+    object.  Each column is all str or all int."""
 
     def __init__(self, keys, rows):
         self.keys, self.rows = tuple(keys), rows
 
 
-def dumps(value) -> str:
-    """Exactly `json.dumps(value, indent=2)`, with a `Table` read as its list
-    of dicts.  Values holding anything but dicts with str keys, lists,
-    tuples, tables, str, int, bool or None go to it.  An int past the
+def dumps(document: dict) -> str:
+    """`json.dumps(document, indent=2)` for a non-empty dict whose members
+    are str, int, a list of str or a `Table`.  An int past the
     interpreter's int-string limit is a SeqcError."""
-    chunks: list[str] = []
+    chunks = []
     try:
-        _write(value, "\n", chunks.append)
-    except (TypeError, RecursionError):
-        return json.dumps(value, indent=2, default=_as_list)
+        for key, value in document.items():
+            chunks += (",\n  " if chunks else "{\n  "), _quote(key), ": ", _member(value)
     except ValueError as exc:
         raise SeqcError(f"cannot write JSON: {exc}") from None
-    return "".join(chunks)
+    chunks.append("\n}")
+    return "".join(chunks)  # one join: each concatenation would copy the whole text
 
 
-def _as_list(value):
-    if type(value) is not Table:
-        return json.JSONEncoder().default(value)  # raises json's TypeError
-    return [dict(zip(value.keys, row)) for row in value.rows]
-
-
-def _write(value, newline: str, append) -> None:
-    # The type tests json.encoder makes; no value passes two, so order is free.
-    if isinstance(value, dict):
-        inner = newline + "  "
-        opener, separator = "{" + inner, "," + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError
-            append(f"{opener}{_quote(key)}: ")
-            _write(item, inner, append)
-            opener = separator
-        append(newline + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        opener, separator = "[" + inner, "," + inner
-        for item in value:
-            append(opener)
-            _write(item, inner, append)
-            opener = separator
-        append(newline + "]" if value else "[]")
-    elif isinstance(value, str):
-        append(_quote(value))
-    elif value is None:
-        append("null")
-    elif value is True:
-        append("true")
-    elif value is False:
-        append("false")
-    elif isinstance(value, int):
-        append(int.__repr__(value))
-    elif type(value) is Table and 0 < len(set(value.keys)) == len(value.keys):  # else json.dumps
-        append(_table(value, newline) if value.rows else "[]")
+def _member(value) -> str:
+    if type(value) is Table:
+        items = _rows(value)
+    elif type(value) is list:
+        items = map(_quote, value)
     else:
-        raise TypeError
+        return _quote(value) if type(value) is str else int.__repr__(value)
+    text = ",\n    ".join(items)
+    return f"[\n    {text}\n  ]" if text else "[]"
 
 
-def _table(table: Table, newline: str) -> str:
-    item, field = newline + "  ", newline + "    "
-    row = "{" + ",".join(f"{field}{_quote(key).replace('%', '%%')}: %s"
-                         for key in table.keys) + item + "}"
-    columns = [_column(values) for values in zip(*table.rows)]
-    if len(columns) < len(table.keys):  # rows shorter than the keys: json.dumps
-        raise TypeError
-    return f"[{item}{(',' + item).join(map(row.__mod__, zip(*columns)))}{newline}]"
-
-
-def _column(values: tuple):
-    """The JSON text of each value in a column of strs or of ints."""
-    if type(values[0]) is str:  # `_quote` refuses any later value that is not a str
-        return map(_quote, values)
-    if set(map(type, values)) != {int}:  # a bool, or a subclass whose text may differ
-        raise TypeError
-    return map(int.__repr__, values)
+def _rows(table: Table):
+    """Each row's JSON text, written with one format over its columns'
+    JSON texts; a column's type is its first value's."""
+    row = "{" + ",".join(f"\n      {_quote(key).replace('%', '%%')}: %s"
+                         for key in table.keys) + "\n    }"
+    columns = [map(_quote, values) if type(values[0]) is str else map(int.__repr__, values)
+               for values in zip(*table.rows)]
+    return map(row.__mod__, zip(*columns))

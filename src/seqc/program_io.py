@@ -303,8 +303,8 @@ def graph_payload(program: Program) -> dict:
 
 
 def graph_json(program: Program) -> str:
-    """`jsonout.dumps(graph_payload(program))` and a newline, written one
-    row per node and edge."""
+    """`json.dumps(graph_payload(program), indent=2)` and a newline,
+    written one row per node and edge."""
     nodes = [(a.name, a.action_type, a.resource) for a in program.actions]
     return jsonout.dumps({"name": program.name,
                           "nodes": jsonout.Table(("name", "type", "resource"), nodes),

@@ -98,7 +98,7 @@ class ValidationReport:
         # Severity and Code values are plain identifiers, so they need no
         # escaping; `_value_` skips the `value` property's descriptor call.
         chunks = [
-            f'    {{\n      "severity": "{f.severity._value_}",\n'
+            f'    {{\n      "severity": "{_SEVERITY[f.code]._value_}",\n'
             f'      "code": "{f.code._value_}",\n'
             f'      "subjects": {_json_strings(f.subjects)},\n'
             f'      "message": {_quote(f.message)}\n    }}'
@@ -108,7 +108,7 @@ class ValidationReport:
 
     def render_text(self) -> str:
         lines = [
-            f"{f.severity.value} {f.code.value} ({', '.join(f.subjects)}): {f.message}"
+            f"{_SEVERITY[f.code].value} {f.code.value} ({', '.join(f.subjects)}): {f.message}"
             for f in self.findings
         ]
         status = "OK" if self.ok else "FAILED"

@@ -248,6 +248,7 @@ def test_generate_json_output(capsys, tmp_path):
     )
     assert code == 0
     payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
     assert payload["warnings"] == []
     assert len(payload["written"]) == 1
     assert payload["written"][0].endswith("ObstacleAvoid.nxc")
@@ -286,6 +287,16 @@ def test_generate_render_error_and_lenient(capsys, tmp_path):
     assert code == 0
     assert "seqc: warning:" in err
     assert (out_dir / "out.txt").read_text(encoding="utf-8") == "end\n"
+
+    # Two warnings, so the list separator is pinned too.
+    (tmp_path / "main.vt").write_text("$Program.getBogus()$Program.getOther()end\n",
+                                      encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--lenient", "--json", "--force")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert payload["written"] == [str(out_dir / "out.txt")]
+    assert len(payload["warnings"]) == err.count("seqc: warning:") == 2
 
 
 def test_generate_refuses_an_output_named_for_the_directory(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""Project-level promises: README's examples run as printed, and the
-package needs nothing outside the standard library."""
+"""Project-level promises: README's examples run as printed, the package
+needs nothing outside the standard library, and it writes JSON only
+through its own writers."""
 
 import ast
 import re
@@ -84,3 +85,19 @@ def test_the_package_declares_no_runtime_dependency():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
     assert declared is not None and declared.group(1).strip() == ""
+
+
+def test_json_is_written_only_by_seqcs_own_writers():
+    """`jsonout.dumps` and `ValidationReport.to_json` write every JSON
+    document: no module calls `json.dumps`, imports it, or builds a
+    `JSONEncoder`.  Reading JSON with `json.loads` stays allowed."""
+    banned = {"dump", "dumps", "JSONEncoder"}
+    for path in sorted((ROOT / "src" / "seqc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("json", "json.encoder"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert banned.isdisjoint(names), (path.name, node.lineno, names)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import support
-from seqc import jsonout, model
+from seqc import model
 from seqc.dsl import (
     ActionTypeDef,
     ParameterDef,
@@ -653,7 +653,7 @@ def test_report_json_escapes_like_json_dumps():
 # An action and a variable both named x, each declared twice: two
 # DuplicateName findings that tie on code and subjects.
 _TIED_FINDINGS_SCRIPT = """
-from seqc import jsonout
+import json
 from seqc.dsl import load_dsl
 from seqc.model import ActionInstance, Program, ResourceInstance, VariableDecl
 from seqc.validator import validate
@@ -663,7 +663,7 @@ program = Program("P", "B", (ResourceInstance("m", "Motor"),),
                   (VariableDecl("x", "Int"), VariableDecl("x", "Int")),
                   (ActionInstance("x", "Beep", "m"), ActionInstance("x", "Beep", "m")))
 report = validate(program, dsl)
-assert report.to_json() == jsonout.dumps(report.to_dict())
+assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 print(report.render_text())
 print(report.to_json())
 """
