@@ -42,19 +42,26 @@ class UnknownVariableTypeError(SeqcError):
     """A variable declaration names a type the DSL does not define."""
 
 
-class UnresolvedReferenceError(SeqcError):
+class _Located(SeqcError):
+    """An error that may name the template and line it comes from: both, as
+    ` [id:line]` after the message, or neither."""
+
+    def __init__(self, message, *, template_id=None, line=None):
+        self.template_id = template_id
+        self.line = line
+        if template_id is not None and line is not None:
+            message = f"{message} [{template_id}:{line}]"
+        super().__init__(message)
+
+
+class UnresolvedReferenceError(_Located):
     """A cross-reference does not resolve.
 
     Raised for dangling names in program documents (unknown resources,
     parameters, constraint endpoints) and for template data paths that
     cannot be resolved in strict mode.  Template failures carry the
-    template id and source line when known.
+    template id and source line.
     """
-
-    def __init__(self, message, *, template_id=None, line=None):
-        self.template_id = template_id
-        self.line = line
-        super().__init__(_with_template_context(message, template_id, line))
 
 
 class UnknownActionError(SeqcError):
@@ -83,12 +90,10 @@ class NonPositiveDurationError(SeqcError):
 class InvalidProgramError(SeqcError):
     """An operation that requires a valid program was given one with errors."""
 
-    def __init__(self, report, message=None):
+    def __init__(self, report):
         self.report = report
-        if message is None:
-            errors = [f for f in report.findings if f.severity.value == "error"]
-            message = f"program has {len(errors)} validation error(s)"
-        super().__init__(message)
+        errors = [f for f in report.findings if f.severity.value == "error"]
+        super().__init__(f"program has {len(errors)} validation error(s)")
 
 
 class MissingTemplateFileError(SeqcError):
@@ -99,13 +104,8 @@ class OutputExistsError(SeqcError):
     """A generated output file already exists and overwriting was not requested."""
 
 
-class TemplateError(SeqcError):
+class TemplateError(_Located):
     """Base for template parse and render failures; knows its template id and line."""
-
-    def __init__(self, message, *, template_id=None, line=None):
-        self.template_id = template_id
-        self.line = line
-        super().__init__(_with_template_context(message, template_id, line))
 
 
 class UnclosedBlockError(TemplateError):
@@ -127,13 +127,3 @@ class UnknownTemplateIdError(TemplateError):
 class NonIterableInForeachError(TemplateError):
     """#foreach was given a value that is not a sequence."""
 
-
-def _with_template_context(message, template_id, line):
-    where = ""
-    if template_id is not None and line is not None:
-        where = f" [{template_id}:{line}]"
-    elif template_id is not None:
-        where = f" [{template_id}]"
-    elif line is not None:
-        where = f" [line {line}]"
-    return message + where

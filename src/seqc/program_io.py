@@ -294,17 +294,10 @@ def _edge_pairs(program: Program) -> list[tuple[str, str]]:
     return sorted((pred, action.name) for action in program.actions for pred in action.predecessors)
 
 
-def graph_payload(program: Program) -> dict:
-    """The `graph --json` document: nodes in name order, edges sorted."""
-    nodes = [{"name": a.name, "type": a.action_type, "resource": a.resource}
-             for a in program.actions]
-    edges = [{"from": p, "to": a} for p, a in _edge_pairs(program)]
-    return {"name": program.name, "nodes": nodes, "edges": edges}
-
-
 def graph_json(program: Program) -> str:
-    """`json.dumps(graph_payload(program), indent=2)` and a newline,
-    written one row per node and edge."""
+    """The `graph --json` document as indent-2 JSON and a newline, one row
+    per node and edge: `{"name", "nodes": [{"name", "type", "resource"}],
+    "edges": [{"from", "to"}]}`, nodes in name order, edges sorted."""
     nodes = [(a.name, a.action_type, a.resource) for a in program.actions]
     return jsonout.dumps({"name": program.name,
                           "nodes": jsonout.Table(("name", "type", "resource"), nodes),

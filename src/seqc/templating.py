@@ -455,13 +455,12 @@ class TemplateEngine:
             if resolved is _MISSING:
                 return None
             template_id = _to_text(resolved)
-        try:
-            inserted = self.template(template_id)
-        except UnknownTemplateIdError:
+        inserted = self._templates.get(template_id)
+        if inserted is None:
             if self.strict:
                 raise UnknownTemplateIdError(
                     f"#insert names unknown template {template_id!r}",
-                    template_id=template.id, line=node.line) from None
+                    template_id=template.id, line=node.line)
             warnings.append(f"{template.id}:{node.line}: skipped #insert of unknown"
                             f" template {template_id!r}")
             return None

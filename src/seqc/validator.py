@@ -60,14 +60,6 @@ class Finding:
         """Read from the code table, so no finding can contradict it."""
         return _SEVERITY[self.code]
 
-    def to_dict(self) -> dict:
-        return {
-            "severity": self.severity.value,
-            "code": self.code.value,
-            "subjects": list(self.subjects),
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -86,12 +78,10 @@ class ValidationReport:
         codes = map(attrgetter("code"), self.findings)
         return Severity.ERROR not in map(_SEVERITY.__getitem__, codes)
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "findings": [f.to_dict() for f in self.findings]}
-
     def to_json(self) -> str:
-        """Exactly `json.dumps(self.to_dict(), indent=2)`, written one
-        chunk per finding instead of through the nested dicts."""
+        """The report as indent-2 JSON, one chunk per finding: `{"ok": bool,
+        "findings": [{"severity", "code", "subjects": [str], "message"}]}`,
+        the findings in report order."""
         head = f'{{\n  "ok": {"true" if self.ok else "false"},\n  "findings": '
         if not self.findings:
             return head + "[]\n}"

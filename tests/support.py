@@ -5,16 +5,20 @@ correct (path enumeration, exhaustive schedule search) so the library
 implementations are checked against independent math, not themselves.
 
 The rule: an oracle calls no graph query of `seqc.model`, no
-`Program.graph`, no `Program.action` and no `validate`.  It reads the
-program's fields and other oracles; `test_oracles.py` runs each one with
-the graph index and the validator made to raise.  One oracle per library
-behaviour:
+`Program.graph`, no `Program.action`, no `validate` and no JSON writer.
+It reads the program's fields and other oracles; `test_oracles.py` runs
+the oracles with the graph index and the validator made to raise, and the
+payload oracles with the JSON writers made to raise.  One oracle per
+library behaviour:
 
     model.ancestors, topological_order   ancestors_oracle, topological_order_oracle
     model.critical_path_length           critical_path_oracle
     model.potentially_parallel           may_overlap
     validator.validate                   validate_oracle (graph findings: pairwise_flow_findings)
     simulator.simulate                   simulate_oracle
+    ValidationReport.to_json             report_payload_oracle
+    program_io.graph_json                graph_payload_oracle
+    simulator.trace_to_json              trace_payload_oracle
     program_io.load_program              load_program_whole_tree
     program_io.parse_program             parse_program_whole_tree
     program_io.save_program              save_program_oracle
@@ -1277,6 +1281,45 @@ def _unused_variables_oracle(program: Program) -> list[Finding]:
     return [Finding(Code.UNUSED_VARIABLE, (variable.name,),
                     f"variable {variable.name!r} is never read or written by any action")
             for variable in program.variables if variable.name not in used]
+
+
+# The `validate --json`, `graph --json` and trace documents, as the values
+# whose `json.dumps(value, indent=2)` each writer must print.  They read the
+# objects' fields and nothing else: no seqc writer, no `jsonout`, and no
+# `Finding.severity` or `ValidationReport.ok`.
+
+# README's finding-code table: these codes are warnings, every other code an error.
+WARNING_CODES = frozenset({"UninstantiatedVariable", "UnusedVariable", "VariableRace"})
+
+
+def report_payload_oracle(report: ValidationReport) -> dict:
+    findings = [{"severity": "warning" if f.code.value in WARNING_CODES else "error",
+                 "code": f.code.value, "subjects": list(f.subjects), "message": f.message}
+                for f in report.findings]
+    return {"ok": all(f["severity"] == "warning" for f in findings), "findings": findings}
+
+
+def graph_payload_oracle(program: Program) -> dict:
+    """`graph --json` as the CLI built it before: per-action sorted
+    predecessors, then one sort of all edges."""
+    edges = []
+    for action in program.actions:
+        for predecessor in action.predecessors:
+            edges.append({"from": predecessor, "to": action.name})
+    edges.sort(key=lambda e: (e["from"], e["to"]))
+    return {
+        "name": program.name,
+        "nodes": [{"name": a.name, "type": a.action_type, "resource": a.resource}
+                  for a in program.actions],
+        "edges": edges,
+    }
+
+
+def trace_payload_oracle(trace: ExecutionTrace) -> dict:
+    """The trace document as `trace_to_json` built it before it wrote rows."""
+    return {"makespan": trace.makespan,
+            "events": [{"t": e.time, "kind": e.kind.value, "action": e.action,
+                        "resource": e.resource} for e in trace.events]}
 
 
 # The XML writers and the DSL loader as they were before `xmlio` stated the

@@ -359,6 +359,19 @@ def test_generate_non_utf8_template_is_a_one_line_error(capsys, tmp_path):
     assert err.count("\n") == 1
     assert not out_dir.exists()
 
+def test_generate_missing_absolute_template_is_a_one_line_error(capsys, tmp_path):
+    missing = tmp_path / "missing.vt"
+    generator = tmp_path / "gen.xml"
+    generator.write_text(f'<Generator><Main file="{missing}" output="out.txt"/></Generator>',
+                         encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"seqc: error: {generator}: template file not found: {missing}\n"
+    assert not out_dir.exists()
+
+
 def test_generate_template_search_path(capsys, tmp_path, monkeypatch):
     config_dir = tmp_path / "config"
     shared_dir = tmp_path / "shared"

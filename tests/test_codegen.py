@@ -30,6 +30,7 @@ from seqc.errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
+from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance
 from seqc.program_io import load_program
 from seqc.templating import parse_template
 from support import fixture_generator, fixture_text
@@ -147,6 +148,20 @@ def test_action_view_handles_gaps():
     assert speed.parameters[0].variable.name == "rightDistance"
 
 
+def test_action_view_of_an_undeclared_variable_has_no_type():
+    # Views stay total: a program that names an undeclared variable still renders.
+    dsl = load_dsl('<RobotClassDSL name="B"><ResourceComponent type="Motor">'
+                   '<Action returnType="Int" actionIdentifier="Go"><ParameterList>'
+                   '<Parameter name="speed" type="Int"/></ParameterList></Action>'
+                   '</ResourceComponent></RobotClassDSL>')
+    go = ActionInstance("go", "Go", "m", (ArgBinding("speed", variable="ghost"),),
+                        return_to="lost")
+    program = Program("P", "B", (ResourceInstance("m", "Motor"),), (), (go,))
+    view = action_view(go, program, dsl)
+    assert view.parameters == (ParameterView("speed", "Int", VariableView("ghost", "")),)
+    assert view.returnVariable == VariableView("lost", "")
+
+
 def test_views_are_reachable_through_template_accessors():
     from seqc.templating import render_string
 
@@ -216,6 +231,26 @@ def test_base_dir_wins_over_search_path(tmp_path):
         search_path=[shared],
     )
     assert config.action_templates["X"].nodes[0].text == "from base"
+
+
+def test_absolute_template_file_skips_base_dir_and_search_path(tmp_path):
+    base = tmp_path / "base"
+    shared = tmp_path / "shared"
+    base.mkdir()
+    shared.mkdir()
+    for root in (tmp_path, base, shared):
+        (root / "frag.vt").write_text(f"from {root.name}", encoding="utf-8")
+    absolute = tmp_path / "frag.vt"
+    config = load_generator_config(
+        f'<Generator><ActionTemplate actionType="X" file="{absolute}"/></Generator>',
+        base_dir=base, search_path=[shared])
+    assert config.action_templates["X"].nodes[0].text == f"from {tmp_path.name}"
+    missing = tmp_path / "missing.vt"
+    with pytest.raises(MissingTemplateFileError) as exc_info:
+        load_generator_config(
+            f'<Generator><ActionTemplate actionType="X" file="{missing}"/></Generator>',
+            base_dir=base, search_path=[shared])
+    assert str(exc_info.value) == f"template file not found: {missing}"
 
 
 def test_duplicate_template_keys_rejected(tmp_path):

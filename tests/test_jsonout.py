@@ -10,10 +10,19 @@ from seqc import jsonout
 from seqc.dsl import load_dsl
 from seqc.errors import SeqcError
 from seqc.model import ActionInstance, DurationMap, Program, ResourceInstance
-from seqc.program_io import graph_json, graph_payload, load_program, parse_program, save_program
+from seqc.program_io import graph_json, load_program, parse_program, save_program
 from seqc.simulator import simulate, trace_to_json
 from seqc.validator import validate
-from support import fixture_text, make_dsl, make_program, random_flow_setup, random_literal_setup
+from support import (
+    fixture_text,
+    graph_payload_oracle,
+    make_dsl,
+    make_program,
+    random_flow_setup,
+    random_literal_setup,
+    report_payload_oracle,
+    trace_payload_oracle,
+)
 
 ALPHABET = ['a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\x00', '\x1f', '\x7f',
             'é', 'ß', '€', '中', ' ', '\U0001f916', '\ud800']
@@ -97,13 +106,6 @@ def test_int_past_the_digit_limit_is_a_seqc_error(wrap):
         jsonout.dumps(wrap(10 ** sys.get_int_max_str_digits()))
 
 
-def _trace_payload(trace) -> dict:
-    """The trace document as `trace_to_json` built it before it wrote rows."""
-    return {"makespan": trace.makespan,
-            "events": [{"t": e.time, "kind": e.kind.value, "action": e.action,
-                        "resource": e.resource} for e in trace.events]}
-
-
 def _escaped(rng: random.Random, program: Program) -> Program:
     """`program` with its name and each action, type, resource and
     predecessor name replaced consistently by text JSON must escape."""
@@ -128,7 +130,7 @@ def test_matches_json_dumps_on_report_trace_and_graph_payloads():
     for i in range(200):
         dsl, program = (random_literal_setup if i % 4 == 3 else random_flow_setup)(rng, max_actions=8)
         report = validate(program, dsl)
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert report.to_json() == json.dumps(report_payload_oracle(report), indent=2)
         # Through parse_program, dangling predecessors and duplicate names included.
         programs += [program, _escaped(rng, program), parse_program(save_program(program))]
         durations = DurationMap({a.name: rng.choice((1, 3, 10 ** 30)) for a in program.actions})
@@ -136,13 +138,15 @@ def test_matches_json_dumps_on_report_trace_and_graph_payloads():
             trace = simulate(program, dsl, durations, force=True)
         except SeqcError:  # a cycle, a dangling predecessor or a repeated name
             continue
-        assert trace_to_json(trace) == json.dumps(_trace_payload(trace), indent=2) + "\n"
+        assert trace_to_json(trace) == json.dumps(trace_payload_oracle(trace), indent=2) + "\n"
         traced += 1
     dangling = [pred for program in programs for action in program.actions
                 for pred in action.predecessors if pred not in program.action_names()]
     assert traced > 100 and dangling
+    rng = random.Random(77)  # and 200 flow programs as drawn
+    programs += [random_flow_setup(rng, max_actions=8)[1] for _ in range(200)]
     for program in programs:
-        assert graph_json(program) == json.dumps(graph_payload(program), indent=2) + "\n"
+        assert graph_json(program) == json.dumps(graph_payload_oracle(program), indent=2) + "\n"
     dsl = load_dsl(fixture_text("demo/dsl.xml"))
     trace = simulate(load_program(fixture_text("demo/five_stage.xml"), dsl), dsl)
-    assert trace_to_json(trace) == json.dumps(_trace_payload(trace), indent=2) + "\n"
+    assert trace_to_json(trace) == json.dumps(trace_payload_oracle(trace), indent=2) + "\n"

@@ -4,8 +4,10 @@ public entry point agrees with its oracle on hostile and defective programs."""
 import random
 from collections import Counter
 
+import pytest
+
 import support
-from seqc import model, validator
+from seqc import jsonout, model, program_io, simulator, validator
 from seqc.codegen import GeneratorConfig, MainTemplate, generate
 from seqc.errors import CyclicGraphError, InvalidProgramError, SeqcError
 from seqc.program_io import load_program, save_program
@@ -16,13 +18,16 @@ from support import (
     critical_path_oracle,
     cycle_oracle,
     graph_defect,
+    graph_payload_oracle,
     may_overlap,
     outcome,
     random_durations,
     random_flow_setup,
     random_setup,
+    report_payload_oracle,
     simulate_oracle,
     topological_order_oracle,
+    trace_payload_oracle,
     validate_oracle,
 )
 
@@ -52,6 +57,33 @@ def test_oracles_use_neither_the_graph_index_nor_the_validator(monkeypatch):
         text = save_program(program)
         support.load_program_whole_tree(text, dsl)
         support.parse_program_whole_tree(text)
+
+
+def _refuse_to_write(*args, **kwargs):
+    raise AssertionError("a payload oracle used a JSON writer")
+
+
+def test_payload_oracles_use_no_json_writer(monkeypatch):
+    rng = random.Random(1904)
+    setups = [random_flow_setup(rng, max_actions=8) for _ in range(20)]
+    reports = [validator.validate(program, dsl) for dsl, program in setups]
+    traces = [simulate(program, dsl, DurationMap(random_durations(rng, program)))
+              for dsl, program in (random_setup(rng, dedicated=True, mutex=False)
+                                   for _ in range(5))]
+    assert {report.ok for report in reports} == {True, False}
+    monkeypatch.setattr(validator.ValidationReport, "to_json", _refuse_to_write)
+    monkeypatch.setattr(validator.ValidationReport, "ok", property(_refuse_to_write))
+    monkeypatch.setattr(validator.Finding, "severity", property(_refuse_to_write))
+    monkeypatch.setattr(program_io, "graph_json", _refuse_to_write)
+    monkeypatch.setattr(simulator, "trace_to_json", _refuse_to_write)
+    monkeypatch.setattr(jsonout, "dumps", _refuse_to_write)
+    with pytest.raises(AssertionError):
+        reports[0].to_json()
+    for report, (_, program) in zip(reports, setups):
+        report_payload_oracle(report)
+        graph_payload_oracle(program)
+    for trace in traces:
+        trace_payload_oracle(trace)
 
 
 ONE_MAIN = GeneratorConfig("one", {}, {}, (MainTemplate(

@@ -30,7 +30,6 @@ from seqc.model import (
 )
 from seqc.program_io import (
     export_dot,
-    graph_payload,
     load_program,
     parse_program,
     save_program,
@@ -735,29 +734,6 @@ def test_loaders_never_hold_the_whole_element_tree():
     tree = _peak_bytes(xmlio.parse_root, text, "Program")
     assert _peak_bytes(parse_program, text) < tree / 2
     assert _peak_bytes(load_program, text, TYPED_DSL) < tree / 2
-
-
-def _graph_payload_oracle(program: Program) -> dict:
-    """`graph --json` as the CLI built it before: per-action sorted
-    predecessors, then one sort of all edges."""
-    edges = []
-    for action in program.actions:
-        for predecessor in action.predecessors:
-            edges.append({"from": predecessor, "to": action.name})
-    edges.sort(key=lambda e: (e["from"], e["to"]))
-    return {
-        "name": program.name,
-        "nodes": [{"name": a.name, "type": a.action_type, "resource": a.resource}
-                  for a in program.actions],
-        "edges": edges,
-    }
-
-
-def test_graph_payload_matches_the_old_cli_payload():
-    rng = random.Random(77)
-    for _ in range(200):
-        _, program = support.random_flow_setup(rng, max_actions=8)
-        assert graph_payload(program) == _graph_payload_oracle(program)
 
 
 def test_robot_class_must_match_the_dsl():

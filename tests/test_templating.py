@@ -394,6 +394,18 @@ def test_engine_library_access():
         engine.template("zzz")
 
 
+def test_an_error_names_its_template_and_line_or_neither():
+    engine = make_engine(main="#insert(zzz, $b)")
+    with pytest.raises(UnknownTemplateIdError) as exc_info:
+        engine.render("main", {"b": Box()})
+    assert str(exc_info.value) == "#insert names unknown template 'zzz' [main:1]"
+    assert (exc_info.value.template_id, exc_info.value.line) == ("main", 1)
+    with pytest.raises(UnknownTemplateIdError) as exc_info:
+        engine.template("zzz")
+    assert str(exc_info.value) == "no template registered under 'zzz'"
+    assert (exc_info.value.template_id, exc_info.value.line) == (None, None)
+
+
 def test_render_string_accepts_a_library():
     library = {"part": parse_template("<$Box.name>", "part")}
     result = render_string("#insert(part, $b)", {"b": Box(name="q")}, library=library)
