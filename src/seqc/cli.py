@@ -171,9 +171,10 @@ def _parse_durations(args, program: Program) -> DurationMap:
             raise SeqcError(f"--duration expects NAME=N, got {override!r}")
         if name not in known:
             raise SeqcError(f"--duration names unknown action {name!r}")
+        digits = value.removeprefix("-")  # int() alone reads '+3', ' 3', '1_0' and non-ASCII digits
         try:
-            overrides[name] = int(value, 10)
-        except ValueError:
+            overrides[name] = int(value if digits.isascii() and digits.isdigit() else "!")
+        except ValueError:  # not digits, or more of them than the int-string limit
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
     default = raw.get("default", DurationMap.default)
     try:  # the file's values, less those an override replaces

@@ -11,12 +11,12 @@ action at t.
 Parallelism lives in the model, not in host threads: overlapping
 intervals on distinct resources are what "simultaneous" means here.
 Variable values are never interpreted; data flow is the validator's
-concern.
+concern.  A trace holds each action's interval and resource; each start
+and finish event is derived from them when the trace is written, not kept.
 """
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from . import jsonout
@@ -26,24 +26,14 @@ from .model import DurationMap, Program
 from .validator import validate
 
 
-class EventKind(Enum):
-    START = "start"
-    FINISH = "finish"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    time: int
-    kind: EventKind
-    action: str
-    resource: str
-
-
 @dataclass(frozen=True)
 class ExecutionTrace:
-    events: tuple[TraceEvent, ...]
-    makespan: int
-    schedule: Mapping[str, tuple[int, int]]
+    schedule: Mapping[str, tuple[int, int]]  # action -> [start, finish)
+    resources: Mapping[str, str]  # action -> the resource it held
+
+    @property
+    def makespan(self) -> int:
+        return max((finish for _, finish in self.schedule.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -53,14 +43,10 @@ class TraceViolation:
     message: str
 
 
-def simulate(
-    program: Program,
-    dsl: RobotClassDsl,
-    durations: DurationMap | None = None,
-    *,
-    force: bool = False,
-) -> ExecutionTrace:
-    """Run the greedy earliest-start schedule and return the full trace.
+def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None = None,
+             *, force: bool = False) -> ExecutionTrace:
+    """Run the greedy earliest-start schedule and return its trace: each
+    action's interval and resource, from which each event is derived.
 
     The program must validate cleanly unless force is set.  Forcing
     additionally serializes mutex-partnered actions at runtime, as if
@@ -75,14 +61,13 @@ def simulate(
     graph.order  # raises CyclicGraphError on a cycle
     preds, actions = graph.preds, graph.actions
 
-    # Kahn's loop with a clock.  Both heaps pop in name order, so events
-    # come out in trace order: an instant's finishes, then its starts.
+    # Kahn's loop with a clock.  `ready` pops in name order, so the schedule
+    # fills in start order; each event is derived when the trace is written.
     unmet = {name: len(incoming) for name, incoming in preds.items()}
     ready = [name for name, count in unmet.items() if not count]  # sorted: a heap
     finishing: list[tuple[int, str]] = []  # (finish time, action) heap
     busy: dict[str, str] = {}  # resource -> running action
-    events: list[TraceEvent] = []
-    schedule: dict[str, tuple[int, int]] = {}
+    schedule, resources = {}, {}  # ExecutionTrace's two fields
     now = 0
     while True:
         blocked = []  # popped in name order, so still a heap
@@ -97,24 +82,22 @@ def simulate(
             finish = now + durations.duration_of(name)
             busy[action.resource] = name
             schedule[name] = (now, finish)
+            resources[name] = action.resource
             heapq.heappush(finishing, (finish, name))
-            events.append(TraceEvent(now, EventKind.START, name, action.resource))
         ready = blocked
         if not finishing:
             break
         now = finishing[0][0]
         while finishing and finishing[0][0] == now:
             name = heapq.heappop(finishing)[1]
-            resource = actions[name].resource
-            del busy[resource]
-            events.append(TraceEvent(now, EventKind.FINISH, name, resource))
+            del busy[resources[name]]
             for succ in graph.succs[name]:
                 unmet[succ] -= 1
                 if not unmet[succ]:
                     heapq.heappush(ready, succ)
     if len(schedule) < len(preds):
         raise AssertionError("scheduler stalled with work remaining")
-    return ExecutionTrace(tuple(events), now, schedule)
+    return ExecutionTrace(schedule, resources)
 
 
 def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) -> list[TraceViolation]:
@@ -191,10 +174,15 @@ def _overlap(first: tuple[int, int], second: tuple[int, int]) -> bool:
 
 
 def trace_to_json(trace: ExecutionTrace) -> str:
-    """Canonical JSON rendering of a trace."""
-    events = [(e.time, e.kind.value, e.action, e.resource) for e in trace.events]
+    """Canonical JSON rendering of a trace: the makespan, then a row per start
+    and finish event, by tick, finishes before starts, then by action name."""
+    rows = []
+    for name, (start, finish) in trace.schedule.items():
+        resource = trace.resources[name]
+        rows += (start, "start", name, resource), (finish, "finish", name, resource)
+    rows.sort()  # "finish" < "start"
     return jsonout.dumps({"makespan": trace.makespan, "events": jsonout.Table(
-        ("t", "kind", "action", "resource"), events)}) + "\n"
+        ("t", "kind", "action", "resource"), rows)}) + "\n"
 
 
 def format_timeline(trace: ExecutionTrace) -> str:

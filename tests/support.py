@@ -15,7 +15,7 @@ library behaviour:
     model.critical_path_length           critical_path_oracle
     model.potentially_parallel           may_overlap
     validator.validate                   validate_oracle (graph findings: pairwise_flow_findings)
-    simulator.simulate                   simulate_oracle
+    simulator.simulate                   simulate_oracle, simulate_run_oracle
     ValidationReport.to_json             report_payload_oracle
     program_io.graph_json                graph_payload_oracle
     simulator.trace_to_json              trace_payload_oracle
@@ -70,7 +70,7 @@ from seqc.model import (
     ResourceInstance,
     VariableDecl,
 )
-from seqc.simulator import DurationMap, EventKind, ExecutionTrace, TraceEvent
+from seqc.simulator import DurationMap, ExecutionTrace
 from seqc.templating import (
     ForeachNode,
     IfNode,
@@ -982,10 +982,17 @@ def parse_program_whole_tree(text: str) -> Program:
 
 # The scheduling loop as it was before it ran on the shared graph index,
 # kept as an oracle: per-action `waiting` sets, a re-sort of the ready
-# list at every instant, and one sort of all events at the end.
+# list at every instant, events recorded as they happen, and one sort of
+# all events at the end.
 
 def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
                     force: bool = False) -> ExecutionTrace:
+    return simulate_run_oracle(program, dsl, durations, force=force)[0]
+
+
+def simulate_run_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
+                        force: bool = False) -> tuple[ExecutionTrace, dict]:
+    """The trace, and the trace document built from the run's own events."""
     durations = durations or DurationMap()
     if not force and not (report := validate_oracle(program, dsl)).ok:
         raise InvalidProgramError(report)
@@ -1009,7 +1016,7 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
     running: dict[str, int] = {}  # action -> finish time
     busy: dict[str, str] = {}  # resource -> action
     finished: set[str] = set()
-    events: list[TraceEvent] = []
+    events: list[tuple[int, str, str, str]] = []  # (time, kind, action, resource)
     schedule: dict[str, tuple[int, int]] = {}
     now = 0
 
@@ -1021,7 +1028,7 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
             del running[name]
             del busy[resource_of[name]]
             finished.add(name)
-            events.append(TraceEvent(now, EventKind.FINISH, name, resource_of[name]))
+            events.append((now, "finish", name, resource_of[name]))
             for dependent in dependents[name]:
                 waiting[dependent].discard(name)
                 if not waiting[dependent] and dependent not in schedule:
@@ -1035,7 +1042,7 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
             running[name] = now + duration[name]
             busy[resource_of[name]] = name
             schedule[name] = (now, now + duration[name])
-            events.append(TraceEvent(now, EventKind.START, name, resource_of[name]))
+            events.append((now, "start", name, resource_of[name]))
         ready = still_waiting
         if len(finished) == len(names):
             break
@@ -1044,8 +1051,12 @@ def simulate_oracle(program: Program, dsl: RobotClassDsl, durations=None, *,
         now = min(running.values())
 
     total = max((finish for _, finish in schedule.values()), default=0)
-    events.sort(key=lambda e: (e.time, e.kind is EventKind.START, e.action))
-    return ExecutionTrace(tuple(events), total, schedule)
+    events.sort(key=lambda e: (e[0], e[1] == "start", e[2]))
+    document = {"makespan": total, "events": [
+        {"t": t, "kind": kind, "action": name, "resource": resource}
+        for t, kind, name, resource in events]}
+    resources = {name: resource_of[name] for name in schedule}
+    return ExecutionTrace(schedule, resources), document
 
 
 # The validator's checks as they were before severities came from the code
@@ -1316,10 +1327,19 @@ def graph_payload_oracle(program: Program) -> dict:
 
 
 def trace_payload_oracle(trace: ExecutionTrace) -> dict:
-    """The trace document as `trace_to_json` built it before it wrote rows."""
-    return {"makespan": trace.makespan,
-            "events": [{"t": e.time, "kind": e.kind.value, "action": e.action,
-                        "resource": e.resource} for e in trace.events]}
+    """The trace document read off the schedule: tick by tick, the actions
+    finishing there by name, then those starting there by name."""
+    finishing: dict[int, list[str]] = {}
+    starting: dict[int, list[str]] = {}
+    for name, (start, finish) in trace.schedule.items():
+        starting.setdefault(start, []).append(name)
+        finishing.setdefault(finish, []).append(name)
+    events = []
+    for t in sorted(finishing.keys() | starting.keys()):
+        for kind, at in (("finish", finishing), ("start", starting)):
+            events += [{"t": t, "kind": kind, "action": name, "resource": trace.resources[name]}
+                       for name in sorted(at.get(t, ()))]
+    return {"makespan": max(finishing, default=0), "events": events}
 
 
 # The XML writers and the DSL loader as they were before `xmlio` stated the

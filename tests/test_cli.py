@@ -111,13 +111,29 @@ def test_simulate_duration_override(capsys):
     assert out.endswith("makespan: 6\n")
 
 
-@pytest.mark.parametrize("override", ["C", "=3", "C=fast", "Z=2"])
+@pytest.mark.parametrize("override", ["C", "=3", "C=fast", "Z=2", "A=1_0", "A= 3", "A=+3",
+                                      "A=\u0663", "A=0", "A=-2"])
 def test_simulate_bad_duration_overrides(capsys, override):
     code, _, err = run(
         capsys, "simulate", "--duration", override, "--dsl", DEMO_DSL, FIVE_STAGE
     )
     assert code == 2
     assert err.startswith("seqc: error:")
+
+
+def test_duration_override_is_ascii_digits_after_an_optional_minus(capsys):
+    # int() alone reads each of these as a number; the durations file refuses them too.
+    for value in ("1_0", " 3", "+3", "\u0663", "\uff11"):
+        code, _, err = run(capsys, "simulate", "--duration", f"A={value}",
+                           "--dsl", DEMO_DSL, FIVE_STAGE)
+        assert (code, err) == (2, f"seqc: error: --duration A: {value!r} is not an integer\n")
+    for value in ("0", "-2"):
+        code, _, err = run(capsys, "simulate", "--duration", f"A={value}",
+                           "--dsl", DEMO_DSL, FIVE_STAGE)
+        assert (code, err) == (2, "seqc: error: duration of 'A' must be a positive integer"
+                                  f" tick count, got {value}\n")
+    assert run(capsys, "simulate", "--duration", "A=03", "--dsl", DEMO_DSL,
+               FIVE_STAGE)[1].endswith("makespan: 5\n")
 
 
 def test_simulate_durations_file(capsys, tmp_path):

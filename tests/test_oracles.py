@@ -76,6 +76,7 @@ def test_payload_oracles_use_no_json_writer(monkeypatch):
     monkeypatch.setattr(validator.Finding, "severity", property(_refuse_to_write))
     monkeypatch.setattr(program_io, "graph_json", _refuse_to_write)
     monkeypatch.setattr(simulator, "trace_to_json", _refuse_to_write)
+    monkeypatch.setattr(simulator.ExecutionTrace, "makespan", property(_refuse_to_write))
     monkeypatch.setattr(jsonout, "dumps", _refuse_to_write)
     with pytest.raises(AssertionError):
         reports[0].to_json()

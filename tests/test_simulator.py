@@ -1,5 +1,7 @@
 """Discrete-event simulation: schedules, traces, and trace verification."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -19,9 +21,6 @@ from seqc.model import ActionInstance, Program, ResourceInstance
 from seqc.program_io import load_program
 from seqc.simulator import (
     DurationMap,
-    EventKind,
-    ExecutionTrace,
-    TraceEvent,
     format_timeline,
     simulate,
     trace_to_json,
@@ -36,7 +35,7 @@ from support import (
     random_durations,
     random_flow_setup,
     random_valid_setup,
-    simulate_oracle,
+    simulate_run_oracle,
     with_edge,
 )
 
@@ -80,18 +79,18 @@ def test_resource_freed_at_t_can_restart_at_t():
 
 def test_finish_events_precede_start_events_at_the_same_tick():
     dsl, program = five_stage()
-    events = simulate(program, dsl).events
-    assert [(e.time, e.kind, e.action) for e in events] == [
-        (0, EventKind.START, "A"),
-        (0, EventKind.START, "B"),
-        (0, EventKind.START, "C"),
-        (1, EventKind.FINISH, "A"),
-        (1, EventKind.FINISH, "B"),
-        (1, EventKind.FINISH, "C"),
-        (1, EventKind.START, "D"),
-        (2, EventKind.FINISH, "D"),
-        (2, EventKind.START, "E"),
-        (3, EventKind.FINISH, "E"),
+    events = json.loads(trace_to_json(simulate(program, dsl)))["events"]
+    assert [(e["t"], e["kind"], e["action"]) for e in events] == [
+        (0, "start", "A"),
+        (0, "start", "B"),
+        (0, "start", "C"),
+        (1, "finish", "A"),
+        (1, "finish", "B"),
+        (1, "finish", "C"),
+        (1, "start", "D"),
+        (2, "finish", "D"),
+        (2, "start", "E"),
+        (3, "finish", "E"),
     ]
 
 
@@ -148,9 +147,7 @@ def test_dangling_predecessor_is_refused_before_scheduling():
 
 
 def tampered(trace, **intervals):
-    schedule = dict(trace.schedule)
-    schedule.update(intervals)
-    return ExecutionTrace(trace.events, trace.makespan, schedule)
+    return dataclasses.replace(trace, schedule={**trace.schedule, **intervals})
 
 
 def test_verify_trace_flags_precedence_breaks():
@@ -167,7 +164,7 @@ def test_verify_trace_flags_missing_and_negative():
 
     schedule = dict(trace.schedule)
     del schedule["B"]
-    gone = ExecutionTrace(trace.events, trace.makespan, schedule)
+    gone = dataclasses.replace(trace, schedule=schedule)
     violations = verify_trace(gone, program, dsl)
     assert ("B",) in {v.actions for v in violations}
     assert all(v.rule == "precedence" for v in violations)
@@ -222,12 +219,21 @@ def test_dedicated_resources_reach_the_critical_path():
         assert trace.makespan == model.critical_path_length(program, durations)
 
 
-def _outcome(run, program, dsl, durations, force):
+def _outcome(program, dsl, durations, force):
     try:
-        trace = run(program, dsl, durations, force=force)
+        trace = simulate(program, dsl, durations, force=force)
     except SeqcError as exc:
         return type(exc), str(exc)
     return trace_to_json(trace), list(trace.schedule.items())
+
+
+def _oracle_outcome(program, dsl, durations, force):
+    """As `_outcome`, with the document the oracle built from its own events."""
+    try:
+        trace, document = simulate_run_oracle(program, dsl, durations, force=force)
+    except SeqcError as exc:
+        return type(exc), str(exc)
+    return json.dumps(document, indent=2) + "\n", list(trace.schedule.items())
 
 
 def _never_validate(*args, **kwargs):
@@ -251,8 +257,8 @@ def test_scheduler_matches_the_waiting_set_oracle(shape, monkeypatch):
             dsl, program = random_flow_setup(rng, max_actions=10, mutex_prob=0.5)
         durations = DurationMap(random_durations(rng, program), default=rng.randint(1, 3))
         force = shape == "forced"
-        expected = _outcome(simulate_oracle, program, dsl, durations, force)
-        assert _outcome(simulate, program, dsl, durations, force) == expected
+        expected = _oracle_outcome(program, dsl, durations, force)
+        assert _outcome(program, dsl, durations, force) == expected
         outcomes.add(expected[0] if isinstance(expected[0], type) else "trace")
     if shape == "forced":
         assert outcomes == {"trace", CyclicGraphError, DuplicateIdentifierError,
@@ -263,7 +269,7 @@ def test_empty_program():
     dsl = make_dsl({"Station": ["Step"]})
     program = Program("Empty", "TestBot")
     trace = simulate(program, dsl)
-    assert trace.events == ()
+    assert trace.schedule == {}
     assert trace.makespan == 0
     assert format_timeline(trace) == "(empty trace)\n"
 
@@ -324,14 +330,22 @@ def test_makespan_matches_trace_field():
     assert trace.makespan == 9
 
 
+def test_makespan_follows_a_replaced_schedule():
+    dsl, program = five_stage()
+    trace = simulate(program, dsl)
+    assert tampered(trace, E=(2, 9)).makespan == 9
+    assert tampered(trace, E=(0, 1)).makespan == 2  # D's finish
+    assert dataclasses.replace(trace, schedule={}).makespan == 0
+
+
 def test_events_come_in_start_finish_pairs():
     dsl, program = five_stage(shared=True)
     trace = simulate(program, dsl)
     per_action = {}
-    for event in trace.events:
-        per_action.setdefault(event.action, []).append(event)
+    for event in json.loads(trace_to_json(trace))["events"]:
+        per_action.setdefault(event["action"], []).append(event)
+    assert per_action.keys() == trace.schedule.keys()
     for name, pair in per_action.items():
-        assert [e.kind for e in pair] == [EventKind.START, EventKind.FINISH]
-        assert (pair[0].time, pair[1].time) == trace.schedule[name]
-        assert pair[0].resource == program.action(name).resource
-    assert isinstance(trace.events[0], TraceEvent)
+        assert [e["kind"] for e in pair] == ["start", "finish"]
+        assert (pair[0]["t"], pair[1]["t"]) == trace.schedule[name]
+        assert pair[0]["resource"] == pair[1]["resource"] == program.action(name).resource
