@@ -19,10 +19,8 @@ from .model import (
     Program,
     ResourceInstance,
     VariableDecl,
-    ancestors,
     critical_path_length,
     potentially_parallel,
-    successors,
     topological_order,
 )
 from .program_io import export_dot, load_program, parse_program, save_program
@@ -41,7 +39,6 @@ __all__ = [
     "ValidationReport",
     "VariableDecl",
     "__version__",
-    "ancestors",
     "critical_path_length",
     "export_dot",
     "load_dsl",
@@ -51,7 +48,6 @@ __all__ = [
     "save_dsl",
     "save_program",
     "simulate",
-    "successors",
     "topological_order",
     "validate",
     "verify_trace",

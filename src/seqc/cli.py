@@ -166,7 +166,7 @@ def _parse_durations(args, program: Program) -> DurationMap:
     known = set(program.action_names())
     overrides = {}
     for override in args.duration:
-        name, sep, value = override.partition("=")
+        name, sep, value = override.rpartition("=")  # a name may hold "=", a value never
         if not sep or not name:
             raise SeqcError(f"--duration expects NAME=N, got {override!r}")
         if name not in known:

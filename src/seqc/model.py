@@ -13,16 +13,16 @@ All types are immutable after construction.  Collections are normalized
 to a canonical order (sorted by name) so that equal programs compare
 equal and serialize identically regardless of how they were assembled.
 
-The graph queries at the bottom (successors, ancestors,
-potentially_parallel, topological_order, critical_path_length) are the
-shared vocabulary of the validator and the simulator.  They all read one
+The validator, the simulator and the queries at the bottom
+(potentially_parallel, topological_order, critical_path_length) read one
 ProgramGraph per Program, built on first use and cached on it: a
-name-to-action dict, predecessor and successor adjacency, the
+name-to-action dict, predecessor and successor (`succs`) adjacency, the
 topological order, which alone decides acyclicity, a cycle witness, and,
-on the first reachability query, the ancestor closure as one int bitset
-per action (Purdom's algorithm).  Two actions on distinct resources are
-potentially parallel when neither bitset holds the other: they are
-incomparable in the precedence order, as in Lamport's happens-before.
+on the first reachability query (`precedes`), the ancestor closure as one
+int bitset per action (Purdom's algorithm).  Two actions on distinct
+resources are potentially parallel when neither bitset holds the other:
+they are incomparable in the precedence order, as in Lamport's
+happens-before.
 
 The graph exists only for a program whose action names are unique and
 whose predecessors all name actions.  Every query, `Program.action`
@@ -326,40 +326,13 @@ class ProgramGraph:
         return closure
 
     @cached_property
-    def names(self) -> list[str]:
-        """Action names by bit index in `ancestor_bits`."""
-        return list(self.preds)
-
-    @cached_property
     def position(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+        """Each action's bit index in `ancestor_bits`."""
+        return {name: i for i, name in enumerate(self.preds)}
 
     def precedes(self, first: str, second: str) -> bool:
         """True iff a directed path leads from `first` to `second`."""
         return bool(self.ancestor_bits[second] >> self.position[first] & 1)
-
-
-def successors(program: Program, action: str) -> frozenset[str]:
-    """All actions that list `action` as a direct predecessor."""
-    program.action(action)
-    return frozenset(program.graph.succs[action])
-
-
-def ancestors(program: Program, action: str) -> frozenset[str]:
-    """All actions from which a directed path reaches `action`.
-
-    The graph must be acyclic; a cycle anywhere in the program raises
-    CyclicGraphError because reachability is not meaningful on it.
-    """
-    program.action(action)
-    graph = program.graph
-    bits = graph.ancestor_bits[action]
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(graph.names[low.bit_length() - 1])
-        bits ^= low
-    return frozenset(found)
 
 
 def potentially_parallel(program: Program, a: str, b: str) -> bool:

@@ -278,7 +278,8 @@ def save_program(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A bare ID, but no DOT keyword: Graphviz reserves these in any case.
+_DOT_ID = re.compile(r"(?!(node|edge|graph|digraph|subgraph|strict)\Z)[A-Za-z_][A-Za-z0-9_]*\Z", re.I)
 
 
 def _dot_id(name: str) -> str:

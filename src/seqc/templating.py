@@ -29,10 +29,11 @@ mode it renders as empty text and is recorded as a warning instead.
 ``#if`` is the exception in both modes: an unresolvable condition is
 simply false, since testing for presence is what the directive is for.
 
-Parsing is one scan that keeps the open blocks on a stack, and rendering
-one loop over a stack of bodies in progress, so blocks nest to any depth.
-Only ``#insert`` is capped: more than 32 nested inserts fail the render,
-which catches template cycles.
+Parsing is one scan that keeps the open blocks on a stack.  A body is a
+tuple of plain strings for text, ReferencePaths for references and one
+node per directive.  Rendering is one loop over a stack of bodies in
+progress, so blocks nest to any depth.  Only ``#insert`` is capped: more
+than 32 nested inserts fail the render, which catches template cycles.
 """
 
 import re
@@ -76,21 +77,6 @@ class ReferencePath:
 
 
 @dataclass(frozen=True)
-class Literal:
-    value: object
-
-
-@dataclass(frozen=True)
-class TextNode:
-    text: str
-
-
-@dataclass(frozen=True)
-class ReferenceNode:
-    path: ReferencePath
-
-
-@dataclass(frozen=True)
 class ForeachNode:
     var: str
     path: ReferencePath
@@ -109,7 +95,7 @@ class IfNode:
 @dataclass(frozen=True)
 class SetNode:
     var: str
-    value: ReferencePath | Literal
+    value: ReferencePath | str | int | float | bool
     line: int
 
 
@@ -172,7 +158,7 @@ class _Parser:
         def flush():
             joined = "".join(text)
             if joined:
-                nodes.append(TextNode(joined))
+                nodes.append(joined)
             text.clear()
 
         while match := _MARKUP.search(src, self.pos):
@@ -189,11 +175,14 @@ class _Parser:
             elif marker == "$":
                 flush()
                 self.pos = start
-                nodes.append(ReferenceNode(self._parse_reference()))
+                nodes.append(self._parse_reference())
             else:
                 word = _WORD.match(src, start + 1).group()
                 if word not in _DIRECTIVES:
-                    self.fail(UnknownDirectiveError, f"unknown directive #{word}")
+                    end = start + 1
+                    while src[end: end + 1].isalpha():
+                        end += 1
+                    self.fail(UnknownDirectiveError, f"unknown directive {src[start: end]}")
                 directive = _DIRECTIVES[word]
                 if directive is None and not (blocks and word in blocks[-1][0]):
                     self.fail(UnclosedBlockError, f"#{word} without an open block")
@@ -251,7 +240,7 @@ class _Parser:
                       f"${name} must be a bare variable name here, not a path")
         return name
 
-    def _parse_value(self) -> ReferencePath | Literal:
+    def _parse_value(self) -> ReferencePath | str | int | float | bool:
         src = self.source
         ch = src[self.pos: self.pos + 1]
         if ch == "$":
@@ -262,19 +251,19 @@ class _Parser:
                 self.fail(MalformedReferenceError, "unterminated string literal")
             text = src[self.pos + 1: end]
             self.pos = end + 1
-            return Literal(text)
+            return text
         match = _NUMBER.match(src, self.pos)
         if match:
             self.pos = match.end()
             text = match.group(0)
             try:
-                return Literal(float(text) if "." in text else int(text))
+                return float(text) if "." in text else int(text)
             except ValueError:  # an int past the interpreter's int-string limit
                 self.fail(MalformedReferenceError, f"number of {len(text)} characters is too long")
         for keyword, value in (("true", True), ("false", False)):
             if src.startswith(keyword, self.pos):
                 self.pos += len(keyword)
-                return Literal(value)
+                return value
         self.fail(MalformedReferenceError, "expected a reference or literal")
 
     def _parse_insert_id(self) -> str | ReferencePath:
@@ -282,8 +271,7 @@ class _Parser:
         if ch == "$":
             return self._parse_reference()
         if ch == '"':
-            literal = self._parse_value()
-            return literal.value
+            return self._parse_value()
         return self._parse_identifier()
 
     def _parse_reference(self) -> ReferencePath:
@@ -404,10 +392,10 @@ class TemplateEngine:
         while frames:
             template, nodes, scope, depth = frames[-1]
             for node in nodes:
-                if isinstance(node, TextNode):
-                    parts.append(node.text)
-                elif isinstance(node, ReferenceNode):
-                    value = self._resolve(template, node.path, scope, warnings)
+                if type(node) is str:
+                    parts.append(node)
+                elif isinstance(node, ReferencePath):
+                    value = self._resolve(template, node, scope, warnings)
                     if value is not _MISSING:
                         parts.append(_to_text(value))
                 elif isinstance(node, ForeachNode):
@@ -428,8 +416,8 @@ class TemplateEngine:
                     frames.append((template, iter(branch), scope, depth))
                     break
                 elif isinstance(node, SetNode):
-                    value = (node.value.value if isinstance(node.value, Literal)
-                             else self._resolve(template, node.value, scope, warnings))
+                    value = (self._resolve(template, node.value, scope, warnings)
+                             if isinstance(node.value, ReferencePath) else node.value)
                     if value is not _MISSING:
                         scope[node.var] = value
                 elif isinstance(node, InsertNode):

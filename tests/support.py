@@ -11,7 +11,8 @@ the oracles with the graph index and the validator made to raise, and the
 payload oracles with the JSON writers made to raise.  One oracle per
 library behaviour:
 
-    model.ancestors, topological_order   ancestors_oracle, topological_order_oracle
+    ProgramGraph.precedes                ancestors_oracle
+    model.topological_order              topological_order_oracle
     model.critical_path_length           critical_path_oracle
     model.potentially_parallel           may_overlap
     validator.validate                   validate_oracle (graph findings: pairwise_flow_findings)
@@ -75,14 +76,11 @@ from seqc.templating import (
     ForeachNode,
     IfNode,
     InsertNode,
-    Literal,
-    ReferenceNode,
     ReferencePath,
     RenderResult,
     SetNode,
     Template,
     TemplateEngine,
-    TextNode,
     _to_text,
     _walk,
     normalize_accessor,
@@ -1583,7 +1581,7 @@ class _TemplateParserOracle:
 
         def flush():
             if buffer:
-                nodes.append(TextNode("".join(buffer)))
+                nodes.append("".join(buffer))
                 buffer.clear()
 
         src = self.source
@@ -1594,12 +1592,13 @@ class _TemplateParserOracle:
                 self.pos += 2
             elif ch == "$" and self._reference_follows():
                 flush()
-                nodes.append(ReferenceNode(self._parse_reference()))
+                nodes.append(self._parse_reference())
             elif ch == "#" and self.pos + 1 < len(src) and src[self.pos + 1].isalpha():
                 start_line = self.line
                 word = self._peek_word()
-                if word not in _TEMPLATE_DIRECTIVES:
-                    self.fail(UnknownDirectiveError, f"unknown directive #{word}")
+                if word not in _TEMPLATE_DIRECTIVES:  # named by all the letters after '#'
+                    letters = "".join(itertools.takewhile(str.isalpha, src[self.pos + 1:]))
+                    self.fail(UnknownDirectiveError, f"unknown directive #{letters}")
                 if word in terminators:
                     flush()
                     self._consume_directive_name(word)
@@ -1694,7 +1693,7 @@ class _TemplateParserOracle:
                       f"${name} must be a bare variable name here, not a path")
         return name
 
-    def _parse_value(self) -> ReferencePath | Literal:
+    def _parse_value(self) -> ReferencePath | str | int | float | bool:
         src = self.source
         ch = src[self.pos: self.pos + 1]
         if ch == "$":
@@ -1705,16 +1704,16 @@ class _TemplateParserOracle:
                 self.fail(MalformedReferenceError, "unterminated string literal")
             text = src[self.pos + 1: end]
             self.pos = end + 1
-            return Literal(text)
+            return text
         match = _TEMPLATE_NUMBER.match(src, self.pos)
         if match:
             self.pos = match.end()
             text = match.group(0)
-            return Literal(float(text) if "." in text else int(text))
+            return float(text) if "." in text else int(text)
         for keyword, value in (("true", True), ("false", False)):
             if src.startswith(keyword, self.pos):
                 self.pos += len(keyword)
-                return Literal(value)
+                return value
         self.fail(MalformedReferenceError, "expected a reference or literal")
 
     def _parse_insert_id(self) -> str | ReferencePath:
@@ -1722,8 +1721,7 @@ class _TemplateParserOracle:
         if ch == "$":
             return self._parse_reference()
         if ch == '"':
-            literal = self._parse_value()
-            return literal.value
+            return self._parse_value()
         return self._parse_identifier()
 
     def _parse_reference(self) -> ReferencePath:
@@ -1803,10 +1801,10 @@ class _RenderStateOracle:
     def emit(self, template: Template, nodes: Iterable, scope: dict,
              parts: list[str], depth: int):
         for node in nodes:
-            if isinstance(node, TextNode):
-                parts.append(node.text)
-            elif isinstance(node, ReferenceNode):
-                value = self.resolve(template, node.path, scope)
+            if isinstance(node, str):
+                parts.append(node)
+            elif isinstance(node, ReferencePath):
+                value = self.resolve(template, node, scope)
                 if value is not _TEMPLATE_MISSING:
                     parts.append(_to_text(value))
             elif isinstance(node, ForeachNode):
@@ -1816,8 +1814,8 @@ class _RenderStateOracle:
                 branch = node.then_body if _template_truthy(value) else node.else_body
                 self.emit(template, branch, scope, parts, depth)
             elif isinstance(node, SetNode):
-                value = (node.value.value if isinstance(node.value, Literal)
-                         else self.resolve(template, node.value, scope))
+                value = (self.resolve(template, node.value, scope)
+                         if isinstance(node.value, ReferencePath) else node.value)
                 if value is not _TEMPLATE_MISSING:
                     scope[node.var] = value
             elif isinstance(node, InsertNode):

@@ -136,6 +136,17 @@ def test_duration_override_is_ascii_digits_after_an_optional_minus(capsys):
                FIVE_STAGE)[1].endswith("makespan: 5\n")
 
 
+def test_duration_override_splits_at_the_last_equals_sign(capsys, tmp_path):
+    # An action name is an XML attribute and may hold "="; a value is digits.
+    program = tmp_path / "eq.xml"
+    program.write_text(fixture_text("demo", "five_stage.xml").replace('"C"', '"x=y"'),
+                       encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--duration", "x=y=5", "--dsl", DEMO_DSL,
+                         str(program))
+    assert (code, err) == (0, "")
+    assert out.endswith("makespan: 6\n")
+
+
 def test_simulate_durations_file(capsys, tmp_path):
     durations = tmp_path / "durations.json"
     durations.write_text(

@@ -215,7 +215,7 @@ def test_search_path_resolves_shared_templates(tmp_path):
     config = load_generator_config(
         f"<Generator>{body}</Generator>", base_dir=base, search_path=[shared]
     )
-    assert config.action_templates["X"].nodes[0].text == "fragment"
+    assert config.action_templates["X"].nodes[0] == "fragment"
 
 
 def test_base_dir_wins_over_search_path(tmp_path):
@@ -230,7 +230,7 @@ def test_base_dir_wins_over_search_path(tmp_path):
         base_dir=base,
         search_path=[shared],
     )
-    assert config.action_templates["X"].nodes[0].text == "from base"
+    assert config.action_templates["X"].nodes[0] == "from base"
 
 
 def test_absolute_template_file_skips_base_dir_and_search_path(tmp_path):
@@ -244,7 +244,7 @@ def test_absolute_template_file_skips_base_dir_and_search_path(tmp_path):
     config = load_generator_config(
         f'<Generator><ActionTemplate actionType="X" file="{absolute}"/></Generator>',
         base_dir=base, search_path=[shared])
-    assert config.action_templates["X"].nodes[0].text == f"from {tmp_path.name}"
+    assert config.action_templates["X"].nodes[0] == f"from {tmp_path.name}"
     missing = tmp_path / "missing.vt"
     with pytest.raises(MissingTemplateFileError) as exc_info:
         load_generator_config(

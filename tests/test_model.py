@@ -45,18 +45,24 @@ from support import (
 )
 
 
+def reaching(program: Program, name: str) -> set[str]:
+    """The actions with a path to `name`, read from the graph index."""
+    graph = program.graph
+    return {other for other in graph.preds if graph.precedes(other, name)}
+
+
 def test_five_stage_successors():
     _, program = five_stage()
-    assert model.successors(program, "A") == {"D", "E"}
-    assert model.successors(program, "B") == {"D"}
-    assert model.successors(program, "E") == frozenset()
+    assert program.graph.succs["A"] == {"D", "E"}
+    assert program.graph.succs["B"] == {"D"}
+    assert program.graph.succs["E"] == set()
 
 
 def test_five_stage_ancestors():
     _, program = five_stage()
-    assert model.ancestors(program, "E") == {"A", "B", "C", "D"}
-    assert model.ancestors(program, "D") == {"A", "B"}
-    assert model.ancestors(program, "A") == frozenset()
+    assert reaching(program, "E") == {"A", "B", "C", "D"}
+    assert reaching(program, "D") == {"A", "B"}
+    assert reaching(program, "A") == set()
 
 
 def test_five_stage_topological_order():
@@ -73,9 +79,8 @@ def test_five_stage_critical_path():
 def test_unknown_action_rejected():
     _, program = five_stage()
     with pytest.raises(UnknownActionError):
-        model.successors(program, "Z")
-    with pytest.raises(UnknownActionError):
-        model.ancestors(program, "Z")
+        program.action("Z")
+    assert "Z" not in program.graph.succs and "Z" not in program.graph.preds
 
 
 def test_potentially_parallel():
@@ -156,7 +161,7 @@ def test_ancestors_match_path_enumeration():
     for _ in range(120):
         _, program = random_setup(rng)
         for name in program.action_names():
-            assert model.ancestors(program, name) == ancestors_oracle(program, name)
+            assert reaching(program, name) == ancestors_oracle(program, name)
 
 
 def test_critical_path_matches_path_enumeration():
@@ -193,7 +198,7 @@ def test_cycle_is_detected():
     assert cycle <= {"A", "B", "C", "D", "E"}
     assert len(cycle) >= 2
     with pytest.raises(CyclicGraphError):
-        model.ancestors(looped, "B")
+        reaching(looped, "B")
 
 
 def test_self_loop_rejected_at_construction():
@@ -263,9 +268,8 @@ def test_program_rejects_undeclared_resource():
 def every_graph_query(program: Program, first: str, second: str):
     """Each graph query of the model on `program`, as (query, *args)."""
     return [(model.topological_order, program), (model.critical_path_length, program),
-            (program.action, first), (model.successors, program, first),
-            (model.ancestors, program, first),
-            (model.potentially_parallel, program, first, second)]
+            (program.action, first), (lambda: program.graph.succs[first],),
+            (reaching, program, first), (model.potentially_parallel, program, first, second)]
 
 
 def test_dangling_predecessor_raises_from_every_graph_query():
@@ -294,7 +298,7 @@ def test_critical_path_of_empty_program_is_zero():
 
 # "a" declared after "c" and again after "b", with "b" after "a".  When the
 # graph kept both declarations, topological_order gave c, a, b while
-# ancestors raised the cycle a -> b -> a.
+# the ancestor query raised the cycle a -> b -> a.
 SPLIT_DUPLICATE = Program("Dup", "TestBot", (ResourceInstance("r1", "Station"),), (), (
     ActionInstance("a", "Step", "r1", predecessors=("c",)),
     ActionInstance("a", "Step", "r1", predecessors=("b",)),
@@ -334,9 +338,9 @@ def test_graph_queries_match_oracles_on_random_programs():
         declared = {action.name: action for action in program.actions}
         for name in names:
             assert outcome(program.action, name) == (defect or declared[name])
-            assert outcome(model.successors, program, name) == (defect or {
+            assert outcome(lambda: program.graph.succs[name]) == (defect or {
                 a.name for a in program.actions if name in a.predecessors})
-            assert outcome(model.ancestors, program, name) == (
+            assert outcome(reaching, program, name) == (
                 unordered or ancestors_oracle(program, name))
         for a in names:
             for b in names:
@@ -396,7 +400,7 @@ def test_deep_cycle_is_reported_without_recursion():
         model.topological_order(program)
     assert exc_info.value.cycle == names
     with pytest.raises(CyclicGraphError):
-        model.ancestors(program, names[0])
+        reaching(program, names[0])
     report = validate(program, dsl)
     assert [f.code for f in report.findings] == [Code.CYCLIC_GRAPH]
     assert report.findings[0].subjects == names

@@ -547,6 +547,11 @@ def test_export_dot_quotes_awkward_names():
     dot = export_dot(program)
     assert dot.startswith('digraph "two words" {\n')
     assert '"say \\"hi\\"" [label="say \\"hi\\": T @r"];' in dot
+    # DOT's keywords are reserved in any case; a name that only holds one stays bare.
+    for name in ("graph", "Strict", "NODE", "edge", "digraph", "subGraph"):
+        assert export_dot(dataclasses.replace(program, name=name)).startswith(f'digraph "{name}" {{\n')
+    for name in ("graphs", "my_node", "_edge"):
+        assert export_dot(dataclasses.replace(program, name=name)).startswith(f"digraph {name} {{\n")
 
 
 @pytest.mark.parametrize("dsl_name,program_name", PROGRAM_FIXTURES)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import seqc
+from seqc import model
 from seqc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,14 @@ def test_readme_library_example_runs_from_the_repository_root(monkeypatch):
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["report"].ok and namespace["trace"].makespan == 6
+
+
+def test_the_public_surface_resolves():
+    # A stale export or a stale README line names something that is gone.
+    assert [name for name in seqc.__all__ if not hasattr(seqc, name)] == []
+    library = _squeezed(README.partition("## Library\n")[2].partition("\n## ")[0])
+    helpers = re.findall(r"`(\w+)`", re.search(r"lives? in `seqc\.model`: (.*?)\. ", library).group(1))
+    assert helpers and [name for name in helpers if not hasattr(model, name)] == []
 
 
 def test_readme_quick_tour_prints_what_readme_shows(monkeypatch, capsys):

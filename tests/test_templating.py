@@ -23,10 +23,9 @@ from seqc.errors import (
 from seqc.program_io import load_program
 from seqc.templating import (
     ForeachNode,
-    ReferenceNode,
+    ReferencePath,
     Template,
     TemplateEngine,
-    TextNode,
     normalize_accessor,
     parse_template,
     render_string,
@@ -83,17 +82,17 @@ def test_accessor_spellings_are_interchangeable():
 def test_parse_produces_text_and_reference_nodes():
     template = parse_template("before $a.getName() after")
     kinds = [type(n) for n in template.nodes]
-    assert kinds == [TextNode, ReferenceNode, TextNode]
+    assert kinds == [str, ReferencePath, str]
     ref = template.nodes[1]
-    assert ref.path.root == "a"
-    assert ref.path.steps == ("name",)
-    assert ref.path.raw == "$a.getName()"
+    assert ref.root == "a"
+    assert ref.steps == ("name",)
+    assert ref.raw == "$a.getName()"
 
 
 def test_reference_stops_at_non_identifier():
     template = parse_template("$a.name.")
-    assert template.nodes[0].path.steps == ("name",)
-    assert template.nodes[1] == TextNode(".")
+    assert template.nodes[0].steps == ("name",)
+    assert template.nodes[1] == "."
 
 
 def test_braced_reference_binds_tightly():
@@ -114,8 +113,12 @@ def test_escapes_produce_literal_markers():
 
 
 def test_unknown_directive():
-    with pytest.raises(UnknownDirectiveError):
-        parse_template("#bogus(1)")
+    # Named by all the letters after '#', as written.
+    for source, message in (("#bogus(1)", "#bogus [<string>:1]"), ("#Foo", "#Foo [<string>:1]"),
+                            ("x\n#é", "#é [<string>:2]"), ("#fooBar1", "#fooBar [<string>:1]")):
+        with pytest.raises(UnknownDirectiveError) as exc_info:
+            parse_template(source)
+        assert str(exc_info.value) == f"unknown directive {message}"
 
 
 @pytest.mark.parametrize("source", ["#end", "x#else", "#if($a)#else#else#end"])
@@ -161,7 +164,7 @@ def test_foreach_node_shape():
     assert isinstance(node, ForeachNode)
     assert node.var == "item"
     assert node.path.steps == ("items",)
-    assert node.body == (TextNode("x"),)
+    assert node.body == ("x",)
 
 
 # --- rendering basics -------------------------------------------------------

@@ -739,7 +739,6 @@ def test_validate_tests_only_candidate_pairs(monkeypatch):
     writes = {name: {actions[name].return_to} - {None} for name in names}
     shared_pairs = sum(bool(writes[a] & (writes[b] | reads[b]) or reads[a] & writes[b])
                        for a, b in itertools.combinations(names, 2))
-    ancestors_calls = _counting(monkeypatch, model, "ancestors")
     parallel_calls = _counting(monkeypatch, model, "potentially_parallel")
     closure = model.ProgramGraph.ancestor_bits
     builds = []
@@ -754,7 +753,6 @@ def test_validate_tests_only_candidate_pairs(monkeypatch):
     report = validate(program, dsl)
 
     assert 0 < mutex_pairs and 0 < shared_pairs < len(names) * (len(names) - 1) // 2
-    assert len(ancestors_calls) == 0
     assert len(parallel_calls) == mutex_pairs + shared_pairs
     assert len(builds) == 1
     assert {Code.MUTEX_VIOLATION, Code.VARIABLE_RACE} <= {f.code for f in report.findings}
