@@ -14,7 +14,7 @@ restores the caller's setting when it returns.  Everything a command
 builds (element trees, programs, graph indexes, findings, traces) is
 acyclic and freed by reference counting, so collections during a
 command only walk live objects; on 1000-5000-action programs they took
-7-16% of `graph`'s time.  The library functions leave the collector
+7-16% of `graph`'s time.  The package's other functions leave the collector
 alone: its state belongs to the program that embeds them.
 
 The argument parser is built on the first `main` call and reused after

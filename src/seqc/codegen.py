@@ -126,28 +126,9 @@ def program_view(program: Program, dsl: RobotClassDsl) -> ProgramView:
 
 
 @dataclass(frozen=True)
-class MainTemplate:
-    template: Template
-    output_pattern: Template
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
-    name: str
-    action_templates: Mapping[str, Template]
-    component_templates: Mapping[str, Template]
-    mains: tuple[MainTemplate, ...]
-
-    def library(self) -> dict[str, Template]:
-        """Templates addressable by #insert: action and component types."""
-        merged = dict(self.action_templates)
-        for key, template in self.component_templates.items():
-            if key in merged:
-                raise DuplicateIdentifierError(
-                    f"template id {key!r} is used for both an action type and"
-                    " a component type")
-            merged[key] = template
-        return merged
+    templates: Mapping[str, Template]  # #insert ids: action and component types
+    mains: tuple[tuple[Template, Template], ...]  # (template, output pattern)
 
 
 def load_generator_config(text: str, *, base_dir: str | Path = ".",
@@ -155,13 +136,13 @@ def load_generator_config(text: str, *, base_dir: str | Path = ".",
     """Parse generator XML and load every referenced template file.
 
     Relative file names resolve against base_dir first, then against
-    each entry of search_path in order.
+    each entry of search_path in order.  A template id mapped for both
+    an action type and a component type is a DuplicateIdentifierError.
     """
     root = parse_root(text, "Generator")
-    name = root.get("name", "")
     action_templates: dict[str, Template] = {}
     component_templates: dict[str, Template] = {}
-    mains: list[MainTemplate] = []
+    mains: list[tuple[Template, Template]] = []
     for child in root:
         if child.tag == "ActionTemplate":
             key = require_attr(child, "actionType")
@@ -176,12 +157,17 @@ def load_generator_config(text: str, *, base_dir: str | Path = ".",
             template = _load_template(child, file_name, base_dir, search_path)
             pattern = parse_template(require_attr(child, "output"),
                                      f"{file_name}#output")
-            mains.append(MainTemplate(template, pattern))
+            mains.append((template, pattern))
         else:
             raise XmlSyntaxError(
                 f"unexpected element <{child.tag}> in <Generator>")
-    return GeneratorConfig(name, action_templates, component_templates,
-                           tuple(mains))
+    for key, template in component_templates.items():
+        if key in action_templates:
+            raise DuplicateIdentifierError(
+                f"template id {key!r} is used for both an action type and"
+                " a component type")
+        action_templates[key] = template
+    return GeneratorConfig(action_templates, tuple(mains))
 
 
 def _read_utf8(path: Path, prefix: str = "") -> str:
@@ -238,52 +224,48 @@ def generate(program: Program, dsl: RobotClassDsl, config: GeneratorConfig,
     report = validate(program, dsl)
     if not report.ok:
         raise InvalidProgramError(report)
-    engine = TemplateEngine(config.library(), strict=strict)
+    engine = TemplateEngine(config.templates, strict=strict)
     scope = {"Program": program_view(program, dsl)}
     files: dict[str, str] = {}
-    warnings: list[str] = []
-    for main in config.mains:
-        named = engine.render_template(main.output_pattern, scope)
-        file_name = named.text
+    for template, pattern in config.mains:
+        file_name = engine.render_template(pattern, scope)
         if not file_name or "\n" in file_name:
             raise SeqcError(
-                f"output pattern {main.output_pattern.id!r} produced an"
+                f"output pattern {pattern.id!r} produced an"
                 f" unusable file name: {file_name!r}")
         if file_name in files:
             raise DuplicateIdentifierError(
                 f"two main templates produce the same output file {file_name!r}")
-        rendered = engine.render_template(main.template, scope)
-        files[file_name] = rendered.text
-        warnings.extend(named.warnings)
-        warnings.extend(rendered.warnings)
-    return GenerationResult(files, tuple(warnings))
+        files[file_name] = engine.render_template(template, scope)
+    return GenerationResult(files, tuple(engine.warnings))
 
 
 def write_outputs(result: GenerationResult, out_dir: str | Path, *,
                   force: bool = False) -> list[Path]:
     """Write generated files under out_dir (UTF-8, LF); returns the paths.
 
-    Existing files are refused unless force is set.  The refusal check
-    runs for all outputs before anything is written, so a clash never
-    leaves a half-written set behind.
+    Two names that resolve to one path, and existing files unless force
+    is set, are refused.  Both checks run for all outputs before anything
+    is written, so a clash never leaves a half-written set behind.
     """
     out_dir = Path(out_dir).resolve()
-    planned: list[tuple[Path, str]] = []
+    planned: dict[Path, str] = {}
     for file_name, text in result.files.items():
         path = (out_dir / file_name).resolve()
         if out_dir not in path.parents:
             raise SeqcError(f"output file {file_name!r} escapes the output directory")
-        planned.append((path, text))
+        if path in planned:
+            raise DuplicateIdentifierError(
+                f"two main templates produce the same output file {file_name!r}")
+        planned[path] = text
     if not force:
-        existing = [str(path) for path, _ in planned if path.exists()]
+        existing = [str(path) for path in planned if path.exists()]
         if existing:
             raise OutputExistsError(
                 f"refusing to overwrite existing file(s): {', '.join(existing)}"
                 " (use force to allow)")
-    written = []
-    for path, text in planned:
+    for path, text in planned.items():
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        written.append(path)
-    return written
+    return list(planned)

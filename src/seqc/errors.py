@@ -121,7 +121,7 @@ class MalformedReferenceError(TemplateError):
 
 
 class UnknownTemplateIdError(TemplateError):
-    """#insert names a template id that the library does not contain."""
+    """#insert names a template id that the engine's templates do not contain."""
 
 
 class NonIterableInForeachError(TemplateError):

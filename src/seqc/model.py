@@ -280,6 +280,7 @@ class ProgramGraph:
             raise UnresolvedReferenceError("action %r names unknown predecessor %r" % min(
                 (name, pred) for name, incoming in preds.items()
                 for pred in incoming if pred not in actions))
+        self.name = program.name
         self.actions = actions
         self.preds = preds
         self.succs = succs
@@ -331,8 +332,16 @@ class ProgramGraph:
         return {name: i for i, name in enumerate(self.preds)}
 
     def precedes(self, first: str, second: str) -> bool:
-        """True iff a directed path leads from `first` to `second`."""
-        return bool(self.ancestor_bits[second] >> self.position[first] & 1)
+        """True iff a directed path leads from `first` to `second`.  Raises
+        CyclicGraphError, as `order` does, then UnknownActionError for the
+        first name that is not an action."""
+        bits, position = self.ancestor_bits, self.position
+        try:
+            return bool(bits[second] >> position[first] & 1)
+        except KeyError:
+            missing = second if first in position else first
+            raise UnknownActionError(
+                f"program {self.name!r} has no action named {missing!r}") from None
 
 
 def potentially_parallel(program: Program, a: str, b: str) -> bool:

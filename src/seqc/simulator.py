@@ -101,7 +101,8 @@ def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None
 
 
 def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) -> list[TraceViolation]:
-    """Check a trace against precedence, resource, and mutex rules.
+    """Check a trace against precedence, resource, and mutex rules; a
+    scheduled action's resource in the trace must be the program's.
 
     Returns one violation per broken rule instance; an empty list means
     the trace is consistent with the program.
@@ -131,6 +132,16 @@ def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) ->
                     "precedence",
                     (action.name,),
                     f"action {action.name!r} starts before tick 0",
+                )
+            )
+        held = trace.resources.get(action.name)
+        if held != action.resource:
+            violations.append(
+                TraceViolation(
+                    "resource",
+                    (action.name,),
+                    f"action {action.name!r} holds {held!r}, not its resource"
+                    f" {action.resource!r}",
                 )
             )
         for pred in action.predecessors:

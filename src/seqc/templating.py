@@ -339,53 +339,28 @@ class _Parser:
             self.line += 1
 
 
-@dataclass(frozen=True)
-class RenderResult:
-    text: str
-    warnings: tuple[str, ...] = ()
-
-
 _MISSING = object()
 
 
 class TemplateEngine:
-    """Holds a library of parsed templates and renders them against a scope.
+    """Renders parsed templates against a scope; #insert names another of them.
 
     The scope is a mapping from root names to arbitrary objects; steps
     resolve via mapping keys or attributes, and zero-argument callables
     are invoked.  ``#insert`` runs the named template with a scope made
     of the original top-level roots plus the target node under the name
-    the node publishes as its ``_root``.
+    the node publishes as its ``_root``.  A lenient engine appends each
+    render's warnings to ``warnings``, in the order they arise.
     """
 
-    def __init__(self, templates: Mapping[str, Template] | None = None, *,
-                 strict: bool = True):
-        self._templates: dict[str, Template] = dict(templates or {})
+    def __init__(self, templates: Mapping[str, Template], *, strict: bool):
+        self._templates = templates
         self.strict = strict
+        self.warnings: list[str] = []
 
-    def register(self, template_id: str, source: str) -> Template:
-        template = parse_template(source, template_id)
-        self._templates[template_id] = template
-        return template
-
-    def template(self, template_id: str) -> Template:
-        try:
-            return self._templates[template_id]
-        except KeyError:
-            raise UnknownTemplateIdError(
-                f"no template registered under {template_id!r}") from None
-
-    def template_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._templates))
-
-    def render(self, template_id: str, scope: Mapping[str, object]) -> RenderResult:
-        return self.render_template(self.template(template_id), scope)
-
-    def render_template(self, template: Template,
-                        scope: Mapping[str, object]) -> RenderResult:
+    def render_template(self, template: Template, scope: Mapping[str, object]) -> str:
         top_scope = dict(scope)
         parts: list[str] = []
-        warnings: list[str] = []
         # Bodies still being rendered, innermost last: (template, node
         # iterator, scope, #insert depth).  An #if branch shares its scope.
         frames = [(template, iter(template.nodes), dict(scope), 0)]
@@ -395,11 +370,11 @@ class TemplateEngine:
                 if type(node) is str:
                     parts.append(node)
                 elif isinstance(node, ReferencePath):
-                    value = self._resolve(template, node, scope, warnings)
+                    value = self._resolve(template, node, scope)
                     if value is not _MISSING:
                         parts.append(_to_text(value))
                 elif isinstance(node, ForeachNode):
-                    value = self._resolve(template, node.path, scope, warnings)
+                    value = self._resolve(template, node.path, scope)
                     if value is _MISSING:
                         continue
                     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
@@ -416,12 +391,12 @@ class TemplateEngine:
                     frames.append((template, iter(branch), scope, depth))
                     break
                 elif isinstance(node, SetNode):
-                    value = (self._resolve(template, node.value, scope, warnings)
+                    value = (self._resolve(template, node.value, scope)
                              if isinstance(node.value, ReferencePath) else node.value)
                     if value is not _MISSING:
                         scope[node.var] = value
                 elif isinstance(node, InsertNode):
-                    frame = self._insert(template, node, scope, depth, top_scope, warnings)
+                    frame = self._insert(template, node, scope, depth, top_scope)
                     if frame is not None:
                         frames.append(frame)
                         break
@@ -429,9 +404,9 @@ class TemplateEngine:
                     raise AssertionError(node)
             else:
                 frames.pop()
-        return RenderResult("".join(parts), tuple(warnings))
+        return "".join(parts)
 
-    def _insert(self, template, node: InsertNode, scope, depth, top_scope, warnings):
+    def _insert(self, template, node: InsertNode, scope, depth, top_scope):
         """The frame that renders an #insert, or None when it is skipped."""
         if depth >= _MAX_INSERT_DEPTH:
             raise TemplateError("#insert nesting exceeds the depth limit"
@@ -439,7 +414,7 @@ class TemplateEngine:
                                 template_id=template.id, line=node.line)
         template_id = node.template_id
         if isinstance(template_id, ReferencePath):
-            resolved = self._resolve(template, template_id, scope, warnings)
+            resolved = self._resolve(template, template_id, scope)
             if resolved is _MISSING:
                 return None
             template_id = _to_text(resolved)
@@ -449,10 +424,10 @@ class TemplateEngine:
                 raise UnknownTemplateIdError(
                     f"#insert names unknown template {template_id!r}",
                     template_id=template.id, line=node.line)
-            warnings.append(f"{template.id}:{node.line}: skipped #insert of unknown"
-                            f" template {template_id!r}")
+            self.warnings.append(f"{template.id}:{node.line}: skipped #insert of unknown"
+                                 f" template {template_id!r}")
             return None
-        target = self._resolve(template, node.target, scope, warnings)
+        target = self._resolve(template, node.target, scope)
         if target is _MISSING:
             return None
         root = getattr(target, "_root", None)
@@ -462,8 +437,7 @@ class TemplateEngine:
                 template_id=template.id, line=node.line)
         return inserted, iter(inserted.nodes), {**top_scope, root: target}, depth + 1
 
-    def _resolve(self, template: Template, path: ReferencePath, scope: dict,
-                 warnings: list[str]):
+    def _resolve(self, template: Template, path: ReferencePath, scope: dict):
         value, failure = _walk(path, scope)
         if failure is None:
             return value
@@ -471,17 +445,9 @@ class TemplateEngine:
             raise UnresolvedReferenceError(
                 f"cannot resolve {path.raw}: {failure}",
                 template_id=template.id, line=path.line)
-        warnings.append(f"{template.id}:{path.line}: unresolved reference {path.raw}"
-                        f" ({failure})")
+        self.warnings.append(f"{template.id}:{path.line}: unresolved reference {path.raw}"
+                             f" ({failure})")
         return _MISSING
-
-
-def render_string(source: str, scope: Mapping[str, object], *,
-                  strict: bool = True,
-                  library: Mapping[str, Template] | None = None) -> RenderResult:
-    """Parse and render a one-off template in a single call."""
-    engine = TemplateEngine(library, strict=strict)
-    return engine.render_template(parse_template(source), scope)
 
 
 def _walk(path: ReferencePath, scope: Mapping) -> tuple[object, str | None]:

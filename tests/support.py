@@ -77,10 +77,8 @@ from seqc.templating import (
     IfNode,
     InsertNode,
     ReferencePath,
-    RenderResult,
     SetNode,
     Template,
-    TemplateEngine,
     _to_text,
     _walk,
     normalize_accessor,
@@ -1545,12 +1543,14 @@ def parse_template_oracle(source: str, template_id: str = "<string>") -> Templat
     return Template(template_id, _TemplateParserOracle(source, template_id).parse())
 
 
-def render_template_oracle(engine: TemplateEngine, template: Template, scope) -> RenderResult:
-    """Render with the engine's library and mode, one call per nested body."""
-    state = _RenderStateOracle(engine, dict(scope))
+def render_template_oracle(library, template: Template, scope, *,
+                           strict: bool) -> tuple[str, list[str]]:
+    """The text and the warnings of a render with `library` as the #insert
+    namespace, one call per nested body."""
+    state = _RenderStateOracle(library, strict, dict(scope))
     parts: list[str] = []
     state.emit(template, template.nodes, dict(scope), parts, depth=0)
-    return RenderResult("".join(parts), tuple(state.warnings))
+    return "".join(parts), state.warnings
 
 
 def _template_truthy(value) -> bool:
@@ -1793,8 +1793,9 @@ class _TemplateParserOracle:
 
 
 class _RenderStateOracle:
-    def __init__(self, engine, top_scope: dict):
-        self.engine = engine
+    def __init__(self, library, strict: bool, top_scope: dict):
+        self.library = library
+        self.strict = strict
         self.top_scope = top_scope
         self.warnings: list[str] = []
 
@@ -1849,9 +1850,9 @@ class _RenderStateOracle:
         else:
             template_id = node.template_id
         try:
-            inserted = self.engine.template(template_id)
-        except UnknownTemplateIdError:
-            if self.engine.strict:
+            inserted = self.library[template_id]
+        except KeyError:
+            if self.strict:
                 raise UnknownTemplateIdError(
                     f"#insert names unknown template {template_id!r}",
                     template_id=template.id, line=node.line) from None
@@ -1875,7 +1876,7 @@ class _RenderStateOracle:
         value, failure = _walk(path, scope)
         if failure is None:
             return value
-        if self.engine.strict:
+        if self.strict:
             raise UnresolvedReferenceError(
                 f"cannot resolve {path.raw}: {failure}",
                 template_id=template.id, line=path.line)

@@ -15,7 +15,7 @@ from seqc.codegen import action_view
 from seqc.dsl import load_dsl, save_dsl
 from seqc.program_io import load_program, save_program
 from seqc.simulator import DurationMap, simulate, verify_trace
-from seqc.templating import TemplateEngine
+from seqc.templating import TemplateEngine, parse_template
 from seqc.validator import check_mutex_schedulability, validate
 from support import (
     fixture_path,
@@ -134,15 +134,15 @@ def test_criterion_2_codegen_golden(capsys):
     with criterion(capsys, 2, "manipulator fragment renders byte-exact", 1.0):
         dsl = load_dsl(fixture_text("service_robot/dsl.xml"))
         program = load_program(fixture_text("service_robot/grasp_demo.xml"), dsl)
-        engine = TemplateEngine()
-        engine.register(
-            "MoveManipulator",
+        engine = TemplateEngine({}, strict=True)
+        template = parse_template(
             fixture_path("service_robot/templates/move_manipulator.vt").read_text(
                 encoding="utf-8"
             ),
+            "MoveManipulator",
         )
         view = action_view(program.action("MoveMani"), program, dsl)
-        rendered = engine.render("MoveManipulator", {"Action": view}).text
+        rendered = engine.render_template(template, {"Action": view})
         assert rendered == MOVE_MANI_EXPECTED
         assert rendered.index('getVariable("targetPose")') < rendered.index(
             'getVariable("orientation")'

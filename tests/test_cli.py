@@ -293,6 +293,26 @@ def test_generate_rejects_invalid_program(capsys, tmp_path):
     assert "MutexViolation" in err
 
 
+def test_generate_config_clash_is_refused_before_validation(capsys, tmp_path):
+    (tmp_path / "a.vt").write_text("a", encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text(
+        '<Generator><ActionTemplate actionType="X" file="a.vt"/>'
+        '<ComponentTemplate componentType="X" file="a.vt"/></Generator>',
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys,
+        "generate", "--dsl", VACUUM_DSL, VACUUM_PARALLEL,
+        "--templates", str(generator), "--out", str(out_dir),
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"seqc: error: {generator}: template id 'X' is used for both"
+                   " an action type and a component type\n")
+    assert not out_dir.exists()
+
+
 def test_generate_render_error_and_lenient(capsys, tmp_path):
     (tmp_path / "main.vt").write_text("$Program.getBogus()end\n", encoding="utf-8")
     generator = tmp_path / "gen.xml"

@@ -32,7 +32,7 @@ from seqc.errors import (
 )
 from seqc.model import ActionInstance, ArgBinding, Program, ResourceInstance
 from seqc.program_io import load_program
-from seqc.templating import parse_template
+from seqc.templating import TemplateEngine, parse_template
 from support import fixture_generator, fixture_text
 
 
@@ -163,35 +163,28 @@ def test_action_view_of_an_undeclared_variable_has_no_type():
 
 
 def test_views_are_reachable_through_template_accessors():
-    from seqc.templating import render_string
-
     dsl, program = service_setup()
     scope = {"Program": program_view(program, dsl)}
-    out = render_string(
-        "#foreach($a in $Program.getActions())$a.getName():$a.getResource() #end",
-        scope,
-    )
-    assert out.text == "MoveBase:base MoveMani:arm Grab:hand "
+    out = TemplateEngine({}, strict=True).render_template(parse_template(
+        "#foreach($a in $Program.getActions())$a.getName():$a.getResource() #end"), scope)
+    assert out == "MoveBase:base MoveMani:arm Grab:hand "
 
 
 # --- configuration loading -----------------------------------------------------
 
 def test_load_service_generator_config():
     config = fixture_generator("service_robot/generator.xml")
-    assert config.name == "csharp-service"
-    assert set(config.action_templates) == {"MoveManipulator", "MoveTo", "CloseGripper"}
-    assert set(config.component_templates) == {"Manipulator", "DriveBase", "Gripper"}
+    action_types = {"MoveManipulator", "MoveTo", "CloseGripper"}
+    component_types = {"Manipulator", "DriveBase", "Gripper"}
+    assert set(config.templates) == action_types | component_types
+    assert all(config.templates[key].id == key for key in config.templates)
     assert len(config.mains) == 1
-    assert config.mains[0].output_pattern.id == "templates/main.vt#output"
-    assert set(config.library()) == (
-        set(config.action_templates) | set(config.component_templates)
-    )
+    assert config.mains[0][1].id == "templates/main.vt#output"
 
 
 def test_empty_generator_config():
     config = load_generator_config("<Generator/>")
-    assert config.name == ""
-    assert config.action_templates == {}
+    assert config.templates == {}
     assert config.mains == ()
 
 
@@ -215,7 +208,7 @@ def test_search_path_resolves_shared_templates(tmp_path):
     config = load_generator_config(
         f"<Generator>{body}</Generator>", base_dir=base, search_path=[shared]
     )
-    assert config.action_templates["X"].nodes[0] == "fragment"
+    assert config.templates["X"].nodes[0] == "fragment"
 
 
 def test_base_dir_wins_over_search_path(tmp_path):
@@ -230,7 +223,7 @@ def test_base_dir_wins_over_search_path(tmp_path):
         base_dir=base,
         search_path=[shared],
     )
-    assert config.action_templates["X"].nodes[0] == "from base"
+    assert config.templates["X"].nodes[0] == "from base"
 
 
 def test_absolute_template_file_skips_base_dir_and_search_path(tmp_path):
@@ -244,7 +237,7 @@ def test_absolute_template_file_skips_base_dir_and_search_path(tmp_path):
     config = load_generator_config(
         f'<Generator><ActionTemplate actionType="X" file="{absolute}"/></Generator>',
         base_dir=base, search_path=[shared])
-    assert config.action_templates["X"].nodes[0] == f"from {tmp_path.name}"
+    assert config.templates["X"].nodes[0] == f"from {tmp_path.name}"
     missing = tmp_path / "missing.vt"
     with pytest.raises(MissingTemplateFileError) as exc_info:
         load_generator_config(
@@ -263,11 +256,16 @@ def test_duplicate_template_keys_rejected(tmp_path):
         config_from(body, tmp_path)
 
 
-def test_action_component_key_collision_rejected_in_library():
-    template = parse_template("x", "x")
-    config = GeneratorConfig("g", {"X": template}, {"X": template}, ())
-    with pytest.raises(DuplicateIdentifierError):
-        config.library()
+def test_action_component_key_collision_rejected_in_library(tmp_path):
+    (tmp_path / "a.vt").write_text("a", encoding="utf-8")
+    body = (
+        '<ActionTemplate actionType="X" file="a.vt"/>'
+        '<ComponentTemplate componentType="X" file="a.vt"/>'
+    )
+    with pytest.raises(DuplicateIdentifierError) as exc_info:
+        config_from(body, tmp_path)
+    assert str(exc_info.value) == (
+        "template id 'X' is used for both an action type and a component type")
 
 
 def test_unexpected_generator_elements():
@@ -338,6 +336,21 @@ def test_duplicate_output_names_rejected(tmp_path):
     )
     with pytest.raises(DuplicateIdentifierError):
         generate(program, dsl, config)
+
+
+def test_outputs_that_resolve_to_one_path_rejected(tmp_path):
+    dsl, program = nxt_setup()
+    (tmp_path / "main.vt").write_text("x", encoding="utf-8")
+    config = config_from(
+        '<Main file="main.vt" output="a.txt"/><Main file="main.vt" output="./a.txt"/>',
+        tmp_path,
+    )
+    result = generate(program, dsl, config)
+    out = tmp_path / "out"
+    with pytest.raises(DuplicateIdentifierError,
+                       match="two main templates produce the same output file './a.txt'"):
+        write_outputs(result, out)
+    assert not out.exists()
 
 
 # --- writing outputs -------------------------------------------------------------

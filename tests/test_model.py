@@ -83,6 +83,20 @@ def test_unknown_action_rejected():
     assert "Z" not in program.graph.succs and "Z" not in program.graph.preds
 
 
+def test_precedes_raises_a_cycle_then_the_first_unknown_name():
+    _, program = five_stage()
+    assert program.graph.precedes("A", "E") and not program.graph.precedes("E", "A")
+    for first, second, missing in (("Z", "A", "Z"), ("A", "Z", "Z"), ("Z", "Y", "Z")):
+        with pytest.raises(UnknownActionError) as exc_info:
+            program.graph.precedes(first, second)
+        assert str(exc_info.value) == f"program 'FiveStage' has no action named {missing!r}"
+    dsl = make_dsl({"Station": ["Step"]})
+    looped = make_program(dsl, [("a", "Step", "r1"), ("b", "Step", "r1")],
+                          edges=[("a", "b"), ("b", "a")])
+    with pytest.raises(CyclicGraphError):
+        looped.graph.precedes("ghost", "a")
+
+
 def test_potentially_parallel():
     _, program = five_stage()
     assert model.potentially_parallel(program, "A", "B")

@@ -8,7 +8,7 @@ import pytest
 
 import support
 from seqc import jsonout, model, program_io, simulator, validator
-from seqc.codegen import GeneratorConfig, MainTemplate, generate
+from seqc.codegen import GeneratorConfig, generate
 from seqc.errors import CyclicGraphError, InvalidProgramError, SeqcError
 from seqc.program_io import load_program, save_program
 from seqc.simulator import DurationMap, simulate
@@ -87,7 +87,7 @@ def test_payload_oracles_use_no_json_writer(monkeypatch):
         trace_payload_oracle(trace)
 
 
-ONE_MAIN = GeneratorConfig("one", {}, {}, (MainTemplate(
+ONE_MAIN = GeneratorConfig({}, ((
     parse_template("#foreach($a in $Program.actions)${a.name}@${a.resource};#end", "main"),
     parse_template("out.txt", "main#output")),))
 

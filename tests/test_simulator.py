@@ -181,6 +181,18 @@ def test_verify_trace_flags_resource_overlap():
     assert [(v.rule, v.actions) for v in violations] == [("resource", ("a", "b"))]
 
 
+def test_verify_trace_flags_a_resource_the_program_does_not_give():
+    dsl, program = five_stage()
+    trace = simulate(program, dsl)
+    resources = {**trace.resources, "A": "nowhere"}
+    del resources["B"]
+    violations = verify_trace(dataclasses.replace(trace, resources=resources), program, dsl)
+    assert [(v.rule, v.actions, v.message) for v in violations] == [
+        ("resource", ("A",), "action 'A' holds 'nowhere', not its resource 'ra'"),
+        ("resource", ("B",), "action 'B' holds None, not its resource 'rb'"),
+    ]
+
+
 def test_verify_trace_flags_mutex_overlap():
     dsl = load_dsl(fixture_text("vacuum/dsl.xml"))
     program = load_program(fixture_text("vacuum/clean_parallel.xml"), dsl)

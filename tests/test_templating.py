@@ -28,7 +28,6 @@ from seqc.templating import (
     TemplateEngine,
     normalize_accessor,
     parse_template,
-    render_string,
 )
 from support import (
     fixture_generator,
@@ -47,8 +46,14 @@ class Box:
     items: tuple = ()
 
 
+def render(source, scope, *, strict=True):
+    """The text and warnings of a one-off template."""
+    engine = TemplateEngine({}, strict=strict)
+    return engine.render_template(parse_template(source), scope), engine.warnings
+
+
 def text_of(source, scope, **kwargs):
-    return render_string(source, scope, **kwargs).text
+    return render(source, scope, **kwargs)[0]
 
 
 # --- accessor normalization -------------------------------------------------
@@ -246,7 +251,7 @@ def test_foreach_requires_a_real_iterable(value):
 
 def test_foreach_error_carries_location():
     with pytest.raises(NonIterableInForeachError) as exc_info:
-        render_string("\n\n#foreach($i in $v)x#end", {"v": 7})
+        render("\n\n#foreach($i in $v)x#end", {"v": 7})
     assert exc_info.value.line == 3
 
 
@@ -269,9 +274,9 @@ def test_if_else_branches():
 
 def test_if_treats_unresolved_as_false_in_both_modes():
     assert text_of("#if($ghost)yes#else no#end", {}) == " no"
-    result = render_string("#if($ghost)yes#else no#end", {}, strict=False)
-    assert result.text == " no"
-    assert result.warnings == ()
+    text, warnings = render("#if($ghost)yes#else no#end", {}, strict=False)
+    assert text == " no"
+    assert warnings == []
 
 
 def test_if_treats_none_as_false():
@@ -300,119 +305,113 @@ def test_set_shadows_scope_entry():
 def test_set_unresolved_reference_strict_and_lenient():
     with pytest.raises(UnresolvedReferenceError):
         text_of("#set($x = $ghost)", {})
-    result = render_string("#set($x = $ghost)[$x]", {}, strict=False)
-    assert result.text == "[]"
-    assert len(result.warnings) == 2  # the failed set, then the unresolved read
+    text, warnings = render("#set($x = $ghost)[$x]", {}, strict=False)
+    assert text == "[]"
+    assert len(warnings) == 2  # the failed set, then the unresolved read
 
 
 # --- strict and lenient resolution -------------------------------------------
 
 def test_strict_unresolved_reference_reports_location():
     with pytest.raises(UnresolvedReferenceError) as exc_info:
-        render_string("ok\n$b.getWeight()", {"b": Box()})
+        render("ok\n$b.getWeight()", {"b": Box()})
     assert exc_info.value.line == 2
     assert "$b.getWeight()" in str(exc_info.value)
 
 
 def test_lenient_unresolved_renders_empty_with_warning():
-    result = render_string("[$ghost]", {}, strict=False)
-    assert result.text == "[]"
-    assert len(result.warnings) == 1
-    assert "$ghost" in result.warnings[0]
+    text, warnings = render("[$ghost]", {}, strict=False)
+    assert text == "[]"
+    assert len(warnings) == 1
+    assert "$ghost" in warnings[0]
 
 
 def test_unresolved_foreach_path_lenient_skips_loop():
-    result = render_string("#foreach($i in $ghost)x#end", {}, strict=False)
-    assert result.text == ""
-    assert len(result.warnings) == 1
+    text, warnings = render("#foreach($i in $ghost)x#end", {}, strict=False)
+    assert text == ""
+    assert len(warnings) == 1
 
 
 # --- insert -----------------------------------------------------------------
 
-def make_engine(**sources):
-    engine = TemplateEngine()
-    for template_id, source in sources.items():
-        engine.register(template_id, source)
-    return engine
+def render_main(scope, *, strict=True, **sources):
+    """The text and warnings of sources["main"], every source an #insert id."""
+    library = {key: parse_template(text, key) for key, text in sources.items()}
+    engine = TemplateEngine(library, strict=strict)
+    return engine.render_template(library["main"], scope), engine.warnings
 
 
 def test_insert_by_bare_and_quoted_id():
-    engine = make_engine(
+    text, _ = render_main(
+        {"b": Box(name="n")},
         main='#insert(part, $b)|#insert("part", $b)',
         part="<$Box.getName()>",
     )
-    assert engine.render("main", {"b": Box(name="n")}).text == "<n>|<n>"
+    assert text == "<n>|<n>"
 
 
 def test_insert_id_via_reference():
-    engine = make_engine(
+    text, _ = render_main(
+        {"b": Box(name="part", size=8)},
         main="#insert($b.getName(), $b)",
         part="size=$Box.size",
     )
-    assert engine.render("main", {"b": Box(name="part", size=8)}).text == "size=8"
+    assert text == "size=8"
 
 
 def test_insert_scope_is_top_roots_plus_target():
     # The inserted template sees the original top-level roots and the
     # target under its published root name, but not loop variables.
-    engine = make_engine(
+    scope = {"boxes": [Box(name="a"), Box(name="b")], "global": "G"}
+    text, _ = render_main(
+        scope,
         main="#foreach($item in $boxes)#insert(part, $item)#end",
         part="[$Box.getName() $global#if($item) leak#end]",
     )
-    scope = {"boxes": [Box(name="a"), Box(name="b")], "global": "G"}
-    assert engine.render("main", scope).text == "[a G][b G]"
+    assert text == "[a G][b G]"
 
 
 def test_insert_target_must_publish_a_root():
-    engine = make_engine(main="#insert(part, $thing)", part="x")
     with pytest.raises(TemplateError) as exc_info:
-        engine.render("main", {"thing": object()})
+        render_main({"thing": object()}, main="#insert(part, $thing)", part="x")
     assert "root name" in str(exc_info.value)
 
 
 def test_insert_unknown_template_strict_and_lenient():
-    engine = make_engine(main="#insert(ghost, $b)")
     with pytest.raises(UnknownTemplateIdError):
-        engine.render("main", {"b": Box()})
+        render_main({"b": Box()}, main="#insert(ghost, $b)")
 
-    lenient = TemplateEngine(strict=False)
-    lenient.register("main", "a#insert(ghost, $b)z")
-    result = lenient.render("main", {"b": Box()})
-    assert result.text == "az"
-    assert len(result.warnings) == 1 and "ghost" in result.warnings[0]
+    text, warnings = render_main({"b": Box()}, strict=False, main="a#insert(ghost, $b)z")
+    assert text == "az"
+    assert len(warnings) == 1 and "ghost" in warnings[0]
 
 
 def test_insert_depth_limit_catches_cycles():
-    engine = make_engine(main="#insert(main, $b)")
     with pytest.raises(TemplateError) as exc_info:
-        engine.render("main", {"b": Box()})
+        render_main({"b": Box()}, main="#insert(main, $b)")
     assert "depth" in str(exc_info.value)
 
 
-def test_engine_library_access():
-    engine = make_engine(b="x", a="y")
-    assert engine.template_ids() == ("a", "b")
-    assert engine.template("a").id == "a"
-    with pytest.raises(UnknownTemplateIdError):
-        engine.template("zzz")
-
-
 def test_an_error_names_its_template_and_line_or_neither():
-    engine = make_engine(main="#insert(zzz, $b)")
     with pytest.raises(UnknownTemplateIdError) as exc_info:
-        engine.render("main", {"b": Box()})
+        render_main({"b": Box()}, main="#insert(zzz, $b)")
     assert str(exc_info.value) == "#insert names unknown template 'zzz' [main:1]"
     assert (exc_info.value.template_id, exc_info.value.line) == ("main", 1)
-    with pytest.raises(UnknownTemplateIdError) as exc_info:
-        engine.template("zzz")
-    assert str(exc_info.value) == "no template registered under 'zzz'"
-    assert (exc_info.value.template_id, exc_info.value.line) == (None, None)
+    unplaced = UnknownTemplateIdError("no template 'zzz'")
+    assert str(unplaced) == "no template 'zzz'"
+    assert (unplaced.template_id, unplaced.line) == (None, None)
 
 
-def test_render_string_accepts_a_library():
-    library = {"part": parse_template("<$Box.name>", "part")}
-    result = render_string("#insert(part, $b)", {"b": Box(name="q")}, library=library)
-    assert result.text == "<q>"
+def test_warnings_accumulate_in_order_across_renders():
+    engine = TemplateEngine({}, strict=False)
+    assert engine.render_template(parse_template("[$one]", "a"), {}) == "[]"
+    assert engine.render_template(parse_template("#insert(two, $b)$three", "b"),
+                                  {"b": Box()}) == ""
+    assert engine.warnings == [
+        "a:1: unresolved reference $one ('one' is not in scope)",
+        "b:1: skipped #insert of unknown template 'two'",
+        "b:1: unresolved reference $three ('three' is not in scope)",
+    ]
 
 
 # --- nesting depth ---------------------------------------------------------------
@@ -422,9 +421,9 @@ def test_blocks_nest_far_deeper_than_the_recursion_limit():
     openers = ["#if($t)\n", "#foreach($i in $one)\n"] * (depth // 2)
     source = "".join(openers) + "x\n" + "#end\n" * len(openers)
     template = parse_template(source)
-    engine = TemplateEngine()
-    assert engine.render_template(template, {"t": True, "one": [1]}).text == "x\n"
-    assert engine.render_template(template, {"t": False, "one": [1]}).text == ""
+    engine = TemplateEngine({}, strict=True)
+    assert engine.render_template(template, {"t": True, "one": [1]}) == "x\n"
+    assert engine.render_template(template, {"t": False, "one": [1]}) == ""
 
 
 # --- the one-scan parser and frame-stack renderer against the recursive oracle ---
@@ -503,9 +502,9 @@ def assert_engine_matches_oracle(source, template_id, scope, library):
         return parsed
     for strict in (True, False):
         engine = TemplateEngine(library, strict=strict)
-        rendered = outcome(lambda: engine.render_template(parsed, scope))
-        assert rendered == outcome(lambda: render_template_oracle(engine, parsed, scope)), \
-            (source, strict)
+        rendered = outcome(lambda: (engine.render_template(parsed, scope), engine.warnings))
+        assert rendered == outcome(
+            lambda: render_template_oracle(library, parsed, scope, strict=strict)), (source, strict)
     return parsed
 
 
@@ -534,14 +533,14 @@ def test_engine_matches_the_recursive_oracle_on_fixture_templates(name, program_
     program = load_program(fixture_text(name, program_file), dsl)
     config = fixture_generator(name, "generator.xml")
     scope = {"Program": program_view(program, dsl)}
-    library = config.library()
+    library = config.templates
     sources = sorted(fixture_path(name, "templates").glob("*.vt"))
     assert sources
     for path in sources:
         assert isinstance(assert_engine_matches_oracle(
             path.read_text(encoding="utf-8"), path.name, scope, library), Template)
-    for main in config.mains:  # output-name patterns come from generator.xml
+    for _, pattern in config.mains:  # output-name patterns come from generator.xml
         for strict in (True, False):
             engine = TemplateEngine(library, strict=strict)
-            assert engine.render_template(main.output_pattern, scope) == \
-                render_template_oracle(engine, main.output_pattern, scope)
+            assert (engine.render_template(pattern, scope), engine.warnings) == \
+                render_template_oracle(library, pattern, scope, strict=strict)
