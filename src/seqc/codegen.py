@@ -244,9 +244,10 @@ def write_outputs(result: GenerationResult, out_dir: str | Path, *,
                   force: bool = False) -> list[Path]:
     """Write generated files under out_dir (UTF-8, LF); returns the paths.
 
-    Two names that resolve to one path, and existing files unless force
-    is set, are refused.  Both checks run for all outputs before anything
-    is written, so a clash never leaves a half-written set behind.
+    Refused before anything is written, so a clash never leaves a
+    half-written set behind: two names that resolve to one path, an output
+    that is an existing directory or whose directory is another output or
+    an existing file, and existing files unless force is set.
     """
     out_dir = Path(out_dir).resolve()
     planned: dict[Path, str] = {}
@@ -257,7 +258,13 @@ def write_outputs(result: GenerationResult, out_dir: str | Path, *,
         if path in planned:
             raise DuplicateIdentifierError(
                 f"two main templates produce the same output file {file_name!r}")
+        if path.is_dir():
+            raise SeqcError(f"output file {file_name!r} is an existing directory")
         planned[path] = text
+    for path in planned:
+        for parent in path.parents[:len(path.parents) - len(out_dir.parents) - 1]:
+            if parent in planned or parent.is_file():
+                raise SeqcError(f"output file {str(path)!r} needs {str(parent)!r} to be a directory")
     if not force:
         existing = [str(path) for path in planned if path.exists()]
         if existing:

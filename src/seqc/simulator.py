@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import jsonout
 from .dsl import RobotClassDsl
-from .errors import InvalidProgramError, UnknownActionError
+from .errors import InvalidProgramError, SeqcError, UnknownActionError
 from .model import DurationMap, Program
 from .validator import validate
 
@@ -186,10 +186,14 @@ def _overlap(first: tuple[int, int], second: tuple[int, int]) -> bool:
 
 def trace_to_json(trace: ExecutionTrace) -> str:
     """Canonical JSON rendering of a trace: the makespan, then a row per start
-    and finish event, by tick, finishes before starts, then by action name."""
+    and finish event, by tick, finishes before starts, then by action name.
+    Raises SeqcError for a scheduled action that has no resource."""
     rows = []
     for name, (start, finish) in trace.schedule.items():
-        resource = trace.resources[name]
+        try:
+            resource = trace.resources[name]
+        except KeyError:
+            raise SeqcError(f"trace schedules action {name!r} but gives it no resource") from None
         rows += (start, "start", name, resource), (finish, "finish", name, resource)
     rows.sort()  # "finish" < "start"
     return jsonout.dumps({"makespan": trace.makespan, "events": jsonout.Table(

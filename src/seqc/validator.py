@@ -4,9 +4,9 @@ Checks accumulate findings instead of raising, so one pass reports
 everything: duplicate names and bindings, every reference the loader
 resolves, unbound parameters, dangling or mistyped variable references
 and literals, cycles, mutual-exclusion violations, and data-flow lints
-(reads with no possible writer, races between parallel actions).  The
-graph checks run only on a program that has a precedence graph: unique
-action names and every predecessor an action.
+(reads with no possible writer, races between parallel actions).
+`validate` alone decides whether the graph checks run: only on a sound
+precedence graph, one that can be built and is acyclic.
 
 A program is acceptable ("ok") when no Error-severity finding exists;
 warnings flag suspicious but permitted constructions.
@@ -114,28 +114,40 @@ def _json_strings(items: tuple[str, ...]) -> str:
 
 
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
-    """Run every check and aggregate the findings; never aborts early."""
+    """Run every check and aggregate the findings; never aborts early.
+    The graph checks run only on a sound graph: a cycle is one CyclicGraph
+    finding, and a graph that cannot be built adds nothing, since the name
+    check and check_bindings report why."""
+    readers, writers = _variable_uses(program)
     findings = _check_unique_names(program)
     findings += check_bindings(program, dsl)
-    findings += _lint_unused_variables(program)
-    findings += check_mutex_schedulability(program, dsl)
-    findings += lint_variable_races(program, dsl)
+    findings += _lint_unused_variables(program, readers, writers)
+    try:
+        program.graph.order  # raises CyclicGraphError on a cycle
+    except (DuplicateIdentifierError, UnresolvedReferenceError):
+        pass
+    except CyclicGraphError as exc:
+        findings.append(Finding(
+            Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
+            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1])))
+    else:
+        findings += _lint_uninstantiated(program, readers, writers)
+        findings += check_mutex_schedulability(program, dsl)
+        findings += lint_variable_races(program, readers, writers)
     return ValidationReport(tuple(findings))
 
 
-def _graph_gate(program: Program) -> list[Finding] | None:
-    """None when the graph checks may run.  Otherwise what stands in for
-    them: the cycle, or nothing when the precedence graph cannot be built,
-    since the name check and check_bindings report why."""
-    try:
-        program.graph.order  # raises CyclicGraphError on a cycle
-        return None
-    except (DuplicateIdentifierError, UnresolvedReferenceError):
-        return []
-    except CyclicGraphError as exc:
-        return [Finding(
-            Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
-            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]))]
+def _variable_uses(program: Program) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each variable's readers and writers, in action order: the one index
+    the data-flow lints share.  An action reads a variable once however
+    many of its arguments bind it."""
+    readers, writers = {}, {}
+    for action in program.actions:
+        for variable in dict.fromkeys([a.variable for a in action.args if a.variable is not None]):
+            readers.setdefault(variable, []).append(action.name)
+        if action.return_to is not None:
+            writers.setdefault(action.return_to, []).append(action.name)
+    return readers, writers
 
 
 def _check_unique_names(program: Program) -> list[Finding]:
@@ -157,15 +169,12 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
     are mutex partners and nothing prevents simultaneity: no precedence
     path between them and distinct resource instances.  Actions are
     grouped by type, so only instances of mutex-partner types are tested
-    for parallelism.  A cyclic program yields its cycle instead.
+    for parallelism.  On an unsound graph its graph queries raise.
     """
-    gated = _graph_gate(program)
-    if gated is not None:
-        return gated
-    type_of = {action.name: action.action_type for action in program.actions}
+    actions = program.graph.actions
     by_type: dict[str, list[str]] = {}
-    for name, action_type in type_of.items():
-        by_type.setdefault(action_type, []).append(name)
+    for name, action in actions.items():
+        by_type.setdefault(action.action_type, []).append(name)
     types = sorted(by_type)
     findings = []
     for i, type_a in enumerate(types):
@@ -181,9 +190,8 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
                     a, b = min(x, y), max(x, y)
                     findings.append(Finding(
                         Code.MUTEX_VIOLATION, (a, b),
-                        f"{a!r} ({type_of[a]}) and {b!r} ({type_of[b]}) may run"
-                        " simultaneously but their action types are mutually exclusive"))
-    findings.sort(key=lambda f: f.subjects)
+                        f"{a!r} ({actions[a].action_type}) and {b!r} ({actions[b].action_type})"
+                        " may run simultaneously but their action types are mutually exclusive"))
     return findings
 
 
@@ -193,13 +201,6 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     component, each variable's type, and each action's type, resource,
     bound parameters and predecessors.  Of a repeated resource or
     variable name, the first declaration counts.
-
-    Also warns (UninstantiatedVariable) when an action reads a variable
-    that has no initializer and no writer that could run before it: every
-    writer is a strict descendant of the reader, or none exists at all.
-    An action's own return binding does not count as instantiating its
-    own reads, since arguments are read at start and returns written at
-    finish.
     """
     findings = []
     if program.robot_class != dsl.name:
@@ -289,14 +290,17 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 Code.TYPE_MISMATCH, (action.name, "return"),
                 f"action type {atype.identifier!r} returns no value but"
                 f" {action.name!r} binds a return variable"))
-    findings += _lint_uninstantiated(program)
     return findings
 
 
-def _lint_uninstantiated(program: Program) -> list[Finding]:
-    if _graph_gate(program) is not None:
-        return []
-    readers, writers = program._variable_uses
+def _lint_uninstantiated(program: Program, readers, writers) -> list[Finding]:
+    """Warn (UninstantiatedVariable) when an action reads a variable that
+    has no initializer and no writer that could run before it: every
+    writer is a strict descendant of the reader, or none exists at all.
+    An action's own return binding does not count as instantiating its
+    own reads, since arguments are read at start and returns written at
+    finish.
+    """
     precedes = program.graph.precedes
     findings = []
     for variable, read_by in readers.items():
@@ -313,8 +317,7 @@ def _lint_uninstantiated(program: Program) -> list[Finding]:
     return findings
 
 
-def _lint_unused_variables(program: Program) -> list[Finding]:
-    readers, writers = program._variable_uses
+def _lint_unused_variables(program: Program, readers, writers) -> list[Finding]:
     return [
         Finding(Code.UNUSED_VARIABLE, (variable.name,),
                 f"variable {variable.name!r} is never read or written by any action")
@@ -323,17 +326,15 @@ def _lint_unused_variables(program: Program) -> list[Finding]:
     ]
 
 
-def lint_variable_races(program: Program, dsl: RobotClassDsl) -> list[Finding]:
+def lint_variable_races(program: Program, readers: dict, writers: dict) -> list[Finding]:
     """Warn when parallel actions touch the same variable conflictingly.
 
     A conflict is write/write or read/write on one variable by two
     actions that may overlap in time.  Ordered or same-resource pairs
     cannot race.  Actions are grouped by variable, so only pairs with a
-    conflict are tested for parallelism.
+    conflict are tested for parallelism.  `readers` and `writers` are
+    `validate`'s index.  On an unsound graph its graph queries raise.
     """
-    if _graph_gate(program) is not None:
-        return []
-    readers, writers = program._variable_uses
     conflicts: dict[tuple[str, str], set[str]] = {}
     for variable, written_by in writers.items():
         touching = written_by + readers.get(variable, [])

@@ -369,6 +369,25 @@ def test_generate_refuses_an_output_named_for_the_directory(capsys, tmp_path):
         assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("outputs, message", [
+    (("sub", "sub/b.txt"), "to be a directory"),
+    (("a.txt", "d"), "is an existing directory"),
+])
+def test_generate_refuses_an_output_that_is_or_holds_a_directory(capsys, tmp_path, outputs, message):
+    (tmp_path / "main.vt").write_text("text\n", encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text("<Generator>" + "".join(
+        f'<Main file="main.vt" output="{name}"/>' for name in outputs) + "</Generator>",
+        encoding="utf-8")
+    out_dir = tmp_path / "out"
+    (out_dir / "d").mkdir(parents=True)
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM, "--force",
+                         "--templates", str(generator), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("seqc: error:") and message in err and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == [out_dir / "d"] and list((out_dir / "d").iterdir()) == []
+
+
 def test_generate_missing_config(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -400,6 +400,22 @@ def test_write_outputs_rejects_the_output_directory_itself(tmp_path, name, force
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("files, force, message", [
+    ({"sub": "x", "sub/b.txt": "y"}, False, "needs .*sub' to be a directory"),
+    ({"a.txt": "A\n", "d": "D\n"}, True, "'d' is an existing directory"),
+    ({"a.txt": "A\n", "f/b.txt": "B\n"}, True, "needs .*f' to be a directory"),
+])
+def test_write_outputs_refuses_a_path_that_is_or_holds_a_directory(tmp_path, files, force, message):
+    out = tmp_path / "out"
+    (out / "d").mkdir(parents=True)
+    (out / "f").write_text("F", encoding="utf-8")
+    with pytest.raises(SeqcError, match=message):
+        write_outputs(GenerationResult(files), out, force=force)
+    # Refused before the first write: the output directory is as it was.
+    assert sorted(out.iterdir()) == [out / "d", out / "f"] and not any((out / "d").iterdir())
+    assert (out / "f").read_text(encoding="utf-8") == "F"
+
+
 def test_written_files_use_lf_newlines(tmp_path):
     write_outputs(GenerationResult({"a.txt": "one\ntwo\n"}), tmp_path)
     raw = (tmp_path / "a.txt").read_bytes()

@@ -21,6 +21,7 @@ from seqc.model import ActionInstance, Program, ResourceInstance
 from seqc.program_io import load_program
 from seqc.simulator import (
     DurationMap,
+    ExecutionTrace,
     format_timeline,
     simulate,
     trace_to_json,
@@ -191,6 +192,12 @@ def test_verify_trace_flags_a_resource_the_program_does_not_give():
         ("resource", ("A",), "action 'A' holds 'nowhere', not its resource 'ra'"),
         ("resource", ("B",), "action 'B' holds None, not its resource 'rb'"),
     ]
+
+
+def test_trace_to_json_names_a_scheduled_action_without_a_resource():
+    with pytest.raises(SeqcError, match="action 'A' but gives it no resource") as info:
+        trace_to_json(ExecutionTrace({"A": (0, 1)}, {}))
+    assert type(info.value) is SeqcError
 
 
 def test_verify_trace_flags_mutex_overlap():

@@ -783,6 +783,26 @@ def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
     assert closures > 100 and cyclic > 20
 
 
+def test_validate_decides_once_whether_the_graph_checks_run(monkeypatch):
+    # Kahn's order is not cached when it raises, so each reading of it
+    # re-runs the search; validate reads it once and reports the cycle.
+    order = model.ProgramGraph.order
+    readings = []
+
+    def read(graph):
+        readings.append(graph)
+        return order.func(graph)
+    counted_order = functools.cached_property(read)
+    counted_order.__set_name__(model.ProgramGraph, "order")
+    monkeypatch.setattr(model.ProgramGraph, "order", counted_order)
+    dsl, program = support.reverse_chain_cycle(6)
+
+    report = validate(program, dsl)
+
+    assert len(readings) == 1
+    assert [f.code for f in report.findings] == [Code.CYCLIC_GRAPH]
+
+
 # --- the severity rule and the single-rule validator against its oracle ------------
 
 README = Path(__file__).resolve().parent.parent / "README.md"
