@@ -73,14 +73,12 @@ class SameActionError(SeqcError):
 
 
 class CyclicGraphError(SeqcError):
-    """The precedence graph contains a cycle; carries the cycle members."""
+    """The precedence graph contains a cycle (a self-loop is one); carries its members."""
 
-    def __init__(self, cycle, message=None):
+    def __init__(self, cycle):
         self.cycle = tuple(cycle)
-        if message is None:
-            shown = " -> ".join(self.cycle + self.cycle[:1]) if self.cycle else "?"
-            message = f"precedence graph contains a cycle: {shown}"
-        super().__init__(message)
+        shown = " -> ".join(self.cycle + self.cycle[:1]) if self.cycle else "?"
+        super().__init__(f"precedence graph contains a cycle: {shown}")
 
 
 class NonPositiveDurationError(SeqcError):

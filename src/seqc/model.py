@@ -83,7 +83,8 @@ class ArgBinding:
 
 @dataclass(frozen=True, init=False)
 class ActionInstance:
-    """A named occurrence of a DSL action type, placed on a resource instance."""
+    """A named occurrence of a DSL action type, placed on a resource instance;
+    one among its own `predecessors` is a cycle, which the graph raises on."""
 
     name: str
     action_type: str
@@ -97,15 +98,12 @@ class ActionInstance:
         args = tuple(args)
         if isinstance(predecessors, str):  # would read as a set of one-letter names
             raise TypeError(f"predecessors of {name!r} must be names, not one string")
-        names = set(predecessors)
-        if name in names:
-            raise CyclicGraphError((name,), f"action {name!r} precedes itself")
         _set(self, "name", name)
         _set(self, "action_type", action_type)
         _set(self, "resource", resource)
         _set(self, "args", args)
         _set(self, "return_to", return_to)
-        _set(self, "predecessors", tuple(sorted(names)))
+        _set(self, "predecessors", tuple(sorted(set(predecessors))))
 
 
 @dataclass(frozen=True)
@@ -135,10 +133,10 @@ class Program:
     """A complete task: resources, global variables, and the action graph.
 
     Construction sorts resources, variables, and actions by name and
-    requires every action's resource reference to resolve.  Duplicate
-    names, dangling references, and cycles are representable, so that
-    the validator can report them all at once (the XML loader rejects
-    them); the graph queries raise on them instead.
+    checks nothing.  Duplicate names, undeclared resources, dangling
+    predecessors and cycles, self-loops included, are representable, so
+    that the validator can report them all at once (the XML loader
+    rejects them); the graph queries raise on the graph defects instead.
     """
 
     name: str
@@ -152,12 +150,6 @@ class Program:
         _set(self, "resources", tuple(sorted(self.resources, key=by_name)))
         _set(self, "variables", tuple(sorted(self.variables, key=by_name)))
         _set(self, "actions", tuple(sorted(self.actions, key=by_name)))
-        declared = {r.name for r in self.resources}
-        for action in self.actions:
-            if action.resource not in declared:
-                raise UnresolvedReferenceError(
-                    f"action {action.name!r} runs on undeclared resource {action.resource!r}"
-                )
 
     @cached_property
     def graph(self) -> "ProgramGraph":

@@ -102,7 +102,8 @@ def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None
 
 def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) -> list[TraceViolation]:
     """Check a trace against precedence, resource, and mutex rules; a
-    scheduled action's resource in the trace must be the program's.
+    scheduled action must finish no earlier than it starts, and its
+    resource in the trace must be the program's.
 
     Returns one violation per broken rule instance; an empty list means
     the trace is consistent with the program.
@@ -115,46 +116,30 @@ def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) ->
         )
     violations: list[TraceViolation] = []
     for action in program.actions:
-        interval = trace.schedule.get(action.name)
+        name = action.name
+        interval = trace.schedule.get(name)
         if interval is None:
-            violations.append(
-                TraceViolation(
-                    "precedence",
-                    (action.name,),
-                    f"action {action.name!r} never ran",
-                )
-            )
+            violations.append(TraceViolation("precedence", (name,), f"action {name!r} never ran"))
             continue
-        start, _ = interval
+        start, finish = interval
         if start < 0:
-            violations.append(
-                TraceViolation(
-                    "precedence",
-                    (action.name,),
-                    f"action {action.name!r} starts before tick 0",
-                )
-            )
-        held = trace.resources.get(action.name)
+            violations.append(TraceViolation(
+                "precedence", (name,), f"action {name!r} starts before tick 0"))
+        if finish < start:
+            violations.append(TraceViolation(
+                "precedence", (name,),
+                f"action {name!r} finishes at {finish}, before its start at {start}"))
+        held = trace.resources.get(name)
         if held != action.resource:
-            violations.append(
-                TraceViolation(
-                    "resource",
-                    (action.name,),
-                    f"action {action.name!r} holds {held!r}, not its resource"
-                    f" {action.resource!r}",
-                )
-            )
+            violations.append(TraceViolation(
+                "resource", (name,),
+                f"action {name!r} holds {held!r}, not its resource {action.resource!r}"))
         for pred in action.predecessors:
             pred_interval = trace.schedule.get(pred)
             if pred_interval is None or pred_interval[1] > start:
-                violations.append(
-                    TraceViolation(
-                        "precedence",
-                        (pred, action.name),
-                        f"{action.name!r} starts at {start} before predecessor"
-                        f" {pred!r} finished",
-                    )
-                )
+                violations.append(TraceViolation(
+                    "precedence", (pred, name),
+                    f"{name!r} starts at {start} before predecessor {pred!r} finished"))
     scheduled = [a for a in program.actions if a.name in trace.schedule]
     for i, a in enumerate(scheduled):
         for b in scheduled[i + 1:]:

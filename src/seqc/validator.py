@@ -2,9 +2,10 @@
 
 Checks accumulate findings instead of raising, so one pass reports
 everything: duplicate names and bindings, every reference the loader
-resolves, unbound parameters, dangling or mistyped variable references
-and literals, cycles, mutual-exclusion violations, and data-flow lints
-(reads with no possible writer, races between parallel actions).
+resolves, unbound parameters, arguments out of declaration order,
+dangling or mistyped variable references and literals, cycles,
+mutual-exclusion violations, and data-flow lints (reads with no
+possible writer, races between parallel actions).
 `validate` alone decides whether the graph checks run: only on a sound
 precedence graph, one that can be built and is acyclic.
 
@@ -34,6 +35,7 @@ class Code(str, Enum):
 
     DUPLICATE_NAME = "DuplicateName"
     UNBOUND_PARAMETER = "UnboundParameter"
+    ARGUMENT_ORDER = "ArgumentOrder"
     UNKNOWN_VARIABLE = "UnknownVariable"
     UNRESOLVED_REFERENCE = "UnresolvedReference"
     TYPE_MISMATCH = "TypeMismatch"
@@ -196,11 +198,13 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
 
 
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    """Completeness and typing of bindings and initializers, and every
-    reference the loader resolves: the robot class, each resource's
-    component, each variable's type, and each action's type, resource,
-    bound parameters and predecessors.  Of a repeated resource or
-    variable name, the first declaration counts.
+    """Completeness, order and typing of bindings and initializers, and
+    every reference the loader resolves: the robot class, each resource's
+    component, each variable's type, and each action's resource, type,
+    bound parameters and predecessors.  An action's first binding of each
+    declared parameter must follow the declaration order, the order the
+    loader reads them in.  Of a repeated resource or variable name, the
+    first declaration counts.
     """
     findings = []
     if program.robot_class != dsl.name:
@@ -233,13 +237,17 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 findings.append(Finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, pred),
                     f"action {action.name!r} names unknown predecessor {pred!r}"))
+        component = component_of.get(action.resource)  # None: undeclared, placement unchecked
+        if component is None:
+            findings.append(Finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r} runs on undeclared resource {action.resource!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
-        component = component_of[action.resource]  # an unknown one is reported above
         if component != atype.owner and dsl.component(component) is not None:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
@@ -254,7 +262,15 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             findings.append(Finding(
                 Code.DUPLICATE_NAME, (action.name, param),
                 f"action {action.name!r} binds parameter {param!r} twice"))
-        bound = {arg.param: arg for arg in action.args}
+        bound = {arg.param: arg for arg in action.args}  # keys in first-binding order
+        firsts = [param for param in bound if param in atype.parameters_by_name]
+        in_order = [param for param in atype.parameters_by_name if param in bound]
+        if firsts != in_order:
+            early, late = next(pair for pair in zip(firsts, in_order) if pair[0] != pair[1])
+            findings.append(Finding(
+                Code.ARGUMENT_ORDER, (action.name, early),
+                f"action {action.name!r} binds parameter {early!r} before {late!r},"
+                " which is declared first"))
         # (variable, binding slot, expected type, what the slot expects)
         references = []
         for param in atype.parameters:

@@ -629,10 +629,12 @@ def random_valid_setup(rng: random.Random, **kwargs):
 
 
 # Programs a hand-built `Program` can hold but no document can carry:
-# `save_program` writes each of the first seven kinds and `load_program`
-# refuses what it wrote; XML cannot carry the characters of the last kind.
+# `save_program` writes each kind but "xml_char", whose characters XML
+# cannot carry, and `load_program` refuses what it wrote, except that it
+# reads "args_out_of_order" back with its arguments in declaration order.
 HOSTILE_KINDS = ("robot_class", "component", "placement", "variable_type", "initializer",
-                 "bound_twice", "non_finite", "xml_char")
+                 "bound_twice", "non_finite", "xml_char", "self_loop", "undeclared_resource",
+                 "args_out_of_order")
 NOT_XML_CHARS = "\x00\x01\x08\x0b\x0c\x0e\x1f\ufffe\uffff\ud800\udfff"
 
 
@@ -730,6 +732,23 @@ def hostile_setup(rng: random.Random, kind: str) -> tuple[RobotClassDsl, Program
         variable = (VariableDecl(fresh + char, "Int") if where == "variable"
                     else VariableDecl(fresh, "String", awkward_text(rng, low=0) + char))
         return dsl, dataclasses.replace(program, variables=(*program.variables, variable))
+    if kind in ("self_loop", "undeclared_resource"):
+        actions = list(program.actions)
+        k = rng.randrange(len(actions))
+        actions[k] = dataclasses.replace(actions[k], **(
+            {"predecessors": (*actions[k].predecessors, actions[k].name)}
+            if kind == "self_loop" else {"resource": fresh}))
+        return dsl, dataclasses.replace(program, actions=tuple(actions))
+    if kind == "args_out_of_order":
+        while not any(len(action.args) > 1 for action in program.actions):
+            dsl, program = clean_literal_setup(rng)
+        actions = list(program.actions)
+        k = rng.choice([i for i, action in enumerate(actions) if len(action.args) > 1])
+        args = list(actions[k].args)
+        while tuple(args) == actions[k].args:
+            rng.shuffle(args)
+        actions[k] = dataclasses.replace(actions[k], args=tuple(args))
+        return dsl, dataclasses.replace(program, actions=tuple(actions))
     raise ValueError(kind)
 
 
@@ -1217,13 +1236,17 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, pred),
                 f"action {action.name!r} names unknown predecessor {pred!r}"))
+        if action.resource not in resource_types:
+            findings.append(Finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r} runs on undeclared resource {action.resource!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
-        placed_on = resource_types[action.resource]
+        placed_on = resource_types.get(action.resource)
         if placed_on in component_names and placed_on != atype.owner:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
@@ -1241,6 +1264,19 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 findings.append(Finding(
                     Code.DUPLICATE_NAME, (action.name, param),
                     f"action {action.name!r} binds parameter {param!r} twice"))
+        # The loader reads arguments in declaration order.  Of the first
+        # bindings, the first one with a later-bound parameter declared
+        # before it is out of order; the earliest-declared such one names it.
+        firsts = [param for param in dict.fromkeys(params) if param in declared]
+        for i, early in enumerate(firsts):
+            ahead = [p for p in firsts[i + 1:] if declared.index(p) < declared.index(early)]
+            if ahead:
+                late = min(ahead, key=declared.index)
+                findings.append(Finding(
+                    Code.ARGUMENT_ORDER, (action.name, early),
+                    f"action {action.name!r} binds parameter {early!r} before {late!r},"
+                    " which is declared first"))
+                break
         bound = {arg.param: arg for arg in action.args}
         for param in atype.parameters:
             arg = bound.get(param.name)

@@ -502,6 +502,25 @@ def test_graph_accepts_cycles_without_dsl(capsys, tmp_path):
     assert code == 2
     assert "cycle" in err
 
+    # A self-loop and an undeclared resource are drawn too, and refused with the DSL.
+    for constraint, resource, edge, message in (
+            ('<After action="a" predecessor="a"/>', "r", '"a" -> "a"',
+             "precedence graph contains a cycle: a -> a"),
+            ("", "ghost", '[label="a: Step @ghost"]',
+             "action 'a' runs on undeclared resource 'ghost'")):
+        flawed = tmp_path / "flawed.xml"
+        flawed.write_text(
+            '<Program name="Flawed" robotClass="DemoRig">'
+            '<Resources><Resource name="r" type="Station"/></Resources>'
+            f'<Actions><ActionInstance name="a" type="Step" resource="{resource}"/></Actions>'
+            f"<Constraints>{constraint}</Constraints></Program>",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "graph", str(flawed))
+        assert code == 0 and edge in out
+        code, out, err = run(capsys, "graph", "--dsl", DEMO_DSL, str(flawed))
+        assert (code, out, err) == (2, "", f"seqc: error: {flawed}: {message}\n")
+
 
 def test_graph_with_dsl_checks_references(capsys):
     code, out, _ = run(capsys, "graph", "--dsl", DEMO_DSL, FIVE_STAGE)

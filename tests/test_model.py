@@ -215,9 +215,18 @@ def test_cycle_is_detected():
         reaching(looped, "B")
 
 
-def test_self_loop_rejected_at_construction():
-    with pytest.raises(CyclicGraphError):
-        ActionInstance("A", "Step", "r1", predecessors=("A",))
+def test_self_loop_is_a_one_action_cycle():
+    # The action builds; the graph's order raises on it, and validate reports it.
+    dsl = make_dsl({"Station": ["Step"]})
+    program = make_program(dsl, [("A", "Step", "r1"), ("B", "Step", "r1")],
+                           edges=[("A", "A"), ("A", "B")])
+    assert program.action("A").predecessors == ("A",)
+    with pytest.raises(CyclicGraphError) as caught:
+        program.graph.order
+    assert caught.value.cycle == ("A",)
+    assert str(caught.value) == "precedence graph contains a cycle: A -> A"
+    assert [(f.code, f.subjects) for f in validate(program, dsl).findings] == [
+        (Code.CYCLIC_GRAPH, ("A",))]
 
 
 def test_two_cycle_reported_with_members():
@@ -269,14 +278,16 @@ def test_program_sorts_collections():
     assert [r.name for r in program.resources] == ["r1", "r2"]
 
 
-def test_program_rejects_undeclared_resource():
-    with pytest.raises(UnresolvedReferenceError):
-        Program(
-            "P",
-            "TestBot",
-            resources=(ResourceInstance("r1", "Station"),),
-            actions=(ActionInstance("a", "Step", "r9"),),
-        )
+def test_undeclared_resource_builds_and_is_reported():
+    dsl = make_dsl({"Station": ["Step"]})
+    program = Program(
+        "P",
+        dsl.name,
+        resources=(ResourceInstance("r1", "Station"),),
+        actions=(ActionInstance("a", "Step", "r9"),),
+    )
+    assert [(f.code, f.subjects, f.message) for f in validate(program, dsl).findings] == [
+        (Code.UNRESOLVED_REFERENCE, ("a", "r9"), "action 'a' runs on undeclared resource 'r9'")]
 
 
 def every_graph_query(program: Program, first: str, second: str):
@@ -458,10 +469,7 @@ def _reference_action_post_init(self):
     object.__setattr__(self, "args", tuple(self.args))
     if isinstance(self.predecessors, str):
         raise TypeError(f"predecessors of {self.name!r} must be names, not one string")
-    names = set(self.predecessors)
-    if self.name in names:
-        raise model.CyclicGraphError((self.name,), f"action {self.name!r} precedes itself")
-    object.__setattr__(self, "predecessors", tuple(sorted(names)))
+    object.__setattr__(self, "predecessors", tuple(sorted(set(self.predecessors))))
 
 
 def _reference_variable_post_init(self):
@@ -495,7 +503,7 @@ def _built_alike(seen: Counter, cls, *args, **kwargs):
     value, or None; counts what happened in `seen`."""
     try:
         want = REFERENCES[cls](*args, **kwargs)
-    except (TypeError, ValueError, model.CyclicGraphError) as exc:
+    except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)) as raised:
             cls(*args, **kwargs)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
@@ -579,6 +587,7 @@ def test_constructors_normalise_once_as_the_generated_ones_did():
             if built is not None:
                 _check_value(built, ActionInstance, rng)
                 assert dataclasses.replace(built, predecessors=["zz", "zz"]).predecessors == ("zz",)
+                seen["self-loop"] += action.name in built.predecessors
             _built_alike(seen, ActionInstance, action.name, "T", "r", 5)  # args not iterable
     assert min(seen[kind] for kind in (*REFERENCES, TypeError, ValueError,
-                                       model.CyclicGraphError)) >= 100, seen
+                                       "self-loop")) >= 100, seen

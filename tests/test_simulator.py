@@ -174,6 +174,14 @@ def test_verify_trace_flags_missing_and_negative():
     assert any(v.actions == ("A",) and "before tick 0" in v.message for v in early)
 
 
+def test_verify_trace_flags_an_interval_that_ends_before_it_starts():
+    dsl, program = five_stage()
+    trace = simulate(program, dsl)
+    violations = verify_trace(tampered(trace, A=(3, 1)), program, dsl)
+    assert ("precedence", ("A",), "action 'A' finishes at 1, before its start at 3") in {
+        (v.rule, v.actions, v.message) for v in violations}
+
+
 def test_verify_trace_flags_resource_overlap():
     dsl = make_dsl({"Station": ["Step"]})
     program = make_program(dsl, [("a", "Step", "r1"), ("b", "Step", "r1")])

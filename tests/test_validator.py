@@ -1,5 +1,6 @@
 """Static validation findings and report mechanics."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -207,6 +208,10 @@ LOADER_ONLY = [
     (lint_program([ActionInstance("a", "Drive", "m1", (ArgBinding("speed", value=1),
                                                       ArgBinding("speed", value=2)))]),
      "error DuplicateName (a, speed): action 'a' binds parameter 'speed' twice"),
+    (lint_program([ActionInstance("a", "Beep", "m1", predecessors=("a",))]),
+     "error CyclicGraph (a): actions form a precedence cycle: a -> a"),
+    (lint_program([ActionInstance("a", "Beep", "ghost")]),
+     "error UnresolvedReference (a, ghost): action 'a' runs on undeclared resource 'ghost'"),
 ]
 
 
@@ -228,6 +233,48 @@ def test_an_action_on_a_resource_of_unknown_component_gets_one_finding():
     assert [(f.code, f.subjects) for f in validate(program, LINT_DSL).findings] == [
         (Code.DUPLICATE_NAME, ("g",)), (Code.DUPLICATE_NAME, ("s",)),
         (Code.UNRESOLVED_REFERENCE, ("b", "s")), (Code.UNRESOLVED_REFERENCE, ("g", "Ghost"))]
+
+
+def test_a_self_loop_and_undeclared_resources_are_reported_in_one_pass():
+    # Every action on an undeclared resource is reported, whether or not its type resolves.
+    program = lint_program([ActionInstance("a", "Beep", "m1", predecessors=("a",)),
+                            ActionInstance("b", "Drive", "ghost", (ArgBinding("speed", value=1),)),
+                            ActionInstance("c", "Hover", "void")])
+    assert validate(program, LINT_DSL).render_text().splitlines() == [
+        "error CyclicGraph (a): actions form a precedence cycle: a -> a",
+        "error UnresolvedReference (b, ghost): action 'b' runs on undeclared resource 'ghost'",
+        "error UnresolvedReference (c, Hover): action 'c' has unknown type 'Hover'",
+        "error UnresolvedReference (c, void): action 'c' runs on undeclared resource 'void'",
+        "FAILED, 4 findings",
+    ]
+
+
+def test_arguments_out_of_declaration_order_are_an_error():
+    # The loader reads arguments in declaration order, so a program whose
+    # arguments are not in it would not load back equal.
+    dsl = load_dsl(fixture_text("service_robot/dsl.xml"))
+    program = load_program(fixture_text("service_robot/grasp_demo.xml"), dsl)
+    target, turn = program.action("MoveMani").args
+
+    def with_args(*args):
+        return dataclasses.replace(program, actions=tuple(
+            dataclasses.replace(a, args=args) if a.name == "MoveMani" else a
+            for a in program.actions))
+
+    flipped = with_args(turn, target)
+    assert validate(flipped, dsl).render_text().splitlines() == [
+        "error ArgumentOrder (MoveMani, orientation): action 'MoveMani' binds parameter"
+        " 'orientation' before 'targetPose', which is declared first",
+        "FAILED, 1 finding",
+    ]
+    assert load_program(save_program(flipped), dsl) == program != flipped
+    # Unknown and repeated parameters keep their own findings; only the
+    # first binding of each declared parameter counts for the order.
+    bogus = ArgBinding("bogus", value=1)
+    assert codes(validate(with_args(turn, bogus, target, turn), dsl)) == [
+        Code.ARGUMENT_ORDER, Code.DUPLICATE_NAME, Code.UNRESOLVED_REFERENCE]
+    assert codes(validate(with_args(target, bogus, turn, target), dsl)) == [
+        Code.DUPLICATE_NAME, Code.UNRESOLVED_REFERENCE]
 
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -336,6 +383,10 @@ def test_every_hostile_program_is_reported_refused_or_loads():
     for kind, dsl, program in support.hostile_corpus(1400):
         if not validate(program, dsl).ok:
             outcomes[kind, "reported"] += 1
+            if kind == "args_out_of_order":  # read back in declaration order, and valid
+                loaded = load_program(save_program(program), dsl)
+                assert loaded != program and validate(loaded, dsl).ok
+                continue
             with pytest.raises(SeqcError):  # what validate reports, the loader refuses
                 load_program(save_program(program), dsl)
             continue
@@ -833,6 +884,8 @@ def differential_corpus():
     for dsl_name, program_name in VALIDATE_FIXTURES:
         dsl = load_dsl(fixture_text(dsl_name))
         yield dsl, load_program(fixture_text(program_name), dsl)
+    for _, dsl, program in support.hostile_corpus(809, per_kind=5):
+        yield dsl, program
 
 
 def test_readme_table_lists_every_code_once():
