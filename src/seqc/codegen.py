@@ -20,9 +20,9 @@ inserted node under the root name listed above.
 """
 
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence
 
 from . import model
 from .dsl import RobotClassDsl, lookup_action
@@ -42,14 +42,14 @@ from .xmlio import parse_root, require_attr
 
 @dataclass(frozen=True)
 class VariableView:
-    _root: ClassVar[str] = "Variable"
+    _root = "Variable"
     name: str
     type: str
 
 
 @dataclass(frozen=True)
 class ParameterView:
-    _root: ClassVar[str] = "Parameter"
+    _root = "Parameter"
     name: str
     type: str
     variable: VariableView | None
@@ -57,7 +57,7 @@ class ParameterView:
 
 @dataclass(frozen=True)
 class ActionView:
-    _root: ClassVar[str] = "Action"
+    _root = "Action"
     name: str
     type: str
     resource: str
@@ -67,7 +67,7 @@ class ActionView:
 
 @dataclass(frozen=True)
 class ResourceComponentView:
-    _root: ClassVar[str] = "ResourceComponent"
+    _root = "ResourceComponent"
     name: str
     type: str
     actions: tuple[ActionView, ...]
@@ -75,7 +75,7 @@ class ResourceComponentView:
 
 @dataclass(frozen=True)
 class ProgramView:
-    _root: ClassVar[str] = "Program"
+    _root = "Program"
     name: str
     actions: tuple[ActionView, ...]
     resources: tuple[ResourceComponentView, ...]
@@ -245,13 +245,18 @@ def write_outputs(result: GenerationResult, out_dir: str | Path, *,
     """Write generated files under out_dir (UTF-8, LF); returns the paths.
 
     Refused before anything is written, so a clash never leaves a
-    half-written set behind: two names that resolve to one path, an output
-    that is an existing directory or whose directory is another output or
-    an existing file, and existing files unless force is set.
+    half-written set behind: a name holding a NUL byte, two names that
+    resolve to one path, an output that is an existing directory or whose
+    directory is another output or an existing file, and existing files
+    unless force is set.  A write the file system refuses (an OSError)
+    removes the files and directories this call created, then re-raises;
+    files it overwrote under force cannot be restored.
     """
     out_dir = Path(out_dir).resolve()
     planned: dict[Path, str] = {}
     for file_name, text in result.files.items():
+        if "\0" in file_name:
+            raise SeqcError(f"output file {file_name!r} holds a NUL byte")
         path = (out_dir / file_name).resolve()
         if out_dir not in path.parents:
             raise SeqcError(f"output file {file_name!r} escapes the output directory")
@@ -265,14 +270,31 @@ def write_outputs(result: GenerationResult, out_dir: str | Path, *,
         for parent in path.parents[:len(path.parents) - len(out_dir.parents) - 1]:
             if parent in planned or parent.is_file():
                 raise SeqcError(f"output file {str(path)!r} needs {str(parent)!r} to be a directory")
-    if not force:
-        existing = [str(path) for path in planned if path.exists()]
-        if existing:
-            raise OutputExistsError(
-                f"refusing to overwrite existing file(s): {', '.join(existing)}"
-                " (use force to allow)")
-    for path, text in planned.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    existing = [path for path in planned if path.exists()]
+    if existing and not force:
+        raise OutputExistsError(
+            f"refusing to overwrite existing file(s): {', '.join(map(str, existing))}"
+            " (use force to allow)")
+    created: list[Path] = []  # new directories and files, in the order made
+    try:
+        for path, text in planned.items():
+            missing = []
+            for parent in path.parents:
+                if parent.exists():
+                    break
+                missing.append(parent)
+            for parent in reversed(missing):
+                parent.mkdir()
+                created.append(parent)
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                if path not in existing:
+                    created.append(path)
+                handle.write(text)
+    except OSError:
+        for path in reversed(created):
+            if path in planned:
+                path.unlink()
+            else:
+                path.rmdir()
+        raise
     return list(planned)

@@ -33,10 +33,10 @@ by critical_path_length and the scheduler.
 """
 
 import heapq
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     CyclicGraphError,
@@ -70,9 +70,9 @@ class ArgBinding:
 
     param: str
     variable: str | None = None
-    value: Any = None
+    value: object = None
 
-    def __init__(self, param: str, variable: str | None = None, value: Any = None):
+    def __init__(self, param: str, variable: str | None = None, value: object = None):
         value = value if value is None else _literal_or_none(value)
         if (variable is None) == (value is None):
             raise ValueError(f"argument {param!r} must bind exactly one of a variable or a literal")
@@ -120,9 +120,9 @@ class VariableDecl:
 
     name: str
     type_name: str
-    init: Any = None
+    init: object = None
 
-    def __init__(self, name: str, type_name: str, init: Any = None):
+    def __init__(self, name: str, type_name: str, init: object = None):
         _set(self, "name", name)
         _set(self, "type_name", type_name)
         _set(self, "init", _literal_or_none(init))

@@ -16,8 +16,8 @@ and finish event is derived from them when the trace is written, not kept.
 """
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import jsonout
 from .dsl import RobotClassDsl
@@ -102,8 +102,8 @@ def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None
 
 def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) -> list[TraceViolation]:
     """Check a trace against precedence, resource, and mutex rules; a
-    scheduled action must finish no earlier than it starts, and its
-    resource in the trace must be the program's.
+    scheduled action must finish after it starts, and its resource in
+    the trace must be the program's.
 
     Returns one violation per broken rule instance; an empty list means
     the trace is consistent with the program.
@@ -125,10 +125,10 @@ def verify_trace(trace: ExecutionTrace, program: Program, dsl: RobotClassDsl) ->
         if start < 0:
             violations.append(TraceViolation(
                 "precedence", (name,), f"action {name!r} starts before tick 0"))
-        if finish < start:
+        if finish <= start:
             violations.append(TraceViolation(
                 "precedence", (name,),
-                f"action {name!r} finishes at {finish}, before its start at {start}"))
+                f"action {name!r} finishes at {finish}, not after its start at {start}"))
         held = trace.resources.get(name)
         if held != action.resource:
             violations.append(TraceViolation(

@@ -388,6 +388,30 @@ def test_generate_refuses_an_output_that_is_or_holds_a_directory(capsys, tmp_pat
     assert list(out_dir.iterdir()) == [out_dir / "d"] and list((out_dir / "d").iterdir()) == []
 
 
+@pytest.mark.parametrize("outputs, message", [
+    (("",), "output pattern 'main.vt#output' produced an unusable file name: ''"),
+    (("a&#10;b",), "output pattern 'main.vt#output' produced an unusable file name: 'a\\nb'"),
+    # The `nm` template renders a name holding a NUL byte.
+    (("#foreach($r in $Program.resources)#insert(nm, $r)#end",), "holds a NUL byte"),
+    # The output directory does not exist, so only the write of the second
+    # file meets the name the file system refuses.
+    (("a.nxc", "x" * 300), "File name too long"),
+])
+def test_generate_refuses_an_unusable_output_name_and_writes_nothing(capsys, tmp_path, outputs, message):
+    (tmp_path / "main.vt").write_text("text\n", encoding="utf-8")
+    (tmp_path / "name.vt").write_text("a\0b", encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text('<Generator><ComponentTemplate componentType="nm" file="name.vt"/>' + "".join(
+        f'<Main file="main.vt" output="{name}"/>' for name in outputs) + "</Generator>",
+        encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+                         "--templates", str(generator), "--out", str(tmp_path / "out4"))
+    assert (code, out) == (2, "")
+    assert err.startswith("seqc: error: ") and message in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_generate_missing_config(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -1,6 +1,7 @@
 """Generator configuration, render views, and output writing."""
 
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -414,6 +415,68 @@ def test_write_outputs_refuses_a_path_that_is_or_holds_a_directory(tmp_path, fil
     # Refused before the first write: the output directory is as it was.
     assert sorted(out.iterdir()) == [out / "d", out / "f"] and not any((out / "d").iterdir())
     assert (out / "f").read_text(encoding="utf-8") == "F"
+
+
+def test_write_outputs_refuses_a_name_holding_a_nul_byte(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SeqcError, match=r"output file 'a\\x00b' holds a NUL byte"):
+        write_outputs(GenerationResult({"ok.txt": "x", "a\0b": ""}), out)
+    assert not out.exists()
+
+
+def test_write_outputs_removes_what_it_made_when_a_write_is_refused(tmp_path):
+    # The directory does not exist yet, so no check before the first write
+    # meets the name the file system refuses.
+    out = tmp_path / "out"
+    result = GenerationResult({"a.txt": "A\n", "sub/b.txt": "B\n", "x" * 300: ""})
+    with pytest.raises(OSError):
+        write_outputs(result, out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _tree(root: Path) -> dict[Path, str | None]:
+    """Every path under root: a file's text, None for a directory."""
+    return {path: None if path.is_dir() else path.read_text(encoding="utf-8")
+            for path in root.rglob("*")}
+
+
+def test_write_outputs_writes_all_or_nothing_for_hostile_names(tmp_path):
+    """Seeded sets of names built from path syntax, control characters,
+    non-ASCII text and over-long parts: each call either writes exactly its
+    files inside the output directory or raises SeqcError or OSError and
+    leaves the tree as it was, less the text of files it overwrote under force."""
+    parts = [".", "..", "/", "", "\0", "\n", "é", "数据", "a", "b", "x" * 300]
+    rng = random.Random(33)
+    outcomes = {"written": 0, "refused": 0}
+    for case in range(300):
+        base = tmp_path / str(case)
+        out = base / "out"
+        base.mkdir()
+        if rng.random() < 0.5:
+            (out / "b").mkdir(parents=True)
+            (out / "a").write_text("old", encoding="utf-8")
+        names = ["".join(rng.choice(parts) for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 3))]
+        files = {name: f"text {k}\n" for k, name in enumerate(names)}
+        force = rng.random() < 0.5
+        before = _tree(base)
+        try:
+            written = write_outputs(GenerationResult(files), out, force=force)
+        except (SeqcError, OSError):
+            outcomes["refused"] += 1
+            after = _tree(base)
+            assert after.keys() == before.keys(), (case, files)
+            if not force:
+                assert after == before, (case, files)
+            continue
+        outcomes["written"] += 1
+        resolved = out.resolve()
+        assert written == [(resolved / name).resolve() for name in files], (case, files)
+        for path, text in zip(written, files.values()):
+            assert resolved in path.parents and path.read_text(encoding="utf-8") == text
+        made = {path.resolve() for path in _tree(base).keys() - before.keys()}
+        assert made <= {p for path in written for p in (path, *path.parents)}, (case, files)
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_written_files_use_lf_newlines(tmp_path):

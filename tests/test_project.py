@@ -1,10 +1,12 @@
 """Project-level promises: README's examples run as printed, the package
-needs nothing outside the standard library, and it writes JSON only
-through its own writers."""
+needs nothing outside the standard library, it writes JSON only through
+its own writers, and a re-import leaves nothing of the previous copy alive."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,6 +91,30 @@ def test_the_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "seqc", (path.name, module)
+
+
+_REIMPORT_SCRIPT = """
+import gc, importlib, sys, weakref
+importlib.import_module("seqc.cli")
+classes = [weakref.ref(value)
+           for name, module in list(sys.modules.items()) if name.split(".")[0] == "seqc"
+           for value in vars(module).values()
+           if isinstance(value, type) and value.__module__ == name]
+for name in [name for name in sys.modules if name.split(".")[0] == "seqc"]:
+    del sys.modules[name]
+importlib.import_module("seqc.cli")
+gc.collect()
+print(len(classes), sum(ref() is not None for ref in classes))
+"""
+
+
+def test_a_reimport_leaves_nothing_of_the_previous_copy_alive():
+    # A fresh interpreter: this session's own imports hold a copy of seqc.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", _REIMPORT_SCRIPT], env=env,
+                            capture_output=True, text=True, check=True)
+    taken, alive = map(int, result.stdout.split())
+    assert taken > 50 and alive == 0
 
 
 def test_the_package_declares_no_runtime_dependency():

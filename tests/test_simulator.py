@@ -178,7 +178,18 @@ def test_verify_trace_flags_an_interval_that_ends_before_it_starts():
     dsl, program = five_stage()
     trace = simulate(program, dsl)
     violations = verify_trace(tampered(trace, A=(3, 1)), program, dsl)
-    assert ("precedence", ("A",), "action 'A' finishes at 1, before its start at 3") in {
+    assert ("precedence", ("A",), "action 'A' finishes at 1, not after its start at 3") in {
+        (v.rule, v.actions, v.message) for v in violations}
+
+
+@pytest.mark.parametrize("interval", [(0, 0), (1, 1)])
+def test_verify_trace_flags_a_zero_length_interval(interval):
+    # Every duration is at least one tick, so no schedule has an empty interval.
+    dsl, program = five_stage()
+    trace = simulate(program, dsl)
+    start, finish = interval
+    violations = verify_trace(tampered(trace, A=interval), program, dsl)
+    assert ("precedence", ("A",), f"action 'A' finishes at {finish}, not after its start at {start}") in {
         (v.rule, v.actions, v.message) for v in violations}
 
 
