@@ -160,6 +160,9 @@ def _parse_durations(args, program: Program) -> DurationMap:
         raise SeqcError(f"{args.durations}: {exc}") from None
     if not isinstance(raw, dict):
         raise SeqcError(f"{args.durations}: expected a JSON object")
+    for key in raw:  # a misspelt key would go unread; the first in the file is named
+        if key not in ("default", "actions"):
+            raise SeqcError(f"{args.durations}: unknown key {key!r}")
     per_action = raw.get("actions", {})
     if not isinstance(per_action, dict):
         raise SeqcError(f"{args.durations}: \"actions\" must be an object")

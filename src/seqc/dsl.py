@@ -144,8 +144,18 @@ class RobotClassDsl:
         """Resolve a type name against declared types and the primitives."""
         return self._index.variable_types.get(name)
 
+    @cached_property
+    def _mutex_partners(self) -> dict[str, set[str]]:
+        """Each type's partners in `mutex_relation`; a self-exclusive type
+        is its own partner.  Not a field, so equality and hashing ignore it."""
+        partners: dict[str, set[str]] = {}
+        for pair in self.mutex_relation:
+            for name in pair:
+                partners.setdefault(name, set()).update(pair - {name} or pair)
+        return partners
+
     def is_mutex(self, type_a: str, type_b: str) -> bool:
-        return frozenset((type_a, type_b)) in self.mutex_relation
+        return type_b in self._mutex_partners.get(type_a, ())
 
     def _is_literal(self, value, type_name: str) -> bool:
         """Whether `value` is a literal of type `type_name`: a primitive whose text reads

@@ -18,11 +18,13 @@ The validator, the simulator and the queries at the bottom
 ProgramGraph per Program, built on first use and cached on it: a
 name-to-action dict, predecessor and successor (`succs`) adjacency, the
 topological order, which alone decides acyclicity, a cycle witness, and,
-on the first reachability query (`precedes`), the ancestor closure as one
-int bitset per action (Purdom's algorithm).  Two actions on distinct
-resources are potentially parallel when neither bitset holds the other:
-they are incomparable in the precedence order, as in Lamport's
-happens-before.
+on first use, the concurrency index: the ancestor and descendant closures
+as one int bitset per action (Purdom's algorithm), and from them one
+`concurrent` mask per action.  Two actions may overlap when they run on
+distinct resources and neither precedes the other: they are incomparable
+in the precedence order, as in Lamport's happens-before.  So every
+"may these overlap?" question is one bit test of a `concurrent` mask, and
+a lint asks it of all its candidates at once with one mask intersection.
 
 The graph exists only for a program whose action names are unique and
 whose predecessors all name actions.  Every query, `Program.action`
@@ -233,9 +235,11 @@ class ProgramGraph:
     and `succs` is an action.
 
     The topological order, whose reading raises CyclicGraphError on a
-    cyclic graph, and the cycle witness are computed on first use; the
-    ancestor closure, one int bitset per action, only when a
-    reachability query needs it, so loading a program never pays for it.
+    cyclic graph, and the cycle witness are computed on first use.  So is
+    the concurrency index, only when a query needs it, so loading a
+    program never pays for it: `ancestor_bits` and `descendant_bits`, one
+    int bitset per action with bit `position[x]` for action x, and
+    `concurrent`, each action's mask of the actions that may overlap it.
     """
 
     def __init__(self, program: "Program"):
@@ -305,8 +309,36 @@ class ProgramGraph:
         return closure
 
     @cached_property
+    def descendant_bits(self) -> dict[str, int]:
+        """The transpose of `ancestor_bits`, built the same way over the
+        reversed order: bit `position[x]` is set when x is a descendant."""
+        position, succs = self.position, self.succs
+        closure: dict[str, int] = {}
+        for name in reversed(self.order):
+            bits = 0
+            for succ in succs[name]:
+                bits |= closure[succ] | 1 << position[succ]
+            closure[name] = bits
+        return closure
+
+    @cached_property
+    def concurrent(self) -> dict[str, int]:
+        """Each action's mask of the actions that may overlap it: neither
+        precedes the other and they run on different resources.  No action
+        is concurrent with itself.  Raises CyclicGraphError, as `order` does.
+        """
+        position, actions = self.position, self.actions
+        on_resource: dict[str, int] = {}
+        for name, action in actions.items():
+            on_resource[action.resource] = on_resource.get(action.resource, 0) | 1 << position[name]
+        ancestors, descendants = self.ancestor_bits, self.descendant_bits
+        everyone = (1 << len(position)) - 1
+        return {name: everyone & ~(ancestors[name] | descendants[name] | on_resource[action.resource])
+                for name, action in actions.items()}
+
+    @cached_property
     def position(self) -> dict[str, int]:
-        """Each action's bit index in `ancestor_bits`."""
+        """Each action's bit index in the closures and `concurrent`."""
         return {name: i for i, name in enumerate(self.preds)}
 
     def precedes(self, first: str, second: str) -> bool:
@@ -331,15 +363,15 @@ def potentially_parallel(program: Program, a: str, b: str) -> bool:
     """
     if a == b:
         raise SameActionError(f"potential parallelism is defined for distinct actions, got {a!r} twice")
-    # The validator asks this once per candidate pair, so it reads the
-    # index directly; `Program.action` runs only to raise for an unknown name.
+    # The mutex check asks this once per candidate pair, so a sound graph
+    # answers from the index alone; the slow path orders the errors.
     graph = program.graph
-    action_a = graph.actions.get(a) or program.action(a)
-    action_b = graph.actions.get(b) or program.action(b)
-    if action_a.resource == action_b.resource:
-        return False
-    bits, position = graph.ancestor_bits, graph.position
-    return not (bits[b] >> position[a] & 1 or bits[a] >> position[b] & 1)
+    try:
+        return bool(graph.concurrent[a] >> graph.position[b] & 1)
+    except (KeyError, CyclicGraphError):
+        if program.action(a).resource == program.action(b).resource:
+            return False  # answered before any cycle check
+        raise
 
 
 def topological_order(program: Program) -> list[str]:

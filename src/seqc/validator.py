@@ -152,6 +152,14 @@ def _variable_uses(program: Program) -> tuple[dict[str, list[str]], dict[str, li
     return readers, writers
 
 
+def _mask(position: dict[str, int], names) -> int:
+    """The bitset of `names` at their `position` bits."""
+    bits = 0
+    for name in names:
+        bits |= 1 << position[name]
+    return bits
+
+
 def _check_unique_names(program: Program) -> list[Finding]:
     return [
         Finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once")
@@ -315,21 +323,24 @@ def _lint_uninstantiated(program: Program, readers, writers) -> list[Finding]:
     writer is a strict descendant of the reader, or none exists at all.
     An action's own return binding does not count as instantiating its
     own reads, since arguments are read at start and returns written at
-    finish.
+    finish.  Each variable's writers are one bitset, so a reader costs one
+    mask test against its `descendant_bits`.
     """
-    precedes = program.graph.precedes
+    graph = program.graph
+    position = graph.position
     findings = []
     for variable, read_by in readers.items():
         decl = program.variable(variable)
         if decl is None or decl.init is not None:
             continue
-        written_by = writers.get(variable, ())
-        for reader in read_by:
-            if all(writer == reader or precedes(reader, writer) for writer in written_by):
-                findings.append(Finding(
-                    Code.UNINSTANTIATED_VARIABLE, (reader, variable),
-                    f"action {reader!r} reads {variable!r}, which has no"
-                    " initializer and no writer that can run first"))
+        written = _mask(position, writers.get(variable, ()))
+        for reader in read_by:  # with no writer at all, the closure is not built
+            if written and written & ~(graph.descendant_bits[reader] | 1 << position[reader]):
+                continue  # a writer that is neither the reader nor after it can run first
+            findings.append(Finding(
+                Code.UNINSTANTIATED_VARIABLE, (reader, variable),
+                f"action {reader!r} reads {variable!r}, which has no"
+                " initializer and no writer that can run first"))
     return findings
 
 
@@ -347,25 +358,32 @@ def lint_variable_races(program: Program, readers: dict, writers: dict) -> list[
 
     A conflict is write/write or read/write on one variable by two
     actions that may overlap in time.  Ordered or same-resource pairs
-    cannot race.  Actions are grouped by variable, so only pairs with a
-    conflict are tested for parallelism.  `readers` and `writers` are
+    cannot race.  Each variable's readers and writers are one bitset, and
+    a writer races with the members of that bitset inside its `concurrent`
+    mask; a writer leaves the bitset once swept, so each pair is found
+    once and no pair is queried on its own.  `readers` and `writers` are
     `validate`'s index.  On an unsound graph its graph queries raise.
+    Findings are sorted by subjects.
     """
-    conflicts: dict[tuple[str, str], set[str]] = {}
-    for variable, written_by in writers.items():
-        touching = written_by + readers.get(variable, [])
-        for writer in written_by:
-            for other in touching:
-                if other != writer:
-                    pair = (min(writer, other), max(writer, other))
-                    conflicts.setdefault(pair, set()).add(variable)
+    graph = program.graph
+    position = graph.position
+    names = list(position)
     findings = []
-    for (first, second), variables in sorted(conflicts.items()):
-        if not model.potentially_parallel(program, first, second):
-            continue
-        for variable in sorted(variables):
-            findings.append(Finding(
-                Code.VARIABLE_RACE, (first, second, variable),
-                f"{first!r} and {second!r} may run simultaneously and both"
-                f" touch variable {variable!r}"))
+    for variable, written_by in writers.items():
+        touching = _mask(position, readers.get(variable, ())) | _mask(position, written_by)
+        for writer in written_by:
+            touching &= ~(1 << position[writer])
+            if not touching:  # no pair left, and the index is built only for a pair
+                break
+            racing = graph.concurrent[writer] & touching
+            while racing:
+                low = racing & -racing
+                racing ^= low
+                other = names[low.bit_length() - 1]
+                first, second = (writer, other) if writer < other else (other, writer)
+                findings.append(Finding(
+                    Code.VARIABLE_RACE, (first, second, variable),
+                    f"{first!r} and {second!r} may run simultaneously and both"
+                    f" touch variable {variable!r}"))
+    findings.sort(key=attrgetter("subjects"))
     return findings

@@ -189,6 +189,22 @@ def test_simulate_bad_durations_file(capsys, tmp_path, content):
     assert err.startswith(f"seqc: error: {durations}: ")
 
 
+@pytest.mark.parametrize("content, key", [
+    ('{"Default": 5, "Actions": {"C": 9}}', "Default"),
+    ('{"default": 5, "actions": {"C": 9}, "action": {"C": 1}}', "action"),
+    ('{"": 1, "zeta": 2}', ""),
+    ('{"actions": {}, "d\u00e9fault": 2}', "d\u00e9fault"),
+])
+def test_durations_file_refuses_an_unknown_key(capsys, tmp_path, content, key):
+    # The first key in the file that is not "default" or "actions" is named.
+    durations = tmp_path / "durations.json"
+    durations.write_text(content, encoding="utf-8")
+    code, out, err = run(
+        capsys, "simulate", "--durations", str(durations), "--dsl", DEMO_DSL, FIVE_STAGE)
+    assert (code, out) == (2, "")
+    assert err == f"seqc: error: {durations}: unknown key {key!r}\n"
+
+
 def test_malformed_durations_file_error_names_the_file(capsys, tmp_path):
     durations = tmp_path / "durations.json"
     durations.write_text("{bad", encoding="utf-8")

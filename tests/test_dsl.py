@@ -5,6 +5,7 @@ import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -287,6 +288,38 @@ def test_random_dsls_round_trip_with_their_mutex_relation():
         assert loaded.mutex_relation == dsl.mutex_relation
         self_exclusive += any(len(pair) == 1 for pair in dsl.mutex_relation)
     assert self_exclusive > 20
+
+
+def test_is_mutex_matches_the_relation_on_random_dsls():
+    # Self-exclusive types, pairs declared on one side or both, partners
+    # the DSL does not declare, and queried names it lacks.
+    rng = random.Random(3402)
+    kinds = Counter()
+    for _ in range(200):
+        types = [f"T{i}" for i in range(rng.randint(1, 7))]
+        components = {}
+        for name in types:
+            components.setdefault(f"Unit{rng.randint(1, 3)}", []).append(name)
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            a = rng.choice(types)
+            b = rng.choice((a, "ghost", *types))
+            pairs.append((a, b))
+            if b in types and rng.random() < 0.3:
+                pairs.append((b, a))
+        dsl = support.make_dsl(components, pairs)
+        twin = support.make_dsl(components, pairs)
+        before = hash(dsl)
+        names = [*types, "ghost", "", "T"]
+        for a in names:
+            for b in names:
+                expected = frozenset((a, b)) in dsl.mutex_relation
+                assert dsl.is_mutex(a, b) == expected
+                kinds["self" if a == b else "pair"] += expected
+        kinds["one_sided"] += any((b, a) not in pairs for a, b in pairs if a != b)
+        assert dsl == twin and hash(dsl) == hash(twin) == before
+        assert "partner" not in repr(dsl)
+    assert kinds["self"] > 20 and kinds["pair"] > 100 and kinds["one_sided"] > 20
 
 
 def test_one_sided_mutex_declaration_is_symmetric():

@@ -34,6 +34,7 @@ from support import (
     graph_defect,
     make_dsl,
     make_program,
+    may_overlap,
     outcome,
     random_durations,
     random_flow_setup,
@@ -379,6 +380,55 @@ def test_graph_queries_match_oracles_on_random_programs():
                 assert outcome(model.potentially_parallel, program, a, b) == expected
     assert kinds[DuplicateIdentifierError] > 20 and kinds[UnresolvedReferenceError] > 20
     assert kinds["cyclic"] > 20 and kinds["clean"] > 100
+
+
+def concurrency_corpus():
+    """Seeded programs of at most 8 actions: clean ones, and the defects
+    of `random_flow_setup` (repeated names, dangling predecessors, back
+    edges) plus a self-loop in every eighth program."""
+    rng = random.Random(3401)
+    for i in range(200):
+        _, program = random_flow_setup(rng, max_actions=8, max_resources=rng.randint(1, 4))
+        if i % 8 == 0:
+            looped = rng.choice(program.actions)
+            program = dataclasses.replace(program, actions=tuple(
+                dataclasses.replace(action, predecessors=(*action.predecessors, action.name))
+                if action is looped else action for action in program.actions))
+        yield program
+
+
+def test_concurrency_index_matches_schedule_search():
+    # Bit b of concurrent[a] is set exactly when some schedule overlaps a
+    # and b; the descendant closure is the transpose of the ancestor
+    # oracle; on an unsound graph every part of the index raises what
+    # `order` raises.
+    kinds = Counter()
+    for program in concurrency_corpus():
+        ordered = outcome(lambda: program.graph.order)
+        if not isinstance(ordered, list):
+            kinds[ordered[0]] += 1
+            kinds["self_loop"] += any(a.name in a.predecessors for a in program.actions)
+            for index in ("ancestor_bits", "descendant_bits", "concurrent"):
+                assert outcome(lambda: getattr(program.graph, index)) == ordered
+            continue
+        kinds["clean"] += 1
+        graph = program.graph
+        names = list(graph.position)
+        assert names == sorted(program.action_names())
+        assert [graph.position[name] for name in names] == list(range(len(names)))
+        ancestors = {name: ancestors_oracle(program, name) for name in names}
+        for a in names:
+            assert {b for b in names if graph.descendant_bits[a] >> graph.position[b] & 1} == {
+                b for b in names if a in ancestors[b]}
+            assert graph.concurrent[a] >> len(names) == 0
+            for b in names:
+                overlaps = bool(graph.concurrent[a] >> graph.position[b] & 1)
+                if a <= b:  # may_overlap is symmetric, and costly when it answers False
+                    assert overlaps == may_overlap(program, a, b)
+                else:
+                    assert overlaps == bool(graph.concurrent[b] >> graph.position[a] & 1)
+    assert kinds[DuplicateIdentifierError] > 20 and kinds[UnresolvedReferenceError] > 20
+    assert kinds[CyclicGraphError] > 20 and kinds["self_loop"] >= 20 and kinds["clean"] > 80
 
 
 def test_duplicate_names_raise_from_every_graph_query():

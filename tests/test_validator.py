@@ -33,7 +33,15 @@ from seqc.model import (
     VariableDecl,
 )
 from seqc.program_io import load_program, save_program
-from seqc.validator import Code, Finding, Severity, ValidationReport, validate
+from seqc.validator import (
+    Code,
+    Finding,
+    Severity,
+    ValidationReport,
+    _variable_uses,
+    lint_variable_races,
+    validate,
+)
 from support import (
     ancestors_oracle,
     cycle_oracle,
@@ -791,22 +799,37 @@ def test_validate_tests_only_candidate_pairs(monkeypatch):
     shared_pairs = sum(bool(writes[a] & (writes[b] | reads[b]) or reads[a] & writes[b])
                        for a, b in itertools.combinations(names, 2))
     parallel_calls = _counting(monkeypatch, model, "potentially_parallel")
-    closure = model.ProgramGraph.ancestor_bits
-    builds = []
-
-    def build(graph):
-        builds.append(graph)
-        return closure.func(graph)
-    counted_closure = functools.cached_property(build)
-    counted_closure.__set_name__(model.ProgramGraph, "ancestor_bits")
-    monkeypatch.setattr(model.ProgramGraph, "ancestor_bits", counted_closure)
+    builds = {attr: [] for attr in ("ancestor_bits", "descendant_bits", "concurrent")}
+    for attr, built in builds.items():
+        def build(graph, index=getattr(model.ProgramGraph, attr), built=built):
+            built.append(graph)
+            return index.func(graph)
+        counted_index = functools.cached_property(build)
+        counted_index.__set_name__(model.ProgramGraph, attr)
+        monkeypatch.setattr(model.ProgramGraph, attr, counted_index)
 
     report = validate(program, dsl)
 
     assert 0 < mutex_pairs and 0 < shared_pairs < len(names) * (len(names) - 1) // 2
-    assert len(parallel_calls) == mutex_pairs + shared_pairs
-    assert len(builds) == 1
+    # Only the mutex check asks per pair; the data-flow lints sweep masks.
+    assert len(parallel_calls) == mutex_pairs
+    assert {attr: len(built) for attr, built in builds.items()} == dict.fromkeys(builds, 1)
     assert {Code.MUTEX_VIOLATION, Code.VARIABLE_RACE} <= {f.code for f in report.findings}
+
+
+def test_race_lint_lists_each_race_once_in_subject_order():
+    # The sweep meets a pair of writers from both ends; the lint keeps one.
+    rng = random.Random(3403)
+    races = 0
+    for _ in range(300):
+        dsl, program = random_flow_setup(rng, max_actions=8)
+        if support.graph_defect(program) or cycle_oracle(program):
+            continue
+        found = lint_variable_races(program, *_variable_uses(program))
+        assert found == [f for f in support.pairwise_flow_findings(program, dsl)
+                         if f.code is Code.VARIABLE_RACE]
+        races += len(found)
+    assert races > 100
 
 
 def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
