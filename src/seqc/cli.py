@@ -200,12 +200,13 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 1
     trace_json = simulator.trace_to_json(trace) if args.trace or args.json else ""
+    # The timeline is built first: one too long to build refuses the
+    # command before --trace writes anything.
+    text = trace_json if args.json else simulator.format_timeline(trace)
     if args.trace:
         Path(args.trace).write_text(trace_json, encoding="utf-8")
-    if args.json:
-        sys.stdout.write(trace_json)
-    else:
-        sys.stdout.write(simulator.format_timeline(trace))
+    sys.stdout.write(text)
+    if not args.json:
         print(f"makespan: {trace.makespan}")
     return 0
 

@@ -115,10 +115,9 @@ class RobotClassDsl:
     def mutex_relation(self) -> frozenset[frozenset[str]]:
         """Each action's `mutex_types` as unordered pairs; a self-exclusive
         type is a one-element set.  Not a field, so equality ignores it."""
-        return frozenset(frozenset((action.identifier, partner))
-                         for component in self.components
-                         for action in component.actions
-                         for partner in action.mutex_types)
+        return frozenset(frozenset((name, partner))
+                         for name, partners in self._mutex_partners.items()
+                         for partner in partners)
 
     @cached_property
     def _index(self) -> _DslIndex:
@@ -146,12 +145,15 @@ class RobotClassDsl:
 
     @cached_property
     def _mutex_partners(self) -> dict[str, set[str]]:
-        """Each type's partners in `mutex_relation`; a self-exclusive type
-        is its own partner.  Not a field, so equality and hashing ignore it."""
+        """Each type's partners, from every action's `mutex_types` read
+        both ways round; a self-exclusive type is its own partner.  Not a
+        field, so equality and hashing ignore it."""
         partners: dict[str, set[str]] = {}
-        for pair in self.mutex_relation:
-            for name in pair:
-                partners.setdefault(name, set()).update(pair - {name} or pair)
+        for component in self.components:
+            for action in component.actions:
+                for partner in action.mutex_types:
+                    partners.setdefault(action.identifier, set()).add(partner)
+                    partners.setdefault(partner, set()).add(action.identifier)
         return partners
 
     def is_mutex(self, type_a: str, type_b: str) -> bool:

@@ -16,15 +16,17 @@ equal and serialize identically regardless of how they were assembled.
 The validator, the simulator and the queries at the bottom
 (potentially_parallel, topological_order, critical_path_length) read one
 ProgramGraph per Program, built on first use and cached on it: a
-name-to-action dict, predecessor and successor (`succs`) adjacency, the
-topological order, which alone decides acyclicity, a cycle witness, and,
-on first use, the concurrency index: the ancestor and descendant closures
-as one int bitset per action (Purdom's algorithm), and from them one
-`concurrent` mask per action.  Two actions may overlap when they run on
-distinct resources and neither precedes the other: they are incomparable
-in the precedence order, as in Lamport's happens-before.  So every
-"may these overlap?" question is one bit test of a `concurrent` mask, and
-a lint asks it of all its candidates at once with one mask intersection.
+name-to-action dict, predecessor and successor (`succs`) adjacency as
+name-ordered tuples, the topological order, which alone decides
+acyclicity, a cycle witness, and, on first use, the concurrency index:
+the descendant closure as one int bitset per action (Purdom's
+algorithm), and one `concurrent` mask per action, built from it and an
+ancestor closure that is not kept.  Two actions may overlap when they run
+on distinct resources and neither precedes the other: they are
+incomparable in the precedence order, as in Lamport's happens-before.  So
+every "may these overlap?" question is one bit test of a `concurrent`
+mask, and a lint asks it of all its candidates at once with one mask
+intersection.
 
 The graph exists only for a program whose action names are unique and
 whose predecessors all name actions.  Every query, `Program.action`
@@ -232,40 +234,40 @@ class ProgramGraph:
     DuplicateIdentifierError for the first action name declared twice,
     then UnresolvedReferenceError for the first (action, predecessor)
     pair whose predecessor names no action, so every name in `preds`
-    and `succs` is an action.
+    and `succs` is an action.  Both map each action, in name order, to a
+    name-ordered tuple of names.
 
     The topological order, whose reading raises CyclicGraphError on a
     cyclic graph, and the cycle witness are computed on first use.  So is
     the concurrency index, only when a query needs it, so loading a
-    program never pays for it: `ancestor_bits` and `descendant_bits`, one
-    int bitset per action with bit `position[x]` for action x, and
-    `concurrent`, each action's mask of the actions that may overlap it.
+    program never pays for it: `descendant_bits`, one int bitset per
+    action with bit `position[x]` for action x, and `concurrent`, each
+    action's mask of the actions that may overlap it.
     """
 
     def __init__(self, program: "Program"):
         actions: dict[str, ActionInstance] = {}
         preds: dict[str, tuple[str, ...]] = {}
-        succs: dict[str, set[str]] = {}
+        succs: dict[str, list[str]] = {}  # in name order, as the actions come
         for action in program.actions:
             name = action.name
             if name in actions:  # actions are sorted: the first repeat is the smallest
                 raise DuplicateIdentifierError(f"action {name!r} declared twice")
             actions[name] = action
-            succs.setdefault(name, set())
+            succs.setdefault(name, [])
             preds[name] = incoming = action.predecessors
             for pred in incoming:
                 if pred in succs:
-                    succs[pred].add(name)
+                    succs[pred].append(name)
                 else:
-                    succs[pred] = {name}
+                    succs[pred] = [name]
         if len(succs) != len(actions):
             raise UnresolvedReferenceError("action %r names unknown predecessor %r" % min(
                 (name, pred) for name, incoming in preds.items()
                 for pred in incoming if pred not in actions))
-        self.name = program.name
         self.actions = actions
         self.preds = preds
-        self.succs = succs
+        self.succs = {name: tuple(succs[name]) for name in actions}
 
     @cached_property
     def order(self) -> list[str]:
@@ -294,24 +296,11 @@ class ProgramGraph:
         return _find_cycle(self.preds)
 
     @cached_property
-    def ancestor_bits(self) -> dict[str, int]:
-        """Purdom's closure, built in topological order: bit `position[x]`
-        of an action's int is set when x is one of its ancestors.  Raises
-        CyclicGraphError, as `order` does, on a cyclic graph.
-        """
-        position = self.position
-        closure: dict[str, int] = {}
-        for name in self.order:
-            bits = 0
-            for pred in self.preds[name]:
-                bits |= closure[pred] | 1 << position[pred]
-            closure[name] = bits
-        return closure
-
-    @cached_property
     def descendant_bits(self) -> dict[str, int]:
-        """The transpose of `ancestor_bits`, built the same way over the
-        reversed order: bit `position[x]` is set when x is a descendant."""
+        """Purdom's closure, built over the reversed topological order: bit
+        `position[x]` of an action's int is set when x is one of its
+        descendants.  Raises CyclicGraphError, as `order` does, on a
+        cyclic graph."""
         position, succs = self.position, self.succs
         closure: dict[str, int] = {}
         for name in reversed(self.order):
@@ -327,31 +316,25 @@ class ProgramGraph:
         precedes the other and they run on different resources.  No action
         is concurrent with itself.  Raises CyclicGraphError, as `order` does.
         """
-        position, actions = self.position, self.actions
+        position, actions, preds = self.position, self.actions, self.preds
+        descendants = self.descendant_bits
+        ancestors: dict[str, int] = {}  # the transpose of `descendant_bits`, not kept
+        for name in self.order:
+            bits = 0
+            for pred in preds[name]:
+                bits |= ancestors[pred] | 1 << position[pred]
+            ancestors[name] = bits
         on_resource: dict[str, int] = {}
         for name, action in actions.items():
             on_resource[action.resource] = on_resource.get(action.resource, 0) | 1 << position[name]
-        ancestors, descendants = self.ancestor_bits, self.descendant_bits
         everyone = (1 << len(position)) - 1
         return {name: everyone & ~(ancestors[name] | descendants[name] | on_resource[action.resource])
                 for name, action in actions.items()}
 
     @cached_property
     def position(self) -> dict[str, int]:
-        """Each action's bit index in the closures and `concurrent`."""
+        """Each action's bit index in `descendant_bits` and `concurrent`."""
         return {name: i for i, name in enumerate(self.preds)}
-
-    def precedes(self, first: str, second: str) -> bool:
-        """True iff a directed path leads from `first` to `second`.  Raises
-        CyclicGraphError, as `order` does, then UnknownActionError for the
-        first name that is not an action."""
-        bits, position = self.ancestor_bits, self.position
-        try:
-            return bool(bits[second] >> position[first] & 1)
-        except KeyError:
-            missing = second if first in position else first
-            raise UnknownActionError(
-                f"program {self.name!r} has no action named {missing!r}") from None
 
 
 def potentially_parallel(program: Program, a: str, b: str) -> bool:
@@ -359,19 +342,19 @@ def potentially_parallel(program: Program, a: str, b: str) -> bool:
 
     Two actions can be simultaneous exactly when neither must wait for
     the other and they occupy different resource instances; a shared
-    resource serializes them regardless of ordering.
+    resource serializes them regardless of ordering.  Raises
+    SameActionError for one name given twice, then what the concurrency
+    index raises, then UnknownActionError for the first unknown name.
     """
     if a == b:
         raise SameActionError(f"potential parallelism is defined for distinct actions, got {a!r} twice")
-    # The mutex check asks this once per candidate pair, so a sound graph
-    # answers from the index alone; the slow path orders the errors.
     graph = program.graph
-    try:
+    try:  # the index raises its graph defects before any name is looked up
         return bool(graph.concurrent[a] >> graph.position[b] & 1)
-    except (KeyError, CyclicGraphError):
-        if program.action(a).resource == program.action(b).resource:
-            return False  # answered before any cycle check
-        raise
+    except KeyError:
+        missing = b if a in graph.actions else a
+        raise UnknownActionError(
+            f"program {program.name!r} has no action named {missing!r}") from None
 
 
 def topological_order(program: Program) -> list[str]:

@@ -185,12 +185,23 @@ def trace_to_json(trace: ExecutionTrace) -> str:
         ("t", "kind", "action", "resource"), rows)}) + "\n"
 
 
+_MAX_TIMELINE_CHARS = 2**30
+
+
 def format_timeline(trace: ExecutionTrace) -> str:
-    """Fixed-width text timeline: one row per action, one column per tick."""
+    """Fixed-width text timeline: one row per action, one column per tick.
+
+    Raises SeqcError, before any text is built, for a timeline of more
+    than 2**30 characters.
+    """
     if not trace.schedule:
         return "(empty trace)\n"
     width = max(len(name) for name in trace.schedule)
     span = max(trace.makespan, 1)
+    size = (len(trace.schedule) + 1) * (width + 2 + span + 1)  # the ruler, then one row each
+    if size > _MAX_TIMELINE_CHARS:
+        raise SeqcError(f"a text timeline of {size} characters is over the limit of"
+                        f" {_MAX_TIMELINE_CHARS}; use --json, and --trace FILE to keep it")
     ruler = "".join(str(t % 10) for t in range(span))
     lines = [f"{'':<{width}}  {ruler}"]
     for name in sorted(trace.schedule, key=lambda n: (trace.schedule[n][0], n)):

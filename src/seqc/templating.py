@@ -346,10 +346,11 @@ class TemplateEngine:
     """Renders parsed templates against a scope; #insert names another of them.
 
     The scope is a mapping from root names to arbitrary objects; steps
-    resolve via mapping keys or attributes, and zero-argument callables
-    are invoked.  ``#insert`` runs the named template with a scope made
-    of the original top-level roots plus the target node under the name
-    the node publishes as its ``_root``.  A lenient engine appends each
+    resolve via mapping keys or attributes, and callables are invoked
+    with no arguments: a step that needs arguments is unresolved.
+    ``#insert`` runs the named template with a scope made of the
+    original top-level roots plus the target node under the name the
+    node publishes as its ``_root``.  A lenient engine appends each
     render's warnings to ``warnings``, in the order they arise.
     """
 
@@ -465,7 +466,10 @@ def _walk(path: ReferencePath, scope: Mapping) -> tuple[object, str | None]:
             except AttributeError:
                 return None, f"{type(value).__name__} has no property {step!r}"
         if callable(value):
-            value = value()
+            try:
+                value = value()
+            except TypeError:  # say, a builtin method that needs an argument
+                return None, f"{step!r} cannot be called without arguments"
     return value, None
 
 

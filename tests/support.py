@@ -11,7 +11,7 @@ the oracles with the graph index and the validator made to raise, and the
 payload oracles with the JSON writers made to raise.  One oracle per
 library behaviour:
 
-    ProgramGraph.precedes                ancestors_oracle
+    ProgramGraph.descendant_bits         ancestors_oracle
     model.topological_order              topological_order_oracle
     model.critical_path_length           critical_path_oracle
     model.potentially_parallel           may_overlap

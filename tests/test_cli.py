@@ -255,6 +255,23 @@ def test_simulate_trace_and_json_render_the_trace_once(capsys, tmp_path, monkeyp
     assert json.loads(out)["makespan"] == 3
 
 
+def test_simulate_refuses_a_text_timeline_too_long_to_build(capsys, tmp_path):
+    # Six rows of 10**10 ticks: refused before any text is built and before
+    # --trace is written; --json answers the same command.
+    trace_file = tmp_path / "trace.json"
+    argv = ("simulate", "--duration", "A=10000000000", "--trace", str(trace_file),
+            "--dsl", DEMO_DSL, FIVE_STAGE)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("seqc: error: a text timeline of 60000000036 characters is over the"
+                   f" limit of {2**30}; use --json, and --trace FILE to keep it\n")
+    assert not trace_file.exists()
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["makespan"] == 10000000002
+    assert trace_file.read_text(encoding="utf-8") == out
+
+
 # --- generate -----------------------------------------------------------------
 
 def test_generate_writes_outputs(capsys, tmp_path):
@@ -360,6 +377,30 @@ def test_generate_render_error_and_lenient(capsys, tmp_path):
     assert out == json.dumps(payload, indent=2) + "\n"
     assert payload["written"] == [str(out_dir / "out.txt")]
     assert len(payload["warnings"]) == err.count("seqc: warning:") == 2
+
+
+def test_generate_reports_a_step_that_needs_arguments(capsys, tmp_path):
+    # str.join needs an argument: a render error, not a traceback.
+    (tmp_path / "main.vt").write_text("[$Program.getName().getJoin()]\n", encoding="utf-8")
+    generator = tmp_path / "gen.xml"
+    generator.write_text(
+        '<Generator><Main file="main.vt" output="out.txt"/></Generator>',
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    argv = (
+        "generate", "--dsl", NXT_DSL, NXT_PROGRAM,
+        "--templates", str(generator), "--out", str(out_dir),
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("seqc: render error: cannot resolve $Program.getName().getJoin():"
+                   " 'join' cannot be called without arguments [main.vt:1]\n")
+    assert not out_dir.exists()
+
+    code, _, err = run(capsys, *argv, "--lenient")
+    assert code == 0 and err.count("seqc: warning:") == 1
+    assert (out_dir / "out.txt").read_text(encoding="utf-8") == "[]\n"
 
 
 def test_generate_refuses_an_output_named_for_the_directory(capsys, tmp_path):

@@ -362,6 +362,29 @@ def test_format_timeline_golden():
     )
 
 
+def test_format_timeline_refuses_only_text_over_its_limit(monkeypatch):
+    # The length is computed before the text is built: a limit of exactly
+    # the text's length builds it, one character less refuses it.
+    rng = random.Random(3502)
+    traces = []
+    for _ in range(40):
+        dsl, program = random_valid_setup(rng)
+        traces.append(simulate(program, dsl, DurationMap(random_durations(rng, program))))
+    for trace, text in [(trace, format_timeline(trace)) for trace in traces]:
+        monkeypatch.setattr(simulator, "_MAX_TIMELINE_CHARS", len(text))
+        assert format_timeline(trace) == text
+        monkeypatch.setattr(simulator, "_MAX_TIMELINE_CHARS", len(text) - 1)
+        with pytest.raises(SeqcError, match=f"^a text timeline of {len(text)} characters"):
+            format_timeline(trace)
+    monkeypatch.undo()
+    huge = ExecutionTrace({"a": (0, 2**30)}, {"a": "r"})
+    with pytest.raises(SeqcError) as refused:
+        format_timeline(huge)
+    assert str(refused.value) == (
+        f"a text timeline of {2 * (2**30 + 4)} characters is over the limit of {2**30};"
+        " use --json, and --trace FILE to keep it")
+
+
 def test_makespan_matches_trace_field():
     dsl, program = five_stage()
     trace = simulate(program, dsl, DurationMap({"B": 7}))

@@ -386,6 +386,23 @@ def test_insert_unknown_template_strict_and_lenient():
     assert len(warnings) == 1 and "ghost" in warnings[0]
 
 
+def test_a_step_that_needs_arguments_is_an_unresolved_reference():
+    # str.join and tuple.index take an argument, so the step resolves to
+    # nothing in every directive instead of escaping as a TypeError.
+    scope = {"b": Box(name="part", items=("x",))}
+    for ref in ("$b.getName().getJoin()", "$b.items.index"):
+        for source in (f"[{ref}]", f"[#foreach($i in {ref})$i#end]", f"[#set($x = {ref})]",
+                       f"[#insert({ref}, $b)]"):
+            with pytest.raises(UnresolvedReferenceError,
+                               match="cannot be called without arguments"):
+                render_main(scope, main=source, part="P")
+            text, warnings = render_main(scope, strict=False, main=source, part="P")
+            assert text == "[]" and len(warnings) == 1 and ref in warnings[0]
+        for strict in (True, False):
+            assert render_main(scope, strict=strict, main=f"[#if({ref})yes#else\nno#end]",
+                               part="P") == ("[no]", [])
+
+
 def test_insert_depth_limit_catches_cycles():
     with pytest.raises(TemplateError) as exc_info:
         render_main({"b": Box()}, main="#insert(main, $b)")

@@ -799,7 +799,7 @@ def test_validate_tests_only_candidate_pairs(monkeypatch):
     shared_pairs = sum(bool(writes[a] & (writes[b] | reads[b]) or reads[a] & writes[b])
                        for a, b in itertools.combinations(names, 2))
     parallel_calls = _counting(monkeypatch, model, "potentially_parallel")
-    builds = {attr: [] for attr in ("ancestor_bits", "descendant_bits", "concurrent")}
+    builds = {attr: [] for attr in ("descendant_bits", "concurrent")}
     for attr, built in builds.items():
         def build(graph, index=getattr(model.ProgramGraph, attr), built=built):
             built.append(graph)
@@ -847,7 +847,8 @@ def test_validate_searches_for_a_cycle_only_on_a_cyclic_graph(monkeypatch):
         witness = cycle_oracle(program)
         if witness is None:
             assert searches == []
-            closures += "ancestor_bits" in vars(program.graph)
+            closures += "concurrent" in vars(program.graph)
+            assert not [index for index in vars(program.graph) if "ancestor" in index]
             continue
         cyclic += 1
         assert len(searches) == 1
