@@ -9,62 +9,61 @@ sorted by name) so equal programs always produce identical bytes.
 Both loaders read the document with `xmlio.read_document`, which parses
 it in slices and hands over each entry, its tag and required attributes
 checked, as soon as it is complete; the element tree never exists whole.
-`parse_program` keeps the attribute rows only.  `load_program` resolves
-each variable and action against the DSL as it arrives and keeps the
-result, or the first error of its section.  Each <Arg> has one reader,
-`_parse_children`, and each literal one, `_parse_literal`: a scalar is
-attribute text read under its declared type, a composite nested <Field>
-elements.  The checks then run in the order of a walk over the whole
-tree: every structural error first, then the robot class, resources,
-variables, actions, names and constraints.  Each action's <After> edges
-become its `predecessors`, a sorted tuple of names; no object stands for
-an edge.
+`parse_program` keeps the attribute rows only.  `load_program` reads
+each variable and action under its declared type as it arrives and
+keeps the result, or the first entry it cannot read.  Each <Arg> has one
+reader, `_parse_children`, and each literal one, `_parse_literal`: a
+scalar is attribute text read under its declared type, a composite
+nested <Field> elements.  The robot class and the declaration rules
+(names, component types, placement) are the validator's, and the loader
+raises their first finding.  Each action's <After> edges become its
+`predecessors`, a sorted tuple of names; no object stands for an edge.
 """
 
 import re
 from collections import defaultdict
 
 from . import jsonout
-from .dsl import _LITERALS, RobotClassDsl, _duplicates, _literal_text, lookup_action
+from .dsl import _LITERALS, RobotClassDsl, _literal_text, lookup_action
 from .errors import (
     DuplicateIdentifierError,
     SeqcError,
-    UnknownResourceTypeError,
     UnknownVariableTypeError,
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
 from .model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
+from .validator import _check_declarations, _check_robot_class
 from .xmlio import _children, _detached, _write_element, read_document, require_attr
 
 
 def load_program(text: str, dsl: RobotClassDsl) -> Program:
-    """Parse a program document and resolve every reference against the DSL.
+    """Parse a program document and resolve it against the DSL.
 
-    The program's robot class must be the DSL's name.  Structural
-    references (action types, resource instances, parameter names,
-    constraint endpoints) must resolve and the precedence graph must be
-    acyclic.  Variable references in bindings are deliberately
-    not resolved here; the validator reports them with context.
+    Refused, in this order: XML structure; a robot class not the DSL's
+    name; the first entry, in document order, that cannot be read (an
+    unknown variable or action type, a bad <Arg>, <ReturnTo> or literal);
+    the first finding of the validator's declaration rules in report
+    order; an <After> that names no action; a cycle.  Variable references
+    in bindings are left to the validator, which reports them with context.
     """
-    program = _resolve(text, dsl)  # its working lists are freed before the graph index is built
+    program = _read(text, dsl)  # its working lists are freed before the graph index is built
     program.graph.order  # raises CyclicGraphError on cycles
     return program
 
 
-def _resolve(text: str, dsl: RobotClassDsl) -> Program:
+def _read(text: str, dsl: RobotClassDsl) -> Program:
     """`load_program` up to the acyclicity check."""
     rows: dict[str, list] = {"Resources": [], "Constraints": []}
     variables: list[VariableDecl] = []
-    heads: list[tuple] = []  # (name, type, resource, owning component) of each typed action
-    bodies: list[tuple] = []  # (args, return_to) of each action resolved in full
-    failed: dict[str, SeqcError] = {}  # section tag: the first error resolving it
+    actions: list[tuple] = []  # (name, type, resource, args, return_to) of each action
+    failed: list[SeqcError] = []  # the first reading failure
 
     def take(tag, entries, found):
-        if tag in rows:  # checked once every entry is in
-            rows[tag].extend(found)
+        if failed:  # reading stops at the first failure
             return
-        if tag in failed:  # a section resolves up to its first error
+        if tag in rows:
+            rows[tag].extend(found)
             return
         try:
             for elem, row in zip(entries, found):
@@ -72,51 +71,34 @@ def _resolve(text: str, dsl: RobotClassDsl) -> Program:
                     variables.append(_parse_variable(elem, row, dsl))
                 else:
                     action_type = lookup_action(dsl, row[1])
-                    heads.append((*row, action_type.owner))
-                    bodies.append(_parse_children(elem, action_type, dsl, row[0]))
+                    actions.append((*row, *_parse_children(elem, action_type, dsl, row[0])))
         except SeqcError as exc:
-            failed[tag] = _detached(exc)
+            failed.append(_detached(exc))
         except RecursionError:
             kind = "variable" if tag == "Variables" else "action"
-            failed[tag] = XmlSyntaxError(f"{kind} {row[0]!r}: literal nested too deeply")
+            failed.append(XmlSyntaxError(f"{kind} {row[0]!r}: literal nested too deeply"))
 
     name, robot_class = read_document(text, "Program", ("name", "robotClass"), _SECTIONS, take)
-    if robot_class != dsl.name:
-        raise UnresolvedReferenceError(f"program is written for robot class {robot_class!r},"
-                                       f" but the DSL is {dsl.name!r}")
-    resources = [ResourceInstance(*row) for row in rows["Resources"]]
-    for resource in resources:
-        if dsl.component(resource.component_type) is None:
-            raise UnknownResourceTypeError(f"resource {resource.name!r} has unknown"
-                                           f" component type {resource.component_type!r}")
-    if "Variables" in failed:
-        raise failed["Variables"]
-    _reject_duplicates((r.name for r in resources), "resource")
-    _reject_duplicates((v.name for v in variables), "variable")
-    resource_types = {r.name: r.component_type for r in resources}
-    for action_name, type_name, resource, owner in heads:
-        if resource not in resource_types:
-            raise UnresolvedReferenceError(
-                f"action {action_name!r} runs on undeclared resource {resource!r}"
-            )
-        if resource_types[resource] != owner:
-            raise UnresolvedReferenceError(
-                f"action {action_name!r}: type {type_name!r} belongs to component"
-                f" {owner!r}, but resource {resource!r} is a {resource_types[resource]!r}"
-            )
-    if "Actions" in failed:  # after the resource checks of the actions before it
-        raise failed["Actions"]
-    _reject_duplicates((head[0] for head in heads), "action")
-    incoming: dict[str, set[str]] = {head[0]: set() for head in heads}
+    for finding in _check_robot_class(name, robot_class, dsl):
+        raise UnresolvedReferenceError(finding.message)
+    if failed:
+        raise failed[0]
+    incoming: dict[str, set[str]] = {row[0]: set() for row in actions}
+    dangling = None  # the first endpoint of an <After> that names no action
     for action, predecessor in rows["Constraints"]:
-        if action not in incoming or predecessor not in incoming:
-            endpoint = predecessor if action in incoming else action
-            raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
-        incoming[action].add(predecessor)
-    actions = [ActionInstance(action_name, type_name, resource, args, return_to,
-                              incoming[action_name])
-               for (action_name, type_name, resource, _), (args, return_to) in zip(heads, bodies)]
-    return Program(name, robot_class, tuple(resources), tuple(variables), tuple(actions))
+        if action in incoming and predecessor in incoming:
+            incoming[action].add(predecessor)
+        elif dangling is None:
+            dangling = predecessor if action in incoming else action
+    resources = tuple([ResourceInstance(*row) for row in rows["Resources"]])
+    program = Program(name, robot_class, resources, tuple(variables),
+                      tuple([ActionInstance(*row, incoming[row[0]]) for row in actions]))
+    if found := _check_declarations(program, dsl):
+        finding, error = min(found, key=lambda pair: (pair[0].code, pair[0].subjects))
+        raise error(finding.message)
+    if dangling is not None:
+        raise UnresolvedReferenceError(f"constraint references unknown action {dangling!r}")
+    return program
 
 
 def parse_program(text: str) -> Program:
@@ -147,11 +129,6 @@ _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
     "Actions": ("ActionInstance", ("name", "type", "resource")),
     "Constraints": ("After", ("action", "predecessor")),
 }
-
-
-def _reject_duplicates(names, kind):
-    for name in _duplicates(names):
-        raise DuplicateIdentifierError(f"{kind} {name!r} declared twice")
 
 
 def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:

@@ -351,7 +351,8 @@ class TemplateEngine:
     ``#insert`` runs the named template with a scope made of the
     original top-level roots plus the target node under the name the
     node publishes as its ``_root``.  A lenient engine appends each
-    render's warnings to ``warnings``, in the order they arise.
+    render's warnings to ``warnings``, in the order they arise; one from an
+    inserted body names the target, by root name and ``name``.
     """
 
     def __init__(self, templates: Mapping[str, Template], *, strict: bool):
@@ -362,20 +363,20 @@ class TemplateEngine:
     def render_template(self, template: Template, scope: Mapping[str, object]) -> str:
         top_scope = dict(scope)
         parts: list[str] = []
-        # Bodies still being rendered, innermost last: (template, node
-        # iterator, scope, #insert depth).  An #if branch shares its scope.
-        frames = [(template, iter(template.nodes), dict(scope), 0)]
+        # Bodies still being rendered, innermost last: (template, node iterator,
+        # scope, #insert depth, #insert target of warnings).  An #if branch shares its scope.
+        frames = [(template, iter(template.nodes), dict(scope), 0, "")]
         while frames:
-            template, nodes, scope, depth = frames[-1]
+            template, nodes, scope, depth, origin = frames[-1]
             for node in nodes:
                 if type(node) is str:
                     parts.append(node)
                 elif isinstance(node, ReferencePath):
-                    value = self._resolve(template, node, scope)
+                    value = self._resolve(template, node, scope, origin)
                     if value is not _MISSING:
                         parts.append(_to_text(value))
                 elif isinstance(node, ForeachNode):
-                    value = self._resolve(template, node.path, scope)
+                    value = self._resolve(template, node.path, scope, origin)
                     if value is _MISSING:
                         continue
                     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
@@ -383,21 +384,21 @@ class TemplateEngine:
                             f"{node.path.raw} is not iterable",
                             template_id=template.id, line=node.line)
                     # Each item renders the body in a fresh child scope.
-                    frames.extend((template, iter(node.body), {**scope, node.var: item}, depth)
-                                  for item in reversed(list(value)))
+                    frames.extend((template, iter(node.body), {**scope, node.var: item}, depth,
+                                   origin) for item in reversed(list(value)))
                     break
                 elif isinstance(node, IfNode):
                     value, _ = _walk(node.path, scope)  # None when unresolvable
                     branch = node.then_body if value else node.else_body
-                    frames.append((template, iter(branch), scope, depth))
+                    frames.append((template, iter(branch), scope, depth, origin))
                     break
                 elif isinstance(node, SetNode):
-                    value = (self._resolve(template, node.value, scope)
+                    value = (self._resolve(template, node.value, scope, origin)
                              if isinstance(node.value, ReferencePath) else node.value)
                     if value is not _MISSING:
                         scope[node.var] = value
                 elif isinstance(node, InsertNode):
-                    frame = self._insert(template, node, scope, depth, top_scope)
+                    frame = self._insert(template, node, scope, depth, top_scope, origin)
                     if frame is not None:
                         frames.append(frame)
                         break
@@ -407,7 +408,7 @@ class TemplateEngine:
                 frames.pop()
         return "".join(parts)
 
-    def _insert(self, template, node: InsertNode, scope, depth, top_scope):
+    def _insert(self, template, node: InsertNode, scope, depth, top_scope, origin):
         """The frame that renders an #insert, or None when it is skipped."""
         if depth >= _MAX_INSERT_DEPTH:
             raise TemplateError("#insert nesting exceeds the depth limit"
@@ -415,7 +416,7 @@ class TemplateEngine:
                                 template_id=template.id, line=node.line)
         template_id = node.template_id
         if isinstance(template_id, ReferencePath):
-            resolved = self._resolve(template, template_id, scope)
+            resolved = self._resolve(template, template_id, scope, origin)
             if resolved is _MISSING:
                 return None
             template_id = _to_text(resolved)
@@ -425,10 +426,10 @@ class TemplateEngine:
                 raise UnknownTemplateIdError(
                     f"#insert names unknown template {template_id!r}",
                     template_id=template.id, line=node.line)
-            self.warnings.append(f"{template.id}:{node.line}: skipped #insert of unknown"
-                                 f" template {template_id!r}")
+            self.warnings.append(f"{template.id}:{node.line}{origin}: skipped #insert of"
+                                 f" unknown template {template_id!r}")
             return None
-        target = self._resolve(template, node.target, scope)
+        target = self._resolve(template, node.target, scope, origin)
         if target is _MISSING:
             return None
         root = getattr(target, "_root", None)
@@ -436,9 +437,10 @@ class TemplateEngine:
             raise TemplateError(
                 f"#insert target {node.target.raw} does not publish a root name",
                 template_id=template.id, line=node.line)
-        return inserted, iter(inserted.nodes), {**top_scope, root: target}, depth + 1
+        origin = f" (inserted for {root} {target.name!r})" if hasattr(target, "name") else ""
+        return inserted, iter(inserted.nodes), {**top_scope, root: target}, depth + 1, origin
 
-    def _resolve(self, template: Template, path: ReferencePath, scope: dict):
+    def _resolve(self, template: Template, path: ReferencePath, scope: dict, origin: str):
         value, failure = _walk(path, scope)
         if failure is None:
             return value
@@ -446,8 +448,8 @@ class TemplateEngine:
             raise UnresolvedReferenceError(
                 f"cannot resolve {path.raw}: {failure}",
                 template_id=template.id, line=path.line)
-        self.warnings.append(f"{template.id}:{path.line}: unresolved reference {path.raw}"
-                             f" ({failure})")
+        self.warnings.append(f"{template.id}:{path.line}{origin}: unresolved reference"
+                             f" {path.raw} ({failure})")
         return _MISSING
 
 

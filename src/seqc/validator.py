@@ -21,7 +21,12 @@ from operator import attrgetter
 
 from . import model
 from .dsl import RobotClassDsl, _duplicates
-from .errors import CyclicGraphError, DuplicateIdentifierError, UnresolvedReferenceError
+from .errors import (
+    CyclicGraphError,
+    DuplicateIdentifierError,
+    UnknownResourceTypeError,
+    UnresolvedReferenceError,
+)
 from .model import Program
 
 
@@ -118,11 +123,10 @@ def _json_strings(items: tuple[str, ...]) -> str:
 def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     """Run every check and aggregate the findings; never aborts early.
     The graph checks run only on a sound graph: a cycle is one CyclicGraph
-    finding, and a graph that cannot be built adds nothing, since the name
-    check and check_bindings report why."""
+    finding, and a graph that cannot be built adds nothing, since
+    check_bindings reports why."""
     readers, writers = _variable_uses(program)
-    findings = _check_unique_names(program)
-    findings += check_bindings(program, dsl)
+    findings = check_bindings(program, dsl)
     findings += _lint_unused_variables(program, readers, writers)
     try:
         program.graph.order  # raises CyclicGraphError on a cycle
@@ -160,9 +164,23 @@ def _mask(position: dict[str, int], names) -> int:
     return bits
 
 
-def _check_unique_names(program: Program) -> list[Finding]:
-    return [
-        Finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once")
+def _check_robot_class(name: str, robot_class: str, dsl: RobotClassDsl) -> list[Finding]:
+    """The finding for a program `name` written for another robot class."""
+    if robot_class == dsl.name:
+        return []
+    return [Finding(Code.UNRESOLVED_REFERENCE, (name, robot_class),
+                    f"program is written for robot class {robot_class!r},"
+                    f" but the DSL is {dsl.name!r}")]
+
+
+def _check_declarations(program: Program, dsl: RobotClassDsl) -> list[tuple[Finding, type]]:
+    """The declaration rules, each finding with the error `load_program`
+    raises for it: unique resource, variable and action names, each
+    resource's component type, and each action on a declared resource (the
+    first of its name) of the component that owns the action's type."""
+    found = [
+        (Finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once"),
+         DuplicateIdentifierError)
         for kind, entries in (
             ("action", program.actions),
             ("resource", program.resources),
@@ -170,6 +188,30 @@ def _check_unique_names(program: Program) -> list[Finding]:
         )
         for name in _duplicates(entry.name for entry in entries)
     ]
+    for resource in program.resources:
+        if dsl.component(resource.component_type) is None:
+            found.append((Finding(
+                Code.UNRESOLVED_REFERENCE, (resource.name, resource.component_type),
+                f"resource {resource.name!r} has unknown component type"
+                f" {resource.component_type!r}"), UnknownResourceTypeError))
+    component_of = {r.name: r.component_type for r in reversed(program.resources)}
+    action_types = dsl.action_types()
+    for action in program.actions:
+        component = component_of.get(action.resource)
+        if component is None:
+            found.append((Finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r} runs on undeclared resource {action.resource!r}"),
+                UnresolvedReferenceError))
+            continue
+        atype = action_types.get(action.action_type)  # None: check_bindings reports it
+        if atype is not None and component != atype.owner and dsl.component(component) is not None:
+            found.append((Finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
+                f"action {action.name!r}: type {atype.identifier!r} belongs to component"
+                f" {atype.owner!r}, but resource {action.resource!r} is a {component!r}"),
+                UnresolvedReferenceError))
+    return found
 
 
 def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Finding]:
@@ -207,25 +249,14 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
 
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     """Completeness, order and typing of bindings and initializers, and
-    every reference the loader resolves: the robot class, each resource's
-    component, each variable's type, and each action's resource, type,
-    bound parameters and predecessors.  An action's first binding of each
-    declared parameter must follow the declaration order, the order the
-    loader reads them in.  Of a repeated resource or variable name, the
-    first declaration counts.
+    every reference the loader resolves: the robot class, the declaration
+    rules of `_check_declarations`, each variable's type, and each action's
+    type, bound parameters and predecessors.  An action's first binding of
+    each declared parameter must follow the declaration order, the order
+    the loader reads them in.
     """
-    findings = []
-    if program.robot_class != dsl.name:
-        findings.append(Finding(
-            Code.UNRESOLVED_REFERENCE, (program.name, program.robot_class),
-            f"program is written for robot class {program.robot_class!r},"
-            f" but the DSL is {dsl.name!r}"))
-    for resource in program.resources:
-        if dsl.component(resource.component_type) is None:
-            findings.append(Finding(
-                Code.UNRESOLVED_REFERENCE, (resource.name, resource.component_type),
-                f"resource {resource.name!r} has unknown component type"
-                f" {resource.component_type!r}"))
+    findings = _check_robot_class(program.name, program.robot_class, dsl)
+    findings += [finding for finding, _ in _check_declarations(program, dsl)]
     for variable in program.variables:
         if dsl.variable_type(variable.type_name) is None:
             findings.append(Finding(
@@ -236,7 +267,6 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 Code.TYPE_MISMATCH, (variable.name, "init"),
                 f"initializer of variable {variable.name!r} does not type-check"
                 f" as {variable.type_name}"))
-    component_of = {r.name: r.component_type for r in reversed(program.resources)}
     action_types = dsl.action_types()
     names = {action.name for action in program.actions}
     for action in program.actions:
@@ -245,22 +275,12 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 findings.append(Finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, pred),
                     f"action {action.name!r} names unknown predecessor {pred!r}"))
-        component = component_of.get(action.resource)  # None: undeclared, placement unchecked
-        if component is None:
-            findings.append(Finding(
-                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
-                f"action {action.name!r} runs on undeclared resource {action.resource!r}"))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
                 f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
-        if component != atype.owner and dsl.component(component) is not None:
-            findings.append(Finding(
-                Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
-                f"action {action.name!r}: type {atype.identifier!r} belongs to component"
-                f" {atype.owner!r}, but resource {action.resource!r} is a {component!r}"))
         for arg in action.args:
             if arg.param not in atype.parameters_by_name:
                 findings.append(Finding(

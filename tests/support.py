@@ -805,8 +805,8 @@ def mutate_program(rng: random.Random, text: str) -> str:
         i = rng.choice(entries)
         if lines[i].endswith("/>"):
             lines.insert(i, lines[i])
-    elif kind in ("extra_edge", "self_edge") and '<ActionInstance name="' in text:
-        names = re.findall(r'<ActionInstance name="([^"]*)"', text)
+    elif kind in ("extra_edge", "self_edge") and (
+            names := re.findall(r'<ActionInstance name="([^"]*)"', text)):  # not cut short
         a, b = rng.choice(names), rng.choice(names)
         edge = f'<After action="{a}" predecessor="{a if kind == "self_edge" else b}"/>'
         return text.replace("<Constraints/>", f"<Constraints>{edge}</Constraints>").replace(
@@ -845,8 +845,10 @@ def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
 
 # The whole-tree walk that served both loaders before program documents
 # were read slice by slice, kept as their oracle: `ET.fromstring` builds the
-# whole tree, a structural walk checks every section and entry, then each
-# phase resolves its entries.  Composite literals reuse `pio._parse_literal`.
+# whole tree and a structural walk checks every section and entry; then the
+# entries are read in document order, and the program they make is judged
+# by `validate_oracle`'s statements of the declaration rules.  Composite
+# literals reuse `pio._parse_literal`.
 
 WHOLE_TREE_SECTIONS = {
     "Resources": ("Resource", ("name", "type")),
@@ -869,19 +871,20 @@ def _whole_tree_required(elems, names):
 
 
 def read_document_whole_tree(text: str):
+    """The root's name and robot class, and each entry as (section tag,
+    element, required attribute values), in document order."""
     root = parse_root(text, "Program")
     name = require_attr(root, "name")
     robot_class = require_attr(root, "robotClass")
-    elems: dict[str, list] = {tag: [] for tag in WHOLE_TREE_SECTIONS}
-    attrs: dict[str, list] = {tag: [] for tag in WHOLE_TREE_SECTIONS}
+    entries = []
     for section in root:
         if section.tag not in WHOLE_TREE_SECTIONS:
             raise XmlSyntaxError(f"unexpected element <{section.tag}>")
         entry_tag, required = WHOLE_TREE_SECTIONS[section.tag]
-        entries = _whole_tree_children(section, entry_tag)
-        elems[section.tag].extend(entries)
-        attrs[section.tag].extend(_whole_tree_required(entries, required))
-    return name, robot_class, elems, attrs
+        elems = _whole_tree_children(section, entry_tag)
+        entries += [(section.tag, elem, row)
+                    for elem, row in zip(elems, _whole_tree_required(elems, required))]
+    return name, robot_class, entries
 
 
 def _whole_tree_variable(elem, attrs, dsl):
@@ -896,16 +899,9 @@ def _whole_tree_variable(elem, attrs, dsl):
     return VariableDecl(name, type_name, pio._parse_literal(elem, init_attr, type_name, dsl, where))
 
 
-def _whole_tree_action(elem, attrs, dsl, resource_types):
+def _whole_tree_action(elem, attrs, dsl):
     name, type_name, resource = attrs
     action_type = dslmod.lookup_action(dsl, type_name)
-    if resource not in resource_types:
-        raise UnresolvedReferenceError(f"action {name!r} runs on undeclared resource {resource!r}")
-    if resource_types[resource] != action_type.owner:
-        raise UnresolvedReferenceError(
-            f"action {name!r}: type {type_name!r} belongs to component"
-            f" {action_type.owner!r}, but resource {resource!r} is a"
-            f" {resource_types[resource]!r}")
     declared = action_type.parameters_by_name
     bindings: dict[str, ArgBinding] = {}
     return_to = None
@@ -940,14 +936,6 @@ def _whole_tree_arg(elem, param, dsl, action_name):
                       value=pio._parse_literal(elem, value_attr, param.type_name, dsl, where))
 
 
-def _whole_tree_reject_duplicates(names, kind):
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateIdentifierError(f"{kind} {name!r} declared twice")
-        seen.add(name)
-
-
 def _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming):
     actions = tuple(
         ActionInstance(action_name, type_name, resource, args, return_to,
@@ -956,44 +944,79 @@ def _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming
     return Program(name, robot_class, tuple(resources), tuple(variables), actions)
 
 
-def load_program_whole_tree(text: str, dsl: RobotClassDsl) -> Program:
-    name, robot_class, elems, attrs = read_document_whole_tree(text)
+# The declaration rules, which `validate` reports and `load_program` refuses
+# a document by once it has read it: (the finding's message, the loader's error).
+DECLARATION_RULES = (
+    (r"(action|resource|variable) name .* is declared more than once", DuplicateIdentifierError),
+    (r"resource .* has unknown component type .*", UnknownResourceTypeError),
+    (r"action .* runs on undeclared resource .*", UnresolvedReferenceError),
+    (r"action .*: type .* belongs to component .*, but resource .*", UnresolvedReferenceError),
+)
+
+
+def declaration_rule(message: str) -> tuple[str, type] | None:
+    """The entry of DECLARATION_RULES that a finding's message states, if any."""
+    return next((rule for rule in DECLARATION_RULES if re.fullmatch(rule[0], message, re.S)), None)
+
+
+def declaration_findings_oracle(program: Program, dsl: RobotClassDsl) -> list[tuple[Finding, type]]:
+    """The findings of `validate_oracle`'s name and binding statements that
+    state a declaration rule, in report order, each with the error
+    `load_program` raises for it."""
+    report = ValidationReport(tuple(_unique_names_oracle(program) + _bindings_oracle(program, dsl)))
+    return [(finding, rule[1]) for finding in report.findings
+            if (rule := declaration_rule(finding.message))]
+
+
+def read_program_whole_tree(text: str, dsl: RobotClassDsl) -> tuple[Program, list]:
+    """A document's program, its <After> edges as predecessors (those that
+    name no action too), and its edges; raises on its XML structure, its
+    robot class and then on the first entry that cannot be read."""
+    name, robot_class, entries = read_document_whole_tree(text)
     if robot_class != dsl.name:
         raise UnresolvedReferenceError(f"program is written for robot class {robot_class!r},"
                                        f" but the DSL is {dsl.name!r}")
-    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
-    for resource in resources:
-        if dsl.component(resource.component_type) is None:
-            raise UnknownResourceTypeError(f"resource {resource.name!r} has unknown"
-                                           f" component type {resource.component_type!r}")
-    variables = [_whole_tree_variable(elem, row, dsl)
-                 for elem, row in zip(elems["Variables"], attrs["Variables"])]
-    _whole_tree_reject_duplicates((r.name for r in resources), "resource")
-    _whole_tree_reject_duplicates((v.name for v in variables), "variable")
-    resource_types = {r.name: r.component_type for r in resources}
-    rows = [_whole_tree_action(elem, row, dsl, resource_types)
-            for elem, row in zip(elems["Actions"], attrs["Actions"])]
-    _whole_tree_reject_duplicates((row[0] for row in rows), "action")
-    incoming: dict[str, set[str]] = {row[0]: set() for row in rows}
-    for action, predecessor in attrs["Constraints"]:
+    resources, variables, rows, edges = [], [], [], []
+    for tag, elem, attrs in entries:  # the first entry that cannot be read raises
+        if tag == "Resources":
+            resources.append(ResourceInstance(*attrs))
+        elif tag == "Variables":
+            variables.append(_whole_tree_variable(elem, attrs, dsl))
+        elif tag == "Actions":
+            rows.append(_whole_tree_action(elem, attrs, dsl))
+        else:
+            edges.append(attrs)
+    incoming: dict[str, set[str]] = {}
+    for action, predecessor in edges:
+        incoming.setdefault(action, set()).add(predecessor)
+    return _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming), edges
+
+
+def load_program_whole_tree(text: str, dsl: RobotClassDsl) -> Program:
+    program, edges = read_program_whole_tree(text, dsl)
+    for finding, error in declaration_findings_oracle(program, dsl)[:1]:
+        raise error(finding.message)
+    names = set(program.action_names())
+    for action, predecessor in edges:
         for endpoint in (action, predecessor):
-            if endpoint not in incoming:
+            if endpoint not in names:
                 raise UnresolvedReferenceError(f"constraint references unknown action {endpoint!r}")
-        incoming[action].add(predecessor)
-    program = _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming)
     topological_order_oracle(program)  # names are unique and resolved by now
     return program
 
 
 def parse_program_whole_tree(text: str) -> Program:
-    name, robot_class, _, attrs = read_document_whole_tree(text)
-    resources = [ResourceInstance(*row) for row in attrs["Resources"]]
-    variables = [VariableDecl(*row) for row in attrs["Variables"]]
-    rows = [(*row, (), None) for row in attrs["Actions"]]
+    name, robot_class, entries = read_document_whole_tree(text)
+    rows = {tag: [] for tag in WHOLE_TREE_SECTIONS}
+    for tag, _, attrs in entries:
+        rows[tag].append(attrs)
+    resources = [ResourceInstance(*row) for row in rows["Resources"]]
+    variables = [VariableDecl(*row) for row in rows["Variables"]]
+    actions = [(*row, (), None) for row in rows["Actions"]]
     incoming: dict[str, set[str]] = {}
-    for action, predecessor in attrs["Constraints"]:
+    for action, predecessor in rows["Constraints"]:
         incoming.setdefault(action, set()).add(predecessor)
-    return _whole_tree_assemble(name, robot_class, resources, variables, rows, incoming)
+    return _whole_tree_assemble(name, robot_class, resources, variables, actions, incoming)
 
 # The scheduling loop as it was before it ran on the shared graph index,
 # kept as an oracle: per-action `waiting` sets, a re-sort of the ready
@@ -1834,6 +1857,7 @@ class _RenderStateOracle:
         self.strict = strict
         self.top_scope = top_scope
         self.warnings: list[str] = []
+        self.inserted_for = ""  # the warnings' note of the innermost #insert target
 
     def emit(self, template: Template, nodes: Iterable, scope: dict,
              parts: list[str], depth: int):
@@ -1893,7 +1917,7 @@ class _RenderStateOracle:
                     f"#insert names unknown template {template_id!r}",
                     template_id=template.id, line=node.line) from None
             self.warnings.append(
-                f"{template.id}:{node.line}: skipped #insert of unknown"
+                f"{template.id}:{node.line}{self.inserted_for}: skipped #insert of unknown"
                 f" template {template_id!r}")
             return
         target = self.resolve(template, node.target, scope)
@@ -1906,7 +1930,11 @@ class _RenderStateOracle:
                 template_id=template.id, line=node.line)
         child = dict(self.top_scope)
         child[root] = target
+        outer = self.inserted_for
+        self.inserted_for = (f" (inserted for {root} {target.name!r})"
+                             if hasattr(target, "name") else "")
         self.emit(inserted, inserted.nodes, child, parts, depth + 1)
+        self.inserted_for = outer
 
     def resolve(self, template: Template, path: ReferencePath, scope: dict):
         value, failure = _walk(path, scope)
@@ -1917,7 +1945,7 @@ class _RenderStateOracle:
                 f"cannot resolve {path.raw}: {failure}",
                 template_id=template.id, line=path.line)
         self.warnings.append(
-            f"{template.id}:{path.line}: unresolved reference {path.raw}"
+            f"{template.id}:{path.line}{self.inserted_for}: unresolved reference {path.raw}"
             f" ({failure})")
         return _TEMPLATE_MISSING
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +380,27 @@ def test_generate_render_error_and_lenient(capsys, tmp_path):
     assert len(payload["warnings"]) == err.count("seqc: warning:") == 2
 
 
+def test_lenient_warnings_of_an_action_template_name_their_action(capsys, tmp_path):
+    # Both ReadSonar actions render read_sonar.vt: each warning says which one.
+    shutil.copytree(fixture_path("nxt"), tmp_path / "nxt")
+    template = tmp_path / "nxt" / "templates" / "read_sonar.vt"
+    template.write_text("$Action.getParameters().getIndex()\n", encoding="utf-8")
+    argv = ("generate", "--dsl", NXT_DSL, NXT_PROGRAM, "--templates",
+            str(tmp_path / "nxt" / "generator.xml"), "--out", str(tmp_path / "out"))
+    code, _, err = run(capsys, *argv, "--lenient")
+    assert code == 0
+    reason = "('index' cannot be called without arguments)"
+    assert err.splitlines() == [
+        f"seqc: warning: ReadSonar:1 (inserted for Action {name!r}): unresolved"
+        f" reference $Action.getParameters().getIndex() {reason}"
+        for name in ("readLeft", "readRight")]
+    # Strict output is unchanged: the template's own id and line.
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 1
+    assert err == ("seqc: render error: cannot resolve $Action.getParameters().getIndex():"
+                   f" {reason[1:-1]} [ReadSonar:1]\n")
+
+
 def test_generate_reports_a_step_that_needs_arguments(capsys, tmp_path):
     # str.join needs an argument: a render error, not a traceback.
     (tmp_path / "main.vt").write_text("[$Program.getName().getJoin()]\n", encoding="utf-8")
@@ -664,6 +686,15 @@ def test_robot_class_mismatch_is_a_one_line_error(capsys, tmp_path, command):
         code, out, _ = run(capsys, "graph", str(foreign))
         assert code == 0 and out.startswith("digraph ObstacleAvoid {")
 
+
+def test_a_program_of_one_fixture_against_another_fixtures_dsl(capsys):
+    # The robot class is judged before any action type, none of which DemoRig has.
+    code, out, err = run(capsys, "validate", "--dsl", DEMO_DSL, NXT_PROGRAM)
+    assert (code, out) == (2, "")
+    assert err == (f"seqc: error: {NXT_PROGRAM}: program is written for robot class"
+                   " 'LegoNxt', but the DSL is 'DemoRig'\n")
+
+
 def _assert_nested_too_deeply(code, out, err):
     assert code == 2
     assert out == ""
@@ -709,18 +740,20 @@ def test_deep_action_literal_keeps_its_place_in_the_error_order(capsys, tmp_path
         '</ResourceComponent></RobotClassDSL>', encoding="utf-8")
     literal = ('<Field name="f">' * (depth - 1) + '<Field name="f" value="1"/>'
                + '</Field>' * (depth - 1))
-    # Action 'b' comes first in the document, so its undeclared resource
-    # is reported before the literal of 'a' that follows it.
+    # The literal is a reading failure: one of action 'b', which comes
+    # first in the document, is reported before it.
     program_file.write_text(
         '<Program name="P" robotClass="Deep"><Resources><Resource name="r" type="Unit"/>'
-        '</Resources><Actions><ActionInstance name="b" type="Step" resource="ghost"/>'
+        '</Resources><Actions><ActionInstance name="b" type="Nope" resource="ghost"/>'
         f'<ActionInstance name="a" type="Step" resource="r"><Arg param="p">{literal}</Arg>'
         '</ActionInstance></Actions></Program>', encoding="utf-8")
     code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
     assert (code, out) == (2, "")
-    assert err == (f"seqc: error: {program_file}: action 'b' runs on undeclared"
-                   " resource 'ghost'\n")
-    program_file.write_text(program_file.read_text(encoding="utf-8").replace('"ghost"', '"r"'),
+    assert err == (f"seqc: error: {program_file}: robot class 'Deep' defines no"
+                   " action type 'Nope'\n")
+    # Once 'b' reads, the literal comes before its undeclared resource,
+    # which only the declaration rules judge, after every entry is read.
+    program_file.write_text(program_file.read_text(encoding="utf-8").replace('"Nope"', '"Step"'),
                             encoding="utf-8")
     code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
     assert (code, out) == (2, "")

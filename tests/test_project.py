@@ -137,3 +137,17 @@ def test_json_is_written_only_by_seqcs_own_writers():
             else:
                 continue
             assert banned.isdisjoint(names), (path.name, node.lineno, names)
+
+
+# The texts of the rules `load_program` refuses a document by and `validate`
+# reports: each is written once, in the validator's checks.
+SHARED_RULE_TEXTS = ("has unknown component type", "runs on undeclared resource",
+                     "belongs to component", "is written for robot class",
+                     "is declared more than once")
+
+
+def test_the_loader_and_the_validator_state_their_shared_rules_once():
+    for path in sorted((ROOT / "src" / "seqc").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found = [rule for rule in SHARED_RULE_TEXTS if rule in text]
+        assert found == (list(SHARED_RULE_TEXTS) if path.name == "validator.py" else []), path.name

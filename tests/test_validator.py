@@ -220,6 +220,12 @@ LOADER_ONLY = [
      "error CyclicGraph (a): actions form a precedence cycle: a -> a"),
     (lint_program([ActionInstance("a", "Beep", "ghost")]),
      "error UnresolvedReference (a, ghost): action 'a' runs on undeclared resource 'ghost'"),
+    (Program("P", "LintBot", (*RESOURCES, ResourceInstance("m1", "Sensor"))),
+     "error DuplicateName (m1): resource name 'm1' is declared more than once"),
+    (lint_program([], [VariableDecl("v", "Int", 1), VariableDecl("v", "Int", 2)]),
+     "error DuplicateName (v): variable name 'v' is declared more than once"),
+    (lint_program([ActionInstance("a", "Beep", "m1"), ActionInstance("a", "Beep", "m2")]),
+     "error DuplicateName (a): action name 'a' is declared more than once"),
 ]
 
 
@@ -230,6 +236,16 @@ def test_what_the_loader_refuses_is_an_error_finding(program, line):
     assert errors == [line] and not report.ok
     with pytest.raises(SeqcError):
         load_program(save_program(program), LINT_DSL)
+
+
+@pytest.mark.parametrize("program, message", [
+    (program, message) for program, line in LOADER_ONLY
+    if support.declaration_rule(message := line.partition("): ")[2])])
+def test_the_loader_raises_a_declaration_finding_as_its_message(program, message):
+    # One rule, one text: the loader's error is the finding of the validator's check.
+    with pytest.raises(SeqcError) as caught:
+        load_program(save_program(program), LINT_DSL)
+    assert (type(caught.value), str(caught.value)) == (support.declaration_rule(message)[1], message)
 
 
 def test_an_action_on_a_resource_of_unknown_component_gets_one_finding():
