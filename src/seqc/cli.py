@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
 
 def _parse_durations(args, program: Program) -> DurationMap:
     try:
-        raw = _load(args.durations, json.loads) if args.durations else {}
+        raw = _load(args.durations, json.loads) if args.durations is not None else {}
     except ValueError as exc:  # malformed, or an int past the int-string limit
         raise SeqcError(f"{args.durations}: {exc}") from None
     if not isinstance(raw, dict):
@@ -199,11 +199,11 @@ def cmd_simulate(args) -> int:
         print("seqc: error: program is invalid; use --force to simulate anyway",
               file=sys.stderr)
         return 1
-    trace_json = simulator.trace_to_json(trace) if args.trace or args.json else ""
+    trace_json = simulator.trace_to_json(trace) if args.trace is not None or args.json else ""
     # The timeline is built first: one too long to build refuses the
     # command before --trace writes anything.
     text = trace_json if args.json else simulator.format_timeline(trace)
-    if args.trace:
+    if args.trace is not None:
         Path(args.trace).write_text(trace_json, encoding="utf-8")
     sys.stdout.write(text)
     if not args.json:
@@ -242,7 +242,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.dsl:
+    if args.dsl is not None:
         program = _load(args.program, program_io.load_program, _load(args.dsl, load_dsl))
     else:
         program = _load(args.program, program_io.parse_program)

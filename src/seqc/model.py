@@ -9,9 +9,11 @@ only ever arises between actions on distinct resources.  Global
 variables form the data space that actions read through argument
 bindings and write through return bindings.
 
-All types are immutable after construction.  Collections are normalized
-to a canonical order (sorted by name) so that equal programs compare
-equal and serialize identically regardless of how they were assembled.
+All types are immutable after construction.  Resources, variables,
+actions and predecessors are sorted by name, so that equal programs
+compare equal and serialize identically however they were assembled.  An
+action's `args` keep the order given: every reader looks a binding up by
+its parameter name, so the order means nothing, and the loader keeps it.
 
 The validator, the simulator and the queries at the bottom
 (potentially_parallel, topological_order, critical_path_length) read one

@@ -174,7 +174,7 @@ def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    return tuple(filter(None, map(bindings.get, declared))), return_to  # in declaration order
+    return tuple(bindings.values()), return_to  # in document order
 
 
 def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):

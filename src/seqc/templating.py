@@ -347,7 +347,8 @@ class TemplateEngine:
 
     The scope is a mapping from root names to arbitrary objects; steps
     resolve via mapping keys or attributes, and callables are invoked
-    with no arguments: a step that needs arguments is unresolved.
+    with no arguments: a step that needs arguments, or whose call raises,
+    is unresolved.
     ``#insert`` runs the named template with a scope made of the
     original top-level roots plus the target node under the name the
     node publishes as its ``_root``.  A lenient engine appends each
@@ -472,6 +473,8 @@ def _walk(path: ReferencePath, scope: Mapping) -> tuple[object, str | None]:
                 value = value()
             except TypeError:  # say, a builtin method that needs an argument
                 return None, f"{step!r} cannot be called without arguments"
+            except Exception as exc:  # say, str.format on text holding "{"
+                return None, f"{step!r} raised {exc!r}"
     return value, None
 
 

@@ -2,10 +2,9 @@
 
 Checks accumulate findings instead of raising, so one pass reports
 everything: duplicate names and bindings, every reference the loader
-resolves, unbound parameters, arguments out of declaration order,
-dangling or mistyped variable references and literals, cycles,
-mutual-exclusion violations, and data-flow lints (reads with no
-possible writer, races between parallel actions).
+resolves, unbound parameters, dangling or mistyped variable references
+and literals, cycles, mutual-exclusion violations, and data-flow lints
+(reads with no possible writer, races between parallel actions).
 `validate` alone decides whether the graph checks run: only on a sound
 precedence graph, one that can be built and is acyclic.
 
@@ -40,7 +39,6 @@ class Code(str, Enum):
 
     DUPLICATE_NAME = "DuplicateName"
     UNBOUND_PARAMETER = "UnboundParameter"
-    ARGUMENT_ORDER = "ArgumentOrder"
     UNKNOWN_VARIABLE = "UnknownVariable"
     UNRESOLVED_REFERENCE = "UnresolvedReference"
     TYPE_MISMATCH = "TypeMismatch"
@@ -248,12 +246,11 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
 
 
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    """Completeness, order and typing of bindings and initializers, and
-    every reference the loader resolves: the robot class, the declaration
-    rules of `_check_declarations`, each variable's type, and each action's
-    type, bound parameters and predecessors.  An action's first binding of
-    each declared parameter must follow the declaration order, the order
-    the loader reads them in.
+    """Completeness and typing of bindings and initializers, and every
+    reference the loader resolves: the robot class, the declaration rules
+    of `_check_declarations`, each variable's type, and each action's
+    type, bound parameters and predecessors.  Bindings are read by
+    parameter name, so their order carries no meaning.
     """
     findings = _check_robot_class(program.name, program.robot_class, dsl)
     findings += [finding for finding, _ in _check_declarations(program, dsl)]
@@ -290,15 +287,7 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
             findings.append(Finding(
                 Code.DUPLICATE_NAME, (action.name, param),
                 f"action {action.name!r} binds parameter {param!r} twice"))
-        bound = {arg.param: arg for arg in action.args}  # keys in first-binding order
-        firsts = [param for param in bound if param in atype.parameters_by_name]
-        in_order = [param for param in atype.parameters_by_name if param in bound]
-        if firsts != in_order:
-            early, late = next(pair for pair in zip(firsts, in_order) if pair[0] != pair[1])
-            findings.append(Finding(
-                Code.ARGUMENT_ORDER, (action.name, early),
-                f"action {action.name!r} binds parameter {early!r} before {late!r},"
-                " which is declared first"))
+        bound = {arg.param: arg for arg in action.args}
         # (variable, binding slot, expected type, what the slot expects)
         references = []
         for param in atype.parameters:

@@ -630,8 +630,9 @@ def random_valid_setup(rng: random.Random, **kwargs):
 
 # Programs a hand-built `Program` can hold but no document can carry:
 # `save_program` writes each kind but "xml_char", whose characters XML
-# cannot carry, and `load_program` refuses what it wrote, except that it
-# reads "args_out_of_order" back with its arguments in declaration order.
+# cannot carry, and `load_program` refuses what it wrote.  The one
+# exception, "args_out_of_order", is no defect: arguments in any order
+# validate clean and load back as built.
 HOSTILE_KINDS = ("robot_class", "component", "placement", "variable_type", "initializer",
                  "bound_twice", "non_finite", "xml_char", "self_loop", "undeclared_resource",
                  "args_out_of_order")
@@ -919,8 +920,7 @@ def _whole_tree_action(elem, attrs, dsl):
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    ordered = tuple([bindings[param] for param in declared if param in bindings])
-    return name, type_name, resource, ordered, return_to
+    return name, type_name, resource, tuple(bindings.values()), return_to
 
 
 def _whole_tree_arg(elem, param, dsl, action_name):
@@ -1287,19 +1287,6 @@ def _bindings_oracle(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 findings.append(Finding(
                     Code.DUPLICATE_NAME, (action.name, param),
                     f"action {action.name!r} binds parameter {param!r} twice"))
-        # The loader reads arguments in declaration order.  Of the first
-        # bindings, the first one with a later-bound parameter declared
-        # before it is out of order; the earliest-declared such one names it.
-        firsts = [param for param in dict.fromkeys(params) if param in declared]
-        for i, early in enumerate(firsts):
-            ahead = [p for p in firsts[i + 1:] if declared.index(p) < declared.index(early)]
-            if ahead:
-                late = min(ahead, key=declared.index)
-                findings.append(Finding(
-                    Code.ARGUMENT_ORDER, (action.name, early),
-                    f"action {action.name!r} binds parameter {early!r} before {late!r},"
-                    " which is declared first"))
-                break
         bound = {arg.param: arg for arg in action.args}
         for param in atype.parameters:
             arg = bound.get(param.name)

@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import dataclasses
 import gc
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -425,6 +428,79 @@ def test_generate_reports_a_step_that_needs_arguments(capsys, tmp_path):
     assert (out_dir / "out.txt").read_text(encoding="utf-8") == "[]\n"
 
 
+# Every public method of the types a template value can have, called with
+# no arguments: some need arguments, and some raise on the values below.
+_STEPS = sorted({name for kind in (str, int, tuple) for name in dir(kind)
+                 if not name.startswith("_") and callable(getattr(kind, name))})
+_TEXT_REFERENCE = re.compile(r"\$[A-Za-z_]\w*(?:\.[A-Za-z_]\w*(?:\(\))?)*")
+_INTS = "#set($low = -3)\n#set($high = 300)\n[$low] [$high]\n"  # how ints reach a step
+
+
+def _with_steps(template: str, steps) -> str:
+    """`template` with each text line repeated once per step, the step
+    appended to each of its references; directive lines are kept as they are."""
+    lines = []
+    for line in template.splitlines(keepends=True):
+        if line.lstrip().startswith("#") or "$" not in line:
+            lines.append(line)
+        else:
+            lines += [_TEXT_REFERENCE.sub(lambda m: f"{m.group(0)}.{step}()", line)
+                      for step in steps]
+    return "".join(lines)
+
+
+def _braced(program):
+    """The program with its name and its action names holding "{" and "}"."""
+    marks = ("{", "{0}", "{x}", "}")
+    rename = {a.name: a.name + marks[i % 4] for i, a in enumerate(program.actions)}
+    return dataclasses.replace(program, name=program.name + "{", actions=tuple(
+        dataclasses.replace(a, name=rename[a.name],
+                            predecessors=[rename[p] for p in a.predecessors])
+        for a in program.actions))
+
+
+def test_template_steps_keep_the_exit_code_contract(capsys, tmp_path):
+    # Strict runs take one step at a time, since the first unresolved
+    # reference ends them, and meet the ints first only for an int method;
+    # lenient runs take all steps in one render.
+    cases = []
+    for fixture, program_file in (("nxt", "obstacle_avoid.xml"),
+                                  ("service_robot", "grasp_demo.xml")):
+        source = fixture_path(fixture)
+        dsl_path = str(source / "dsl.xml")
+        program = program_io.load_program(fixture_text(fixture, program_file),
+                                           load_dsl(fixture_text(fixture, "dsl.xml")))
+        programs = []
+        for k, variant in enumerate((program, _braced(program))):
+            path = tmp_path / f"{fixture}-{k}.xml"
+            path.write_text(save_program(variant), encoding="utf-8")
+            programs.append(str(path))
+        for steps, mode in [([step], []) for step in _STEPS] + [(_STEPS, ["--lenient"])]:
+            config = tmp_path / fixture / (mode[0] if mode else steps[0])
+            shutil.copytree(source / "templates", config / "templates")
+            shutil.copy(source / "generator.xml", config)
+            for template in (config / "templates").iterdir():
+                text = template.read_text(encoding="utf-8")
+                if template.name == "main.vt":
+                    text = _INTS + text if hasattr(int, steps[0]) else text + _INTS
+                template.write_text(_with_steps(text, steps), encoding="utf-8")
+            cases += [("generate", "--dsl", dsl_path, path, "--templates",
+                       str(config / "generator.xml"), "--out", str(tmp_path / "out"),
+                       "--force", *mode) for path in programs]
+    raised = Counter()  # runs that met a call that raised, by mode
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert code in (0, 1) and "Traceback" not in err, argv
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("seqc: render error: "), argv
+        else:
+            assert all(line.startswith("seqc: warning: ") for line in lines), argv
+            assert "--lenient" in argv or not lines, argv
+        raised["--lenient" in argv] += "' raised " in err
+    assert raised[False] >= 4 and raised[True] == 4, raised
+
+
 def test_generate_refuses_an_output_named_for_the_directory(capsys, tmp_path):
     (tmp_path / "main.vt").write_text("text\n", encoding="utf-8")
     generator = tmp_path / "gen.xml"
@@ -805,6 +881,22 @@ def test_finish_time_past_the_digit_limit_is_a_one_line_error(capsys, tmp_path, 
         capsys, "simulate", *output, "--dsl", DEMO_DSL, FIVE_STAGE,
         "--duration", f"A={nines}", "--duration", f"D={nines}"))
     assert not (tmp_path / "trace.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--dsl", "", FIVE_STAGE],
+    ["simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--durations", ""],
+    ["simulate", "--dsl", DEMO_DSL, FIVE_STAGE, "--trace", ""],
+    ["simulate", "--json", "--dsl", DEMO_DSL, FIVE_STAGE, "--trace", ""],
+    ["graph", "--dsl", "", FIVE_STAGE],
+    ["graph", "--json", "--dsl", "", FIVE_STAGE],
+])
+def test_an_option_given_an_empty_value_is_a_one_line_error(capsys, tmp_path, monkeypatch,
+                                                             argv):
+    # An empty path names no file; it is not the option left out.
+    monkeypatch.chdir(tmp_path)
+    _assert_one_line_error(*run(capsys, *argv))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deep_template_blocks_render(capsys, tmp_path, collector_on):

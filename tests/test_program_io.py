@@ -96,12 +96,13 @@ def test_grasp_fixture_structure():
     assert program.variable("armStatus").init == "idle"
 
 
-def test_args_are_reordered_to_declaration_order():
+def test_args_keep_document_order():
     doc = typed_doc(
         one_apply('<Arg param="label" value="L"/><Arg param="count" value="3"/>')
     )
     program = load_program(doc, TYPED_DSL)
-    assert [a.param for a in program.action("a").args] == ["count", "label"]
+    assert [a.param for a in program.action("a").args] == ["label", "count"]
+    assert load_program(save_program(program), TYPED_DSL) == program
 
 
 def test_scalar_literals():

@@ -387,14 +387,20 @@ def test_insert_unknown_template_strict_and_lenient():
 
 
 def test_a_step_that_needs_arguments_is_an_unresolved_reference():
-    # str.join and tuple.index take an argument, so the step resolves to
-    # nothing in every directive instead of escaping as a TypeError.
-    scope = {"b": Box(name="part", items=("x",))}
-    for ref in ("$b.getName().getJoin()", "$b.items.index"):
+    # str.join and tuple.index take an argument, and str.format and
+    # int.to_bytes raise on these values, so the step resolves to nothing
+    # in every directive instead of escaping as an exception.
+    cases = [(Box(name="part", items=("x",)), 0, ref, "cannot be called without arguments")
+             for ref in ("$b.getName().getJoin()", "$b.items.index")]
+    cases += [(Box(name=name), 0, "$b.getName().getFormat()", error)
+              for name, error in (("Five{Stage", "ValueError"), ("{0}", "IndexError"),
+                                  ("{x}", "KeyError"))]
+    cases += [(Box(), n, "$n.to_bytes()", "OverflowError") for n in (-3, 300)]
+    for box, n, ref, error in cases:
+        scope = {"b": box, "n": n}
         for source in (f"[{ref}]", f"[#foreach($i in {ref})$i#end]", f"[#set($x = {ref})]",
                        f"[#insert({ref}, $b)]"):
-            with pytest.raises(UnresolvedReferenceError,
-                               match="cannot be called without arguments"):
+            with pytest.raises(UnresolvedReferenceError, match=error):
                 render_main(scope, main=source, part="P")
             text, warnings = render_main(scope, strict=False, main=source, part="P")
             assert text == "[]" and len(warnings) == 1 and ref in warnings[0]

@@ -273,9 +273,8 @@ def test_a_self_loop_and_undeclared_resources_are_reported_in_one_pass():
     ]
 
 
-def test_arguments_out_of_declaration_order_are_an_error():
-    # The loader reads arguments in declaration order, so a program whose
-    # arguments are not in it would not load back equal.
+def test_arguments_in_any_order_validate_clean_and_load_back_as_built():
+    # Bindings are read by parameter name, so their order carries no meaning.
     dsl = load_dsl(fixture_text("service_robot/dsl.xml"))
     program = load_program(fixture_text("service_robot/grasp_demo.xml"), dsl)
     target, turn = program.action("MoveMani").args
@@ -286,19 +285,15 @@ def test_arguments_out_of_declaration_order_are_an_error():
             for a in program.actions))
 
     flipped = with_args(turn, target)
-    assert validate(flipped, dsl).render_text().splitlines() == [
-        "error ArgumentOrder (MoveMani, orientation): action 'MoveMani' binds parameter"
-        " 'orientation' before 'targetPose', which is declared first",
-        "FAILED, 1 finding",
-    ]
-    assert load_program(save_program(flipped), dsl) == program != flipped
-    # Unknown and repeated parameters keep their own findings; only the
-    # first binding of each declared parameter counts for the order.
+    assert flipped != program
+    assert validate(flipped, dsl).render_text() == validate(program, dsl).render_text()
+    assert validate(flipped, dsl).render_text() == "OK, 0 findings"
+    assert load_program(save_program(flipped), dsl) == flipped
+    # Unknown and repeated parameters keep their own findings, in any order.
     bogus = ArgBinding("bogus", value=1)
-    assert codes(validate(with_args(turn, bogus, target, turn), dsl)) == [
-        Code.ARGUMENT_ORDER, Code.DUPLICATE_NAME, Code.UNRESOLVED_REFERENCE]
-    assert codes(validate(with_args(target, bogus, turn, target), dsl)) == [
-        Code.DUPLICATE_NAME, Code.UNRESOLVED_REFERENCE]
+    for args in ((turn, bogus, target, turn), (target, bogus, turn, target)):
+        assert codes(validate(with_args(*args), dsl)) == [
+            Code.DUPLICATE_NAME, Code.UNRESOLVED_REFERENCE]
 
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -407,10 +402,6 @@ def test_every_hostile_program_is_reported_refused_or_loads():
     for kind, dsl, program in support.hostile_corpus(1400):
         if not validate(program, dsl).ok:
             outcomes[kind, "reported"] += 1
-            if kind == "args_out_of_order":  # read back in declaration order, and valid
-                loaded = load_program(save_program(program), dsl)
-                assert loaded != program and validate(loaded, dsl).ok
-                continue
             with pytest.raises(SeqcError):  # what validate reports, the loader refuses
                 load_program(save_program(program), dsl)
             continue
@@ -419,10 +410,11 @@ def test_every_hostile_program_is_reported_refused_or_loads():
         except SeqcError:
             outcomes[kind, "refused"] += 1
             continue
-        load_program(text, dsl)
+        assert load_program(text, dsl) == program, kind
         outcomes[kind, "loaded"] += 1
     assert sum(outcomes.values()) >= 200
-    assert outcomes == Counter({(kind, "refused" if kind == "xml_char" else "reported"): 25
+    expected = {"xml_char": "refused", "args_out_of_order": "loaded"}
+    assert outcomes == Counter({(kind, expected.get(kind, "reported")): 25
                                 for kind in support.HOSTILE_KINDS})
 
 
@@ -994,6 +986,49 @@ def test_an_implied_edge_changes_no_finding():
         extended = with_edge(program, predecessor, successor)
         assert validate(extended, dsl).render_text() == validate(program, dsl).render_text()
         cases += 1
+
+
+def _permuted_args(rng: random.Random, args: tuple) -> tuple:
+    """`args` shuffled, with each parameter's bindings in their relative order."""
+    queues: dict[str, list] = {}
+    for arg in args:
+        queues.setdefault(arg.param, []).append(arg)
+    slots = [arg.param for arg in args]
+    rng.shuffle(slots)
+    return tuple(queues[param].pop(0) for param in slots)
+
+
+def _round_trip(program: Program, dsl) -> Program | None:
+    """What the saved program loads back as, or None when it is refused."""
+    try:
+        return load_program(save_program(program), dsl)
+    except SeqcError:
+        return None
+
+
+def test_argument_order_changes_nothing():
+    # Flow programs bind one parameter, so each of their actions may also
+    # get a repeated and an unknown binding to be permuted with it.
+    rng = random.Random(606)
+    outcomes = Counter()
+    for i in range(200):
+        dsl, program = (random_literal_setup if i % 2 else random_flow_setup)(rng)
+        if not i % 2:
+            program = dataclasses.replace(program, actions=tuple(
+                dataclasses.replace(action, args=(*action.args, *rng.sample(
+                    (ArgBinding("x", value=rng.randint(0, 9)), ArgBinding("~y", value=0)),
+                    rng.randint(0, 2))))
+                for action in program.actions))
+        permuted = dataclasses.replace(program, actions=tuple(
+            dataclasses.replace(action, args=_permuted_args(rng, action.args))
+            for action in program.actions))
+        before, after = validate(program, dsl), validate(permuted, dsl)
+        assert after.render_text() == before.render_text()
+        assert after.to_json() == before.to_json()
+        loads = _round_trip(program, dsl) == program
+        assert _round_trip(permuted, dsl) == (permuted if loads else None)
+        outcomes[permuted != program, loads] += 1
+    assert outcomes[True, True] >= 40 and outcomes[True, False] >= 40, outcomes
 
 
 def test_a_parameter_named_return_reports_before_the_return_binding():
