@@ -59,9 +59,17 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+# Each path argument, by its `args` name, and how an error names it.
+_PATHS = {"dsl": "--dsl", "program": "PROGRAM", "durations": "--durations",
+          "trace": "--trace", "templates": "--templates", "out": "--out"}
+
+
 def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for dest, name in _PATHS.items():
+            if getattr(args, dest, None) == "":  # names no file, and would read as '.'
+                raise SeqcError(f"{name}: empty path")
         return globals()[f"cmd_{args.command}"](args)
     except (SeqcError, OSError) as exc:
         print(f"seqc: error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ inserted node under the root name listed above.
 
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import model
@@ -34,29 +33,41 @@ from .errors import (
     SeqcError,
     XmlSyntaxError,
 )
-from .model import ActionInstance, Program
+from .model import ActionInstance, Program, Value, _set
 from .templating import Template, TemplateEngine, parse_template
 from .validator import validate
 from .xmlio import parse_root, require_attr
 
 
-@dataclass(frozen=True)
-class VariableView:
+class VariableView(Value):
+    """A global variable as templates see it."""
+
     _root = "Variable"
     name: str
     type: str
 
+    def __init__(self, name: str, type: str):
+        _set(self, "name", name)
+        _set(self, "type", type)
 
-@dataclass(frozen=True)
-class ParameterView:
+
+class ParameterView(Value):
+    """One declared parameter of an action and the variable bound to it, if any."""
+
     _root = "Parameter"
     name: str
     type: str
     variable: VariableView | None
 
+    def __init__(self, name: str, type: str, variable: VariableView | None):
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "variable", variable)
 
-@dataclass(frozen=True)
-class ActionView:
+
+class ActionView(Value):
+    """An action as templates see it."""
+
     _root = "Action"
     name: str
     type: str
@@ -64,22 +75,44 @@ class ActionView:
     parameters: tuple[ParameterView, ...]
     returnVariable: VariableView | None
 
+    def __init__(self, name: str, type: str, resource: str,
+                 parameters: tuple[ParameterView, ...], returnVariable: VariableView | None):
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "resource", resource)
+        _set(self, "parameters", parameters)
+        _set(self, "returnVariable", returnVariable)
 
-@dataclass(frozen=True)
-class ResourceComponentView:
+
+class ResourceComponentView(Value):
+    """A resource instance and its actions, in topological order."""
+
     _root = "ResourceComponent"
     name: str
     type: str
     actions: tuple[ActionView, ...]
 
+    def __init__(self, name: str, type: str, actions: tuple[ActionView, ...]):
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "actions", actions)
 
-@dataclass(frozen=True)
-class ProgramView:
+
+class ProgramView(Value):
+    """The program as templates see it."""
+
     _root = "Program"
     name: str
     actions: tuple[ActionView, ...]
     resources: tuple[ResourceComponentView, ...]
     variables: tuple[VariableView, ...]
+
+    def __init__(self, name: str, actions: tuple[ActionView, ...],
+                 resources: tuple[ResourceComponentView, ...], variables: tuple[VariableView, ...]):
+        _set(self, "name", name)
+        _set(self, "actions", actions)
+        _set(self, "resources", resources)
+        _set(self, "variables", variables)
 
 
 def action_view(action: ActionInstance, program: Program,
@@ -125,10 +158,16 @@ def program_view(program: Program, dsl: RobotClassDsl) -> ProgramView:
     return ProgramView(program.name, actions, resources, variables)
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Value):
+    """The parsed templates of a generator configuration."""
+
     templates: Mapping[str, Template]  # #insert ids: action and component types
     mains: tuple[tuple[Template, Template], ...]  # (template, output pattern)
+
+    def __init__(self, templates: Mapping[str, Template],
+                 mains: tuple[tuple[Template, Template], ...]):
+        _set(self, "templates", templates)
+        _set(self, "mains", mains)
 
 
 def load_generator_config(text: str, *, base_dir: str | Path = ".",
@@ -207,10 +246,15 @@ def _resolve_file(file_name: str, base_dir, search_path) -> Path:
         f"template file {file_name!r} not found (tried: {', '.join(tried)})")
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Value):
+    """The rendered output files, and the warnings of a lenient render."""
+
     files: Mapping[str, str]
     warnings: tuple[str, ...] = ()
+
+    def __init__(self, files: Mapping[str, str], warnings: tuple[str, ...] = ()):
+        _set(self, "files", files)
+        _set(self, "warnings", warnings)
 
 
 def generate(program: Program, dsl: RobotClassDsl, config: GeneratorConfig,

@@ -14,8 +14,6 @@ symmetrizes the declarations into an unordered relation.
 """
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -26,18 +24,21 @@ from .errors import (
     UnresolvedMutexReferenceError,
     XmlSyntaxError,
 )
-from .model import _first_cycle
+from .model import Value, _first_cycle, _set
 from .xmlio import _children, _write_element, parse_root, require_attr
 
 PRIMITIVE_TYPES = ("Int", "Float", "Bool", "String")
 
 
-@dataclass(frozen=True)
-class VariableTypeDef:
+class VariableTypeDef(Value):
     """A variable type: primitive (fields is None) or a composite of named fields."""
 
     name: str
     fields: tuple[tuple[str, str], ...] | None = None
+
+    def __init__(self, name: str, fields: tuple[tuple[str, str], ...] | None = None):
+        _set(self, "name", name)
+        _set(self, "fields", fields)
 
     @property
     def is_primitive(self) -> bool:
@@ -74,14 +75,18 @@ def _literal_text(value) -> str:
         raise XmlSyntaxError(f"literal cannot be written as text: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ParameterDef:
+class ParameterDef(Value):
+    """One declared parameter of an action type."""
+
     name: str
     type_name: str
 
+    def __init__(self, name: str, type_name: str):
+        _set(self, "name", name)
+        _set(self, "type_name", type_name)
 
-@dataclass(frozen=True)
-class ActionTypeDef:
+
+class ActionTypeDef(Value):
     """One action type as declared under its owning resource component."""
 
     identifier: str
@@ -90,26 +95,44 @@ class ActionTypeDef:
     parameters: tuple[ParameterDef, ...] = ()
     mutex_types: frozenset[str] = frozenset()
 
+    def __init__(self, identifier: str, owner: str, return_type: str | None = None,
+                 parameters: tuple[ParameterDef, ...] = (),
+                 mutex_types: frozenset[str] = frozenset()):
+        _set(self, "identifier", identifier)
+        _set(self, "owner", owner)
+        _set(self, "return_type", return_type)
+        _set(self, "parameters", parameters)
+        _set(self, "mutex_types", mutex_types)
+
     @cached_property
     def parameters_by_name(self) -> dict[str, ParameterDef]:
         """Name -> declaration, built on first use (not a dataclass field)."""
         return {p.name: p for p in self.parameters}
 
 
-@dataclass(frozen=True)
-class ResourceComponentTypeDef:
+class ResourceComponentTypeDef(Value):
+    """A resource component type and the action types it provides."""
+
     type_name: str
     actions: tuple[ActionTypeDef, ...] = ()
 
+    def __init__(self, type_name: str, actions: tuple[ActionTypeDef, ...] = ()):
+        _set(self, "type_name", type_name)
+        _set(self, "actions", actions)
 
-_DslIndex = namedtuple("_DslIndex", "components variable_types actions")
 
+class RobotClassDsl(Value):
+    """A robot class: its variable types and resource component types."""
 
-@dataclass(frozen=True)
-class RobotClassDsl:
     name: str
     variable_types: tuple[VariableTypeDef, ...] = ()
     components: tuple[ResourceComponentTypeDef, ...] = ()
+
+    def __init__(self, name: str, variable_types: tuple[VariableTypeDef, ...] = (),
+                 components: tuple[ResourceComponentTypeDef, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "variable_types", variable_types)
+        _set(self, "components", components)
 
     @cached_property
     def mutex_relation(self) -> frozenset[frozenset[str]]:
@@ -119,29 +142,34 @@ class RobotClassDsl:
                          for name, partners in self._mutex_partners.items()
                          for partner in partners)
 
+    # Name -> declaration maps, each built on first use; the first
+    # declaration of a name wins.  Not fields, so equality and hashing
+    # ignore them.
     @cached_property
-    def _index(self) -> _DslIndex:
-        """Name -> declaration maps, built on first use; the first
-        declaration of a name wins.  Not a dataclass field, so equality
-        and hashing ignore it."""
-        index = _DslIndex({}, {}, {})
+    def _components(self) -> dict[str, ResourceComponentTypeDef]:
+        return {c.type_name: c for c in reversed(self.components)}
+
+    @cached_property
+    def _actions(self) -> dict[str, ActionTypeDef]:
+        actions: dict[str, ActionTypeDef] = {}
         for component in self.components:
-            index.components.setdefault(component.type_name, component)
             for action in component.actions:
-                index.actions.setdefault(action.identifier, action)
-        for vtype in (*self.variable_types, *PRIMITIVES.values()):
-            index.variable_types.setdefault(vtype.name, vtype)
-        return index
+                actions.setdefault(action.identifier, action)
+        return actions
+
+    @cached_property
+    def _variable_types(self) -> dict[str, VariableTypeDef]:
+        return {v.name: v for v in reversed((*self.variable_types, *PRIMITIVES.values()))}
 
     def action_types(self) -> dict[str, ActionTypeDef]:
-        return dict(self._index.actions)
+        return dict(self._actions)
 
     def component(self, type_name: str) -> ResourceComponentTypeDef | None:
-        return self._index.components.get(type_name)
+        return self._components.get(type_name)
 
     def variable_type(self, name: str) -> VariableTypeDef | None:
         """Resolve a type name against declared types and the primitives."""
-        return self._index.variable_types.get(name)
+        return self._variable_types.get(name)
 
     @cached_property
     def _mutex_partners(self) -> dict[str, set[str]]:
@@ -177,7 +205,7 @@ class RobotClassDsl:
 
 def lookup_action(dsl: RobotClassDsl, identifier: str) -> ActionTypeDef:
     """Find an action type by its globally unique identifier."""
-    action = dsl._index.actions.get(identifier)
+    action = dsl._actions.get(identifier)
     if action is None:
         raise UnknownActionTypeError(
             f"robot class {dsl.name!r} defines no action type {identifier!r}"

@@ -38,9 +38,11 @@ order, CyclicGraphError.  DurationMap is the one duration rule, shared
 by critical_path_length and the scheduler.
 """
 
+import dataclasses
 import heapq
+from _thread import get_ident
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -54,6 +56,57 @@ from .errors import (
 )
 
 _set = object.__setattr__  # how a frozen class's own __init__ writes each field once
+_REPRS: set[tuple[int, int]] = set()  # (value id, thread id) of each repr being built
+
+
+class Value:
+    """The base of every frozen value class: programs, DSL types, findings,
+    traces, template nodes and generator views.
+
+    A subclass declares its fields as annotations and writes each one once
+    in its own `__init__`.  Its fields are registered as a dataclass's,
+    so `dataclasses.fields`, `replace` and pickling work, but no method is
+    generated for it: equality, hashing, repr and frozenness are the
+    methods below, all reading the class's field tuple.  Two values are
+    equal when they are of one class and their field tuples are equal,
+    and a value hashes as its field tuple, as a frozen dataclass does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Registers the fields alone: asked for no method, dataclasses
+        # generates none, and before Python 3.13 compiles nothing.
+        dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+        names = cls._field_names = tuple(f.name for f in dataclasses.fields(cls))
+        values = attrgetter(*names)  # of one name, the bare value: make it a tuple
+        cls._field_values = values if len(names) > 1 else staticmethod(lambda v: (values(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        key = id(self), get_ident()
+        if key in _REPRS:  # a value inside its own field, as a dataclass prints it
+            return "..."
+        _REPRS.add(key)
+        try:
+            pairs = zip(self._field_names, self._field_values(self))
+            return f"{self.__class__.__qualname__}({', '.join([f'{n}={v!r}' for n, v in pairs])})"
+        finally:
+            _REPRS.discard(key)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _normalize_literal(value):
@@ -70,8 +123,7 @@ def _literal_or_none(value):
     return None if value is None or value == {} else _normalize_literal(value)
 
 
-@dataclass(frozen=True, init=False)
-class ArgBinding:
+class ArgBinding(Value):
     """Binds one declared parameter to a global variable or a literal value."""
 
     param: str
@@ -87,8 +139,7 @@ class ArgBinding:
         _set(self, "value", value)
 
 
-@dataclass(frozen=True, init=False)
-class ActionInstance:
+class ActionInstance(Value):
     """A named occurrence of a DSL action type, placed on a resource instance;
     one among its own `predecessors` is a cycle, which the graph raises on."""
 
@@ -112,16 +163,18 @@ class ActionInstance:
         _set(self, "predecessors", tuple(sorted(set(predecessors))))
 
 
-@dataclass(frozen=True)
-class ResourceInstance:
+class ResourceInstance(Value):
     """A concrete device or computation unit; executes one action at a time."""
 
     name: str
     component_type: str
 
+    def __init__(self, name: str, component_type: str):
+        _set(self, "name", name)
+        _set(self, "component_type", component_type)
 
-@dataclass(frozen=True, init=False)
-class VariableDecl:
+
+class VariableDecl(Value):
     """A global variable of the program's data space."""
 
     name: str
@@ -134,8 +187,7 @@ class VariableDecl:
         _set(self, "init", _literal_or_none(init))
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """A complete task: resources, global variables, and the action graph.
 
     Construction sorts resources, variables, and actions by name and
@@ -151,11 +203,13 @@ class Program:
     variables: tuple[VariableDecl, ...] = ()
     actions: tuple[ActionInstance, ...] = ()
 
-    def __post_init__(self):
+    def __init__(self, name: str, robot_class: str, resources=(), variables=(), actions=()):
         by_name = attrgetter("name")
-        _set(self, "resources", tuple(sorted(self.resources, key=by_name)))
-        _set(self, "variables", tuple(sorted(self.variables, key=by_name)))
-        _set(self, "actions", tuple(sorted(self.actions, key=by_name)))
+        _set(self, "name", name)
+        _set(self, "robot_class", robot_class)
+        _set(self, "resources", tuple(sorted(resources, key=by_name)))
+        _set(self, "variables", tuple(sorted(variables, key=by_name)))
+        _set(self, "actions", tuple(sorted(actions, key=by_name)))
 
     @cached_property
     def graph(self) -> "ProgramGraph":
@@ -235,7 +289,8 @@ class ProgramGraph:
     pass over the actions and their edges.  It raises
     DuplicateIdentifierError for the first action name declared twice,
     then UnresolvedReferenceError for the first (action, predecessor)
-    pair whose predecessor names no action, so every name in `preds`
+    pair whose predecessor names no action, each with the text of the
+    validator's finding for it, so every name in `preds`
     and `succs` is an action.  Both map each action, in name order, to a
     name-ordered tuple of names.
 
@@ -254,7 +309,8 @@ class ProgramGraph:
         for action in program.actions:
             name = action.name
             if name in actions:  # actions are sorted: the first repeat is the smallest
-                raise DuplicateIdentifierError(f"action {name!r} declared twice")
+                from .validator import _repeated_name  # which imports this module
+                raise DuplicateIdentifierError(_repeated_name("action", name))
             actions[name] = action
             succs.setdefault(name, [])
             preds[name] = incoming = action.predecessors
@@ -264,9 +320,10 @@ class ProgramGraph:
                 else:
                     succs[pred] = [name]
         if len(succs) != len(actions):
-            raise UnresolvedReferenceError("action %r names unknown predecessor %r" % min(
+            from .validator import _unknown_predecessor
+            raise UnresolvedReferenceError(_unknown_predecessor(*min(
                 (name, pred) for name, incoming in preds.items()
-                for pred in incoming if pred not in actions))
+                for pred in incoming if pred not in actions)))
         self.actions = actions
         self.preds = preds
         self.succs = {name: tuple(succs[name]) for name in actions}
@@ -364,18 +421,20 @@ def topological_order(program: Program) -> list[str]:
     return list(program.graph.order)
 
 
-@dataclass(frozen=True)
-class DurationMap:
+class DurationMap(Value):
     """Per-action tick counts with a default for unlisted actions."""
 
     per_action: Mapping[str, int] = field(default_factory=dict)
     default: int = 1
 
-    def __post_init__(self):
-        for name, value in (("default", self.default), *self.per_action.items()):
+    def __init__(self, per_action: Mapping[str, int] | None = None, default: int = 1):
+        per_action = {} if per_action is None else per_action  # a fresh dict for each map
+        for name, value in (("default", default), *per_action.items()):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise NonPositiveDurationError(
                     f"duration of {name!r} must be a positive integer tick count, got {value!r}")
+        _set(self, "per_action", per_action)
+        _set(self, "default", default)
 
     def duration_of(self, name: str) -> int:
         return self.per_action.get(name, self.default)

@@ -17,30 +17,40 @@ and finish event is derived from them when the trace is written, not kept.
 
 import heapq
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from . import jsonout
 from .dsl import RobotClassDsl
 from .errors import InvalidProgramError, SeqcError, UnknownActionError
-from .model import DurationMap, Program
+from .model import DurationMap, Program, Value, _set
 from .validator import validate
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(Value):
+    """A schedule: each action's interval and the resource it held."""
+
     schedule: Mapping[str, tuple[int, int]]  # action -> [start, finish)
     resources: Mapping[str, str]  # action -> the resource it held
+
+    def __init__(self, schedule: Mapping[str, tuple[int, int]], resources: Mapping[str, str]):
+        _set(self, "schedule", schedule)
+        _set(self, "resources", resources)
 
     @property
     def makespan(self) -> int:
         return max((finish for _, finish in self.schedule.values()), default=0)
 
 
-@dataclass(frozen=True)
-class TraceViolation:
+class TraceViolation(Value):
+    """One rule a trace breaks, with the actions that break it."""
+
     rule: str  # "precedence", "resource", or "mutex"
     actions: tuple[str, ...]
     message: str
+
+    def __init__(self, rule: str, actions: tuple[str, ...], message: str):
+        _set(self, "rule", rule)
+        _set(self, "actions", actions)
+        _set(self, "message", message)
 
 
 def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None = None,

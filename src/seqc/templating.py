@@ -38,7 +38,6 @@ than 32 nested inserts fail the render, which catches template cycles.
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .errors import (
     MalformedReferenceError,
@@ -49,6 +48,7 @@ from .errors import (
     UnknownTemplateIdError,
     UnresolvedReferenceError,
 )
+from .model import Value, _set
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
@@ -68,48 +68,86 @@ def normalize_accessor(raw: str) -> str:
     return step[0].lower() + step[1:]
 
 
-@dataclass(frozen=True)
-class ReferencePath:
+class ReferencePath(Value):
+    """A `$root.step...` reference as written, parsed into its root and steps."""
+
     raw: str
     root: str
     steps: tuple[str, ...]
     line: int
 
+    def __init__(self, raw: str, root: str, steps: tuple[str, ...], line: int):
+        _set(self, "raw", raw)
+        _set(self, "root", root)
+        _set(self, "steps", steps)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class ForeachNode:
+
+class ForeachNode(Value):
+    """`#foreach($var in $path)`: the body once per item."""
+
     var: str
     path: ReferencePath
     body: tuple
     line: int
 
+    def __init__(self, var: str, path: ReferencePath, body: tuple, line: int):
+        _set(self, "var", var)
+        _set(self, "path", path)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class IfNode:
+
+class IfNode(Value):
+    """`#if($path)`: the then body when the path resolves to a true value."""
+
     path: ReferencePath
     then_body: tuple
     else_body: tuple
     line: int
 
+    def __init__(self, path: ReferencePath, then_body: tuple, else_body: tuple, line: int):
+        _set(self, "path", path)
+        _set(self, "then_body", then_body)
+        _set(self, "else_body", else_body)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class SetNode:
+
+class SetNode(Value):
+    """`#set($var = value)`: binds a reference's value or a literal."""
+
     var: str
     value: ReferencePath | str | int | float | bool
     line: int
 
+    def __init__(self, var: str, value: ReferencePath | str | int | float | bool, line: int):
+        _set(self, "var", var)
+        _set(self, "value", value)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class InsertNode:
+
+class InsertNode(Value):
+    """`#insert(id, $target)`: another template, rendered for the target."""
+
     template_id: str | ReferencePath
     target: ReferencePath
     line: int
 
+    def __init__(self, template_id: str | ReferencePath, target: ReferencePath, line: int):
+        _set(self, "template_id", template_id)
+        _set(self, "target", target)
+        _set(self, "line", line)
 
-@dataclass(frozen=True)
-class Template:
+
+class Template(Value):
+    """A parsed template: its id and its body."""
+
     id: str
     nodes: tuple
+
+    def __init__(self, id: str, nodes: tuple):
+        _set(self, "id", id)
+        _set(self, "nodes", nodes)
 
 
 # Each directive's node type, its arguments in order, and for a block the

@@ -13,7 +13,6 @@ warnings flag suspicious but permitted constructions.
 """
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -26,7 +25,7 @@ from .errors import (
     UnknownResourceTypeError,
     UnresolvedReferenceError,
 )
-from .model import Program
+from .model import Program, Value, _set
 
 
 class Severity(Enum):
@@ -54,11 +53,17 @@ _SEVERITY = {code: Severity.ERROR for code in Code} | dict.fromkeys(
     (Code.UNINSTANTIATED_VARIABLE, Code.UNUSED_VARIABLE, Code.VARIABLE_RACE), Severity.WARNING)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
+    """One problem a check found, naming the program elements it concerns."""
+
     code: Code
     subjects: tuple[str, ...]
     message: str
+
+    def __init__(self, code: Code, subjects: tuple[str, ...], message: str):
+        _set(self, "code", code)
+        _set(self, "subjects", subjects)
+        _set(self, "message", message)
 
     @property
     def severity(self) -> Severity:
@@ -66,17 +71,23 @@ class Finding:
         return _SEVERITY[self.code]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+_REPORT_ORDER = attrgetter("code", "subjects")
+
+
+class ValidationReport(Value):
+    """Every finding of one validation, deduplicated and in report order."""
+
     findings: tuple[Finding, ...]
 
-    def __post_init__(self):
+    def __init__(self, findings: tuple[Finding, ...]):
         # Findings are ordered by code, then subjects, then check order:
-        # dict.fromkeys dedupes without a hash-seeded reordering, which
-        # also keeps the sorted runs the checks emit for the stable sort.
-        # Code is a str enum, so members compare as their values.
-        ordered = sorted(dict.fromkeys(self.findings), key=attrgetter("code", "subjects"))
-        object.__setattr__(self, "findings", tuple(ordered))
+        # a dict dedupes without a hash-seeded reordering, which also
+        # keeps the sorted runs the checks emit for the stable sort.  It
+        # is keyed by field tuples, which hash in C, as equal findings are
+        # those with equal fields.  Code is a str enum, so members compare
+        # as their values.
+        unique = dict(zip(map(Finding._field_values, findings), findings)).values()
+        _set(self, "findings", tuple(sorted(unique, key=_REPORT_ORDER)))
 
     @property
     def ok(self) -> bool:
@@ -162,6 +173,15 @@ def _mask(position: dict[str, int], names) -> int:
     return bits
 
 
+# The texts of the two rules that the precedence graph also raises on.
+def _repeated_name(kind: str, name: str) -> str:
+    return f"{kind} name {name!r} is declared more than once"
+
+
+def _unknown_predecessor(action: str, pred: str) -> str:
+    return f"action {action!r} names unknown predecessor {pred!r}"
+
+
 def _check_robot_class(name: str, robot_class: str, dsl: RobotClassDsl) -> list[Finding]:
     """The finding for a program `name` written for another robot class."""
     if robot_class == dsl.name:
@@ -177,8 +197,7 @@ def _check_declarations(program: Program, dsl: RobotClassDsl) -> list[tuple[Find
     resource's component type, and each action on a declared resource (the
     first of its name) of the component that owns the action's type."""
     found = [
-        (Finding(Code.DUPLICATE_NAME, (name,), f"{kind} name {name!r} is declared more than once"),
-         DuplicateIdentifierError)
+        (Finding(Code.DUPLICATE_NAME, (name,), _repeated_name(kind, name)), DuplicateIdentifierError)
         for kind, entries in (
             ("action", program.actions),
             ("resource", program.resources),
@@ -269,9 +288,8 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
     for action in program.actions:
         for pred in action.predecessors:
             if pred not in names:
-                findings.append(Finding(
-                    Code.UNRESOLVED_REFERENCE, (action.name, pred),
-                    f"action {action.name!r} names unknown predecessor {pred!r}"))
+                findings.append(Finding(Code.UNRESOLVED_REFERENCE, (action.name, pred),
+                                        _unknown_predecessor(action.name, pred)))
         atype = action_types.get(action.action_type)
         if atype is None:
             findings.append(Finding(

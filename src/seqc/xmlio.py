@@ -42,8 +42,8 @@ def read_document(text: str, root_tag: str, root_attrs: tuple[str, ...],
     """Read a document whose root holds sections of entries, slice by slice.
 
     `sections` maps each section tag to its entry tag and the attributes
-    every entry must carry.  After each slice of text, the entries that
-    have completed are checked (tag, then required attributes) and handed
+    every entry must carry.  After each slice of text that holds a `>`,
+    the entries that have completed are checked (tag, then required attributes) and handed
     to `take(section_tag, entries, rows)` in document order, `rows`
     holding each entry's required attribute values; then they are
     dropped.  Returns the values of the root's `root_attrs`.
@@ -61,8 +61,10 @@ def read_document(text: str, root_tag: str, root_attrs: tuple[str, ...],
     walk = _Walk(holder, root_tag, root_attrs, sections, take)
     try:
         for at in range(0, len(text), _SLICE):
-            parser.feed(text[at:at + _SLICE])  # raises a syntax error at once
-            walk.step(final=False)
+            piece = text[at:at + _SLICE]
+            parser.feed(piece)  # raises a syntax error at once
+            if ">" in piece:  # no entry completes without one
+                walk.step(final=False)
         parser.close()
     except (ET.ParseError, UnicodeEncodeError) as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from exc

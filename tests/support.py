@@ -333,7 +333,7 @@ def graph_defect(program: Program) -> tuple[type, str] | None:
     if has_duplicate_names(program):
         names = program.action_names()
         first = min(name for name in names if names.count(name) > 1)
-        return DuplicateIdentifierError, f"action {first!r} declared twice"
+        return DuplicateIdentifierError, f"action name {first!r} is declared more than once"
     dangling = dangling_predecessor(program)
     if dangling:
         return UnresolvedReferenceError, "action %r names unknown predecessor %r" % dangling

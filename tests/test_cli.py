@@ -890,12 +890,21 @@ def test_finish_time_past_the_digit_limit_is_a_one_line_error(capsys, tmp_path, 
     ["simulate", "--json", "--dsl", DEMO_DSL, FIVE_STAGE, "--trace", ""],
     ["graph", "--dsl", "", FIVE_STAGE],
     ["graph", "--json", "--dsl", "", FIVE_STAGE],
+    ["generate", "--dsl", NXT_DSL, NXT_PROGRAM, "--templates", NXT_GENERATOR, "--out", ""],
+    ["generate", "--dsl", NXT_DSL, NXT_PROGRAM, "--templates", ""],
+    ["validate", "--dsl", DEMO_DSL, ""],
+    ["graph", ""],
 ])
 def test_an_option_given_an_empty_value_is_a_one_line_error(capsys, tmp_path, monkeypatch,
                                                              argv):
-    # An empty path names no file; it is not the option left out.
+    # An empty path names no file; it is not the option left out, nor the
+    # current directory.  The error names the option, or PROGRAM.
     monkeypatch.chdir(tmp_path)
-    _assert_one_line_error(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(code, out, err)
+    empty = argv.index("")
+    option = argv[empty - 1] if argv[empty - 1].startswith("--") else "PROGRAM"
+    assert err == f"seqc: error: {option}: empty path\n"
     assert list(tmp_path.iterdir()) == []
 
 

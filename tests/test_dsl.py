@@ -454,7 +454,8 @@ def test_index_is_not_part_of_equality_or_hash():
     dsl.action_types()["Injected"] = None  # a caller's copy, not the index
     assert "Injected" not in dsl.action_types()
     assert dsl == twin and hash(dsl) == hash(twin)
-    assert "_index" not in {f.name for f in dataclasses.fields(dsl)}
+    assert {"_actions", "_components", "_variable_types"}.isdisjoint(
+        f.name for f in dataclasses.fields(dsl))
     replaced = dataclasses.replace(dsl, components=dsl.components[:1])
     assert replaced.component("DriveBase") is None
 

@@ -5,18 +5,22 @@ import inspect
 import pickle
 import random
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
-from seqc import model
+from seqc import codegen, dsl, model, simulator, templating, validator
+from seqc.dsl import load_dsl
 from seqc.errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
     NonPositiveDurationError,
     SameActionError,
+    SeqcError,
     UnknownActionError,
     UnresolvedReferenceError,
 )
+from seqc.program_io import load_program
 from seqc.model import (
     ActionInstance,
     ArgBinding,
@@ -24,13 +28,16 @@ from seqc.model import (
     ResourceInstance,
     VariableDecl,
 )
-from seqc.simulator import DurationMap, simulate
-from seqc.validator import Code, validate
+from seqc.simulator import DurationMap, ExecutionTrace, simulate, verify_trace
+from seqc.templating import parse_template
+from seqc.validator import Code, ValidationReport, validate
 from support import (
     ancestors_oracle,
     critical_path_oracle,
     cycle_oracle,
     five_stage,
+    fixture_generator,
+    fixture_text,
     graph_defect,
     make_dsl,
     make_program,
@@ -444,7 +451,7 @@ def test_concurrency_index_matches_schedule_search():
 
 def test_duplicate_names_raise_from_every_graph_query():
     for query, *args in every_graph_query(SPLIT_DUPLICATE, "a", "c"):
-        with pytest.raises(DuplicateIdentifierError, match="^action 'a' declared twice$"):
+        with pytest.raises(DuplicateIdentifierError, match="^action name 'a' is declared more than once$"):
             query(*args)
     # The smallest repeated name is named, and a repeat is reported before
     # a dangling predecessor or a cycle.
@@ -457,7 +464,7 @@ def test_duplicate_names_raise_from_every_graph_query():
         ActionInstance("z2", "Step", "r1", predecessors=("m",)),
     ))
     for query, *args in every_graph_query(program, "a", "m"):
-        with pytest.raises(DuplicateIdentifierError, match="^action 'm' declared twice$"):
+        with pytest.raises(DuplicateIdentifierError, match="^action name 'm' is declared more than once$"):
             query(*args)
 
 
@@ -537,21 +544,55 @@ def _reference_variable_post_init(self):
     object.__setattr__(self, "init", _reference_literal(self.init))
 
 
-def _reference(cls, post_init):
+def _reference_program_post_init(self):
+    for name in ("resources", "variables", "actions"):
+        object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=attrgetter("name"))))
+
+
+def _reference_durations_post_init(self):
+    for name, value in (("default", self.default), *self.per_action.items()):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise NonPositiveDurationError(
+                f"duration of {name!r} must be a positive integer tick count, got {value!r}")
+
+
+def _reference_report_post_init(self):
+    ordered = sorted(dict.fromkeys(self.findings), key=attrgetter("code", "subjects"))
+    object.__setattr__(self, "findings", tuple(ordered))
+
+
+def _reference(cls, post_init=None):
     """`cls` as a dataclass-generated frozen class that normalises in
-    __post_init__: the model's constructors must behave exactly so."""
-    specs = [(f.name, f.type, dataclasses.field(default=f.default))
-             if f.default is not dataclasses.MISSING else (f.name, f.type)
-             for f in dataclasses.fields(cls)]
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
-                                      namespace={"__post_init__": post_init})
+    __post_init__: the value classes' constructors must behave exactly so."""
+    def spec(f):
+        if f.default is not dataclasses.MISSING:
+            return f.name, f.type, dataclasses.field(default=f.default)
+        if f.default_factory is not dataclasses.MISSING:
+            return f.name, f.type, dataclasses.field(default_factory=f.default_factory)
+        return f.name, f.type
+    return dataclasses.make_dataclass(cls.__name__, [spec(f) for f in dataclasses.fields(cls)],
+                                      frozen=True,
+                                      namespace={"__post_init__": post_init} if post_init else {})
 
 
-REFERENCES = {
-    ArgBinding: _reference(ArgBinding, _reference_arg_post_init),
-    ActionInstance: _reference(ActionInstance, _reference_action_post_init),
-    VariableDecl: _reference(VariableDecl, _reference_variable_post_init),
+# Every value class of the modules that define them, in definition order.
+VALUE_CLASSES = [value for module in (model, dsl, validator, simulator, templating, codegen)
+                 for value in vars(module).values()
+                 if isinstance(value, type) and value.__module__ == module.__name__
+                 and dataclasses.is_dataclass(value)]
+POST_INITS = {
+    ArgBinding: _reference_arg_post_init,
+    ActionInstance: _reference_action_post_init,
+    VariableDecl: _reference_variable_post_init,
+    Program: _reference_program_post_init,
+    DurationMap: _reference_durations_post_init,
+    ValidationReport: _reference_report_post_init,
 }
+REFERENCES = {cls: _reference(cls, POST_INITS.get(cls)) for cls in VALUE_CLASSES}
+MODEL_REFERENCES = {cls: REFERENCES[cls] for cls in (ArgBinding, ActionInstance, VariableDecl)}
+# What `inspect.signature` shows for a default_factory field of a dataclass.
+_FACTORY = inspect.signature(dataclasses.make_dataclass(
+    "F", [("x", dict, dataclasses.field(default_factory=dict))])).parameters["x"].default
 
 
 def _fields_of(value):
@@ -564,7 +605,7 @@ def _built_alike(seen: Counter, cls, *args, **kwargs):
     value, or None; counts what happened in `seen`."""
     try:
         want = REFERENCES[cls](*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SeqcError) as exc:
         with pytest.raises(type(exc)) as raised:
             cls(*args, **kwargs)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
@@ -579,7 +620,10 @@ def _built_alike(seen: Counter, cls, *args, **kwargs):
 
 
 def _parameters(cls):
-    return [(p.name, p.default, p.kind) for p in inspect.signature(cls).parameters.values()]
+    # A default_factory field defaults to a fresh value: the reference's
+    # signature shows dataclasses' marker for it, the value class's None.
+    return [(p.name, None if p.default is _FACTORY else p.default, p.kind)
+            for p in inspect.signature(cls).parameters.values()]
 
 
 def _hash(value):
@@ -613,7 +657,7 @@ def _check_value(value, cls, rng):
 
 def test_constructors_normalise_once_as_the_generated_ones_did():
     rng = random.Random(4242)
-    for cls, reference in REFERENCES.items():
+    for cls, reference in MODEL_REFERENCES.items():
         assert _parameters(cls) == _parameters(reference)
     literals = [None, {}, 0, 1.5, True, "", "s", {"b": 1, "a": {"d": {}, "c": [1]}}, {"x": {}}]
     seen = Counter()
@@ -650,5 +694,84 @@ def test_constructors_normalise_once_as_the_generated_ones_did():
                 assert dataclasses.replace(built, predecessors=["zz", "zz"]).predecessors == ("zz",)
                 seen["self-loop"] += action.name in built.predecessors
             _built_alike(seen, ActionInstance, action.name, "T", "r", 5)  # args not iterable
-    assert min(seen[kind] for kind in (*REFERENCES, TypeError, ValueError,
+    assert min(seen[kind] for kind in (*MODEL_REFERENCES, TypeError, ValueError,
                                        "self-loop")) >= 100, seen
+
+
+# Every directive, with a reference in each argument position.
+ALL_DIRECTIVES = ("#foreach($a in $Program.actions)#if($a.name)$a.name#else-#end"
+                  "#set($n = $a.name)#set($k = 3)#if($k)k#end#insert($a.type, $a)#insert(Step, $a)"
+                  "#end\n")
+
+
+def _values_in(value, found: list) -> None:
+    """Append every value-class instance reachable from `value`, once each."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, model.Value):
+            if not any(item is seen for seen in found):
+                found.append(item)
+                pending.extend(_fields_of(item))
+        elif isinstance(item, (tuple, list, frozenset)):
+            pending.extend(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+
+
+def _seeded_values(rng) -> list:
+    """Values of every value class: random programs with their DSLs,
+    reports, durations, traces and trace violations, and the fixtures'
+    generators, views and outputs."""
+    found: list = []
+    for _ in range(25):
+        program_dsl, program = random_flow_setup(rng, max_actions=6)
+        report = validate(program, program_dsl)
+        durations = DurationMap(random_durations(rng, program), rng.randint(1, 3))
+        roots = [program_dsl, program, report, durations]
+        if report.ok:
+            trace = simulate(program, program_dsl, durations)
+            crammed = ExecutionTrace({name: (0, 1) for name in trace.schedule}, trace.resources)
+            roots += [trace, verify_trace(crammed, program, program_dsl)]
+        _values_in(roots, found)
+    for name, document in (("nxt", "obstacle_avoid.xml"), ("service_robot", "grasp_demo.xml")):
+        fixture_dsl = load_dsl(fixture_text(name, "dsl.xml"))
+        program = load_program(fixture_text(name, document), fixture_dsl)
+        config = fixture_generator(name, "generator.xml")
+        _values_in([fixture_dsl, config, codegen.program_view(program, fixture_dsl),
+                    codegen.generate(program, fixture_dsl, config)], found)
+    _values_in([parse_template(ALL_DIRECTIVES, "all"), dsl.PRIMITIVES], found)
+    return found
+
+
+def test_every_value_class_behaves_as_its_dataclass_reference():
+    # One frozen-value base serves the meta-model, the DSL, findings,
+    # traces, template nodes and generator views: each class must build,
+    # compare, hash, print, replace, pickle and refuse writes as the
+    # frozen dataclass it replaced.
+    assert len(VALUE_CLASSES) == 28 and all(issubclass(cls, model.Value) for cls in VALUE_CLASSES)
+    for cls, reference in REFERENCES.items():
+        assert _parameters(cls) == _parameters(reference), cls
+    rng = random.Random(3838)
+    seen = Counter()
+    for value in _seeded_values(rng):
+        cls = type(value)
+        fields = _fields_of(value)
+        assert _built_alike(seen, cls, *fields) == value
+        _check_value(value, cls, rng)
+        if cls in (Program, ValidationReport):  # those that sort: given in any order
+            _built_alike(seen, cls, *[rng.sample(field, len(field)) if isinstance(field, tuple)
+                                      else field for field in fields])
+    for per_action in ({}, {"a": 2}, {"a": 0}, {"a": True}, {"a": 1.5}, {"a": "2"}):
+        for default in (1, 4, 0, -1, False):
+            _built_alike(seen, DurationMap, per_action, default)
+    assert DurationMap().per_action == {} and DurationMap().per_action is not DurationMap().per_action
+    # A value inside its own field prints as `...` there, as a dataclass does.
+    looped, reference = ExecutionTrace({}, {}), REFERENCES[ExecutionTrace]({}, {})
+    looped.schedule["x"], reference.schedule["x"] = looped, reference
+    assert repr(looped) == repr(reference) == "ExecutionTrace(schedule={'x': ...}, resources={})"
+    # Equal fields in another value class make another value.
+    twins = [ResourceInstance("a", "b"), dsl.ParameterDef("a", "b"), codegen.VariableView("a", "b")]
+    assert [x == y for x in twins for y in twins] == [x is y for x in twins for y in twins]
+    assert all(seen[cls] >= 2 for cls in VALUE_CLASSES), seen
+    assert seen[NonPositiveDurationError] > 10 and seen[Program] > 40 and seen[ValidationReport] > 40

@@ -1,8 +1,10 @@
 """Project-level promises: README's examples run as printed, the package
 needs nothing outside the standard library, it writes JSON only through
-its own writers, and a re-import leaves nothing of the previous copy alive."""
+its own writers, its import generates no code, and a re-import leaves
+nothing of the previous copy alive."""
 
 import ast
+import dataclasses
 import os
 import re
 import shlex
@@ -93,6 +95,52 @@ def test_the_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "seqc", (path.name, module)
 
 
+# Counts the `compile` audit events of `<string>` sources that seqc asks
+# for while `seqc.cli` imports: the first frame outside the standard
+# library, counting outward from the compile, is one of seqc's.
+_COMPILES_SCRIPT = """
+import os, sys, sysconfig
+stdlib, package = sysconfig.get_paths()["stdlib"] + os.sep, sys.argv[1]
+compiles = []
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_filename.startswith(stdlib):
+            frame = frame.f_back
+        if frame is not None and frame.f_code.co_filename.startswith(package):
+            compiles.append(frame.f_code.co_filename)
+sys.addaudithook(hook)
+import seqc.cli
+print(len(compiles))
+"""
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="3.13's dataclasses exec one empty builder per class")
+def test_importing_the_cli_compiles_no_source_text():
+    # A frozen dataclass compiles its methods from text at every import:
+    # 166 compiles, most of seqc's import time.  The value classes share
+    # one base's methods instead.  A fresh interpreter, so nothing is cached.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", _COMPILES_SCRIPT, str(ROOT / "src" / "seqc")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "0\n"
+
+
+def test_every_value_class_runs_seqcs_own_methods():
+    # On every Python, whatever dataclasses generates for a class: each
+    # value class's methods are written in seqc, none is generated.
+    package = str(ROOT / "src" / "seqc")
+    classes = [value for name, module in sorted(sys.modules.items())
+               if name.split(".")[0] == "seqc" for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == name
+               and dataclasses.is_dataclass(value)]
+    assert len(classes) == 28 and all(issubclass(cls, model.Value) for cls in classes)
+    for cls in classes:
+        for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+            assert getattr(cls, method).__code__.co_filename.startswith(package), (cls, method)
+
+
 _REIMPORT_SCRIPT = """
 import gc, importlib, sys, weakref
 importlib.import_module("seqc.cli")
@@ -140,10 +188,10 @@ def test_json_is_written_only_by_seqcs_own_writers():
 
 
 # The texts of the rules `load_program` refuses a document by and `validate`
-# reports: each is written once, in the validator's checks.
+# reports, the graph's two among them: each is written once, in the validator.
 SHARED_RULE_TEXTS = ("has unknown component type", "runs on undeclared resource",
                      "belongs to component", "is written for robot class",
-                     "is declared more than once")
+                     "is declared more than once", "names unknown predecessor")
 
 
 def test_the_loader_and_the_validator_state_their_shared_rules_once():
