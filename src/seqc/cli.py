@@ -174,7 +174,7 @@ def _parse_durations(args, program: Program) -> DurationMap:
     per_action = raw.get("actions", {})
     if not isinstance(per_action, dict):
         raise SeqcError(f"{args.durations}: \"actions\" must be an object")
-    known = set(program.action_names())
+    known = set(program.action_names()) if args.duration else ()
     overrides = {}
     for override in args.duration:
         name, sep, value = override.rpartition("=")  # a name may hold "=", a value never
@@ -189,11 +189,11 @@ def _parse_durations(args, program: Program) -> DurationMap:
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
     default = raw.get("default", DurationMap.default)
     try:  # the file's values, less those an override replaces
-        DurationMap({name: value for name, value in per_action.items()
-                     if name not in overrides}, default)
+        durations = DurationMap({name: value for name, value in per_action.items()
+                                 if name not in overrides}, default)
     except SeqcError as exc:
         raise SeqcError(f"{args.durations}: {exc}") from None
-    return DurationMap({**per_action, **overrides}, default)
+    return DurationMap({**per_action, **overrides}, default) if overrides else durations
 
 
 def cmd_simulate(args) -> int:

@@ -27,7 +27,6 @@ from . import model
 from .dsl import RobotClassDsl, lookup_action
 from .errors import (
     DuplicateIdentifierError,
-    InvalidProgramError,
     MissingTemplateFileError,
     OutputExistsError,
     SeqcError,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .model import ActionInstance, Program, Value, _set
 from .templating import Template, TemplateEngine, parse_template
-from .validator import validate
+from .validator import _refuse_invalid
 from .xmlio import parse_root, require_attr
 
 
@@ -261,13 +260,11 @@ def generate(program: Program, dsl: RobotClassDsl, config: GeneratorConfig,
              *, strict: bool = True) -> GenerationResult:
     """Render every main template; returns output-file name → text.
 
-    The program must validate cleanly.  In strict mode an unresolvable
-    template reference aborts generation; otherwise it becomes empty
-    output plus a warning.
+    A program with an Error finding raises InvalidProgramError with
+    `validate`'s report.  In strict mode an unresolvable template reference
+    aborts generation; otherwise it becomes empty output plus a warning.
     """
-    report = validate(program, dsl)
-    if not report.ok:
-        raise InvalidProgramError(report)
+    _refuse_invalid(program, dsl)
     engine = TemplateEngine(config.templates, strict=strict)
     scope = {"Program": program_view(program, dsl)}
     files: dict[str, str] = {}

@@ -20,9 +20,9 @@ from collections.abc import Mapping
 
 from . import jsonout
 from .dsl import RobotClassDsl
-from .errors import InvalidProgramError, SeqcError, UnknownActionError
+from .errors import SeqcError, UnknownActionError
 from .model import DurationMap, Program, Value, _set
-from .validator import validate
+from .validator import _refuse_invalid
 
 
 class ExecutionTrace(Value):
@@ -58,15 +58,15 @@ def simulate(program: Program, dsl: RobotClassDsl, durations: DurationMap | None
     """Run the greedy earliest-start schedule and return its trace: each
     action's interval and resource, from which each event is derived.
 
-    The program must validate cleanly unless force is set.  Forcing
-    additionally serializes mutex-partnered actions at runtime, as if
-    each declared pair shared a virtual resource, so that invalid
-    programs remain explorable.  Even forced, a program raises as the
-    graph queries do on duplicate names, a dangling predecessor or a cycle.
+    Unforced, a program with an Error finding raises InvalidProgramError with
+    `validate`'s report.  Forcing serializes mutex-partnered actions at runtime,
+    as if each declared pair shared a virtual resource, so that invalid programs
+    remain explorable.  Even forced, a program raises as the graph queries do
+    on duplicate names, a dangling predecessor or a cycle.
     """
     durations = durations or DurationMap()
-    if not force and not (report := validate(program, dsl)).ok:
-        raise InvalidProgramError(report)
+    if not force:
+        _refuse_invalid(program, dsl)
     graph = program.graph
     graph.order  # raises CyclicGraphError on a cycle
     preds, actions = graph.preds, graph.actions

@@ -5,7 +5,7 @@ everything: duplicate names and bindings, every reference the loader
 resolves, unbound parameters, dangling or mistyped variable references
 and literals, cycles, mutual-exclusion violations, and data-flow lints
 (reads with no possible writer, races between parallel actions).
-`validate` alone decides whether the graph checks run: only on a sound
+`_errors` alone decides whether the graph checks run: only on a sound
 precedence graph, one that can be built and is acyclic.
 
 A program is acceptable ("ok") when no Error-severity finding exists;
@@ -22,6 +22,7 @@ from .dsl import RobotClassDsl, _duplicates
 from .errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
+    InvalidProgramError,
     UnknownResourceTypeError,
     UnresolvedReferenceError,
 )
@@ -134,22 +135,38 @@ def validate(program: Program, dsl: RobotClassDsl) -> ValidationReport:
     The graph checks run only on a sound graph: a cycle is one CyclicGraph
     finding, and a graph that cannot be built adds nothing, since
     check_bindings reports why."""
-    readers, writers = _variable_uses(program)
+    return _report(program, *_errors(program, dsl))
+
+
+def _errors(program: Program, dsl: RobotClassDsl) -> tuple[list[Finding], bool]:
+    """The findings of the only checks with Error codes, and whether the graph is sound."""
     findings = check_bindings(program, dsl)
-    findings += _lint_unused_variables(program, readers, writers)
     try:
         program.graph.order  # raises CyclicGraphError on a cycle
     except (DuplicateIdentifierError, UnresolvedReferenceError):
-        pass
+        return findings, False
     except CyclicGraphError as exc:
-        findings.append(Finding(
+        return findings + [Finding(
             Code.CYCLIC_GRAPH, tuple(sorted(set(exc.cycle))),
-            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1])))
-    else:
+            "actions form a precedence cycle: " + " -> ".join(exc.cycle + exc.cycle[:1]))], False
+    return findings + check_mutex_schedulability(program, dsl), True
+
+
+def _report(program: Program, errors: list[Finding], sound: bool) -> ValidationReport:
+    """`validate`'s report from the Error checks' result and the lints."""
+    readers, writers = _variable_uses(program)
+    findings = errors + _lint_unused_variables(program, readers, writers)
+    if sound:
         findings += _lint_uninstantiated(program, readers, writers)
-        findings += check_mutex_schedulability(program, dsl)
         findings += lint_variable_races(program, readers, writers)
     return ValidationReport(tuple(findings))
+
+
+def _refuse_invalid(program: Program, dsl: RobotClassDsl) -> None:
+    """Raise InvalidProgramError with `validate`'s report on an Error; no lint runs otherwise."""
+    errors, sound = _errors(program, dsl)
+    if errors:
+        raise InvalidProgramError(_report(program, errors, sound))
 
 
 def _variable_uses(program: Program) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
@@ -301,11 +318,12 @@ def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
                 findings.append(Finding(
                     Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
                     f"action {action.name!r} binds unknown parameter {arg.param!r}"))
-        for param in _duplicates(arg.param for arg in action.args):
-            findings.append(Finding(
-                Code.DUPLICATE_NAME, (action.name, param),
-                f"action {action.name!r} binds parameter {param!r} twice"))
         bound = {arg.param: arg for arg in action.args}
+        if len(bound) < len(action.args):  # some parameter is bound more than once
+            for param in _duplicates(arg.param for arg in action.args):
+                findings.append(Finding(
+                    Code.DUPLICATE_NAME, (action.name, param),
+                    f"action {action.name!r} binds parameter {param!r} twice"))
         # (variable, binding slot, expected type, what the slot expects)
         references = []
         for param in atype.parameters:

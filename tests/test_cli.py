@@ -193,6 +193,26 @@ def test_simulate_bad_durations_file(capsys, tmp_path, content):
     assert err.startswith(f"seqc: error: {durations}: ")
 
 
+@pytest.mark.parametrize("content, name, value", [
+    ('{"actions": {"A": 0}}', "A", "0"),
+    ('{"actions": {"NotInProgram": -2}}', "NotInProgram", "-2"),
+    ('{"default": true}', "default", "True"),
+    ('{"default": 3, "actions": {"D": 1.5, "E": 0}}', "D", "1.5"),
+])
+def test_a_bad_durations_value_is_the_same_error_with_and_without_an_override(
+        capsys, tmp_path, content, name, value):
+    # The file's values are checked once when no --duration is given, and
+    # less the one an override replaces when one is: B is never the bad value.
+    durations = tmp_path / "durations.json"
+    durations.write_text(content, encoding="utf-8")
+    expected = (f"seqc: error: {durations}: duration of {name!r} must be a positive integer"
+                f" tick count, got {value}\n")
+    for overrides in ([], ["--duration", "B=2"], ["--duration", "B=2", "--duration", "C=3"]):
+        code, out, err = run(capsys, "simulate", "--durations", str(durations), *overrides,
+                             "--dsl", DEMO_DSL, FIVE_STAGE)
+        assert (code, out, err) == (2, "", expected)
+
+
 @pytest.mark.parametrize("content, key", [
     ('{"Default": 5, "Actions": {"C": 9}}', "Default"),
     ('{"default": 5, "actions": {"C": 9}, "action": {"C": 1}}', "action"),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from seqc import model, simulator
+from seqc import model, simulator, validator
 from seqc.dsl import load_dsl
 from seqc.errors import (
     CyclicGraphError,
@@ -284,9 +284,12 @@ def test_scheduler_matches_the_waiting_set_oracle(shape, monkeypatch):
     # dangling predecessors, mutex partners, data-flow findings) run forced,
     # so runtime mutex serialisation and every guard are compared too.  A
     # forced run skips validation: the graph alone raises on its defects.
+    # Every way into the checks is patched, the gate simulate calls included.
     rng = random.Random(47 if shape == "valid" else 53)
     if shape == "forced":
-        monkeypatch.setattr(simulator, "validate", _never_validate)
+        monkeypatch.setattr(simulator, "_refuse_invalid", _never_validate)
+        for name in ("validate", "_errors", "_report"):
+            monkeypatch.setattr(validator, name, _never_validate)
     outcomes = set()
     for _ in range(300):
         if shape == "valid":
