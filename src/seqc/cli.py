@@ -188,12 +188,15 @@ def _parse_durations(args, program: Program) -> DurationMap:
         except ValueError:  # not digits, or more of them than the int-string limit
             raise SeqcError(f"--duration {name}: {value!r} is not an integer") from None
     default = raw.get("default", DurationMap.default)
-    try:  # the file's values, less those an override replaces
-        durations = DurationMap({name: value for name, value in per_action.items()
-                                 if name not in overrides}, default)
-    except SeqcError as exc:
-        raise SeqcError(f"{args.durations}: {exc}") from None
-    return DurationMap({**per_action, **overrides}, default) if overrides else durations
+    try:  # each value checked once, every override in place of the file's value
+        return DurationMap({**per_action, **overrides}, default)
+    except SeqcError:
+        try:  # the file's values, less those an override replaces, are named first
+            DurationMap({name: value for name, value in per_action.items()
+                         if name not in overrides}, default)
+        except SeqcError as exc:
+            raise SeqcError(f"{args.durations}: {exc}") from None
+        raise
 
 
 def cmd_simulate(args) -> int:

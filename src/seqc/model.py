@@ -281,6 +281,11 @@ def _find_cycle(preds: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
     return tuple(cycle[pivot:] + cycle[:pivot])
 
 
+# Two rule texts the graph and the validator share: of (kind, name), (action, predecessor).
+_repeated_name = "{} name {!r} is declared more than once".format
+_unknown_predecessor = "action {!r} names unknown predecessor {!r}".format
+
+
 class ProgramGraph:
     """Read-only index of one program's precedence graph.
 
@@ -309,7 +314,6 @@ class ProgramGraph:
         for action in program.actions:
             name = action.name
             if name in actions:  # actions are sorted: the first repeat is the smallest
-                from .validator import _repeated_name  # which imports this module
                 raise DuplicateIdentifierError(_repeated_name("action", name))
             actions[name] = action
             succs.setdefault(name, [])
@@ -320,7 +324,6 @@ class ProgramGraph:
                 else:
                     succs[pred] = [name]
         if len(succs) != len(actions):
-            from .validator import _unknown_predecessor
             raise UnresolvedReferenceError(_unknown_predecessor(*min(
                 (name, pred) for name, incoming in preds.items()
                 for pred in incoming if pred not in actions)))

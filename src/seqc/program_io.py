@@ -10,28 +10,22 @@ Both loaders read the document with `xmlio.read_document`, which parses
 it in slices and hands over each entry, its tag and required attributes
 checked, as soon as it is complete; the element tree never exists whole.
 `parse_program` keeps the attribute rows only.  `load_program` reads
-each variable and action under its declared type as it arrives and
-keeps the result, or the first entry it cannot read.  Each <Arg> has one
-reader, `_parse_children`, and each literal one, `_parse_literal`: a
-scalar is attribute text read under its declared type, a composite
-nested <Field> elements.  The robot class and the declaration rules
-(names, component types, placement) are the validator's, and the loader
-raises their first finding.  Each action's <After> edges become its
-`predecessors`, a sorted tuple of names; no object stands for an edge.
+each entry as far as its types allow, or stops at the first it cannot
+read: an unknown type leaves a variable's initializer and an action's
+<Arg> values unread, as does a parameter the type lacks.  Each <Arg> has
+one reader, `_parse_children`, and each literal one, `_parse_literal`.
+The robot class and the declaration rules (names, types, placement,
+parameters) are the validator's, and the loader raises their first
+finding.  Each action's <After> edges become its `predecessors`, a
+sorted tuple of names; no object stands for an edge.
 """
 
 import re
 from collections import defaultdict
 
 from . import jsonout
-from .dsl import _LITERALS, RobotClassDsl, _literal_text, lookup_action
-from .errors import (
-    DuplicateIdentifierError,
-    SeqcError,
-    UnknownVariableTypeError,
-    UnresolvedReferenceError,
-    XmlSyntaxError,
-)
+from .dsl import _LITERALS, RobotClassDsl, _literal_text
+from .errors import SeqcError, UnresolvedReferenceError, XmlSyntaxError
 from .model import ActionInstance, ArgBinding, Program, ResourceInstance, VariableDecl
 from .validator import _check_declarations, _check_robot_class
 from .xmlio import _children, _detached, _write_element, read_document, require_attr
@@ -41,8 +35,8 @@ def load_program(text: str, dsl: RobotClassDsl) -> Program:
     """Parse a program document and resolve it against the DSL.
 
     Refused, in this order: XML structure; a robot class not the DSL's
-    name; the first entry, in document order, that cannot be read (an
-    unknown variable or action type, a bad <Arg>, <ReturnTo> or literal);
+    name; the first entry, in document order, that cannot be read (a bad
+    <Arg> or <ReturnTo>, or a literal that fails under its known type);
     the first finding of the validator's declaration rules in report
     order; an <After> that names no action; a cycle.  Variable references
     in bindings are left to the validator, which reports them with context.
@@ -70,7 +64,7 @@ def _read(text: str, dsl: RobotClassDsl) -> Program:
                 if tag == "Variables":
                     variables.append(_parse_variable(elem, row, dsl))
                 else:
-                    action_type = lookup_action(dsl, row[1])
+                    action_type = dsl._actions.get(row[1])  # None: every <Arg> is unread
                     actions.append((*row, *_parse_children(elem, action_type, dsl, row[0])))
         except SeqcError as exc:
             failed.append(_detached(exc))
@@ -133,12 +127,10 @@ _SECTIONS = {  # section tag: (entry tag, the entry's required attributes)
 
 def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
     name, type_name = attrs
-    if dsl.variable_type(type_name) is None:
-        raise UnknownVariableTypeError(f"variable {name!r} has unknown type {type_name!r}")
     init_attr, where = elem.get("init"), f"variable {name!r}"
     if init_attr is not None and len(elem):
         raise XmlSyntaxError(f"{where} mixes init attribute and <Field> children")
-    if init_attr is None and not len(elem):
+    if (init_attr is None and not len(elem)) or dsl.variable_type(type_name) is None:
         return VariableDecl(name, type_name)
     return VariableDecl(name, type_name, _parse_literal(elem, init_attr, type_name, dsl, where))
 
@@ -146,35 +138,34 @@ def _parse_variable(elem, attrs, dsl: RobotClassDsl) -> VariableDecl:
 def _parse_children(elem, action_type, dsl: RobotClassDsl, name: str):
     """The (args, return_to) of action `name` from its <Arg> and <ReturnTo> children.
     Each <Arg> is read here and only here; its binding holds the DSL's parameter
-    name, so the bindings of one parameter share one string."""
-    declared = action_type.parameters_by_name
-    bindings: dict[str, ArgBinding] = {}
+    name, so the bindings of one parameter share one string.  An <Arg> of a
+    parameter `action_type` lacks (None: of any) keeps its `value` text unread."""
+    declared = action_type.parameters_by_name if action_type is not None else {}
+    bindings: list[ArgBinding] = []
     return_to = None
     for child in elem:
         if child.tag == "Arg":
             param = require_attr(child, "param")
-            slot = declared.get(param)
-            if slot is None:
-                raise UnresolvedReferenceError(f"action {name!r} binds unknown parameter {param!r}")
-            if param in bindings:
-                raise DuplicateIdentifierError(f"action {name!r} binds parameter {param!r} twice")
             variable, text = child.get("variable"), child.get("value")
             if (variable is not None) + (text is not None) + (len(child) > 0) != 1:
                 raise XmlSyntaxError(f"action {name!r}, parameter {param!r}: exactly one of"
                                      " variable=, value=, or nested <Field> elements is required")
-            if variable is not None:
-                bindings[param] = ArgBinding(slot.name, variable)
+            slot = declared.get(param)
+            if slot is None:
+                bindings.append(ArgBinding(param, None, text or ""))
+            elif variable is not None:
+                bindings.append(ArgBinding(slot.name, variable))
             else:
                 where = f"action {name!r}, parameter {param!r}"
                 value = _parse_literal(child, text, slot.type_name, dsl, where)
-                bindings[param] = ArgBinding(slot.name, None, value)
+                bindings.append(ArgBinding(slot.name, None, value))
         elif child.tag == "ReturnTo":
             if return_to is not None:
                 raise XmlSyntaxError(f"action {name!r} has more than one <ReturnTo>")
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    return tuple(bindings.values()), return_to  # in document order
+    return tuple(bindings), return_to  # in document order
 
 
 def _parse_literal(elem, text: str | None, type_name: str, dsl: RobotClassDsl, where: str):

@@ -23,10 +23,12 @@ from .errors import (
     CyclicGraphError,
     DuplicateIdentifierError,
     InvalidProgramError,
+    UnknownActionTypeError,
     UnknownResourceTypeError,
+    UnknownVariableTypeError,
     UnresolvedReferenceError,
 )
-from .model import Program, Value, _set
+from .model import Program, Value, _repeated_name, _set, _unknown_predecessor
 
 
 class Severity(Enum):
@@ -190,15 +192,6 @@ def _mask(position: dict[str, int], names) -> int:
     return bits
 
 
-# The texts of the two rules that the precedence graph also raises on.
-def _repeated_name(kind: str, name: str) -> str:
-    return f"{kind} name {name!r} is declared more than once"
-
-
-def _unknown_predecessor(action: str, pred: str) -> str:
-    return f"action {action!r} names unknown predecessor {pred!r}"
-
-
 def _check_robot_class(name: str, robot_class: str, dsl: RobotClassDsl) -> list[Finding]:
     """The finding for a program `name` written for another robot class."""
     if robot_class == dsl.name:
@@ -210,9 +203,10 @@ def _check_robot_class(name: str, robot_class: str, dsl: RobotClassDsl) -> list[
 
 def _check_declarations(program: Program, dsl: RobotClassDsl) -> list[tuple[Finding, type]]:
     """The declaration rules, each finding with the error `load_program`
-    raises for it: unique resource, variable and action names, each
-    resource's component type, and each action on a declared resource (the
-    first of its name) of the component that owns the action's type."""
+    raises for it: unique resource, variable and action names; known
+    component, variable and action types; each action on a declared
+    resource (the first of its name) of its type's component; and no
+    unknown predecessor, unknown parameter or parameter bound twice."""
     found = [
         (Finding(Code.DUPLICATE_NAME, (name,), _repeated_name(kind, name)), DuplicateIdentifierError)
         for kind, entries in (
@@ -229,22 +223,52 @@ def _check_declarations(program: Program, dsl: RobotClassDsl) -> list[tuple[Find
                 f"resource {resource.name!r} has unknown component type"
                 f" {resource.component_type!r}"), UnknownResourceTypeError))
     component_of = {r.name: r.component_type for r in reversed(program.resources)}
-    action_types = dsl.action_types()
     for action in program.actions:
         component = component_of.get(action.resource)
+        atype = dsl._actions.get(action.action_type)  # None: reported below
         if component is None:
             found.append((Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
                 f"action {action.name!r} runs on undeclared resource {action.resource!r}"),
                 UnresolvedReferenceError))
-            continue
-        atype = action_types.get(action.action_type)  # None: check_bindings reports it
-        if atype is not None and component != atype.owner and dsl.component(component) is not None:
+        elif atype is not None and component != atype.owner and dsl.component(component) is not None:
             found.append((Finding(
                 Code.UNRESOLVED_REFERENCE, (action.name, action.resource),
                 f"action {action.name!r}: type {atype.identifier!r} belongs to component"
                 f" {atype.owner!r}, but resource {action.resource!r} is a {component!r}"),
                 UnresolvedReferenceError))
+    for variable in program.variables:
+        if dsl.variable_type(variable.type_name) is None:
+            found.append((Finding(
+                Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
+                f"variable {variable.name!r} has unknown type {variable.type_name!r}"),
+                UnknownVariableTypeError))
+    names = {action.name for action in program.actions}
+    for action in program.actions:
+        for pred in action.predecessors:
+            if pred not in names:
+                found.append((Finding(Code.UNRESOLVED_REFERENCE, (action.name, pred),
+                                      _unknown_predecessor(action.name, pred)),
+                              UnresolvedReferenceError))
+        atype = dsl._actions.get(action.action_type)
+        if atype is None:
+            found.append((Finding(
+                Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
+                f"action {action.name!r} has unknown type {action.action_type!r}"),
+                UnknownActionTypeError))
+            continue
+        for arg in action.args:
+            if arg.param not in atype.parameters_by_name:
+                found.append((Finding(
+                    Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
+                    f"action {action.name!r} binds unknown parameter {arg.param!r}"),
+                    UnresolvedReferenceError))
+        if len({arg.param for arg in action.args}) < len(action.args):  # some parameter repeats
+            for param in _duplicates(arg.param for arg in action.args):
+                found.append((Finding(
+                    Code.DUPLICATE_NAME, (action.name, param),
+                    f"action {action.name!r} binds parameter {param!r} twice"),
+                    DuplicateIdentifierError))
     return found
 
 
@@ -282,48 +306,26 @@ def check_mutex_schedulability(program: Program, dsl: RobotClassDsl) -> list[Fin
 
 
 def check_bindings(program: Program, dsl: RobotClassDsl) -> list[Finding]:
-    """Completeness and typing of bindings and initializers, and every
-    reference the loader resolves: the robot class, the declaration rules
-    of `_check_declarations`, each variable's type, and each action's
-    type, bound parameters and predecessors.  Bindings are read by
-    parameter name, so their order carries no meaning.
+    """The robot class, the declaration rules of `_check_declarations`,
+    and the completeness and typing of bindings and initializers: every
+    parameter of a known action type bound, each literal of its declared
+    type, and each variable reference declared and of the slot's type.
+    Bindings are read by parameter name, so their order carries no meaning.
     """
     findings = _check_robot_class(program.name, program.robot_class, dsl)
     findings += [finding for finding, _ in _check_declarations(program, dsl)]
     for variable in program.variables:
-        if dsl.variable_type(variable.type_name) is None:
-            findings.append(Finding(
-                Code.UNRESOLVED_REFERENCE, (variable.name, variable.type_name),
-                f"variable {variable.name!r} has unknown type {variable.type_name!r}"))
-        elif variable.init is not None and not dsl._is_literal(variable.init, variable.type_name):
+        if (variable.init is not None and dsl.variable_type(variable.type_name) is not None
+                and not dsl._is_literal(variable.init, variable.type_name)):
             findings.append(Finding(
                 Code.TYPE_MISMATCH, (variable.name, "init"),
                 f"initializer of variable {variable.name!r} does not type-check"
                 f" as {variable.type_name}"))
-    action_types = dsl.action_types()
-    names = {action.name for action in program.actions}
     for action in program.actions:
-        for pred in action.predecessors:
-            if pred not in names:
-                findings.append(Finding(Code.UNRESOLVED_REFERENCE, (action.name, pred),
-                                        _unknown_predecessor(action.name, pred)))
-        atype = action_types.get(action.action_type)
+        atype = dsl._actions.get(action.action_type)
         if atype is None:
-            findings.append(Finding(
-                Code.UNRESOLVED_REFERENCE, (action.name, action.action_type),
-                f"action {action.name!r} has unknown type {action.action_type!r}"))
             continue
-        for arg in action.args:
-            if arg.param not in atype.parameters_by_name:
-                findings.append(Finding(
-                    Code.UNRESOLVED_REFERENCE, (action.name, arg.param),
-                    f"action {action.name!r} binds unknown parameter {arg.param!r}"))
         bound = {arg.param: arg for arg in action.args}
-        if len(bound) < len(action.args):  # some parameter is bound more than once
-            for param in _duplicates(arg.param for arg in action.args):
-                findings.append(Finding(
-                    Code.DUPLICATE_NAME, (action.name, param),
-                    f"action {action.name!r} binds parameter {param!r} twice"))
         # (variable, binding slot, expected type, what the slot expects)
         references = []
         for param in atype.parameters:

@@ -57,6 +57,7 @@ from seqc.errors import (
     SeqcError,
     TemplateError,
     UnclosedBlockError,
+    UnknownActionTypeError,
     UnknownDirectiveError,
     UnknownTemplateIdError,
     UnknownResourceTypeError,
@@ -890,11 +891,11 @@ def read_document_whole_tree(text: str):
 
 def _whole_tree_variable(elem, attrs, dsl):
     name, type_name = attrs
-    if dsl.variable_type(type_name) is None:
-        raise UnknownVariableTypeError(f"variable {name!r} has unknown type {type_name!r}")
     init_attr, where = elem.get("init"), f"variable {name!r}"
     if init_attr is not None and len(elem):
         raise XmlSyntaxError(f"{where} mixes init attribute and <Field> children")
+    if dsl.variable_type(type_name) is None:  # left to the declaration rules, unread
+        return VariableDecl(name, type_name)
     if init_attr is None and not len(elem):
         return VariableDecl(name, type_name)
     return VariableDecl(name, type_name, pio._parse_literal(elem, init_attr, type_name, dsl, where))
@@ -902,33 +903,33 @@ def _whole_tree_variable(elem, attrs, dsl):
 
 def _whole_tree_action(elem, attrs, dsl):
     name, type_name, resource = attrs
-    action_type = dslmod.lookup_action(dsl, type_name)
-    declared = action_type.parameters_by_name
-    bindings: dict[str, ArgBinding] = {}
+    action_type = dsl.action_types().get(type_name)
+    declared = {} if action_type is None else action_type.parameters_by_name
+    bindings: list[ArgBinding] = []
     return_to = None
     for child in elem:
         if child.tag == "Arg":
             param = require_attr(child, "param")
-            if param not in declared:
-                raise UnresolvedReferenceError(f"action {name!r} binds unknown parameter {param!r}")
-            if param in bindings:
-                raise DuplicateIdentifierError(f"action {name!r} binds parameter {param!r} twice")
-            bindings[param] = _whole_tree_arg(child, declared[param], dsl, name)
+            bindings.append(_whole_tree_arg(child, param, declared.get(param), dsl, name))
         elif child.tag == "ReturnTo":
             if return_to is not None:
                 raise XmlSyntaxError(f"action {name!r} has more than one <ReturnTo>")
             return_to = require_attr(child, "variable")
         else:
             raise XmlSyntaxError(f"unexpected element <{child.tag}> inside <ActionInstance>")
-    return name, type_name, resource, tuple(bindings.values()), return_to
+    return name, type_name, resource, tuple(bindings), return_to
 
 
-def _whole_tree_arg(elem, param, dsl, action_name):
+def _whole_tree_arg(elem, name, param, dsl, action_name):
+    """The binding of <Arg param=`name`>; `param` is the declared parameter, or
+    None for one the action's type lacks, whose binding keeps its text unread."""
     variable, value_attr = elem.get("variable"), elem.get("value")
     if (variable is not None) + (value_attr is not None) + (len(elem) > 0) != 1:
         raise XmlSyntaxError(
-            f"action {action_name!r}, parameter {param.name!r}: exactly one of"
+            f"action {action_name!r}, parameter {name!r}: exactly one of"
             " variable=, value=, or nested <Field> elements is required")
+    if param is None:  # left to the declaration rules
+        return ArgBinding(name, value="" if value_attr is None else value_attr)
     if variable is not None:
         return ArgBinding(param.name, variable=variable)
     where = f"action {action_name!r}, parameter {param.name!r}"
@@ -951,6 +952,10 @@ DECLARATION_RULES = (
     (r"resource .* has unknown component type .*", UnknownResourceTypeError),
     (r"action .* runs on undeclared resource .*", UnresolvedReferenceError),
     (r"action .*: type .* belongs to component .*, but resource .*", UnresolvedReferenceError),
+    (r"variable .* has unknown type .*", UnknownVariableTypeError),
+    (r"action .* has unknown type .*", UnknownActionTypeError),
+    (r"action .* binds unknown parameter .*", UnresolvedReferenceError),
+    (r"action .* binds parameter .* twice", DuplicateIdentifierError),
 )
 
 

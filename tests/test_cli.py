@@ -213,6 +213,40 @@ def test_a_bad_durations_value_is_the_same_error_with_and_without_an_override(
         assert (code, out, err) == (2, "", expected)
 
 
+def test_each_duration_value_is_checked_once(capsys, tmp_path, monkeypatch):
+    # With or without an override: the default, then A and B, each once.
+    checked = []
+    real_init = simulator.DurationMap.__init__
+
+    def counting_init(self, per_action=None, default=1):
+        checked.extend(["default", *(per_action or {})])
+        real_init(self, per_action, default)
+
+    monkeypatch.setattr(simulator.DurationMap, "__init__", counting_init)
+    durations = tmp_path / "durations.json"
+    durations.write_text(json.dumps({"default": 2, "actions": {"A": 3, "B": 4}}), encoding="utf-8")
+    for overrides, values in (([], "AB"), (["A=5"], "AB"), (["B=1", "C=6"], "ABC")):
+        checked.clear()
+        code, _, err = run(capsys, "simulate", "--durations", str(durations),
+                           *[f"--duration={override}" for override in overrides],
+                           "--dsl", DEMO_DSL, FIVE_STAGE)
+        assert (code, err) == (0, "")
+        assert sorted(checked) == sorted(["default", *values])
+    # A bad value of the file's own comes first, then the first bad override in
+    # the file's order.
+    bad = "must be a positive integer tick count, got 0\n"
+    for content, overrides, expected in (
+            ({"A": 0}, ["B=0"], f"{durations}: duration of 'A' {bad}"),
+            ({"A": 0}, ["A=0"], f"duration of 'A' {bad}"),
+            ({"A": 3, "B": 4}, ["B=0", "A=0"], f"duration of 'A' {bad}"),
+            ({"B": 4}, ["C=0", "A=0", "B=0"], f"duration of 'B' {bad}")):
+        durations.write_text(json.dumps({"actions": content}), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--durations", str(durations),
+                             *[f"--duration={override}" for override in overrides],
+                             "--dsl", DEMO_DSL, FIVE_STAGE)
+        assert (code, out, err) == (2, "", f"seqc: error: {expected}")
+
+
 @pytest.mark.parametrize("content, key", [
     ('{"Default": 5, "Actions": {"C": 9}}', "Default"),
     ('{"default": 5, "actions": {"C": 9}, "action": {"C": 1}}', "action"),
@@ -838,22 +872,42 @@ def test_deep_action_literal_keeps_its_place_in_the_error_order(capsys, tmp_path
                + '</Field>' * (depth - 1))
     # The literal is a reading failure: one of action 'b', which comes
     # first in the document, is reported before it.
+    bad_arg = '<Arg param="q"/>'
     program_file.write_text(
         '<Program name="P" robotClass="Deep"><Resources><Resource name="r" type="Unit"/>'
-        '</Resources><Actions><ActionInstance name="b" type="Nope" resource="ghost"/>'
-        f'<ActionInstance name="a" type="Step" resource="r"><Arg param="p">{literal}</Arg>'
-        '</ActionInstance></Actions></Program>', encoding="utf-8")
+        f'</Resources><Actions><ActionInstance name="b" type="Nope" resource="ghost">{bad_arg}'
+        f'</ActionInstance><ActionInstance name="a" type="Step" resource="r"><Arg param="p">'
+        f'{literal}</Arg></ActionInstance></Actions></Program>', encoding="utf-8")
     code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
     assert (code, out) == (2, "")
-    assert err == (f"seqc: error: {program_file}: robot class 'Deep' defines no"
-                   " action type 'Nope'\n")
-    # Once 'b' reads, the literal comes before its undeclared resource,
-    # which only the declaration rules judge, after every entry is read.
-    program_file.write_text(program_file.read_text(encoding="utf-8").replace('"Nope"', '"Step"'),
+    assert err == (f"seqc: error: {program_file}: action 'b', parameter 'q': exactly one of"
+                   " variable=, value=, or nested <Field> elements is required\n")
+    # Once 'b' reads, the literal comes before its unknown type and its
+    # undeclared resource, which only the declaration rules judge, after
+    # every entry is read.
+    program_file.write_text(program_file.read_text(encoding="utf-8").replace(bad_arg, ""),
                             encoding="utf-8")
     code, out, err = run(capsys, "validate", "--dsl", str(dsl_file), str(program_file))
     assert (code, out) == (2, "")
     assert err == f"seqc: error: {program_file}: action 'a': literal nested too deeply\n"
+
+
+def test_an_unknown_action_type_is_refused_with_validates_line(capsys, tmp_path):
+    # The loader raises the finding `validate` reports for the program built in memory.
+    dsl = load_dsl(fixture_text("demo/dsl.xml"))
+    program = program_io.load_program(fixture_text("demo/five_stage.xml"), dsl)
+    first = program.actions[0]
+    program = dataclasses.replace(program, actions=(
+        dataclasses.replace(first, action_type="Nope"), *program.actions[1:]))
+    [line] = [text for text in validate(program, dsl).render_text().splitlines()
+              if text.startswith("error ")]
+    assert line == (f"error UnresolvedReference ({first.name}, Nope):"
+                    f" action {first.name!r} has unknown type 'Nope'")
+    program_file = tmp_path / "program.xml"
+    program_file.write_text(save_program(program), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--dsl", DEMO_DSL, str(program_file))
+    assert (code, out) == (2, "")
+    assert err == f"seqc: error: {program_file}: {line.partition('): ')[2]}\n"
 
 
 def test_deep_durations_json_is_a_one_line_error(capsys, tmp_path, collector_on):

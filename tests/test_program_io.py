@@ -761,40 +761,46 @@ def test_robot_class_is_the_first_resolution_error():
         load_program(doc, TYPED_DSL)
     with pytest.raises(XmlSyntaxError):
         load_program(doc.replace("</Program>", "<Bogus/></Program>"), TYPED_DSL)
-    # And before any entry is read: an action type the DSL lacks waits.
+    # And before any entry is read or judged: an action type the DSL lacks waits.
     unread = doc.replace("</Program>", '<Actions><ActionInstance name="a" type="Nope"'
                                        ' resource="r"/></Actions></Program>')
     with pytest.raises(UnresolvedReferenceError, match="robot class 'Other'"):
         load_program(unread, TYPED_DSL)
-    with pytest.raises(UnknownActionTypeError, match="no action type 'Nope'"):
+    with pytest.raises(UnknownActionTypeError, match="^action 'a' has unknown type 'Nope'$"):
         load_program(unread.replace('"Other"', '"TypedBot"'), TYPED_DSL)
 
 
 def test_a_read_document_is_refused_exactly_by_its_first_declaration_finding(monkeypatch):
     """On seeded documents that parse and read, `load_program` refuses by
-    a declaration rule exactly when the program `parse_program` makes of
-    them has a finding of one under `validate_oracle`'s statements, and
-    with the first such finding in report order.  The documents take the
-    slice sizes in turn."""
+    a declaration rule exactly when the program the whole-tree reader makes
+    of them, which keeps what their types do not let it read, has a finding
+    of one under `validate_oracle`'s statements, and with the first such
+    finding in report order.  The documents take the slice sizes in turn."""
     rng = random.Random(3636)
     whole = xmlio._SLICE
     seen = Counter()
     for index in range(2000):
         if index % 3 == 2:
-            kind = rng.choice(("component", "placement", "undeclared_resource"))
+            kind = rng.choice(("component", "placement", "undeclared_resource", "variable_type",
+                               "robot_class"))
             dsl, program = support.hostile_setup(rng, kind)
         else:
             dsl, program = support.random_flow_setup(rng, max_actions=4)
         doc = save_program(program)
         for _ in range(1 + (index % 5 == 0)):
             doc = support.mutate_program(rng, doc)
-        if not isinstance(outcome(support.read_program_whole_tree, doc, dsl)[0], Program):
-            seen["not read"] += 1
-            continue
-        found = support.declaration_findings_oracle(parse_program(doc), dsl)
         monkeypatch.setattr(xmlio, "_SLICE", SLICES[index % len(SLICES)])
         loaded = outcome(load_program, doc, dsl)
         monkeypatch.setattr(xmlio, "_SLICE", whole)
+        read = outcome(support.read_program_whole_tree, doc, dsl)
+        if not isinstance(read[0], Program):
+            if read[1].startswith("program is written for robot class"):
+                seen["robot class"] += 1  # refused before any entry is read or judged
+                assert loaded == read, doc
+            else:
+                seen["not read"] += 1
+            continue
+        found = support.declaration_findings_oracle(read[0], dsl)
         if not found:
             seen["not refused"] += 1
             assert isinstance(loaded, Program) or loaded[0] is CyclicGraphError or \
@@ -805,6 +811,6 @@ def test_a_read_document_is_refused_exactly_by_its_first_declaration_finding(mon
         seen[support.declaration_rule(finding.message)] += 1
         seen["more than one"] += len(found) > 1
     # Documents of each outcome and the first finding of every rule, well exercised.
-    assert seen["not read"] < 1200 and seen["not refused"] > 250, seen
+    assert seen["not read"] < 1200 and seen["not refused"] > 250 and seen["robot class"] > 20, seen
     assert seen["more than one"] > 50, seen
     assert all(seen[rule] > 20 for rule in support.DECLARATION_RULES), seen

@@ -188,14 +188,37 @@ def test_json_is_written_only_by_seqcs_own_writers():
 
 
 # The texts of the rules `load_program` refuses a document by and `validate`
-# reports, the graph's two among them: each is written once, in the validator.
-SHARED_RULE_TEXTS = ("has unknown component type", "runs on undeclared resource",
-                     "belongs to component", "is written for robot class",
-                     "is declared more than once", "names unknown predecessor")
+# reports, as patterns of their source, each with the one module that
+# writes it, once: the two the precedence graph raises on too are the
+# model's, the rest the validator's.
+SHARED_RULE_TEXTS = {
+    "has unknown component type": "validator.py",
+    "runs on undeclared resource": "validator.py",
+    "belongs to component": "validator.py",
+    "is written for robot class": "validator.py",
+    r"variable \{[^}]*\} has unknown type": "validator.py",
+    r"action \{[^}]*\} has unknown type": "validator.py",
+    "binds unknown parameter": "validator.py",
+    r"binds parameter \{[^}]*\} twice": "validator.py",
+    "is declared more than once": "model.py",
+    "names unknown predecessor": "model.py",
+}
 
 
 def test_the_loader_and_the_validator_state_their_shared_rules_once():
     for path in sorted((ROOT / "src" / "seqc").glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        found = [rule for rule in SHARED_RULE_TEXTS if rule in text]
-        assert found == (list(SHARED_RULE_TEXTS) if path.name == "validator.py" else []), path.name
+        found = {rule: len(re.findall(rule, text)) for rule in SHARED_RULE_TEXTS}
+        assert {rule: n for rule, n in found.items() if n} == {
+            rule: 1 for rule, home in SHARED_RULE_TEXTS.items() if home == path.name}, path.name
+
+
+def test_no_module_imports_inside_a_function():
+    # Every import is at module level, so a module's dependencies are read at its top.
+    for path in sorted((ROOT / "src" / "seqc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [node.lineno for node in ast.walk(function)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not nested, (path.name, function.name, nested)

@@ -226,6 +226,11 @@ LOADER_ONLY = [
      "error DuplicateName (v): variable name 'v' is declared more than once"),
     (lint_program([ActionInstance("a", "Beep", "m1"), ActionInstance("a", "Beep", "m2")]),
      "error DuplicateName (a): action name 'a' is declared more than once"),
+    (lint_program([ActionInstance("a", "Hover", "m1", (ArgBinding("lift", value=1),))]),
+     "error UnresolvedReference (a, Hover): action 'a' has unknown type 'Hover'"),
+    (lint_program([ActionInstance("a", "Drive", "m1", (ArgBinding("speed", value=1),
+                                                      ArgBinding("bogus", variable="v")))]),
+     "error UnresolvedReference (a, bogus): action 'a' binds unknown parameter 'bogus'"),
 ]
 
 
@@ -238,9 +243,12 @@ def test_what_the_loader_refuses_is_an_error_finding(program, line):
         load_program(save_program(program), LINT_DSL)
 
 
-@pytest.mark.parametrize("program, message", [
+# The cases of the rules that were reading failures come last, so that each
+# earlier case keeps its test id.
+@pytest.mark.parametrize("program, message", sorted([
     (program, message) for program, line in LOADER_ONLY
-    if support.declaration_rule(message := line.partition("): ")[2])])
+    if support.declaration_rule(message := line.partition("): ")[2])],
+    key=lambda case: support.declaration_rule(case[1]) in support.DECLARATION_RULES[4:]))
 def test_the_loader_raises_a_declaration_finding_as_its_message(program, message):
     # One rule, one text: the loader's error is the finding of the validator's check.
     with pytest.raises(SeqcError) as caught:
